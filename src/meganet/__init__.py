@@ -10,8 +10,8 @@ from .graph import (
     random_connected_multigraph,
 )
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
-from .nn import TrainConfig, weighted_bce_loss
-from .train import ExperimentRecord, TaskData, train_model
+from .nn import weighted_bce_loss
+from .train import ExperimentRecord, TaskData, TrainConfig, train_model
 
 __version__ = "0.1.0"
 

@@ -24,8 +24,8 @@ from .graph import (
 )
 from .ids import bfs_assign_ids, label_edges_by_features, nonequivariance_witness
 from .model import Model, ModelConfig
-from .nn import TrainConfig, weighted_bce_loss
-from .train import TaskData, random_item_split, train_model
+from .nn import weighted_bce_loss
+from .train import TaskData, TrainConfig, random_item_split, train_model
 
 AGG_KINDS = ("sum", "mean", "max", "min", "pna")
 
@@ -63,21 +63,19 @@ def equivariance_suite(num_graphs: int = 100, seed: int = 0,
         for key, model in models.items():
             logits, cache = model.forward(g, supp, rev)
             logits_p, cache_p = model.forward(gp, suppp, revp)
-            state, state_p = cache["final_state"], cache_p["final_state"]
-            # permute original outputs and compare
+            (x, es), (x_p, es_p) = cache["final"], cache_p["final"]
+            # permute original outputs, every direction's edge latents
+            # included, and compare
             perm_logits = np.empty_like(logits)
             perm_logits[p.node_perm] = logits
-            perm_x = np.empty_like(state.x)
-            perm_x[p.node_perm] = state.x
-            perm_e = np.empty_like(state.e)
-            perm_e[p.edge_perm] = state.e
+            perm_x = np.empty_like(x)
+            perm_x[p.node_perm] = x
             ok = (_rel_close(logits_p, perm_logits, rtol)
-                  and _rel_close(state_p.x, perm_x, rtol)
-                  and _rel_close(state_p.e, perm_e, rtol))
-            if state.e_rev is not None and ok:
-                perm_er = np.empty_like(state.e_rev)
-                perm_er[p.edge_perm] = state.e_rev
-                ok = _rel_close(state_p.e_rev, perm_er, rtol)
+                  and _rel_close(x_p, perm_x, rtol))
+            for e, e_p in zip(es, es_p):
+                perm_e = np.empty_like(e)
+                perm_e[p.edge_perm] = e
+                ok = ok and _rel_close(e_p, perm_e, rtol)
             checked += 1
             if not ok:
                 failures.append({"graph": gi, "combo": list(key[:2]),
@@ -215,15 +213,15 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
         labels = rng.integers(0, 2, size=num_items)
 
         def loss_at(flat):
-            model.set_flat_params(flat)
+            model.params[...] = flat
             logits, _ = model.forward(g, supp, rev)
             loss, _ = weighted_bce_loss(logits, labels, (1.0, 2.0))
             return loss
 
-        flat = model.flat_params()
+        flat = model.params.copy()
         logits, cache = model.forward(g, supp, rev)
         _, dlogits = weighted_bce_loss(logits, labels, (1.0, 2.0))
-        grads = model.flat_grads(model.backward(cache, dlogits))
+        grads = model.backward(cache, dlogits)
 
         for _ in range(directions):
             d = rng.normal(size=flat.size)
@@ -235,7 +233,7 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
             if err > rtol:
                 failures.append({"graph": gi, "combo": [ek, nk],
                                  "rel_error": err})
-        model.set_flat_params(flat)
+        model.params[...] = flat
     return {
         "suite": "gradients",
         "passed": not failures,
@@ -311,9 +309,8 @@ def planted_separation_suite(num_nodes: int = 500, seeds=(0, 1, 2, 3, 4),
     baseline. out_neighbor_count: bi-directional vs unidirectional MP.
     """
     started = time.perf_counter()
-    tc = TrainConfig(learning_rate=0.01, hidden_size=32, batch_size=1 << 20,
-                     dropout=0.0, class_weights=(1.0, 3.0), num_layers=2,
-                     epochs=epochs, patience=40)
+    tc = TrainConfig(learning_rate=0.01, batch_size=1 << 20, dropout=0.0,
+                     class_weights=(1.0, 3.0), epochs=epochs, patience=40)
 
     def run(task, cfg):
         f1s = []

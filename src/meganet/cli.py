@@ -34,8 +34,9 @@ from .data import (
 )
 from .agg import AggSpec
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
-from .nn import NnError, TrainConfig
-from .train import TaskData, TrainingError, random_item_split, train_model
+from .nn import NnError
+from .train import (TaskData, TrainConfig, TrainingError, random_item_split,
+                    train_model)
 from .metrics import evaluate_scores
 from .graph import build_reverse_index, build_support_index
 
@@ -131,11 +132,9 @@ def _model_config(cfg: dict, readout: str) -> ModelConfig:
 def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         learning_rate=cfg["learning_rate"],
-        hidden_size=cfg["hidden"],
         batch_size=cfg["batch_size"],
         dropout=cfg["dropout"],
         class_weights=(cfg["class_weight_0"], cfg["class_weight_1"]),
-        num_layers=cfg["num_layers"],
         epochs=cfg["epochs"],
         patience=cfg["patience"],
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Multigraph, ReverseIndex, SupportIndex
+from .graph import Multigraph, SupportIndex
 
 
 class IngestionError(ValueError):
@@ -150,7 +150,11 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
 
 
 def load_node_labels(path, num_accounts: int) -> np.ndarray:
-    """Sidecar file with one 'node,label' pair per line (headered)."""
+    """Sidecar file with one 'node,label' pair per line (headered).
+
+    Labels are 0 or 1; -1, as write_node_labels_csv writes it, leaves the
+    node unlabeled. Node ids must lie in [0, num_accounts).
+    """
     labels = np.full(num_accounts, -1, dtype=np.int64)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -158,10 +162,14 @@ def load_node_labels(path, num_accounts: int) -> np.ndarray:
             raise IngestionError(f"{path}: expected 'node,label' columns")
         for rownum, row in enumerate(reader, start=1):
             try:
-                node = int(row["node"])
-                labels[node] = int(row["label"])
-            except (ValueError, IndexError):
+                node, label = int(row["node"]), int(row["label"])
+            except (ValueError, TypeError):
                 raise IngestionError(f"{path} row {rownum}: bad node label row") from None
+            if not 0 <= node < num_accounts or label not in (-1, 0, 1):
+                raise IngestionError(
+                    f"{path} row {rownum}: node {node} must be in "
+                    f"[0, {num_accounts}) and label {label} in {{-1, 0, 1}}")
+            labels[node] = label
     return labels
 
 
@@ -259,7 +267,7 @@ class BatchSample:
 def sample_neighborhood(
     g: Multigraph,
     supp: SupportIndex,
-    rev: ReverseIndex,
+    rev: SupportIndex,
     seed_nodes=None,
     seed_edges=None,
     hops: int = 2,

@@ -2,8 +2,9 @@
 
 A multigraph keeps its edges as an ordered multiset: the same (src, dst)
 pair may appear any number of times, and edge feature row k always belongs
-to edge k. All derived index structures (support set, reverse index) are
-built once and treated as immutable afterwards.
+to edge k. All derived index structures (the support index and its mirror
+over the transposed edges) are built once and treated as immutable
+afterwards.
 """
 
 from __future__ import annotations
@@ -207,40 +208,20 @@ def build_support_index(g: Multigraph) -> SupportIndex:
     )
 
 
-@dataclass(frozen=True)
-class ReverseIndex:
-    """Support structure over the reversed edge multiset.
+def build_reverse_index(g: Multigraph, s: SupportIndex) -> SupportIndex:
+    """Support index of the transposed multigraph.
 
-    support is a SupportIndex built on edges with swapped endpoints;
-    rev_edge_to_orig maps reverse-edge index k to its original edge.
-    Reverse edge features start out as copies of the original features.
+    The edges keep their order with (dst, src) endpoints, so reverse edge k
+    is edge k and carries its features.
     """
-
-    support: SupportIndex
-    rev_edge_to_orig: np.ndarray
-    initial_features: np.ndarray
-
-    @property
-    def num_pairs(self) -> int:
-        return self.support.num_pairs
-
-
-def build_reverse_index(g: Multigraph, s: SupportIndex) -> ReverseIndex:
-    """Mirror the support structure over swapped (dst, src) pairs."""
     if s.num_nodes != g.num_nodes or s.edge_to_supp.shape[0] != g.num_edges:
         raise GraphError("support index does not match graph")
-    reversed_graph = Multigraph(
+    return build_support_index(Multigraph(
         num_nodes=g.num_nodes,
         node_features=g.node_features,
         edges=g.edges[:, ::-1],
         edge_features=g.edge_features,
-    )
-    rev_support = build_support_index(reversed_graph)
-    return ReverseIndex(
-        support=rev_support,
-        rev_edge_to_orig=np.arange(g.num_edges, dtype=np.int64),
-        initial_features=g.edge_features.copy(),
-    )
+    ))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import numpy as np
 from .graph import (
     GraphError,
     Multigraph,
-    ReverseIndex,
     SupportIndex,
     build_reverse_index,
     build_support_index,
@@ -88,7 +87,7 @@ def _pair_min_labels(supp: SupportIndex, labels: np.ndarray) -> np.ndarray:
 def bfs_assign_ids(
     g: Multigraph,
     supp: SupportIndex,
-    rev: ReverseIndex,
+    rev: SupportIndex,
     labels: EdgeLabeling,
     root: int,
     rounds: int | None = None,
@@ -107,7 +106,7 @@ def bfs_assign_ids(
     if rounds is None:
         rounds = n
     out_min = _pair_min_labels(supp, labels.labels)
-    in_min = _pair_min_labels(rev.support, labels.labels)
+    in_min = _pair_min_labels(rev, labels.labels)
 
     ids: list[tuple[int, ...] | None] = [None] * n
     ids[root] = (1,)
@@ -126,8 +125,8 @@ def bfs_assign_ids(
                 u = int(supp.supp_dst[s])
                 proposals.setdefault(u, []).append(ids[v] + (int(out_min[s]),))
             # against edge direction: digits offset by m
-            for s in rev.support.out_neighbors[v]:
-                u = int(rev.support.supp_dst[s])
+            for s in rev.out_neighbors[v]:
+                u = int(rev.supp_dst[s])
                 proposals.setdefault(u, []).append(
                     ids[v] + (m + int(in_min[s]),))
         finished |= active

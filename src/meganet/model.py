@@ -1,20 +1,30 @@
 """Two-stage multigraph message-passing layers and the full model.
 
-Each layer first reduces parallel edges at artificial aggregation sites
-(one per distinct (src, dst) pair), then aggregates one message per
-distinct in-neighbor at the destination node. The bi-directional variant
-runs the same machinery over the reversed edge multiset so nodes also hear
-from their outgoing neighbors. A single-stage layer (all edges aggregated
-at the node in one go) is kept as the baseline.
+A layer is one direction step per message direction followed by the node
+and edge updates. The direction step reduces the parallel edges of each
+distinct (src, dst) pair at an artificial aggregation site, maps the result
+through the post-aggregation MLP, builds one message per site from
+[x_src || h] and aggregates those messages at the destination node.
+Directions are data: a layer loops over its support indices, the forward
+one and, when bidirectional, the support index of the transposed multigraph
+(build_reverse_index), each with its own DirectionNets. The node update
+reads [x || a_0 (|| a_1)]; each direction updates its own copy of the edge
+latents. A single-stage layer (all edges aggregated at the node in one go)
+is kept as the baseline.
 
-The forward pass records caches; model_backward replays them in reverse
+Every MLP weight and bias is a view into Model.params and its gradient a
+view into Model.grads, so backward accumulates in place and an optimizer
+updates Model.params in place.
+
+The forward pass records caches; Model.backward replays them in reverse
 for exact gradients, including through max/min (lowest-index tie-break),
 mean, std and the log-degree-scaled aggregator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +34,8 @@ from .agg import (
     reduce_or_default_with_vjp,
     segment_reduce_with_vjp,
 )
-from .graph import Multigraph, ReverseIndex, SupportIndex, build_groups
-from .nn import Mlp, ParamGrads, init_mlp, mlp_backward, mlp_forward
+from .graph import Multigraph, SupportIndex, build_groups
+from .nn import Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
 
 
 class ModelError(ValueError):
@@ -43,7 +53,6 @@ class ModelConfig:
     node_agg: AggSpec = AggSpec("sum")
     readout: str = "node"          # "node" or "edge"
     two_stage: bool = True         # False selects the single-stage baseline
-    post_agg_mlp: bool = True      # MLP after the multi-edge reduction
     hidden_node: int = 16
     hidden_edge: int = 16
     mlp_hidden: int = 16
@@ -64,7 +73,6 @@ class ModelConfig:
             "node_agg": _agg_to_dict(self.node_agg),
             "readout": self.readout,
             "two_stage": self.two_stage,
-            "post_agg_mlp": self.post_agg_mlp,
             "hidden_node": self.hidden_node,
             "hidden_edge": self.hidden_edge,
             "mlp_hidden": self.mlp_hidden,
@@ -75,6 +83,10 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
+        # version-1 checkpoints may carry the switch; only its "on" value exists
+        if not d.pop("post_agg_mlp", True):
+            raise ModelError("post_agg_mlp=false is not supported: the "
+                             "post-aggregation MLP is part of every layer")
         d["edge_agg"] = _agg_from_dict(d["edge_agg"])
         d["node_agg"] = _agg_from_dict(d["node_agg"])
         return cls(**d)
@@ -99,30 +111,22 @@ def _agg_from_dict(d: dict) -> AggSpec:
     )
 
 
+class DirectionNets(NamedTuple):
+    """Weights of one message direction."""
+
+    msg_net: Mlp                   # builds messages from [x_src || h]
+    edge_update_net: Mlp           # updates e from [x_src || e || h]
+    edge_agg_mlp: Mlp | None       # maps reduced parallel edges to h
+
+
 @dataclass
 class LayerParams:
     """Weights of one message-passing layer."""
 
-    msg_net: Mlp                       # builds messages from [x_i || h_ij]
-    node_update_net: Mlp               # updates x from [x_j || a_j (|| a_rev_j)]
-    edge_update_net: Mlp               # updates e from [x_i || e_ijp || h_ij]
+    directions: list[DirectionNets]    # forward first, then reverse
+    node_update_net: Mlp               # updates x from [x || a_0 (|| a_1)]
     agg_edge: AggSpec
     agg_node: AggSpec
-    edge_agg_mlp: Mlp | None = None
-    rev_msg_net: Mlp | None = None
-    rev_edge_update_net: Mlp | None = None
-    rev_edge_agg_mlp: Mlp | None = None
-
-
-@dataclass
-class LayerState:
-    """Latents flowing between layers."""
-
-    x: np.ndarray                      # [n, D_h_n]
-    e: np.ndarray                      # [m, D_h_e]
-    e_rev: np.ndarray | None = None    # [m, D_h_e]
-    h: np.ndarray | None = None        # [S, d_h], forward aggregation sites
-    h_rev: np.ndarray | None = None
 
 
 def add_ego_ids(node_features: np.ndarray, roots) -> np.ndarray:
@@ -137,103 +141,156 @@ def add_ego_ids(node_features: np.ndarray, roots) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stage primitives (forward + cached backward)
+# direction step and edge update (forward + cached backward)
 # ---------------------------------------------------------------------------
 
-def _scatter_rows(target: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    np.add.at(target, idx, rows)
+def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
+                  agg_edge: AggSpec, agg_node: AggSpec, train=False,
+                  seeds=(0, 0)):
+    """Multi-edge reduce, post-aggregation MLP, message MLP and node reduce.
+
+    Returns (h, a, cache): h holds one latent per support pair, a one
+    aggregate per node (the default where no pair arrives). seeds are the
+    dropout seeds of the two MLPs.
+    """
+    gf = GroupedFeatures(e[supp.group_order], supp.group_offsets)
+    h_raw, edge_vjp = segment_reduce_with_vjp(agg_edge, gf,
+                                              degrees=supp.multiplicity)
+    h, agg_cache = mlp_forward(nets.edge_agg_mlp, h_raw, train, seeds[0])
+    msg_in = np.concatenate([x[supp.supp_src], h], axis=1)
+    msg, msg_cache = mlp_forward(nets.msg_net, msg_in, train, seeds[1])
+    gf = GroupedFeatures(msg[supp.in_order], supp.in_offsets)
+    a, node_vjp = reduce_or_default_with_vjp(agg_node, gf, supp.num_nodes)
+    cache = (supp, nets, edge_vjp, agg_cache, msg_cache, node_vjp, e.shape)
+    return h, a, cache
 
 
-def _edge_stage_fwd(e, supp: SupportIndex, agg: AggSpec, agg_mlp: Mlp | None,
-                    train, seed):
-    gathered = e[supp.group_order]
-    gf = GroupedFeatures(gathered, supp.group_offsets)
-    h_raw, vjp = segment_reduce_with_vjp(agg, gf, degrees=supp.multiplicity)
-    if agg_mlp is not None:
-        h, mlp_cache = mlp_forward(agg_mlp, h_raw, train, seed)
-    else:
-        h, mlp_cache = h_raw, None
-    cache = {"supp": supp, "vjp": vjp, "mlp": agg_mlp, "mlp_cache": mlp_cache,
-             "e_shape": e.shape}
-    return h, cache
+def direction_bwd(cache, ga, gh, gx):
+    """Backward of direction_fwd.
 
-
-def _edge_stage_bwd(cache, gh, store):
-    agg_mlp = cache["mlp"]
-    if agg_mlp is not None:
-        gh, grads = mlp_backward(agg_mlp, cache["mlp_cache"], gh)
-        store.add(agg_mlp, grads)
-    gvals = cache["vjp"](gh)
-    ge = np.zeros(cache["e_shape"])
-    ge[cache["supp"].group_order] = gvals
+    gh is the gradient already flowing into h (from the edge update) and is
+    updated in place; the x gradient is added into gx. Returns the e gradient.
+    """
+    supp, nets, edge_vjp, agg_cache, msg_cache, node_vjp, e_shape = cache
+    gvals = node_vjp(ga)
+    gmsg = np.zeros((supp.num_pairs, gvals.shape[1]))
+    gmsg[supp.in_order] = gvals
+    gmsg_in, _ = mlp_backward(nets.msg_net, msg_cache, gmsg)
+    xw = gx.shape[1]
+    np.add.at(gx, supp.supp_src, gmsg_in[:, :xw])
+    gh += gmsg_in[:, xw:]
+    gh_raw, _ = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
+    ge = np.zeros(e_shape)
+    ge[supp.group_order] = edge_vjp(gh_raw)
     return ge
 
 
-def _node_stage_fwd(x, h, supp: SupportIndex, msg_net: Mlp, agg: AggSpec,
-                    train, seed):
-    src = supp.supp_src
-    msg_in = np.concatenate([x[src], h], axis=1)
-    msg, msg_cache = mlp_forward(msg_net, msg_in, train, seed)
-    gathered = msg[supp.in_order]
-    gf = GroupedFeatures(gathered, supp.in_offsets)
-    a, vjp = reduce_or_default_with_vjp(agg, gf, supp.num_nodes)
-    cache = {"supp": supp, "msg_net": msg_net, "msg_cache": msg_cache,
-             "vjp": vjp, "x_width": x.shape[1], "n": x.shape[0],
-             "h_shape": h.shape}
-    return a, cache
-
-
-def _node_stage_bwd(cache, ga, store):
-    supp = cache["supp"]
-    gvals = cache["vjp"](ga)
-    gmsg = np.zeros((supp.num_pairs, gvals.shape[1]))
-    gmsg[supp.in_order] = gvals
-    gmsg_in, grads = mlp_backward(cache["msg_net"], cache["msg_cache"], gmsg)
-    store.add(cache["msg_net"], grads)
-    xw = cache["x_width"]
-    gx = np.zeros((cache["n"], xw))
-    _scatter_rows(gx, supp.supp_src, gmsg_in[:, :xw])
-    gh = gmsg_in[:, xw:]
-    return gx, gh
-
-
-def _edge_update_fwd(x, e, h, srcs, edge_to_supp, net: Mlp, train, seed):
-    inp = np.concatenate([x[srcs], e, h[edge_to_supp]], axis=1)
+def edge_update_fwd(x, e, h, supp: SupportIndex, net: Mlp, train=False,
+                    seed=0):
+    """Per-edge update from pre-update node features: [x_src || e || h]."""
+    srcs = supp.supp_src[supp.edge_to_supp]
+    inp = np.concatenate([x[srcs], e, h[supp.edge_to_supp]], axis=1)
     out, net_cache = mlp_forward(net, inp, train, seed)
-    cache = {"net": net, "net_cache": net_cache, "srcs": srcs,
-             "edge_to_supp": edge_to_supp,
-             "widths": (x.shape[1], e.shape[1], h.shape[1]),
-             "n": x.shape[0], "s": h.shape[0]}
-    return out, cache
+    return out, (supp, net, net_cache, e.shape[1], h.shape)
 
 
-def _edge_update_bwd(cache, gout, store):
-    ginp, grads = mlp_backward(cache["net"], cache["net_cache"], gout)
-    store.add(cache["net"], grads)
-    xw, ew, hw = cache["widths"]
-    gx = np.zeros((cache["n"], xw))
-    _scatter_rows(gx, cache["srcs"], ginp[:, :xw])
-    ge = ginp[:, xw:xw + ew]
-    gh = np.zeros((cache["s"], hw))
-    _scatter_rows(gh, cache["edge_to_supp"], ginp[:, xw + ew:])
-    return gx, ge, gh
+def edge_update_bwd(cache, gout, gx):
+    """Backward of edge_update_fwd; adds into gx and returns (ge, gh)."""
+    supp, net, net_cache, ew, h_shape = cache
+    ginp, _ = mlp_backward(net, net_cache, gout)
+    xw = gx.shape[1]
+    np.add.at(gx, supp.supp_src[supp.edge_to_supp], ginp[:, :xw])
+    gh = np.zeros(h_shape)
+    np.add.at(gh, supp.edge_to_supp, ginp[:, xw + ew:])
+    return ginp[:, xw:xw + ew], gh
 
 
-class GradStore:
-    """Accumulates ParamGrads per Mlp instance."""
+# ---------------------------------------------------------------------------
+# layers
+# ---------------------------------------------------------------------------
 
-    def __init__(self):
-        self._by_id: dict[int, ParamGrads] = {}
+def two_stage_layer_fwd(lp: LayerParams, x, es, supports, train=False,
+                        seq=lambda: 0):
+    """One layer over len(supports) directions; es holds their edge latents."""
+    hs, parts, dir_caches = [], [x], []
+    for supp, nets, e in zip(supports, lp.directions, es):
+        h, a, c = direction_fwd(x, e, supp, nets, lp.agg_edge, lp.agg_node,
+                                train, (seq(), seq()))
+        hs.append(h)
+        parts.append(a)
+        dir_caches.append(c)
+    x1, gv_cache = mlp_forward(lp.node_update_net,
+                               np.concatenate(parts, axis=1), train, seq())
+    del parts
+    es1, eu_caches = [], []
+    for supp, nets, e, h in zip(supports, lp.directions, es, hs):
+        e1, c = edge_update_fwd(x, e, h, supp, nets.edge_update_net, train,
+                                seq())
+        es1.append(e1)
+        eu_caches.append(c)
+    return x1, es1, (lp, dir_caches, gv_cache, eu_caches, x.shape)
 
-    def add(self, mlp: Mlp, grads: ParamGrads) -> None:
-        existing = self._by_id.get(id(mlp))
-        if existing is None:
-            self._by_id[id(mlp)] = grads
-        else:
-            existing.add_(grads)
 
-    def get(self, mlp: Mlp) -> ParamGrads | None:
-        return self._by_id.get(id(mlp))
+def two_stage_layer_bwd(cache, gx1, ges1):
+    lp, dir_caches, gv_cache, eu_caches, x_shape = cache
+    gx0 = np.zeros(x_shape)
+    ges0, ghs = [], []
+    for c, ge1 in zip(eu_caches, ges1):
+        ge0, gh = edge_update_bwd(c, ge1, gx0)
+        ges0.append(ge0)
+        ghs.append(gh)
+    ggv_in, _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
+    xw = x_shape[1]
+    gx0 += ggv_in[:, :xw]
+    gas = np.split(ggv_in[:, xw:], len(dir_caches), axis=1)
+    for c, ga, gh, ge0 in zip(dir_caches, gas, ghs, ges0):
+        ge0 += direction_bwd(c, ga, gh, gx0)
+    return gx0, ges0
+
+
+def single_stage_layer_fwd(lp: LayerParams, x, es, g: Multigraph, in_groups,
+                           train=False, seq=lambda: 0):
+    """Baseline layer: all incoming edges aggregated at the node in one stage.
+
+    in_groups is build_groups(g.dst, g.num_nodes); es holds one edge latent.
+    """
+    (e,) = es
+    nets = lp.directions[0]
+    order, offsets = in_groups
+    msg, msg_cache = mlp_forward(nets.msg_net,
+                                 np.concatenate([x[g.src], e], axis=1),
+                                 train, seq())
+    gf = GroupedFeatures(msg[order], offsets)
+    a, vjp = reduce_or_default_with_vjp(lp.agg_node, gf, g.num_nodes)
+    x1, gv_cache = mlp_forward(lp.node_update_net,
+                               np.concatenate([x, a], axis=1), train, seq())
+    ge_in = np.concatenate([x[g.src], e, x[g.dst]], axis=1)
+    e1, ge_cache = mlp_forward(nets.edge_update_net, ge_in, train, seq())
+    return x1, [e1], (lp, g, order, msg_cache, vjp, gv_cache, ge_cache,
+                      x.shape, e.shape)
+
+
+def single_stage_layer_bwd(cache, gx1, ges1):
+    lp, g, order, msg_cache, vjp, gv_cache, ge_cache, x_shape, e_shape = cache
+    nets = lp.directions[0]
+    xw, ew = x_shape[1], e_shape[1]
+
+    gge_in, _ = mlp_backward(nets.edge_update_net, ge_cache, ges1[0])
+    gx0 = np.zeros(x_shape)
+    np.add.at(gx0, g.src, gge_in[:, :xw])
+    ge0 = gge_in[:, xw:xw + ew]
+    np.add.at(gx0, g.dst, gge_in[:, xw + ew:])
+
+    ggv_in, _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
+    gx0 += ggv_in[:, :xw]
+
+    gvals = vjp(ggv_in[:, xw:])
+    gmsg = np.zeros((e_shape[0], gvals.shape[1]))
+    gmsg[order] = gvals
+    gmsg_in, _ = mlp_backward(nets.msg_net, msg_cache, gmsg)
+    np.add.at(gx0, g.src, gmsg_in[:, :xw])
+    ge0 += gmsg_in[:, xw:]
+    return gx0, [ge0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,299 +309,138 @@ class Model:
         rng = np.random.default_rng(seed)
         dn, de = config.hidden_node, config.hidden_edge
         hid = config.mlp_hidden
-        do = config.dropout
+        n_dir = 2 if config.two_stage and config.bidirectional else 1
+        prefixes = [[f"layer{li}." + ("rev_" if d else "") for d in range(n_dir)]
+                    for li in range(config.num_layers)]
 
-        enc_in = d_node_in + (1 if config.ego_ids else 0)
-        self.node_encoder = init_mlp([enc_in, dn], rng, activation="identity")
-        self.edge_encoder = init_mlp([d_edge_in, de], rng, activation="identity")
+        # layer widths of every MLP by checkpoint name, in parameter order
+        specs = {"node_encoder": [d_node_in + int(config.ego_ids), dn],
+                 "edge_encoder": [d_edge_in, de]}
+        eu_in = dn + 2 * de if config.two_stage else 2 * dn + de
+        for li, layer_prefixes in enumerate(prefixes):
+            for p in layer_prefixes:
+                if config.two_stage:
+                    specs[p + "edge_agg_mlp"] = [config.edge_agg.out_width(de),
+                                                 hid, de]
+                specs[p + "msg_net"] = [dn + de, hid, dn]
+                specs[p + "edge_update_net"] = [eu_in, hid, de]
+            specs[f"layer{li}.node_update_net"] = [
+                dn + n_dir * config.node_agg.out_width(dn), hid, dn]
+        specs["readout"] = [dn if config.readout == "node" else 2 * dn + de,
+                            hid, 1]
 
-        self.layers: list[LayerParams] = []
-        for _ in range(config.num_layers):
-            if config.two_stage:
-                d_h_raw = config.edge_agg.out_width(de)
-                agg_mlp = (init_mlp([d_h_raw, hid, de], rng, dropout=do)
-                           if config.post_agg_mlp else None)
-                d_h = de if agg_mlp is not None else d_h_raw
-                w_a = config.node_agg.out_width(dn)
-                gv_in = dn + w_a + (w_a if config.bidirectional else 0)
-                lp = LayerParams(
-                    msg_net=init_mlp([dn + d_h, hid, dn], rng, dropout=do),
-                    node_update_net=init_mlp([gv_in, hid, dn], rng, dropout=do),
-                    edge_update_net=init_mlp([dn + de + d_h, hid, de], rng,
-                                             dropout=do),
-                    agg_edge=config.edge_agg,
-                    agg_node=config.node_agg,
-                    edge_agg_mlp=agg_mlp,
-                )
-                if config.bidirectional:
-                    lp.rev_msg_net = init_mlp([dn + d_h, hid, dn], rng, dropout=do)
-                    lp.rev_edge_update_net = init_mlp([dn + de + d_h, hid, de],
-                                                      rng, dropout=do)
-                    lp.rev_edge_agg_mlp = (init_mlp([d_h_raw, hid, de], rng,
-                                                    dropout=do)
-                                           if config.post_agg_mlp else None)
+        sizes = [mlp_size(dims) for dims in specs.values()]
+        self.params = np.empty(sum(sizes))
+        self.grads = np.zeros(sum(sizes))
+        nets: dict[str, Mlp] = {}
+        pos = 0
+        for (name, dims), size in zip(specs.items(), sizes):
+            arena = (self.params[pos:pos + size], self.grads[pos:pos + size])
+            if name.endswith("_encoder"):
+                nets[name] = init_mlp(dims, rng, "identity", arena=arena)
             else:
-                w_a = config.node_agg.out_width(dn)
-                lp = LayerParams(
-                    msg_net=init_mlp([dn + de, hid, dn], rng, dropout=do),
-                    node_update_net=init_mlp([dn + w_a, hid, dn], rng, dropout=do),
-                    edge_update_net=init_mlp([dn + de + dn, hid, de], rng,
-                                             dropout=do),
-                    agg_edge=config.edge_agg,
-                    agg_node=config.node_agg,
-                )
-            self.layers.append(lp)
+                nets[name] = init_mlp(dims, rng, "relu", config.dropout, arena)
+            pos += size
+        self._mlps: list[tuple[str, Mlp]] = list(nets.items())
 
-        if config.readout == "node":
-            self.readout_net = init_mlp([dn, hid, 1], rng, dropout=do)
-        else:
-            self.readout_net = init_mlp([2 * dn + de, hid, 1], rng, dropout=do)
-
-        self._mlps: list[tuple[str, Mlp]] = []
-        self._register()
-
-    def _register(self) -> None:
-        self._mlps = [("node_encoder", self.node_encoder),
-                      ("edge_encoder", self.edge_encoder)]
-        for li, lp in enumerate(self.layers):
-            for name in ("msg_net", "node_update_net", "edge_update_net",
-                         "edge_agg_mlp", "rev_msg_net", "rev_edge_update_net",
-                         "rev_edge_agg_mlp"):
-                net = getattr(lp, name)
-                if net is not None:
-                    self._mlps.append((f"layer{li}.{name}", net))
-        self._mlps.append(("readout", self.readout_net))
-
-    # -- parameter plumbing -------------------------------------------------
+        self.node_encoder = nets["node_encoder"]
+        self.edge_encoder = nets["edge_encoder"]
+        self.readout_net = nets["readout"]
+        self.layers = [
+            LayerParams([DirectionNets(nets[p + "msg_net"],
+                                       nets[p + "edge_update_net"],
+                                       nets.get(p + "edge_agg_mlp"))
+                         for p in layer_prefixes],
+                        nets[f"layer{li}.node_update_net"],
+                        config.edge_agg, config.node_agg)
+            for li, layer_prefixes in enumerate(prefixes)]
 
     def named_mlps(self) -> list[tuple[str, Mlp]]:
         return list(self._mlps)
 
-    def flat_params(self) -> np.ndarray:
-        chunks = []
-        for _, m in self._mlps:
-            for w in m.weights:
-                chunks.append(w.ravel())
-            for b in m.biases:
-                chunks.append(b.ravel())
-        return np.concatenate(chunks) if chunks else np.zeros(0)
-
-    def set_flat_params(self, v: np.ndarray) -> None:
-        total = sum(w.size for _, m in self._mlps for w in m.weights)
-        total += sum(b.size for _, m in self._mlps for b in m.biases)
-        if v.size != total:
-            raise ModelError("flat parameter vector has the wrong length")
-        pos = 0
-        for _, m in self._mlps:
-            for w in m.weights:
-                w[...] = v[pos:pos + w.size].reshape(w.shape)
-                pos += w.size
-            for b in m.biases:
-                b[...] = v[pos:pos + b.size]
-                pos += b.size
-
-    def flat_grads(self, store: GradStore) -> np.ndarray:
-        chunks = []
-        for _, m in self._mlps:
-            g = store.get(m)
-            if g is None:
-                g = ParamGrads.zeros_like(m)
-            for w in g.weights:
-                chunks.append(w.ravel())
-            for b in g.biases:
-                chunks.append(b.ravel())
-        return np.concatenate(chunks) if chunks else np.zeros(0)
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, g: Multigraph, supp: SupportIndex,
-                rev: ReverseIndex | None = None, roots=None,
+                rev: SupportIndex | None = None, roots=None,
                 train_mode: bool = False, seed: int = 0):
-        """Returns (logits, cache). Logits are per node or per edge."""
+        """Returns (logits, cache). Logits are per node or per edge.
+
+        rev is build_reverse_index(g, supp); only the bidirectional
+        two-stage model reads it.
+        """
         cfg = self.config
-        if cfg.two_stage and cfg.bidirectional and rev is None:
-            raise ModelError("bidirectional model needs a ReverseIndex")
+        supports = [supp]
+        if cfg.two_stage and cfg.bidirectional:
+            if rev is None:
+                raise ModelError("bidirectional model needs a reverse "
+                                 "SupportIndex")
+            supports.append(rev)
         if cfg.ego_ids and roots is None:
             roots = np.zeros(0, dtype=np.int64)
 
         seq = _SeedSequence(seed)
-        cache: dict = {"g": g, "supp": supp, "rev": rev, "stages": []}
-
         feats = g.node_features
         if cfg.ego_ids:
             feats = add_ego_ids(feats, roots)
         x, c_nenc = mlp_forward(self.node_encoder, feats, train_mode, seq())
         e, c_eenc = mlp_forward(self.edge_encoder, g.edge_features,
                                 train_mode, seq())
-        cache["enc"] = (c_nenc, c_eenc)
-        e_rev = e.copy() if (cfg.two_stage and cfg.bidirectional) else None
+        es = [e] * len(supports)
 
         if not cfg.two_stage:
-            cache["edge_in_groups"] = build_groups(g.dst, g.num_nodes)
-
+            in_groups = build_groups(g.dst, g.num_nodes)
+        stages = []
         for lp in self.layers:
             if cfg.two_stage:
-                x, e, e_rev, c = self._two_stage_layer_fwd(
-                    lp, x, e, e_rev, supp, rev, train_mode, seq)
+                x, es, c = two_stage_layer_fwd(lp, x, es, supports,
+                                               train_mode, seq)
             else:
-                x, e, c = self._single_stage_layer_fwd(
-                    lp, x, e, g, cache["edge_in_groups"], train_mode, seq)
-            cache["stages"].append(c)
-
-        state = LayerState(x=x, e=e, e_rev=e_rev)
-        cache["final_state"] = state
+                x, es, c = single_stage_layer_fwd(lp, x, es, g, in_groups,
+                                                  train_mode, seq)
+            stages.append(c)
 
         if cfg.readout == "node":
-            logits2d, c_ro = mlp_forward(self.readout_net, x, train_mode, seq())
+            ro_in = x
         else:
-            ro_in = np.concatenate([x[g.src], e, x[g.dst]], axis=1)
-            logits2d, c_ro = mlp_forward(self.readout_net, ro_in,
-                                         train_mode, seq())
-        cache["readout"] = c_ro
+            ro_in = np.concatenate([x[g.src], es[0], x[g.dst]], axis=1)
+        logits2d, c_ro = mlp_forward(self.readout_net, ro_in, train_mode,
+                                     seq())
+        cache = {"g": g, "enc": (c_nenc, c_eenc), "stages": stages,
+                 "readout": c_ro, "final": (x, es)}
         return logits2d[:, 0], cache
-
-    def _two_stage_layer_fwd(self, lp, x, e, e_rev, supp, rev, train, seq):
-        c: dict = {"lp": lp, "bidir": self.config.bidirectional}
-        h, c["h"] = _edge_stage_fwd(e, supp, lp.agg_edge, lp.edge_agg_mlp,
-                                    train, seq())
-        a, c["a"] = _node_stage_fwd(x, h, supp, lp.msg_net, lp.agg_node,
-                                    train, seq())
-        parts = [x, a]
-        if self.config.bidirectional:
-            rsupp = rev.support
-            h_rev, c["h_rev"] = _edge_stage_fwd(e_rev, rsupp, lp.agg_edge,
-                                                lp.rev_edge_agg_mlp, train, seq())
-            a_rev, c["a_rev"] = _node_stage_fwd(x, h_rev, rsupp, lp.rev_msg_net,
-                                                lp.agg_node, train, seq())
-            parts.append(a_rev)
-        gv_in = np.concatenate(parts, axis=1)
-        x1, c["gv"] = mlp_forward(lp.node_update_net, gv_in, train, seq())
-
-        e1, c["ge"] = _edge_update_fwd(x, e, h, supp.supp_src[supp.edge_to_supp],
-                                       supp.edge_to_supp, lp.edge_update_net,
-                                       train, seq())
-        er1 = None
-        if self.config.bidirectional:
-            rsupp = rev.support
-            er1, c["gre"] = _edge_update_fwd(
-                x, e_rev, h_rev, rsupp.supp_src[rsupp.edge_to_supp],
-                rsupp.edge_to_supp, lp.rev_edge_update_net, train, seq())
-        c["widths"] = (x.shape[1], a.shape[1])
-        return x1, e1, er1, c
-
-    def _single_stage_layer_fwd(self, lp, x, e, g, in_groups, train, seq):
-        c: dict = {"lp": lp}
-        order, offsets = in_groups
-        msg_in = np.concatenate([x[g.src], e], axis=1)
-        msg, c["msg"] = mlp_forward(lp.msg_net, msg_in, train, seq())
-        gf = GroupedFeatures(msg[order], offsets)
-        a, c["vjp"] = reduce_or_default_with_vjp(lp.agg_node, gf, g.num_nodes)
-        gv_in = np.concatenate([x, a], axis=1)
-        x1, c["gv"] = mlp_forward(lp.node_update_net, gv_in, train, seq())
-        ge_in = np.concatenate([x[g.src], e, x[g.dst]], axis=1)
-        e1, c["ge"] = mlp_forward(lp.edge_update_net, ge_in, train, seq())
-        c["shapes"] = (x.shape, e.shape, a.shape[1])
-        c["groups"] = (order, offsets)
-        c["g"] = g
-        return x1, e1, c
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, cache, logit_grads) -> GradStore:
-        """Exact reverse-mode gradients; returns the per-MLP gradient store."""
-        cfg = self.config
+    def backward(self, cache, logit_grads) -> np.ndarray:
+        """Exact reverse-mode gradients, written into and returned as self.grads.
+
+        The returned array is overwritten by the next call.
+        """
         g: Multigraph = cache["g"]
-        store = GradStore()
+        self.grads[...] = 0.0
         gl = np.asarray(logit_grads, dtype=np.float64).reshape(-1, 1)
 
-        gro_in, grads = mlp_backward(self.readout_net, cache["readout"], gl)
-        store.add(self.readout_net, grads)
-        state: LayerState = cache["final_state"]
-        if cfg.readout == "node":
+        gro_in, _ = mlp_backward(self.readout_net, cache["readout"], gl)
+        x, es = cache["final"]
+        ges = [np.zeros_like(e) for e in es]
+        if self.config.readout == "node":
             gx = gro_in
-            ge = np.zeros_like(state.e)
         else:
-            dn = state.x.shape[1]
-            gx = np.zeros_like(state.x)
-            _scatter_rows(gx, g.src, gro_in[:, :dn])
-            ge = gro_in[:, dn:dn + state.e.shape[1]]
-            _scatter_rows(gx, g.dst, gro_in[:, dn + state.e.shape[1]:])
-        ger = np.zeros_like(state.e_rev) if state.e_rev is not None else None
+            dn, de = x.shape[1], es[0].shape[1]
+            gx = np.zeros_like(x)
+            np.add.at(gx, g.src, gro_in[:, :dn])
+            ges[0] = gro_in[:, dn:dn + de]
+            np.add.at(gx, g.dst, gro_in[:, dn + de:])
 
+        layer_bwd = (two_stage_layer_bwd if self.config.two_stage
+                     else single_stage_layer_bwd)
         for c in reversed(cache["stages"]):
-            if cfg.two_stage:
-                gx, ge, ger = self._two_stage_layer_bwd(c, gx, ge, ger, store)
-            else:
-                gx, ge = self._single_stage_layer_bwd(c, gx, ge, store)
+            gx, ges = layer_bwd(c, gx, ges)
 
         c_nenc, c_eenc = cache["enc"]
-        _, grads = mlp_backward(self.node_encoder, c_nenc, gx)
-        store.add(self.node_encoder, grads)
-        ge_total = ge if ger is None else ge + ger
-        _, grads = mlp_backward(self.edge_encoder, c_eenc, ge_total)
-        store.add(self.edge_encoder, grads)
-        return store
-
-    def _two_stage_layer_bwd(self, c, gx1, ge1, ger1, store):
-        lp: LayerParams = c["lp"]
-        xw, aw = c["widths"]
-        gh_rev = None
-
-        gx0 = np.zeros((gx1.shape[0], xw))
-        if c["bidir"]:
-            gxp, ger0, gh_rev = _edge_update_bwd(c["gre"], ger1, store)
-            gx0 += gxp
-        else:
-            ger0 = None
-        gxp, ge0, gh = _edge_update_bwd(c["ge"], ge1, store)
-        gx0 += gxp
-
-        ggv_in, grads = mlp_backward(lp.node_update_net, c["gv"], gx1)
-        store.add(lp.node_update_net, grads)
-        gx0 += ggv_in[:, :xw]
-        ga = ggv_in[:, xw:xw + aw]
-        if c["bidir"]:
-            ga_rev = ggv_in[:, xw + aw:]
-            gxp, ghp = _node_stage_bwd(c["a_rev"], ga_rev, store)
-            gx0 += gxp
-            gh_rev += ghp
-
-        gxp, ghp = _node_stage_bwd(c["a"], ga, store)
-        gx0 += gxp
-        gh += ghp
-
-        ge0 += _edge_stage_bwd(c["h"], gh, store)
-        if c["bidir"]:
-            ger0 += _edge_stage_bwd(c["h_rev"], gh_rev, store)
-        return gx0, ge0, ger0
-
-    def _single_stage_layer_bwd(self, c, gx1, ge1, store):
-        lp: LayerParams = c["lp"]
-        g: Multigraph = c["g"]
-        x_shape, e_shape, aw = c["shapes"]
-        order, _ = c["groups"]
-        xw = x_shape[1]
-
-        gge_in, grads = mlp_backward(lp.edge_update_net, c["ge"], ge1)
-        store.add(lp.edge_update_net, grads)
-        gx0 = np.zeros(x_shape)
-        _scatter_rows(gx0, g.src, gge_in[:, :xw])
-        ge0 = gge_in[:, xw:xw + e_shape[1]]
-        _scatter_rows(gx0, g.dst, gge_in[:, xw + e_shape[1]:])
-
-        ggv_in, grads = mlp_backward(lp.node_update_net, c["gv"], gx1)
-        store.add(lp.node_update_net, grads)
-        gx0 += ggv_in[:, :xw]
-        ga = ggv_in[:, xw:]
-
-        gvals = c["vjp"](ga)
-        gmsg = np.zeros((e_shape[0], gvals.shape[1]))
-        gmsg[order] = gvals
-        gmsg_in, grads = mlp_backward(lp.msg_net, c["msg"], gmsg)
-        store.add(lp.msg_net, grads)
-        _scatter_rows(gx0, g.src, gmsg_in[:, :xw])
-        ge0 += gmsg_in[:, xw:]
-        return gx0, ge0
+        mlp_backward(self.node_encoder, c_nenc, gx)
+        mlp_backward(self.edge_encoder, c_eenc, sum(ges[1:], ges[0]))
+        return self.grads
 
 
 class _SeedSequence:
@@ -557,78 +453,6 @@ class _SeedSequence:
     def __call__(self) -> int:
         self.counter += 1
         return (self.base * 1000003 + self.counter) % (2 ** 63)
-
-
-# ---------------------------------------------------------------------------
-# standalone operation wrappers (evaluation mode, no dropout)
-# ---------------------------------------------------------------------------
-
-def edge_stage(state: LayerState, supp: SupportIndex, params: LayerParams):
-    """Multi-edge aggregation of the current edge latents."""
-    h, _ = _edge_stage_fwd(state.e, supp, params.agg_edge, params.edge_agg_mlp,
-                           False, 0)
-    return h
-
-
-def node_stage(state: LayerState, supp: SupportIndex, params: LayerParams):
-    """Node-level aggregation and unidirectional node update."""
-    h = state.h if state.h is not None else edge_stage(state, supp, params)
-    a, _ = _node_stage_fwd(state.x, h, supp, params.msg_net, params.agg_node,
-                           False, 0)
-    gv_in = np.concatenate([state.x, a], axis=1)
-    x_next, _ = mlp_forward(params.node_update_net, gv_in)
-    return a, x_next
-
-
-def edge_update(state: LayerState, supp: SupportIndex, params: LayerParams):
-    """Per-edge latent update from pre-update node features."""
-    h = state.h if state.h is not None else edge_stage(state, supp, params)
-    srcs = supp.supp_src[supp.edge_to_supp]
-    e_next, _ = _edge_update_fwd(state.x, state.e, h, srcs, supp.edge_to_supp,
-                                 params.edge_update_net, False, 0)
-    return e_next
-
-
-def bidirectional_layer(state: LayerState, supp: SupportIndex,
-                        rev: ReverseIndex, params: LayerParams) -> LayerState:
-    """One full bi-directional layer on explicit state."""
-    if params.rev_msg_net is None or params.rev_edge_update_net is None:
-        raise ModelError("layer params carry no reverse networks")
-    h, _ = _edge_stage_fwd(state.e, supp, params.agg_edge, params.edge_agg_mlp,
-                           False, 0)
-    a, _ = _node_stage_fwd(state.x, h, supp, params.msg_net, params.agg_node,
-                           False, 0)
-    rsupp = rev.support
-    h_rev, _ = _edge_stage_fwd(state.e_rev, rsupp, params.agg_edge,
-                               params.rev_edge_agg_mlp, False, 0)
-    a_rev, _ = _node_stage_fwd(state.x, h_rev, rsupp, params.rev_msg_net,
-                               params.agg_node, False, 0)
-    gv_in = np.concatenate([state.x, a, a_rev], axis=1)
-    x_next, _ = mlp_forward(params.node_update_net, gv_in)
-    e_next, _ = _edge_update_fwd(state.x, state.e, h,
-                                 supp.supp_src[supp.edge_to_supp],
-                                 supp.edge_to_supp, params.edge_update_net,
-                                 False, 0)
-    er_next, _ = _edge_update_fwd(state.x, state.e_rev, h_rev,
-                                  rsupp.supp_src[rsupp.edge_to_supp],
-                                  rsupp.edge_to_supp,
-                                  params.rev_edge_update_net, False, 0)
-    return LayerState(x=x_next, e=e_next, e_rev=er_next, h=h, h_rev=h_rev)
-
-
-def single_stage_layer(state: LayerState, g: Multigraph,
-                       params: LayerParams) -> LayerState:
-    """Baseline layer: all incoming edges aggregated at the node in one stage."""
-    order, offsets = build_groups(g.dst, g.num_nodes)
-    msg_in = np.concatenate([state.x[g.src], state.e], axis=1)
-    msg, _ = mlp_forward(params.msg_net, msg_in)
-    gf = GroupedFeatures(msg[order], offsets)
-    a, _ = reduce_or_default_with_vjp(params.agg_node, gf, g.num_nodes)
-    gv_in = np.concatenate([state.x, a], axis=1)
-    x_next, _ = mlp_forward(params.node_update_net, gv_in)
-    ge_in = np.concatenate([state.x[g.src], state.e, state.x[g.dst]], axis=1)
-    e_next, _ = mlp_forward(params.edge_update_net, ge_in)
-    return LayerState(x=x_next, e=e_next)
 
 
 CHECKPOINT_VERSION = 1
@@ -681,14 +505,3 @@ def load_checkpoint(path) -> Model:
         for b, vals in zip(m.biases, entry["biases"]):
             b[...] = np.asarray(vals)
     return model
-
-
-def model_forward(model: Model, g: Multigraph, supp: SupportIndex,
-                  rev: ReverseIndex | None = None, roots=None,
-                  train_mode: bool = False, seed: int = 0):
-    return model.forward(g, supp, rev, roots=roots, train_mode=train_mode,
-                         seed=seed)
-
-
-def model_backward(model: Model, cache, logit_grads) -> GradStore:
-    return model.backward(cache, logit_grads)

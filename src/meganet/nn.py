@@ -8,7 +8,9 @@ independent gradient oracle in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,6 +29,8 @@ class Mlp:
     biases: list[np.ndarray]
     activation: str = "relu"
     dropout: float = 0.0
+    # when set, mlp_backward adds into these (views into a model's gradients)
+    grads: ParamGrads | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
@@ -56,21 +60,48 @@ class Mlp:
         return self.weights[-1].shape[1]
 
 
+def mlp_size(layer_dims: list[int]) -> int:
+    """Number of weights and biases of an MLP with these widths."""
+    return sum((din + 1) * dout
+               for din, dout in zip(layer_dims[:-1], layer_dims[1:]))
+
+
 def init_mlp(
     layer_dims: list[int],
     rng: np.random.Generator,
     activation: str = "relu",
     dropout: float = 0.0,
+    arena: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Mlp:
-    """He-scaled random init."""
+    """He-scaled random init.
+
+    arena is an optional (params, grads) pair of flat arrays with
+    mlp_size(layer_dims) entries each: the weights, then the biases, become
+    views into params, and m.grads the matching views into grads.
+    """
     if len(layer_dims) < 2:
         raise NnError("need at least input and output widths")
-    weights, biases = [], []
-    for din, dout in zip(layer_dims[:-1], layer_dims[1:]):
-        scale = np.sqrt(2.0 / max(din, 1))
-        weights.append(rng.normal(0.0, scale, size=(din, dout)))
-        biases.append(np.zeros(dout))
-    return Mlp(weights, biases, activation=activation, dropout=dropout)
+    params, grads = arena or (np.empty(mlp_size(layer_dims)), None)
+    shapes = list(zip(layer_dims[:-1], layer_dims[1:]))
+    shapes += [(dout,) for _, dout in shapes]
+    bounds = list(accumulate((math.prod(s) for s in shapes), initial=0))
+
+    def views(flat):
+        return [flat[lo:hi].reshape(s)
+                for s, lo, hi in zip(shapes, bounds, bounds[1:])]
+
+    k = len(layer_dims) - 1
+    p = views(params)
+    for w in p[:k]:
+        rng.standard_normal(out=w)
+        w *= np.sqrt(2.0 / max(w.shape[0], 1))
+    for b in p[k:]:
+        b[...] = 0.0
+    m = Mlp(p[:k], p[k:], activation=activation, dropout=dropout)
+    if grads is not None:
+        g = views(grads)
+        m.grads = ParamGrads(g[:k], g[k:])
+    return m
 
 
 @dataclass
@@ -84,12 +115,6 @@ class ParamGrads:
     def zeros_like(cls, m: Mlp) -> "ParamGrads":
         return cls([np.zeros_like(w) for w in m.weights],
                    [np.zeros_like(b) for b in m.biases])
-
-    def add_(self, other: "ParamGrads") -> None:
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
 
 
 def _act_forward(name: str, z: np.ndarray):
@@ -151,10 +176,14 @@ def mlp_forward(
 
 
 def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
-    """Exact gradients for the realized forward pass."""
+    """Exact gradients for the realized forward pass.
+
+    Returns (input gradient, parameter gradients). The parameter gradients
+    are added into m.grads when it is set, else into fresh zeros.
+    """
     if cache.get("mlp") is not m:
         raise NnError("cache does not belong to this mlp")
-    grads = ParamGrads.zeros_like(m)
+    grads = m.grads if m.grads is not None else ParamGrads.zeros_like(m)
     g = np.asarray(upstream, dtype=np.float64)
     last = len(m.weights) - 1
     for i in range(last, -1, -1):
@@ -164,8 +193,8 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
                 g = g * mask
             g = _act_backward(m.activation, cache["act_auxes"][i], g)
         h = cache["inputs"][i]
-        grads.weights[i][...] = h.T @ g
-        grads.biases[i][...] = g.sum(axis=0)
+        grads.weights[i] += h.T @ g
+        grads.biases[i] += g.sum(axis=0)
         g = g @ m.weights[i].T
     return g, grads
 
@@ -220,7 +249,10 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> np.ndarray:
-    """Standard Adam update on a flat parameter vector; mutates state."""
+    """Standard Adam update of a flat parameter vector, in place.
+
+    Mutates params and state; returns params.
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise NnError("params, grads and state must be shape-congruent")
     state.t += 1
@@ -228,32 +260,8 @@ def adam_step(
     state.v = beta2 * state.v + (1 - beta2) * grads * grads
     mhat = state.m / (1 - beta1 ** state.t)
     vhat = state.v / (1 - beta2 ** state.t)
-    return params - learning_rate * mhat / (np.sqrt(vhat) + eps)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimization hyperparameters."""
-
-    learning_rate: float = 0.003
-    hidden_size: int = 64
-    batch_size: int = 8192
-    dropout: float = 0.1
-    class_weights: tuple[float, float] = (1.0, 6.27)
-    num_layers: int = 2
-    seed: int = 0
-    epochs: int = 80
-    patience: int = 10
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise NnError("learning_rate must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise NnError("dropout must be in [0, 1)")
-        if self.class_weights[0] <= 0 or self.class_weights[1] <= 0:
-            raise NnError("class weights must be positive")
-        if self.num_layers < 1:
-            raise NnError("need at least one layer")
+    params -= learning_rate * mhat / (np.sqrt(vhat) + eps)
+    return params
 
 
 def finite_difference_grad(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -10,18 +10,38 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .graph import Multigraph, build_reverse_index, build_support_index
 from .metrics import evaluate_scores
 from .model import Model, ModelConfig
-from .nn import AdamState, TrainConfig, adam_step, weighted_bce_loss
+from .nn import AdamState, NnError, adam_step, weighted_bce_loss
 
 
 class TrainingError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Optimization hyperparameters; widths and depth live in ModelConfig."""
+
+    learning_rate: float = 0.003
+    batch_size: int = 8192
+    dropout: float = 0.1
+    class_weights: tuple[float, float] = (1.0, 6.27)
+    epochs: int = 80
+    patience: int = 10
+
+    def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise NnError("learning_rate must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise NnError("dropout must be in [0, 1)")
+        if self.class_weights[0] <= 0 or self.class_weights[1] <= 0:
+            raise NnError("class weights must be positive")
 
 
 @dataclass
@@ -76,10 +96,6 @@ def random_item_split(num_items: int, seed: int,
     return order[:n1], order[n1:n2], order[n2:]
 
 
-def _logits_for_items(logits: np.ndarray, items: np.ndarray) -> np.ndarray:
-    return logits[items]
-
-
 def train_model(task: TaskData, model_config: ModelConfig,
                 train_config: TrainConfig, seed: int):
     """Train one model; returns (model, ExperimentRecord)."""
@@ -92,19 +108,18 @@ def train_model(task: TaskData, model_config: ModelConfig,
 
     model = Model(model_config, g.node_features.shape[1],
                   g.edge_features.shape[1], seed=seed)
-    params = model.flat_params()
-    adam = AdamState.zeros(params.size)
+    adam = AdamState.zeros(model.params.size)
     rng = np.random.default_rng(seed + 1)
     weights = train_config.class_weights
 
     record = ExperimentRecord(
         config={"model": model_config.to_dict(),
-                "train": _train_config_dict(train_config),
+                "train": asdict(train_config),
                 "task_type": task.task_type},
         seed=seed,
     )
     best_f1 = -1.0
-    best_params = params.copy()
+    best_params = model.params.copy()
     stale = 0
     step = 0
 
@@ -114,11 +129,10 @@ def train_model(task: TaskData, model_config: ModelConfig,
         for lo in range(0, order.size, train_config.batch_size):
             batch = task.train_idx[order[lo:lo + train_config.batch_size]]
             items = task.items[batch]
-            model.set_flat_params(params)
             logits, cache = model.forward(g, supp, rev, roots=roots,
                                           train_mode=True, seed=seed * 7919 + step)
             step += 1
-            batch_logits = _logits_for_items(logits, items)
+            batch_logits = logits[items]
             if not np.isfinite(batch_logits).all():
                 raise TrainingError(f"non-finite logits at epoch {epoch}")
             loss, dlogits_batch = weighted_bce_loss(batch_logits,
@@ -128,26 +142,25 @@ def train_model(task: TaskData, model_config: ModelConfig,
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             dlogits = np.zeros_like(logits)
             dlogits[items] = dlogits_batch
-            store = model.backward(cache, dlogits)
-            grads = model.flat_grads(store)
-            params = adam_step(params, grads, adam, train_config.learning_rate)
+            model.backward(cache, dlogits)
+            adam_step(model.params, model.grads, adam,
+                      train_config.learning_rate)
             epoch_losses.append(loss)
         record.train_losses.append(float(np.mean(epoch_losses)))
 
-        model.set_flat_params(params)
         val_logits, _ = model.forward(g, supp, rev, roots=roots)
         val_items = task.items[task.val_idx]
         if not np.isfinite(val_logits).all():
             raise TrainingError(f"non-finite logits at epoch {epoch}")
-        val_loss, _ = weighted_bce_loss(_logits_for_items(val_logits, val_items),
+        val_loss, _ = weighted_bce_loss(val_logits[val_items],
                                         task.labels[task.val_idx], weights)
-        val_metrics = evaluate_scores(_logits_for_items(val_logits, val_items),
+        val_metrics = evaluate_scores(val_logits[val_items],
                                       task.labels[task.val_idx])
         record.val_losses.append(float(val_loss))
         record.val_f1s.append(val_metrics["f1"])
         if val_metrics["f1"] > best_f1:
             best_f1 = val_metrics["f1"]
-            best_params = params.copy()
+            best_params = model.params.copy()
             record.best_epoch = epoch
             stale = 0
         else:
@@ -155,27 +168,13 @@ def train_model(task: TaskData, model_config: ModelConfig,
             if stale > train_config.patience:
                 break
 
-    model.set_flat_params(best_params)
+    model.params[...] = best_params
     test_logits, _ = model.forward(g, supp, rev, roots=roots)
     test_items = task.items[task.test_idx]
-    record.final_metrics = evaluate_scores(
-        _logits_for_items(test_logits, test_items), task.labels[task.test_idx])
+    record.final_metrics = evaluate_scores(test_logits[test_items],
+                                           task.labels[task.test_idx])
     record.wall_clock = time.perf_counter() - start
     return model, record
-
-
-def _train_config_dict(tc: TrainConfig) -> dict:
-    return {
-        "learning_rate": tc.learning_rate,
-        "hidden_size": tc.hidden_size,
-        "batch_size": tc.batch_size,
-        "dropout": tc.dropout,
-        "class_weights": list(tc.class_weights),
-        "num_layers": tc.num_layers,
-        "seed": tc.seed,
-        "epochs": tc.epochs,
-        "patience": tc.patience,
-    }
 
 
 def run_seeds(task_factory, model_config: ModelConfig,
@@ -210,4 +209,4 @@ def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
     idx = {"train": task.train_idx, "val": task.val_idx,
            "test": task.test_idx}[split]
     items = task.items[idx]
-    return evaluate_scores(_logits_for_items(logits, items), task.labels[idx])
+    return evaluate_scores(logits[items], task.labels[idx])

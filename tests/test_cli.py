@@ -139,6 +139,14 @@ def test_missing_data_file_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_bad_node_label_row_exit_2(dataset, tmp_path, capsys):
+    tx, labels = dataset
+    bad = tmp_path / "bad.labels.csv"
+    bad.write_text(labels.read_text() + "-1,1\n")
+    assert run(train_args(tx, bad, tmp_path / "o")) == 2
+    assert "row" in capsys.readouterr().err
+
+
 def test_labelless_schema_without_sidecar_exit_2(dataset, tmp_path, capsys):
     tx, _ = dataset
     rc = run(["train", "--data", tx, "--schema", "eth",

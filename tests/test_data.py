@@ -83,12 +83,19 @@ def test_categoricals_dictionary_encoded(tmp_path):
 
 
 def test_node_labels_sidecar(tmp_path):
-    p = write(tmp_path, "l.csv", "node,label\n0,1\n2,0\n")
+    p = write(tmp_path, "l.csv", "node,label\n0,1\n2,0\n3,-1\n")
     labels = load_node_labels(p, 4)
     assert labels.tolist() == [1, -1, 0, -1]
     bad = write(tmp_path, "bad.csv", "account,flag\n0,1\n")
     with pytest.raises(IngestionError):
         load_node_labels(bad, 4)
+
+
+@pytest.mark.parametrize("row", ["-1,1", "4,0", "0,7", "1,-2", "2"])
+def test_node_labels_reject_out_of_range_rows(tmp_path, row):
+    p = write(tmp_path, "l.csv", f"node,label\n0,1\n{row}\n")
+    with pytest.raises(IngestionError, match="row 2"):
+        load_node_labels(p, 4)
 
 
 def test_split_spec_validation():

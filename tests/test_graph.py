@@ -100,12 +100,12 @@ def test_reverse_index_swaps_pairs():
     g = make_graph([(0, 1), (0, 1)])
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    assert rev.support.supp_src.tolist() == [1]
-    assert rev.support.supp_dst.tolist() == [0]
-    assert rev.support.multiplicity.tolist() == [2]
-    # reverse features start as copies of the originals
-    assert np.array_equal(rev.initial_features, g.edge_features)
-    assert rev.initial_features is not g.edge_features
+    assert rev.supp_src.tolist() == [1]
+    assert rev.supp_dst.tolist() == [0]
+    assert rev.multiplicity.tolist() == [2]
+    # reverse edge k is edge k
+    assert rev.edge_to_supp.tolist() == [0, 0]
+    assert rev.group_order.tolist() == [0, 1]
 
 
 def test_reverse_of_reverse_recovers_pair_multiset():
@@ -116,7 +116,7 @@ def test_reverse_of_reverse_recovers_pair_multiset():
                           np.column_stack([g.dst, g.src]), g.edge_features)
     rev2 = build_reverse_index(as_graph, build_support_index(as_graph))
     fwd_pairs = sorted(zip(supp.supp_src, supp.supp_dst))
-    back_pairs = sorted(zip(rev2.support.supp_src, rev2.support.supp_dst))
+    back_pairs = sorted(zip(rev2.supp_src, rev2.supp_dst))
     assert fwd_pairs == back_pairs
 
 

@@ -4,26 +4,24 @@ import pytest
 from meganet.agg import AggSpec
 from meganet.graph import (
     Multigraph,
+    build_groups,
     build_reverse_index,
     build_support_index,
     random_connected_multigraph,
 )
 from meganet.model import (
+    DirectionNets,
     LayerParams,
-    LayerState,
     Model,
     ModelConfig,
     ModelError,
     add_ego_ids,
-    bidirectional_layer,
-    edge_stage,
-    edge_update,
+    direction_fwd,
+    edge_update_fwd,
     load_checkpoint,
-    model_backward,
-    model_forward,
-    node_stage,
     save_checkpoint,
-    single_stage_layer,
+    single_stage_layer_fwd,
+    two_stage_layer_fwd,
 )
 from meganet.nn import Mlp, weighted_bce_loss
 
@@ -49,16 +47,39 @@ def slice_mlp(in_width, lo, hi):
     return Mlp([w], [np.zeros(hi - lo)], activation="identity")
 
 
-def plain_params(dn, de, agg_edge="sum", agg_node="sum"):
-    d_h = AggSpec(agg_edge).out_width(de)
+def plain_params(dn, de, agg_edge="sum", agg_node="sum", directions=1):
+    """Messages echo x_src, h echoes the reduced edges, e_next echoes e."""
+    d_h_raw = AggSpec(agg_edge).out_width(de)
     w_a = AggSpec(agg_node).out_width(dn)
+    nets = [DirectionNets(msg_net=slice_mlp(dn + de, 0, dn),
+                          edge_update_net=slice_mlp(dn + 2 * de, dn, dn + de),
+                          edge_agg_mlp=slice_mlp(d_h_raw, 0, de))
+            for _ in range(directions)]
     return LayerParams(
-        msg_net=slice_mlp(dn + d_h, 0, dn),
-        node_update_net=slice_mlp(dn + w_a, 0, dn),
-        edge_update_net=slice_mlp(dn + de + d_h, dn, dn + de),
+        directions=nets,
+        node_update_net=slice_mlp(dn + directions * w_a, 0, dn),
         agg_edge=AggSpec(agg_edge),
         agg_node=AggSpec(agg_node),
     )
+
+
+def with_nets(params, d=0, **nets):
+    params.directions[d] = params.directions[d]._replace(**nets)
+    return params
+
+
+def direction(x, e, supp, params, d=0):
+    """(h, a) of direction d in evaluation mode."""
+    h, a, _ = direction_fwd(x, e, supp, params.directions[d], params.agg_edge,
+                            params.agg_node)
+    return h, a
+
+
+def edge_update(x, e, supp, params):
+    h, _ = direction(x, e, supp, params)
+    e_next, _ = edge_update_fwd(x, e, h, supp,
+                                params.directions[0].edge_update_net)
+    return e_next
 
 
 def test_config_validation():
@@ -76,23 +97,30 @@ def test_config_dict_roundtrip():
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_from_dict_post_agg_mlp_switch():
+    """Version-1 checkpoints carry post_agg_mlp; only true is loadable."""
+    cfg = ModelConfig(hidden_node=7)
+    assert ModelConfig.from_dict({**cfg.to_dict(), "post_agg_mlp": True}) == cfg
+    with pytest.raises(ModelError, match="post_agg_mlp"):
+        ModelConfig.from_dict({**cfg.to_dict(), "post_agg_mlp": False})
+
+
 def test_edge_stage_sum_of_parallel_pair():
     g = make_graph([(0, 1), (0, 1)], [[1.0, 0.0], [0.0, 1.0]])
     supp = build_support_index(g)
-    state = LayerState(x=np.ones((2, 1)), e=g.edge_features)
-    params = plain_params(1, 2)
-    h = edge_stage(state, supp, params)
+    h, _ = direction(np.ones((2, 1)), g.edge_features, supp, plain_params(1, 2))
     assert h.tolist() == [[1.0, 1.0]]
 
 
 def test_edge_stage_singleton_groups_identity():
     g = make_graph([(0, 1), (1, 2)], [[3.0], [5.0]])
     supp = build_support_index(g)
-    state = LayerState(x=np.ones((3, 1)), e=g.edge_features)
+    x = np.ones((3, 1))
     for kind in ("sum", "mean", "max", "min"):
-        h = edge_stage(state, supp, plain_params(1, 1, agg_edge=kind))
+        h, _ = direction(x, g.edge_features, supp,
+                         plain_params(1, 1, agg_edge=kind))
         assert h.tolist() == [[3.0], [5.0]]
-    h = edge_stage(state, supp, plain_params(1, 1, agg_edge="std"))
+    h, _ = direction(x, g.edge_features, supp, plain_params(1, 1, agg_edge="std"))
     assert h.tolist() == [[0.0], [0.0]]
 
 
@@ -103,8 +131,9 @@ def test_node_stage_empty_in_neighbors_gets_zero():
     params = plain_params(dn, 1)
     # node update echoes the aggregate so we can observe it
     params.node_update_net = slice_mlp(dn + dn, dn, 2 * dn)
-    state = LayerState(x=np.array([[4.0], [9.0]]), e=g.edge_features)
-    a, x_next = node_stage(state, supp, params)
+    x = np.array([[4.0], [9.0]])
+    _, a = direction(x, g.edge_features, supp, params)
+    x_next, _, _ = two_stage_layer_fwd(params, x, [g.edge_features], [supp])
     assert a[0].tolist() == [0.0]        # node 0 has no in-neighbors
     assert x_next[0].tolist() == [0.0]
 
@@ -113,30 +142,25 @@ def test_node_stage_sum_doubles_identical_messages():
     # nodes 0 and 1 both point at 2, same x and same h
     g = make_graph([(0, 2), (1, 2)], [[5.0], [5.0]])
     supp = build_support_index(g)
-    params = plain_params(1, 1)
-    params.msg_net = slice_mlp(2, 1, 2)  # message = h
-    state = LayerState(x=np.ones((3, 1)), e=g.edge_features)
-    a, _ = node_stage(state, supp, params)
+    params = with_nets(plain_params(1, 1), msg_net=slice_mlp(2, 1, 2))  # = h
+    _, a = direction(np.ones((3, 1)), g.edge_features, supp, params)
     assert a[2].tolist() == [10.0]
 
 
 def test_edge_update_uses_pre_update_node_features():
     g = make_graph([(0, 1)], [[2.0]])
     supp = build_support_index(g)
-    params = plain_params(1, 1)
     # e_next copies the source node feature slot
-    params.edge_update_net = slice_mlp(3, 0, 1)
-    state = LayerState(x=np.array([[7.0], [1.0]]), e=g.edge_features)
-    e_next = edge_update(state, supp, params)
+    params = with_nets(plain_params(1, 1), edge_update_net=slice_mlp(3, 0, 1))
+    e_next = edge_update(np.array([[7.0], [1.0]]), g.edge_features, supp, params)
     assert e_next.tolist() == [[7.0]]
 
 
 def test_edge_update_parallel_edges_differ_only_through_own_feature():
     g = make_graph([(0, 1), (0, 1)], [[2.0], [2.0]])
     supp = build_support_index(g)
-    params = plain_params(1, 1)
-    state = LayerState(x=np.ones((2, 1)), e=g.edge_features)
-    e_next = edge_update(state, supp, params)
+    e_next = edge_update(np.ones((2, 1)), g.edge_features, supp,
+                         plain_params(1, 1))
     assert e_next[0].tolist() == e_next[1].tolist()
 
 
@@ -146,9 +170,9 @@ def test_edge_update_locality_across_groups():
     feats2 = [[1.0], [2.0], [50.0]]
     g2 = make_graph([(0, 1), (0, 1), (2, 1)], feats2)
     params = plain_params(1, 1)
-    e1 = edge_update(LayerState(x=np.ones((3, 1)), e=g1.edge_features),
+    e1 = edge_update(np.ones((3, 1)), g1.edge_features,
                      build_support_index(g1), params)
-    e2 = edge_update(LayerState(x=np.ones((3, 1)), e=g2.edge_features),
+    e2 = edge_update(np.ones((3, 1)), g2.edge_features,
                      build_support_index(g2), params)
     # the (0,1) pair never sees the (2,1) edge
     assert np.array_equal(e1[:2], e2[:2])
@@ -159,17 +183,15 @@ def test_bidirectional_single_edge_structure():
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
     dn, de = 1, 1
-    params = plain_params(dn, de)
-    params.rev_msg_net = constant_mlp(dn + de, dn, 1.0)
-    params.rev_edge_update_net = slice_mlp(dn + de + de, dn, dn + de)
-    params.msg_net = constant_mlp(dn + de, dn, 1.0)
+    params = plain_params(dn, de, directions=2)
+    with_nets(params, 0, msg_net=constant_mlp(dn + de, dn, 1.0))
+    with_nets(params, 1, msg_net=constant_mlp(dn + de, dn, 1.0))
     # x_next echoes [a || a_rev]
     params.node_update_net = slice_mlp(dn + 2 * dn, dn, 3 * dn)
-    state = LayerState(x=np.zeros((2, 1)), e=g.edge_features,
-                       e_rev=g.edge_features.copy())
-    out = bidirectional_layer(state, supp, rev, params)
+    x_next, _, _ = two_stage_layer_fwd(params, np.zeros((2, 1)),
+                                       [g.edge_features] * 2, [supp, rev])
     # node 0: no in-neighbors (a=0), one out-neighbor (a_rev=1); node 1 flipped
-    assert out.x.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert x_next.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_bidirectional_out_degree_recoverable():
@@ -177,15 +199,13 @@ def test_bidirectional_out_degree_recoverable():
     g = make_graph([(0, 1), (0, 2), (0, 3)], [[1.0], [2.0], [3.0]])
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    params = plain_params(1, 1)
-    params.rev_msg_net = constant_mlp(2, 1, 1.0)
-    params.rev_edge_update_net = slice_mlp(3, 1, 2)
+    params = with_nets(plain_params(1, 1, directions=2), 1,
+                       msg_net=constant_mlp(2, 1, 1.0))
     params.node_update_net = slice_mlp(3, 2, 3)  # echo a_rev
-    state = LayerState(x=np.zeros((4, 1)), e=g.edge_features,
-                       e_rev=g.edge_features.copy())
-    out = bidirectional_layer(state, supp, rev, params)
-    assert out.x[0, 0] == 3.0
-    assert out.x[1:, 0].tolist() == [0.0, 0.0, 0.0]
+    x_next, _, _ = two_stage_layer_fwd(params, np.zeros((4, 1)),
+                                       [g.edge_features] * 2, [supp, rev])
+    assert x_next[0, 0] == 3.0
+    assert x_next[1:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_single_stage_collapse_on_simple_graph():
@@ -193,13 +213,14 @@ def test_single_stage_collapse_on_simple_graph():
     both layer types aggregate the same multiset of messages."""
     g = make_graph([(0, 2), (1, 2)], [[3.0], [4.0]])
     supp = build_support_index(g)
-    params = plain_params(1, 1)
-    params.msg_net = slice_mlp(2, 1, 2)          # message = edge latent
-    params.node_update_net = slice_mlp(2, 1, 2)  # echo the aggregate
-    state = LayerState(x=np.ones((3, 1)), e=g.edge_features)
-    _, x_two = node_stage(state, supp, params)
-    out_single = single_stage_layer(state, g, params)
-    assert np.allclose(x_two, out_single.x)
+    params = with_nets(plain_params(1, 1),
+                       msg_net=slice_mlp(2, 1, 2))  # message = edge latent
+    params.node_update_net = slice_mlp(2, 1, 2)     # echo the aggregate
+    x, e = np.ones((3, 1)), g.edge_features
+    x_two, _, _ = two_stage_layer_fwd(params, x, [e], [supp])
+    x_single, _, _ = single_stage_layer_fwd(params, x, [e], g,
+                                            build_groups(g.dst, g.num_nodes))
+    assert np.allclose(x_two, x_single)
 
 
 def test_add_ego_ids():
@@ -260,14 +281,20 @@ def test_forward_deterministic_under_dropout_seed():
 
 
 def test_flat_params_roundtrip():
+    """Every weight and bias is a view into params, its gradient into grads."""
     model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5), 2, 2)
-    flat = model.flat_params()
-    model.set_flat_params(np.zeros_like(flat))
-    assert not model.flat_params().any()
-    model.set_flat_params(flat)
-    assert np.array_equal(model.flat_params(), flat)
-    with pytest.raises(ModelError):
-        model.set_flat_params(flat[:-1])
+    arrays = [(p, q) for _, m in model.named_mlps()
+              for p, q in zip((*m.weights, *m.biases),
+                              (*m.grads.weights, *m.grads.biases))]
+    assert sum(p.size for p, _ in arrays) == model.params.size
+    assert model.grads.shape == model.params.shape
+    flat = model.params.copy()
+    model.params[...] = 0.0
+    assert not any(p.any() for p, _ in arrays)
+    model.params[...] = flat
+    assert any(p.any() for p, _ in arrays)
+    model.grads[...] = 1.0
+    assert all(q.all() for _, q in arrays)
 
 
 def test_backward_zero_upstream_zero_grads():
@@ -275,9 +302,9 @@ def test_backward_zero_upstream_zero_grads():
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
     model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5), 2, 2)
-    logits, cache = model_forward(model, g, supp, rev)
-    store = model_backward(model, cache, np.zeros_like(logits))
-    assert not model.flat_grads(store).any()
+    logits, cache = model.forward(g, supp, rev)
+    model.grads[...] = 1.0                 # stale values must not survive
+    assert not model.backward(cache, np.zeros_like(logits)).any()
 
 
 def test_full_model_gradient_on_fixed_small_graph():
@@ -297,23 +324,23 @@ def test_full_model_gradient_on_fixed_small_graph():
 
     logits, cache = model.forward(g, supp, rev)
     _, dl = weighted_bce_loss(logits, labels)
-    grads = model.flat_grads(model.backward(cache, dl))
+    grads = model.backward(cache, dl).copy()
 
-    flat = model.flat_params()
+    flat = model.params.copy()
     rng = np.random.default_rng(0)
     for _ in range(5):
         d = rng.normal(size=flat.size)
         d /= np.linalg.norm(d)
 
         def f(v):
-            model.set_flat_params(v)
+            model.params[...] = v
             lg, _ = model.forward(g, supp, rev)
             return weighted_bce_loss(lg, labels)[0]
 
         fd = (f(flat + 1e-5 * d) - f(flat - 1e-5 * d)) / 2e-5
         rel = abs(fd - grads @ d) / max(abs(fd), abs(grads @ d), 1e-8)
         assert rel <= 1e-4
-    model.set_flat_params(flat)
+    model.params[...] = flat
 
 
 def test_checkpoint_roundtrip(tmp_path):

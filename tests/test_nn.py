@@ -5,7 +5,6 @@ from meganet.nn import (
     AdamState,
     Mlp,
     NnError,
-    TrainConfig,
     adam_step,
     directional_derivative_fd,
     finite_difference_grad,
@@ -172,7 +171,8 @@ def test_adam_zero_grad_near_noop():
     params = np.array([1.0, -2.0, 3.0])
     state = AdamState.zeros(3)
     out = adam_step(params, np.zeros(3), state, 0.1)
-    assert np.allclose(out, params, atol=1e-12)
+    assert out is params                 # updated in place
+    assert np.allclose(out, [1.0, -2.0, 3.0], atol=1e-12)
 
 
 def test_adam_first_step_is_signed_lr():
@@ -190,21 +190,6 @@ def test_adam_converges_on_quadratic():
     for _ in range(800):
         params = adam_step(params, 2 * params, state, 0.05)
     assert np.abs(params).max() < 1e-2
-
-
-def test_train_config_validation():
-    with pytest.raises(NnError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(NnError):
-        TrainConfig(dropout=1.0)
-    with pytest.raises(NnError):
-        TrainConfig(class_weights=(1.0, -1.0))
-    cfg = TrainConfig()
-    assert cfg.learning_rate == 0.003
-    assert cfg.hidden_size == 64
-    assert cfg.batch_size == 8192
-    assert cfg.dropout == 0.1
-    assert cfg.class_weights == (1.0, 6.27)
 
 
 def test_directional_derivative_helper():

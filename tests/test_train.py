@@ -6,9 +6,10 @@ import pytest
 from meganet.agg import AggSpec
 from meganet.data import generate_planted_task
 from meganet.model import ModelConfig
-from meganet.nn import TrainConfig
+from meganet.nn import NnError
 from meganet.train import (
     TaskData,
+    TrainConfig,
     TrainingError,
     evaluate_model,
     random_item_split,
@@ -28,9 +29,8 @@ def small_task(seed=0, num_nodes=60):
 def fast_configs():
     mc = ModelConfig(num_layers=1, bidirectional=False, readout="node",
                      hidden_node=8, hidden_edge=8, mlp_hidden=8)
-    tc = TrainConfig(learning_rate=0.01, hidden_size=8, batch_size=1024,
-                     dropout=0.0, class_weights=(1.0, 3.0), num_layers=1,
-                     epochs=4, patience=10)
+    tc = TrainConfig(learning_rate=0.01, batch_size=1024, dropout=0.0,
+                     class_weights=(1.0, 3.0), epochs=4, patience=10)
     return mc, tc
 
 
@@ -104,9 +104,8 @@ def test_two_stage_learns_planted_task():
     mc = ModelConfig(num_layers=2, bidirectional=False, readout="node",
                      hidden_node=16, hidden_edge=16, mlp_hidden=32,
                      edge_agg=AggSpec("sum"), node_agg=AggSpec("sum"))
-    tc = TrainConfig(learning_rate=0.01, hidden_size=16, batch_size=4096,
-                     dropout=0.0, class_weights=(1.0, 3.0), num_layers=2,
-                     epochs=120, patience=40)
+    tc = TrainConfig(learning_rate=0.01, batch_size=4096, dropout=0.0,
+                     class_weights=(1.0, 3.0), epochs=120, patience=40)
     _, rec = train_model(task, mc, tc, seed=0)
     assert rec.final_metrics["f1"] >= 0.8
 
@@ -114,8 +113,21 @@ def test_two_stage_learns_planted_task():
 def test_training_error_on_divergence():
     task = small_task()
     mc, _ = fast_configs()
-    tc = TrainConfig(learning_rate=1e154, hidden_size=8, batch_size=1024,
-                     dropout=0.0, class_weights=(1.0, 3.0), num_layers=1,
-                     epochs=10, patience=10)
+    tc = TrainConfig(learning_rate=1e154, batch_size=1024, dropout=0.0,
+                     class_weights=(1.0, 3.0), epochs=10, patience=10)
     with np.errstate(all="ignore"), pytest.raises(TrainingError):
         train_model(task, mc, tc, seed=0)
+
+
+def test_train_config_validation():
+    with pytest.raises(NnError):
+        TrainConfig(learning_rate=0.0)
+    with pytest.raises(NnError):
+        TrainConfig(dropout=1.0)
+    with pytest.raises(NnError):
+        TrainConfig(class_weights=(1.0, -1.0))
+    cfg = TrainConfig()
+    assert cfg.learning_rate == 0.003
+    assert cfg.batch_size == 8192
+    assert cfg.dropout == 0.1
+    assert cfg.class_weights == (1.0, 6.27)
