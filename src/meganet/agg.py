@@ -6,6 +6,11 @@ a contiguous row block; graph.build_groups produces the required order and
 offsets. Each reduction also exposes its vector-Jacobian product so the
 model can run exact reverse-mode gradients through both stages.
 
+Sums (sum, mean and both std moments) run as one scatter_add: a single
+np.bincount pass over row * width + column, which adds each group's rows in
+row order like np.add.reduceat but costs the same whether groups hold one
+row or many. max and min keep np.maximum/np.minimum.reduceat.
+
 A module-level counter tracks how many value rows each reduction touches;
 the complexity suite uses it to assert linear scaling in the edge count.
 """
@@ -123,6 +128,18 @@ def pna_scalers(degree, mean_log_degree: float):
     return amplification, attenuation
 
 
+def scatter_add(values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+    """[num_rows, d] sums of value rows by target row: out[index[k]] += values[k].
+
+    One np.bincount pass over index * d + column. Each output entry adds its
+    values in row order, so the result equals np.add.at's bit for bit.
+    """
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=num_rows * d).reshape(num_rows, d)
+
+
 def _group_ids(gf: GroupedFeatures) -> np.ndarray:
     return np.repeat(np.arange(gf.num_groups), gf.counts)
 
@@ -136,7 +153,7 @@ def _stat_with_vjp(stat: str, gf: GroupedFeatures):
     _count(v.shape[0])
 
     if stat == "sum":
-        out = np.add.reduceat(v, starts, axis=0)
+        out = scatter_add(v, gid, gf.num_groups)
 
         def vjp(gout):
             return gout[gid]
@@ -144,7 +161,7 @@ def _stat_with_vjp(stat: str, gf: GroupedFeatures):
         return out, vjp
 
     if stat == "mean":
-        out = np.add.reduceat(v, starts, axis=0) / counts[:, None]
+        out = scatter_add(v, gid, gf.num_groups) / counts[:, None]
 
         def vjp(gout):
             return gout[gid] / counts[gid][:, None]
@@ -160,16 +177,16 @@ def _stat_with_vjp(stat: str, gf: GroupedFeatures):
             idx = np.arange(v.shape[0])[:, None]
             hit = np.where(v == out[gid], idx, v.shape[0])
             first = np.minimum.reduceat(hit, starts, axis=0)  # [S, d]
+            # groups are disjoint, so no entry is hit twice
             gv = np.zeros_like(v)
-            cols = np.broadcast_to(np.arange(v.shape[1]), first.shape)
-            np.add.at(gv, (first.ravel(), cols.ravel()), gout.ravel())
+            gv[first, np.arange(v.shape[1])] = gout
             return gv
 
         return out, vjp
 
     if stat == "std":
-        mean = np.add.reduceat(v, starts, axis=0) / counts[:, None]
-        mean_sq = np.add.reduceat(v * v, starts, axis=0) / counts[:, None]
+        mean = scatter_add(v, gid, gf.num_groups) / counts[:, None]
+        mean_sq = scatter_add(v * v, gid, gf.num_groups) / counts[:, None]
         var = np.maximum(mean_sq - mean * mean, 0.0)
         out = np.sqrt(var)
 

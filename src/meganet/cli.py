@@ -149,7 +149,7 @@ def _load_task(args, seed: int) -> TaskData:
     table = load_transactions(args.data, schema)
     if args.node_labels:
         table.node_labels = load_node_labels(args.node_labels,
-                                             table.num_accounts)
+                                             table.account_names)
         spec = compute_feature_spec(table)
         g, _, node_labels = to_multigraph(table, spec)
         items = np.flatnonzero(node_labels >= 0)

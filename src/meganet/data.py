@@ -77,6 +77,8 @@ class TransactionTable:
     categorical_sizes: tuple[int, ...]
     labels: np.ndarray | None = None   # per-row binary labels
     node_labels: np.ndarray | None = None  # per-account labels (sidecar)
+    # CSV value of each account id; load_node_labels maps sidecars through it
+    account_names: list[str] = field(default_factory=list)
 
     @property
     def num_rows(self) -> int:
@@ -86,8 +88,9 @@ class TransactionTable:
 def load_transactions(path, schema: Schema) -> TransactionTable:
     """Read a headered CSV into a transaction table.
 
-    Accounts are renumbered densely in first-seen order and categorical
-    columns are dictionary-encoded. Errors carry 1-based data row numbers.
+    Accounts are renumbered densely in first-seen order (account_names
+    keeps the CSV value of each id) and categorical columns are
+    dictionary-encoded. Errors carry 1-based data row numbers.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -146,30 +149,39 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
                      if n_cat else np.zeros((len(src), 0), dtype=np.int64)),
         categorical_sizes=tuple(len(d) for d in cat_dicts),
         labels=np.array(labels, dtype=np.int64) if schema.label else None,
+        account_names=list(accounts),
     )
 
 
-def load_node_labels(path, num_accounts: int) -> np.ndarray:
+def load_node_labels(path, account_names) -> np.ndarray:
     """Sidecar file with one 'node,label' pair per line (headered).
 
-    Labels are 0 or 1; -1, as write_node_labels_csv writes it, leaves the
-    node unlabeled. Node ids must lie in [0, num_accounts).
+    node is an account as the transaction file writes it; its label lands
+    on the account's id, the position of the name in account_names (a
+    TransactionTable's). Labels are 0 or 1; -1, as write_node_labels_csv
+    writes it, leaves the node unlabeled. A labeled node must appear in
+    some transaction.
     """
-    labels = np.full(num_accounts, -1, dtype=np.int64)
+    ids = {name: i for i, name in enumerate(account_names)}
+    labels = np.full(len(ids), -1, dtype=np.int64)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"node", "label"} <= set(reader.fieldnames):
             raise IngestionError(f"{path}: expected 'node,label' columns")
         for rownum, row in enumerate(reader, start=1):
+            node = row["node"]
             try:
-                node, label = int(row["node"]), int(row["label"])
+                label = int(row["label"])
             except (ValueError, TypeError):
                 raise IngestionError(f"{path} row {rownum}: bad node label row") from None
-            if not 0 <= node < num_accounts or label not in (-1, 0, 1):
+            if label not in (-1, 0, 1):
                 raise IngestionError(
-                    f"{path} row {rownum}: node {node} must be in "
-                    f"[0, {num_accounts}) and label {label} in {{-1, 0, 1}}")
-            labels[node] = label
+                    f"{path} row {rownum}: label {label} must be in {{-1, 0, 1}}")
+            if node in ids:
+                labels[ids[node]] = label
+            elif label != -1:
+                raise IngestionError(
+                    f"{path} row {rownum}: node {node!r} appears in no transaction")
     return labels
 
 
@@ -320,9 +332,9 @@ def sample_neighborhood(
         for v in frontier:
             # candidate distinct neighbors over both directions
             pair_choices: list[tuple[int, int, int]] = []  # (neighbor, supp_id, dir)
-            for s in supp.in_neighbors[v]:
+            for s in supp.in_order[supp.in_offsets[v]:supp.in_offsets[v + 1]]:
                 pair_choices.append((int(supp.supp_src[s]), int(s), 0))
-            for s in supp.out_neighbors[v]:
+            for s in supp.out_order[supp.out_offsets[v]:supp.out_offsets[v + 1]]:
                 pair_choices.append((int(supp.supp_dst[s]), int(s), 0))
             if len({c[0] for c in pair_choices}) > per_hop:
                 neighbors = sorted({c[0] for c in pair_choices})

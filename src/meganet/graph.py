@@ -126,29 +126,6 @@ class SupportIndex:
     def supp_dst(self) -> np.ndarray:
         return self.supp_pairs[:, 1]
 
-    @property
-    def supp_groups(self) -> list[np.ndarray]:
-        return [
-            self.group_order[self.group_offsets[s]:self.group_offsets[s + 1]]
-            for s in range(self.num_pairs)
-        ]
-
-    @property
-    def in_neighbors(self) -> list[np.ndarray]:
-        """Per node, the support-pair indices arriving at it."""
-        return [
-            self.in_order[self.in_offsets[j]:self.in_offsets[j + 1]]
-            for j in range(self.num_nodes)
-        ]
-
-    @property
-    def out_neighbors(self) -> list[np.ndarray]:
-        """Per node, the support-pair indices leaving it."""
-        return [
-            self.out_order[self.out_offsets[i]:self.out_offsets[i + 1]]
-            for i in range(self.num_nodes)
-        ]
-
     def in_degrees(self) -> np.ndarray:
         """Distinct in-neighbor count per node."""
         return np.diff(self.in_offsets)

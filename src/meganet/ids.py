@@ -77,11 +77,10 @@ class IdState:
 
 def _pair_min_labels(supp: SupportIndex, labels: np.ndarray) -> np.ndarray:
     """Minimum edge label within each parallel-edge group."""
-    mins = np.empty(supp.num_pairs, dtype=np.int64)
-    for s in range(supp.num_pairs):
-        grp = supp.group_order[supp.group_offsets[s]:supp.group_offsets[s + 1]]
-        mins[s] = labels[grp].min()
-    return mins
+    if supp.num_pairs == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.minimum.reduceat(labels[supp.group_order],
+                               supp.group_offsets[:-1])
 
 
 def bfs_assign_ids(
@@ -121,11 +120,11 @@ def bfs_assign_ids(
         proposals: dict[int, list[tuple[int, ...]]] = {}
         for v in active:
             # along edge direction: digit = min parallel label of the pair
-            for s in supp.out_neighbors[v]:
+            for s in supp.out_order[supp.out_offsets[v]:supp.out_offsets[v + 1]]:
                 u = int(supp.supp_dst[s])
                 proposals.setdefault(u, []).append(ids[v] + (int(out_min[s]),))
             # against edge direction: digits offset by m
-            for s in rev.out_neighbors[v]:
+            for s in rev.out_order[rev.out_offsets[v]:rev.out_offsets[v + 1]]:
                 u = int(rev.supp_dst[s])
                 proposals.setdefault(u, []).append(
                     ids[v] + (m + int(in_min[s]),))
@@ -163,9 +162,9 @@ def assign_ports(g: Multigraph, supp: SupportIndex, order_seed: int) -> PortAssi
     neighbor_ports: list[dict[int, int]] = []
     for v in range(g.num_nodes):
         neigh = set()
-        for s in supp.out_neighbors[v]:
+        for s in supp.out_order[supp.out_offsets[v]:supp.out_offsets[v + 1]]:
             neigh.add(int(supp.supp_dst[s]))
-        for s in supp.in_neighbors[v]:
+        for s in supp.in_order[supp.in_offsets[v]:supp.in_offsets[v + 1]]:
             neigh.add(int(supp.supp_src[s]))
         neigh = sorted(neigh)
         ports = rng.permutation(len(neigh)) + 1
@@ -190,11 +189,11 @@ def _port_embeddings(g: Multigraph, supp: SupportIndex, ports: PortAssignment,
             break
         proposals: dict[int, list[tuple[int, ...]]] = {}
         for v in active:
-            for s in supp.out_neighbors[v]:
+            for s in supp.out_order[supp.out_offsets[v]:supp.out_offsets[v + 1]]:
                 u = int(supp.supp_dst[s])
                 digit = ports.neighbor_ports[v][u]
                 proposals.setdefault(u, []).append(ids[v] + (digit,))
-            for s in supp.in_neighbors[v]:
+            for s in supp.in_order[supp.in_offsets[v]:supp.in_offsets[v + 1]]:
                 u = int(supp.supp_src[s])
                 digit = m + ports.neighbor_ports[v][u]
                 proposals.setdefault(u, []).append(ids[v] + (digit,))

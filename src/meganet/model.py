@@ -16,6 +16,11 @@ Every MLP weight and bias is a view into Model.params and its gradient a
 view into Model.grads, so backward accumulates in place and an optimizer
 updates Model.params in place.
 
+MLP inputs that concatenate gathered rows ([x_src || h], [x_src || e || h],
+[x || a_0 (|| a_1)], the edge readout's [x_src || e || x_dst]) are passed
+as nn.GatheredConcat: nothing of per-edge width is built or cached, and
+each backward returns the gradients already summed into x, e and h rows.
+
 The forward pass records caches; Model.backward replays them in reverse
 for exact gradients, including through max/min (lowest-index tie-break),
 mean, std and the log-degree-scaled aggregator.
@@ -35,7 +40,7 @@ from .agg import (
     segment_reduce_with_vjp,
 )
 from .graph import Multigraph, SupportIndex, build_groups
-from .nn import Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
+from .nn import GatheredConcat, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
 
 
 class ModelError(ValueError):
@@ -157,8 +162,9 @@ def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
     h_raw, edge_vjp = segment_reduce_with_vjp(agg_edge, gf,
                                               degrees=supp.multiplicity)
     h, agg_cache = mlp_forward(nets.edge_agg_mlp, h_raw, train, seeds[0])
-    msg_in = np.concatenate([x[supp.supp_src], h], axis=1)
-    msg, msg_cache = mlp_forward(nets.msg_net, msg_in, train, seeds[1])
+    msg, msg_cache = mlp_forward(nets.msg_net,
+                                 GatheredConcat((x, supp.supp_src), (h, None)),
+                                 train, seeds[1])
     gf = GroupedFeatures(msg[supp.in_order], supp.in_offsets)
     a, node_vjp = reduce_or_default_with_vjp(agg_node, gf, supp.num_nodes)
     cache = (supp, nets, edge_vjp, agg_cache, msg_cache, node_vjp, e.shape)
@@ -175,10 +181,9 @@ def direction_bwd(cache, ga, gh, gx):
     gvals = node_vjp(ga)
     gmsg = np.zeros((supp.num_pairs, gvals.shape[1]))
     gmsg[supp.in_order] = gvals
-    gmsg_in, _ = mlp_backward(nets.msg_net, msg_cache, gmsg)
-    xw = gx.shape[1]
-    np.add.at(gx, supp.supp_src, gmsg_in[:, :xw])
-    gh += gmsg_in[:, xw:]
+    (gx_msg, gh_msg), _ = mlp_backward(nets.msg_net, msg_cache, gmsg)
+    gx += gx_msg
+    gh += gh_msg
     gh_raw, _ = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
     ge = np.zeros(e_shape)
     ge[supp.group_order] = edge_vjp(gh_raw)
@@ -188,21 +193,18 @@ def direction_bwd(cache, ga, gh, gx):
 def edge_update_fwd(x, e, h, supp: SupportIndex, net: Mlp, train=False,
                     seed=0):
     """Per-edge update from pre-update node features: [x_src || e || h]."""
-    srcs = supp.supp_src[supp.edge_to_supp]
-    inp = np.concatenate([x[srcs], e, h[supp.edge_to_supp]], axis=1)
+    inp = GatheredConcat((x, supp.supp_src[supp.edge_to_supp]), (e, None),
+                         (h, supp.edge_to_supp))
     out, net_cache = mlp_forward(net, inp, train, seed)
-    return out, (supp, net, net_cache, e.shape[1], h.shape)
+    return out, (net, net_cache)
 
 
 def edge_update_bwd(cache, gout, gx):
     """Backward of edge_update_fwd; adds into gx and returns (ge, gh)."""
-    supp, net, net_cache, ew, h_shape = cache
-    ginp, _ = mlp_backward(net, net_cache, gout)
-    xw = gx.shape[1]
-    np.add.at(gx, supp.supp_src[supp.edge_to_supp], ginp[:, :xw])
-    gh = np.zeros(h_shape)
-    np.add.at(gh, supp.edge_to_supp, ginp[:, xw + ew:])
-    return ginp[:, xw:xw + ew], gh
+    net, net_cache = cache
+    (gx_eu, ge, gh), _ = mlp_backward(net, net_cache, gout)
+    gx += gx_eu
+    return ge, gh
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +214,15 @@ def edge_update_bwd(cache, gout, gx):
 def two_stage_layer_fwd(lp: LayerParams, x, es, supports, train=False,
                         seq=lambda: 0):
     """One layer over len(supports) directions; es holds their edge latents."""
-    hs, parts, dir_caches = [], [x], []
+    hs, parts, dir_caches = [], [(x, None)], []
     for supp, nets, e in zip(supports, lp.directions, es):
         h, a, c = direction_fwd(x, e, supp, nets, lp.agg_edge, lp.agg_node,
                                 train, (seq(), seq()))
         hs.append(h)
-        parts.append(a)
+        parts.append((a, None))
         dir_caches.append(c)
-    x1, gv_cache = mlp_forward(lp.node_update_net,
-                               np.concatenate(parts, axis=1), train, seq())
-    del parts
+    x1, gv_cache = mlp_forward(lp.node_update_net, GatheredConcat(*parts),
+                               train, seq())
     es1, eu_caches = [], []
     for supp, nets, e, h in zip(supports, lp.directions, es, hs):
         e1, c = edge_update_fwd(x, e, h, supp, nets.edge_update_net, train,
@@ -239,10 +240,8 @@ def two_stage_layer_bwd(cache, gx1, ges1):
         ge0, gh = edge_update_bwd(c, ge1, gx0)
         ges0.append(ge0)
         ghs.append(gh)
-    ggv_in, _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
-    xw = x_shape[1]
-    gx0 += ggv_in[:, :xw]
-    gas = np.split(ggv_in[:, xw:], len(dir_caches), axis=1)
+    (gx_nu, *gas), _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
+    gx0 += gx_nu
     for c, ga, gh, ge0 in zip(dir_caches, gas, ghs, ges0):
         ge0 += direction_bwd(c, ga, gh, gx0)
     return gx0, ges0
@@ -258,38 +257,36 @@ def single_stage_layer_fwd(lp: LayerParams, x, es, g: Multigraph, in_groups,
     nets = lp.directions[0]
     order, offsets = in_groups
     msg, msg_cache = mlp_forward(nets.msg_net,
-                                 np.concatenate([x[g.src], e], axis=1),
+                                 GatheredConcat((x, g.src), (e, None)),
                                  train, seq())
     gf = GroupedFeatures(msg[order], offsets)
     a, vjp = reduce_or_default_with_vjp(lp.agg_node, gf, g.num_nodes)
     x1, gv_cache = mlp_forward(lp.node_update_net,
-                               np.concatenate([x, a], axis=1), train, seq())
-    ge_in = np.concatenate([x[g.src], e, x[g.dst]], axis=1)
-    e1, ge_cache = mlp_forward(nets.edge_update_net, ge_in, train, seq())
-    return x1, [e1], (lp, g, order, msg_cache, vjp, gv_cache, ge_cache,
-                      x.shape, e.shape)
+                               GatheredConcat((x, None), (a, None)),
+                               train, seq())
+    e1, ge_cache = mlp_forward(nets.edge_update_net,
+                               GatheredConcat((x, g.src), (e, None),
+                                              (x, g.dst)),
+                               train, seq())
+    return x1, [e1], (lp, order, msg_cache, vjp, gv_cache, ge_cache)
 
 
 def single_stage_layer_bwd(cache, gx1, ges1):
-    lp, g, order, msg_cache, vjp, gv_cache, ge_cache, x_shape, e_shape = cache
+    lp, order, msg_cache, vjp, gv_cache, ge_cache = cache
     nets = lp.directions[0]
-    xw, ew = x_shape[1], e_shape[1]
 
-    gge_in, _ = mlp_backward(nets.edge_update_net, ge_cache, ges1[0])
-    gx0 = np.zeros(x_shape)
-    np.add.at(gx0, g.src, gge_in[:, :xw])
-    ge0 = gge_in[:, xw:xw + ew]
-    np.add.at(gx0, g.dst, gge_in[:, xw + ew:])
+    (gx_src, ge0, gx_dst), _ = mlp_backward(nets.edge_update_net, ge_cache,
+                                            ges1[0])
+    gx0 = gx_src + gx_dst
+    (gx_nu, ga), _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
+    gx0 += gx_nu
 
-    ggv_in, _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
-    gx0 += ggv_in[:, :xw]
-
-    gvals = vjp(ggv_in[:, xw:])
-    gmsg = np.zeros((e_shape[0], gvals.shape[1]))
+    gvals = vjp(ga)
+    gmsg = np.zeros_like(gvals)
     gmsg[order] = gvals
-    gmsg_in, _ = mlp_backward(nets.msg_net, msg_cache, gmsg)
-    np.add.at(gx0, g.src, gmsg_in[:, :xw])
-    ge0 += gmsg_in[:, xw:]
+    (gx_msg, ge_msg), _ = mlp_backward(nets.msg_net, msg_cache, gmsg)
+    gx0 += gx_msg
+    ge0 += ge_msg
     return gx0, [ge0]
 
 
@@ -402,10 +399,10 @@ class Model:
         if cfg.readout == "node":
             ro_in = x
         else:
-            ro_in = np.concatenate([x[g.src], es[0], x[g.dst]], axis=1)
+            ro_in = GatheredConcat((x, g.src), (es[0], None), (x, g.dst))
         logits2d, c_ro = mlp_forward(self.readout_net, ro_in, train_mode,
                                      seq())
-        cache = {"g": g, "enc": (c_nenc, c_eenc), "stages": stages,
+        cache = {"enc": (c_nenc, c_eenc), "stages": stages,
                  "readout": c_ro, "final": (x, es)}
         return logits2d[:, 0], cache
 
@@ -416,21 +413,16 @@ class Model:
 
         The returned array is overwritten by the next call.
         """
-        g: Multigraph = cache["g"]
         self.grads[...] = 0.0
         gl = np.asarray(logit_grads, dtype=np.float64).reshape(-1, 1)
 
         gro_in, _ = mlp_backward(self.readout_net, cache["readout"], gl)
-        x, es = cache["final"]
-        ges = [np.zeros_like(e) for e in es]
+        ges = [np.zeros_like(e) for e in cache["final"][1]]
         if self.config.readout == "node":
             gx = gro_in
         else:
-            dn, de = x.shape[1], es[0].shape[1]
-            gx = np.zeros_like(x)
-            np.add.at(gx, g.src, gro_in[:, :dn])
-            ges[0] = gro_in[:, dn:dn + de]
-            np.add.at(gx, g.dst, gro_in[:, dn + de:])
+            gx_src, ges[0], gx_dst = gro_in
+            gx = gx_src + gx_dst
 
         layer_bwd = (two_stage_layer_bwd if self.config.two_stage
                      else single_stage_layer_bwd)

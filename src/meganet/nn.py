@@ -4,6 +4,13 @@ Everything runs in float64. Dropout is realized through seeded masks so a
 training step can be replayed bit-for-bit, and the backward pass is exact
 for the realized mask. A central finite-difference helper doubles as the
 independent gradient oracle in the tests.
+
+An MLP input is a matrix or a GatheredConcat: the column concatenation of
+row-gathered parts, such as [x[src] || e || h[edge_to_pair]], left unbuilt.
+The first layer multiplies each part by its block of weight rows before
+gathering, so a part of n rows costs n rows of matmul however many rows
+its index selects; the backward pass scatters the upstream gradient into
+each part's rows once (agg.scatter_add) and returns one gradient per part.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
+
+from .agg import scatter_add
 
 _ACTIVATIONS = ("relu", "gelu", "identity")
 
@@ -117,6 +126,60 @@ class ParamGrads:
                    [np.zeros_like(b) for b in m.biases])
 
 
+class GatheredConcat:
+    """np.concatenate([p if i is None else p[i] for p, i in parts], axis=1), unbuilt.
+
+    Each part is a 2-d array and a row index into it (None takes every row
+    in order); all parts must give the same number of rows. shape is that
+    of the concatenation.
+    """
+
+    def __init__(self, *parts):
+        self.parts = tuple(
+            (np.asarray(p, dtype=np.float64),
+             None if i is None else np.asarray(i, dtype=np.int64))
+            for p, i in parts)
+        if any(p.ndim != 2 or (i is not None and i.ndim != 1)
+               for p, i in self.parts):
+            raise NnError("parts must be 2-d arrays with 1-d row indices")
+        rows = {p.shape[0] if i is None else i.size for p, i in self.parts}
+        if len(rows) != 1:
+            raise NnError(f"parts give different row counts {sorted(rows)}")
+        self.shape = (rows.pop(), sum(p.shape[1] for p, _ in self.parts))
+
+
+def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b as a sum of per-part products, each gathered after the matmul."""
+    z = None
+    lo = 0
+    for p, i in x.parts:
+        hi = lo + p.shape[1]
+        zp = p @ w[lo:hi]
+        if i is not None:
+            zp = zp[i]
+        if z is None:
+            z = zp
+        else:
+            z += zp
+        lo = hi
+    z += b
+    return z
+
+
+def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
+                          g: np.ndarray) -> list[np.ndarray]:
+    """Adds the weight gradient into gw; returns one gradient per part."""
+    gparts = []
+    lo = 0
+    for p, i in x.parts:
+        hi = lo + p.shape[1]
+        gp = g if i is None else scatter_add(g, i, p.shape[0])
+        gw[lo:hi] += p.T @ gp
+        gparts.append(gp @ w[lo:hi].T)
+        lo = hi
+    return gparts
+
+
 def _act_forward(name: str, z: np.ndarray):
     if name == "identity":
         return z, None
@@ -146,9 +209,14 @@ def mlp_forward(
     train_mode: bool = False,
     dropout_mask_seed: int = 0,
 ):
-    """Returns (output, cache). Dropout hits hidden activations only."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != m.in_width:
+    """Returns (output, cache). Dropout hits hidden activations only.
+
+    x is a matrix or a GatheredConcat.
+    """
+    built = not isinstance(x, GatheredConcat)
+    if built:
+        x = GatheredConcat((x, None))
+    if x.shape[1] != m.in_width:
         raise NnError(f"input width {x.shape} does not match mlp input {m.in_width}")
     use_dropout = train_mode and m.dropout > 0.0
     drop_rng = np.random.default_rng(dropout_mask_seed) if use_dropout else None
@@ -159,7 +227,7 @@ def mlp_forward(
     last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         inputs.append(h)
-        z = h @ w + b
+        z = _first_layer(h, w, b) if i == 0 else h @ w + b
         if i < last:
             h, aux = _act_forward(m.activation, z)
             act_auxes.append(aux)
@@ -171,15 +239,18 @@ def mlp_forward(
                 masks.append(None)
         else:
             h = z
-    cache = {"mlp": m, "inputs": inputs, "act_auxes": act_auxes, "masks": masks}
+    cache = {"mlp": m, "inputs": inputs, "act_auxes": act_auxes,
+             "masks": masks, "built": built}
     return h, cache
 
 
 def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
     """Exact gradients for the realized forward pass.
 
-    Returns (input gradient, parameter gradients). The parameter gradients
-    are added into m.grads when it is set, else into fresh zeros.
+    Returns (input gradient, parameter gradients). The input gradient of a
+    GatheredConcat is a list with one gradient per part, shaped like the
+    part: rows its index selects more than once get the sum. The parameter
+    gradients are added into m.grads when it is set, else into fresh zeros.
     """
     if cache.get("mlp") is not m:
         raise NnError("cache does not belong to this mlp")
@@ -192,11 +263,13 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
             if mask is not None:
                 g = g * mask
             g = _act_backward(m.activation, cache["act_auxes"][i], g)
-        h = cache["inputs"][i]
-        grads.weights[i] += h.T @ g
         grads.biases[i] += g.sum(axis=0)
-        g = g @ m.weights[i].T
-    return g, grads
+        if i:
+            grads.weights[i] += cache["inputs"][i].T @ g
+            g = g @ m.weights[i].T
+    gparts = _first_layer_backward(cache["inputs"][0], m.weights[0],
+                                   grads.weights[0], g)
+    return (gparts[0] if cache["built"] else gparts), grads
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

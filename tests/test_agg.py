@@ -10,6 +10,7 @@ from meganet.agg import (
     GroupedFeatures,
     pna_scalers,
     reduce_or_default,
+    scatter_add,
     segment_reduce,
     segment_reduce_with_vjp,
 )
@@ -194,6 +195,16 @@ def test_max_vjp_routes_to_lowest_index_on_tie():
     _, vjp = segment_reduce_with_vjp(AggSpec("max"), gf)
     gv = vjp(np.array([[1.0]]))
     assert gv.tolist() == [[1.0], [0.0], [0.0]]
+
+
+def test_scatter_add_equals_add_at():
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(300, 5))
+    index = rng.integers(0, 40, size=300)    # repeats, and rows never hit
+    ref = np.zeros((50, 5))
+    np.add.at(ref, index, values)
+    assert np.array_equal(scatter_add(values, index, 50), ref)
+    assert scatter_add(values[:0], index[:0], 3).tolist() == [[0.0] * 5] * 3
 
 
 def test_reduce_or_default_empty_groups():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from meganet.data import (
     write_transactions_csv,
 )
 from meganet.graph import (
+    Multigraph,
     build_reverse_index,
     build_support_index,
     is_weakly_connected,
+    random_connected_multigraph,
 )
 
 
@@ -82,20 +86,29 @@ def test_categoricals_dictionary_encoded(tmp_path):
     assert t.labels.tolist() == [0, 1, 0]
 
 
+ACCOUNTS = ["0", "1", "2", "3"]
+
+
 def test_node_labels_sidecar(tmp_path):
-    p = write(tmp_path, "l.csv", "node,label\n0,1\n2,0\n3,-1\n")
-    labels = load_node_labels(p, 4)
+    # an account without transactions may appear unlabeled
+    p = write(tmp_path, "l.csv", "node,label\n0,1\n2,0\n3,-1\nghost,-1\n")
+    labels = load_node_labels(p, ACCOUNTS)
     assert labels.tolist() == [1, -1, 0, -1]
     bad = write(tmp_path, "bad.csv", "account,flag\n0,1\n")
     with pytest.raises(IngestionError):
-        load_node_labels(bad, 4)
+        load_node_labels(bad, ACCOUNTS)
+
+
+def test_node_labels_map_through_account_names(tmp_path):
+    p = write(tmp_path, "l.csv", "node,label\nb,1\nc,0\n")
+    assert load_node_labels(p, ["c", "a", "b"]).tolist() == [0, -1, 1]
 
 
 @pytest.mark.parametrize("row", ["-1,1", "4,0", "0,7", "1,-2", "2"])
 def test_node_labels_reject_out_of_range_rows(tmp_path, row):
     p = write(tmp_path, "l.csv", f"node,label\n0,1\n{row}\n")
     with pytest.raises(IngestionError, match="row 2"):
-        load_node_labels(p, 4)
+        load_node_labels(p, ACCOUNTS)
 
 
 def test_split_spec_validation():
@@ -166,8 +179,23 @@ def test_roundtrip_through_csv(tmp_path):
     assert t.num_rows == g.num_edges
     # amounts survive the round trip exactly (repr-based serialization)
     assert np.array_equal(t.amount, g.edge_features[:, 0])
-    got = load_node_labels(lp, g.num_nodes)
-    assert np.array_equal(got, labels)
+    got = load_node_labels(lp, t.account_names)
+    assert np.array_equal(got, labels[np.array(t.account_names, dtype=int)])
+
+
+def test_node_labels_stay_with_their_account_through_csv(tmp_path):
+    g, labels = generate_planted_task(200, 3, 2, "max_of_sums", seed=0)
+    write_transactions_csv(tmp_path / "tx.csv", g)
+    write_node_labels_csv(tmp_path / "labels.csv", labels)
+    t = load_transactions(tmp_path / "tx.csv", Schema(
+        src="src", dst="dst", timestamp="timestamp", amount="amount"))
+    got = load_node_labels(tmp_path / "labels.csv", t.account_names)
+    loaded = Multigraph(t.num_accounts, np.ones((t.num_accounts, 1)),
+                        np.column_stack([t.src, t.dst]), t.amount[:, None])
+    labeled = got >= 0
+    assert labeled.sum() == 200
+    oracle = brute_force_planted_labels(loaded, labeled, "max_of_sums")
+    assert np.array_equal(oracle, got[labeled])
 
 
 def test_sampler_hops_zero_is_seed_closure():
@@ -177,7 +205,7 @@ def test_sampler_hops_zero_is_seed_closure():
     s = sample_neighborhood(g, supp, rev, seed_edges=[0], hops=0)
     # seed edge group plus both endpoints
     k = supp.edge_to_supp[0]
-    group = supp.supp_groups[k]
+    group = supp.group_order[supp.group_offsets[k]:supp.group_offsets[k + 1]]
     assert sorted(s.edge_map.tolist()) == sorted(group.tolist())
 
 
@@ -200,8 +228,29 @@ def test_sampler_keeps_parallel_groups_whole():
                             rng_seed=7)
     kept = set(s.edge_map.tolist())
     for k in kept:
-        group = supp.supp_groups[supp.edge_to_supp[k]]
+        s_k = supp.edge_to_supp[k]
+        group = supp.group_order[supp.group_offsets[s_k]:supp.group_offsets[s_k + 1]]
         assert set(group.tolist()) <= kept
+
+
+def test_sampler_time_follows_subgraph_not_graph():
+    """Adding 10^5 isolated nodes leaves the cost of a 2-hop sample alone."""
+    small = random_connected_multigraph(200, 600, seed=3)
+    n_big = small.num_nodes + 100_000
+    big = Multigraph(n_big, np.ones((n_big, small.node_features.shape[1])),
+                     small.edges, small.edge_features)
+
+    def best_of_3(g):
+        supp = build_support_index(g)
+        rev = build_reverse_index(g, supp)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            sample_neighborhood(g, supp, rev, seed_nodes=[0, 1, 2], hops=2)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(big) < 10 * best_of_3(small)
 
 
 def test_sampler_subgraph_features_match_parent():

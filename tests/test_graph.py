@@ -61,7 +61,9 @@ def test_support_index_basic_grouping():
     assert supp.supp_src.tolist() == [0, 2]
     assert supp.supp_dst.tolist() == [1, 1]
     assert supp.multiplicity.tolist() == [2, 1]
-    groups = [sorted(grp.tolist()) for grp in supp.supp_groups]
+    o, off = supp.group_order, supp.group_offsets
+    groups = [sorted(o[off[s]:off[s + 1]].tolist())
+              for s in range(supp.num_pairs)]
     assert groups == [[0, 1], [2]]
 
 
@@ -69,7 +71,8 @@ def test_support_index_empty_graph():
     g = make_graph([], n=3)
     supp = build_support_index(g)
     assert supp.num_pairs == 0
-    assert all(len(x) == 0 for x in supp.in_neighbors)
+    assert supp.in_order.size == 0
+    assert supp.in_offsets.tolist() == [0, 0, 0, 0]
 
 
 def test_support_index_self_loop():
@@ -77,7 +80,8 @@ def test_support_index_self_loop():
     supp = build_support_index(g)
     assert supp.supp_src.tolist() == [0]
     assert supp.supp_dst.tolist() == [0]
-    assert 0 in supp.in_neighbors[0] and 0 in supp.out_neighbors[0]
+    assert 0 in supp.in_order[supp.in_offsets[0]:supp.in_offsets[1]]
+    assert 0 in supp.out_order[supp.out_offsets[0]:supp.out_offsets[1]]
 
 
 def test_support_first_occurrence_order():

@@ -11,6 +11,7 @@ from meganet.graph import (
 from meganet.ids import (
     OrderError,
     UnreachedError,
+    _pair_min_labels,
     assign_ports,
     bfs_assign_ids,
     label_edges_by_features,
@@ -144,3 +145,15 @@ def test_witness_found_for_small_stars():
 def test_witness_rejects_tiny_star():
     with pytest.raises(ValueError):
         nonequivariance_witness(3)
+
+
+def test_pair_min_labels_matches_group_loop():
+    g = random_connected_multigraph(10, 60, seed=2)    # parallel edges
+    supp = build_support_index(g)
+    labels = label_edges_by_features(g).labels
+    o, off = supp.group_order, supp.group_offsets
+    loop = [labels[o[off[s]:off[s + 1]]].min() for s in range(supp.num_pairs)]
+    assert max(supp.multiplicity) > 1
+    assert _pair_min_labels(supp, labels).tolist() == loop
+    empty = build_support_index(make_graph([], np.zeros((0, 1)), n=3))
+    assert _pair_min_labels(empty, labels[:0]).size == 0

@@ -3,6 +3,7 @@ import pytest
 
 from meganet.nn import (
     AdamState,
+    GatheredConcat,
     Mlp,
     NnError,
     adam_step,
@@ -132,6 +133,67 @@ def test_dropout_backward_exact_for_realized_mask():
             w[i, j] = orig
             fd[i, j] = (fp.sum() - fm.sum()) / (2 * eps)
     assert np.allclose(grads.weights[0], fd, rtol=1e-4, atol=1e-7)
+
+
+def gathered_parts(rng):
+    """Three parts of 6 rows: indices repeat, skip rows and run out of order."""
+    return [(rng.normal(size=(4, 3)), np.array([3, 0, 0, 1, 3, 1])),
+            (rng.normal(size=(6, 2)), None),
+            (rng.normal(size=(5, 2)), np.array([4, 2, 2, 0, 1, 4]))]
+
+
+def built(parts):
+    return np.concatenate([p if i is None else p[i] for p, i in parts], axis=1)
+
+
+@pytest.mark.parametrize("activation", ["relu", "gelu"])
+def test_gathered_concat_equals_built_input(activation):
+    rng = np.random.default_rng(8)
+    m = init_mlp([7, 6, 3], rng, activation=activation, dropout=0.3)
+    parts = gathered_parts(rng)
+    assert GatheredConcat(*parts).shape == (6, 7)
+    for train in (False, True):
+        a, _ = mlp_forward(m, GatheredConcat(*parts), train, 5)
+        b, _ = mlp_forward(m, built(parts), train, 5)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("activation", ["relu", "gelu"])
+def test_gathered_concat_backward_matches_finite_differences(activation):
+    rng = np.random.default_rng(9)
+    m = init_mlp([7, 6, 3], rng, activation=activation, dropout=0.3)
+    parts = gathered_parts(rng)
+    gout = rng.normal(size=(6, 3))
+
+    def loss(_):
+        # finite_difference_grad perturbs the probed array in place
+        out, _ = mlp_forward(m, GatheredConcat(*parts), True, 5)
+        return float((out * gout).sum())
+
+    _, cache = mlp_forward(m, GatheredConcat(*parts), True, 5)
+    gparts, grads = mlp_backward(m, cache, gout)
+    assert [g.shape for g in gparts] == [p.shape for p, _ in parts]
+    assert not gparts[0][2].any() and not gparts[2][3].any()   # unselected
+    probes = ([(p, g) for (p, _), g in zip(parts, gparts)]
+              + list(zip(m.weights, grads.weights))
+              + list(zip(m.biases, grads.biases)))
+    for arr, got in probes:
+        fd = finite_difference_grad(loss, arr)
+        assert np.allclose(got, fd, rtol=1e-4, atol=1e-7)
+
+
+def test_gathered_concat_rejects_bad_parts():
+    with pytest.raises(NnError, match="row counts"):
+        GatheredConcat((np.ones((3, 2)), None), (np.ones((4, 2)), None))
+    with pytest.raises(NnError, match="row counts"):
+        GatheredConcat((np.ones((5, 2)), np.array([0, 1])),
+                       (np.ones((3, 2)), None))
+    with pytest.raises(NnError):
+        GatheredConcat((np.ones(3), None))
+    m = init_mlp([4, 2], np.random.default_rng(0))
+    with pytest.raises(NnError, match="width"):
+        mlp_forward(m, GatheredConcat((np.ones((3, 2)), None),
+                                      (np.ones((3, 3)), None)))
 
 
 def test_bce_loss_values():
