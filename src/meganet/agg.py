@@ -1,18 +1,17 @@
-"""Permutation-invariant segment reductions over contiguous index groups.
+"""Permutation-invariant segment reductions over grouped rows.
 
 These kernels implement the multi-edge (EdgeAgg) and node-level (AGG)
-reduction primitives. Values must be pre-gathered so every group occupies
-a contiguous row block; graph.build_groups produces the required order and
-offsets. Each reduction also exposes its vector-Jacobian product so the
-model can run exact reverse-mode gradients through both stages.
+reduction primitives. Value rows stay in item order: a GroupedFeatures
+pairs them with the graph.Groups that partitions them, so callers gather
+nothing and get gradients back in the same row order. Each reduction also
+exposes its vector-Jacobian product so the model can run exact
+reverse-mode gradients through both stages.
 
-Sums (sum, mean and both std moments) run as one scatter_add: a single
-np.bincount pass over row * width + column, which adds each group's rows in
-row order like np.add.reduceat but costs the same whether groups hold one
-row or many. max and min keep np.maximum/np.minimum.reduceat.
-
-A module-level counter tracks how many value rows each reduction touches;
-the complexity suite uses it to assert linear scaling in the edge count.
+Sums (sum, mean and both std moments) run as one scatter_add over the
+group keys: a single np.bincount pass that adds each group's rows in row
+order. max and min run np.maximum/np.minimum.reduceat over a transient
+gather of the rows into group order. PNA's degree scalers read the group
+sizes.
 """
 
 from __future__ import annotations
@@ -21,26 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import Groups
+
 _STAT_ORDER = ("mean", "max", "min", "std")
 _SCALER_ORDER = ("identity", "amplification", "attenuation")
 
 _KINDS = ("sum", "mean", "max", "min", "std", "pna")
-
-_reduce_rows = 0
-
-
-def reset_reduce_counter() -> None:
-    global _reduce_rows
-    _reduce_rows = 0
-
-
-def reduce_counter() -> int:
-    return _reduce_rows
-
-
-def _count(rows: int) -> None:
-    global _reduce_rows
-    _reduce_rows += rows
 
 
 class AggError(ValueError):
@@ -88,32 +73,35 @@ class AggSpec:
 
 @dataclass(frozen=True)
 class GroupedFeatures:
-    """Dense value rows partitioned into contiguous groups."""
+    """Value rows in item order with the Groups that partitions them."""
 
     values: np.ndarray       # [num_items, d]
-    group_offsets: np.ndarray  # [num_groups + 1]
+    groups: Groups
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(
-            self, "group_offsets", np.asarray(self.group_offsets, dtype=np.int64)
-        )
         if self.values.ndim != 2:
             raise AggError("values must be a 2-d matrix")
-        if self.group_offsets.ndim != 1 or self.group_offsets.size < 1:
-            raise AggError("group_offsets must be a 1-d offset array")
-        if self.group_offsets[0] != 0 or self.group_offsets[-1] != self.values.shape[0]:
-            raise AggError("group_offsets must cover all value rows")
-        if np.any(np.diff(self.group_offsets) < 0):
-            raise AggError("group_offsets must be non-decreasing")
+        if not isinstance(self.groups, Groups):
+            raise AggError("groups must be a graph.Groups")
+        rows = self.values.shape[0]
+        key, order, offsets = self.groups
+        if key.shape != (rows,) or order.shape != (rows,):
+            raise AggError("group key and order must cover all value rows")
+        if offsets.ndim != 1 or offsets.size < 1:
+            raise AggError("group offsets must be a 1-d offset array")
+        if offsets[0] != 0 or offsets[-1] != rows:
+            raise AggError("group offsets must cover all value rows")
+        if np.any(np.diff(offsets) < 0):
+            raise AggError("group offsets must be non-decreasing")
 
     @property
     def num_groups(self) -> int:
-        return self.group_offsets.size - 1
+        return self.groups.num_groups
 
     @property
     def counts(self) -> np.ndarray:
-        return np.diff(self.group_offsets)
+        return self.groups.counts
 
 
 def pna_scalers(degree, mean_log_degree: float):
@@ -140,43 +128,38 @@ def scatter_add(values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndar
                        minlength=num_rows * d).reshape(num_rows, d)
 
 
-def _group_ids(gf: GroupedFeatures) -> np.ndarray:
-    return np.repeat(np.arange(gf.num_groups), gf.counts)
-
-
 def _stat_with_vjp(stat: str, gf: GroupedFeatures):
-    """One statistic over non-empty contiguous groups, plus its VJP."""
+    """One statistic over non-empty groups, plus its VJP."""
     v = gf.values
-    starts = gf.group_offsets[:-1]
+    key, order, offsets = gf.groups
+    num_groups = gf.num_groups
     counts = gf.counts.astype(np.float64)
-    gid = _group_ids(gf)
-    _count(v.shape[0])
 
     if stat == "sum":
-        out = scatter_add(v, gid, gf.num_groups)
+        out = scatter_add(v, key, num_groups)
 
         def vjp(gout):
-            return gout[gid]
+            return gout[key]
 
         return out, vjp
 
     if stat == "mean":
-        out = scatter_add(v, gid, gf.num_groups) / counts[:, None]
+        out = scatter_add(v, key, num_groups) / counts[:, None]
 
         def vjp(gout):
-            return gout[gid] / counts[gid][:, None]
+            return gout[key] / counts[key][:, None]
 
         return out, vjp
 
     if stat in ("max", "min"):
         ufunc = np.maximum if stat == "max" else np.minimum
-        out = ufunc.reduceat(v, starts, axis=0)
+        starts = offsets[:-1]
+        out = ufunc.reduceat(v[order], starts, axis=0)
 
         def vjp(gout):
             # route to the lowest-index achiever in each group, per column
-            idx = np.arange(v.shape[0])[:, None]
-            hit = np.where(v == out[gid], idx, v.shape[0])
-            first = np.minimum.reduceat(hit, starts, axis=0)  # [S, d]
+            hit = np.where((v == out[key])[order], order[:, None], v.shape[0])
+            first = np.minimum.reduceat(hit, starts, axis=0)
             # groups are disjoint, so no entry is hit twice
             gv = np.zeros_like(v)
             gv[first, np.arange(v.shape[1])] = gout
@@ -185,39 +168,33 @@ def _stat_with_vjp(stat: str, gf: GroupedFeatures):
         return out, vjp
 
     if stat == "std":
-        mean = scatter_add(v, gid, gf.num_groups) / counts[:, None]
-        mean_sq = scatter_add(v * v, gid, gf.num_groups) / counts[:, None]
+        mean = scatter_add(v, key, num_groups) / counts[:, None]
+        mean_sq = scatter_add(v * v, key, num_groups) / counts[:, None]
         var = np.maximum(mean_sq - mean * mean, 0.0)
         out = np.sqrt(var)
 
         def vjp(gout):
             safe = np.where(out > 1e-12, out, 1.0)
             gvar = np.where(out > 1e-12, gout / (2.0 * safe), 0.0)
-            centered = v - mean[gid]
-            return 2.0 * centered * gvar[gid] / counts[gid][:, None]
+            centered = v - mean[key]
+            return 2.0 * centered * gvar[key] / counts[key][:, None]
 
         return out, vjp
 
     raise AggError(f"unknown statistic {stat!r}")
 
 
-def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures, degrees=None):
+def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     """Reduce each group to one row; also return the VJP into the values.
 
     Groups must be non-empty here; callers with possibly-empty targets use
-    reduce_or_default.
+    reduce_or_default_with_vjp.
     """
     if np.any(gf.counts == 0):
         raise AggError("segment_reduce requires non-empty groups")
 
     if spec.kind != "pna":
         return _stat_with_vjp(spec.kind, gf)
-
-    if degrees is None:
-        degrees = gf.counts
-    degrees = np.asarray(degrees, dtype=np.float64)
-    if degrees.shape[0] != gf.num_groups:
-        raise AggError("degrees must have one entry per group")
 
     blocks, vjps = [], []
     for stat in spec.pna_stats:
@@ -226,13 +203,10 @@ def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures, degrees=None):
         vjps.append(vjp)
     stacked = np.concatenate(blocks, axis=1)
 
-    scaler_values = []
-    for scaler in spec.pna_scalers:
-        if scaler == "identity":
-            scaler_values.append(np.ones(gf.num_groups))
-        else:
-            amp, att = pna_scalers(degrees, spec.mean_log_degree)
-            scaler_values.append(amp if scaler == "amplification" else att)
+    amp, att = pna_scalers(gf.counts, spec.mean_log_degree)
+    scale = {"identity": np.ones(gf.num_groups), "amplification": amp,
+             "attenuation": att}
+    scaler_values = [scale[scaler] for scaler in spec.pna_scalers]
     out = np.concatenate([stacked * s[:, None] for s in scaler_values], axis=1)
 
     d = gf.values.shape[1]
@@ -250,57 +224,27 @@ def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures, degrees=None):
     return out, vjp
 
 
-def segment_reduce(spec: AggSpec, gf: GroupedFeatures, degrees=None) -> np.ndarray:
-    out, _ = segment_reduce_with_vjp(spec, gf, degrees)
+def segment_reduce(spec: AggSpec, gf: GroupedFeatures) -> np.ndarray:
+    out, _ = segment_reduce_with_vjp(spec, gf)
     return out
 
 
-def reduce_or_default_with_vjp(
-    spec: AggSpec,
-    gf: GroupedFeatures,
-    num_groups_total: int | None = None,
-    default: np.ndarray | None = None,
-):
-    """segment_reduce that fills rows of empty groups with a default vector.
+def reduce_or_default_with_vjp(spec: AggSpec, gf: GroupedFeatures):
+    """segment_reduce_with_vjp that gives each empty group a row of zeros.
 
-    The default is constant (all zeros unless given), so no gradient flows
-    into it. num_groups_total defaults to the group count of gf.
+    The reduction runs over the non-empty groups only, renumbered in order;
+    no gradient flows out of an empty group.
     """
-    if num_groups_total is None:
-        num_groups_total = gf.num_groups
-    if gf.num_groups != num_groups_total:
-        raise AggError("gf must carry one (possibly empty) group per target")
-    d_out = spec.out_width(gf.values.shape[1])
-    if default is None:
-        default = np.zeros(d_out)
-    default = np.asarray(default, dtype=np.float64)
-    if default.shape != (d_out,):
-        raise AggError(f"default must have width {d_out}")
-
+    key, order, offsets = gf.groups
     counts = gf.counts
-    nonempty = np.flatnonzero(counts > 0)
-    out = np.tile(default, (num_groups_total, 1))
-    if nonempty.size == 0:
-        return out, (lambda gout: np.zeros_like(gf.values))
-
-    sub_offsets = np.zeros(nonempty.size + 1, dtype=np.int64)
-    np.cumsum(counts[nonempty], out=sub_offsets[1:])
-    # groups are contiguous, so dropping empties keeps values in place
-    sub = GroupedFeatures(gf.values, sub_offsets)
-    reduced, sub_vjp = segment_reduce_with_vjp(spec, sub, degrees=counts[nonempty])
-    out[nonempty] = reduced
+    full = np.flatnonzero(counts)
+    rank = np.cumsum(counts > 0) - 1
+    sub = Groups(rank[key], order, np.append(offsets[full], offsets[-1]))
+    reduced, sub_vjp = segment_reduce_with_vjp(spec, GroupedFeatures(gf.values, sub))
+    out = np.zeros((gf.num_groups, reduced.shape[1]))
+    out[full] = reduced
 
     def vjp(gout):
-        return sub_vjp(gout[nonempty])
+        return sub_vjp(gout[full])
 
     return out, vjp
-
-
-def reduce_or_default(
-    spec: AggSpec,
-    gf: GroupedFeatures,
-    num_groups_total: int | None = None,
-    default: np.ndarray | None = None,
-) -> np.ndarray:
-    out, _ = reduce_or_default_with_vjp(spec, gf, num_groups_total, default)
-    return out

@@ -33,12 +33,10 @@ from .data import (
     write_transactions_csv,
 )
 from .agg import AggSpec
-from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import ModelConfig, ModelError, load_checkpoint, save_checkpoint
 from .nn import NnError
-from .train import (TaskData, TrainConfig, TrainingError, random_item_split,
-                    train_model)
-from .metrics import evaluate_scores
-from .graph import build_reverse_index, build_support_index
+from .train import (TaskData, TrainConfig, TrainingError, evaluate_model,
+                    random_item_split, train_model)
 
 # defaults mirror the reference hyperparameter table
 DEFAULTS = {
@@ -222,16 +220,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    task = _load_task(args, seed=args.seed)
-    g = task.graph
-    supp = build_support_index(g)
-    rev = (build_reverse_index(g, supp)
-           if model.config.two_stage and model.config.bidirectional else None)
-    roots = task.items if task.task_type == "node" else None
-    logits, _ = model.forward(g, supp, rev, roots=roots)
-    idx = {"train": task.train_idx, "val": task.val_idx,
-           "test": task.test_idx}[args.split]
-    metrics = evaluate_scores(logits[task.items[idx]], task.labels[idx])
+    metrics = evaluate_model(model, _load_task(args, seed=args.seed),
+                             args.split)
     print(json.dumps({"split": args.split, "metrics": metrics}, indent=2,
                      sort_keys=True))
     return 0
@@ -344,7 +334,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, IngestionError, NnError, FileNotFoundError) as exc:
+    except (ConfigError, IngestionError, ModelError, NnError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

@@ -309,9 +309,12 @@ def sample_neighborhood(
             node_seen.add(v)
             node_order.append(v)
 
-    def add_group(s: int, index: SupportIndex):
-        lo, hi = index.group_offsets[s], index.group_offsets[s + 1]
-        for k in index.group_order[lo:hi]:
+    edge_to_supp, edge_order, edge_offsets = supp.by_pair
+    pair_src, out_order, out_offsets = supp.by_src
+    pair_dst, in_order, in_offsets = supp.by_dst
+
+    def add_group(s: int):
+        for k in edge_order[edge_offsets[s]:edge_offsets[s + 1]]:
             edge_set.add(int(k))
 
     roots: list[int] = []
@@ -319,8 +322,7 @@ def sample_neighborhood(
         add_node(int(v))
         roots.append(int(v))
     for k in seed_edges:
-        s = int(supp.edge_to_supp[k])
-        add_group(s, supp)
+        add_group(int(edge_to_supp[k]))
         for v in (int(g.src[k]), int(g.dst[k])):
             add_node(v)
             roots.append(v)
@@ -332,10 +334,10 @@ def sample_neighborhood(
         for v in frontier:
             # candidate distinct neighbors over both directions
             pair_choices: list[tuple[int, int, int]] = []  # (neighbor, supp_id, dir)
-            for s in supp.in_order[supp.in_offsets[v]:supp.in_offsets[v + 1]]:
-                pair_choices.append((int(supp.supp_src[s]), int(s), 0))
-            for s in supp.out_order[supp.out_offsets[v]:supp.out_offsets[v + 1]]:
-                pair_choices.append((int(supp.supp_dst[s]), int(s), 0))
+            for s in in_order[in_offsets[v]:in_offsets[v + 1]]:
+                pair_choices.append((int(pair_src[s]), int(s), 0))
+            for s in out_order[out_offsets[v]:out_offsets[v + 1]]:
+                pair_choices.append((int(pair_dst[s]), int(s), 0))
             if len({c[0] for c in pair_choices}) > per_hop:
                 neighbors = sorted({c[0] for c in pair_choices})
                 chosen = set(rng.choice(neighbors, size=per_hop, replace=False))
@@ -343,7 +345,7 @@ def sample_neighborhood(
                 chosen = {c[0] for c in pair_choices}
             for u, s, _ in pair_choices:
                 if u in chosen:
-                    add_group(s, supp)
+                    add_group(s)
                     if u not in node_seen:
                         add_node(u)
                         next_frontier.append(u)
@@ -474,10 +476,13 @@ def _generate_max_of_sums(num_receivers, k, p, seed):
 
 
 def _generate_out_neighbor_count(num_subjects, median_degree, p, seed):
+    if median_degree < 2:
+        raise ConfigError("out_neighbor_count needs a median out-degree of at "
+                          "least 2 (a subject of degree 0 is in no transaction)")
     rng = np.random.default_rng(seed)
     quarter = max(num_subjects // 4, 1)
     degs = np.full(num_subjects, median_degree, dtype=np.int64)
-    degs[:quarter] = max(median_degree - 1, 0)
+    degs[:quarter] = median_degree - 1
     degs[quarter:2 * quarter] = median_degree + 1
     rng.shuffle(degs)
     labels_sub = (degs > np.median(degs)).astype(np.int64)
@@ -488,21 +493,16 @@ def _generate_out_neighbor_count(num_subjects, median_degree, p, seed):
     labels[:num_subjects] = labels_sub
     edges, amounts = [], []
     for v in range(num_subjects):
-        if degs[v] == 0:
-            continue
         sinks = rng.choice(num_sinks, size=int(degs[v]), replace=False)
         for sk in sinks:
             for _ in range(p):
                 edges.append((v, num_subjects + int(sk)))
                 amounts.append(rng.uniform(0.5, 1.5))
-    edges = (np.array(edges, dtype=np.int64) if edges
-             else np.zeros((0, 2), dtype=np.int64))
     g = Multigraph(
         num_nodes=total_nodes,
         node_features=np.ones((total_nodes, 1)),
-        edges=edges,
-        edge_features=np.array(amounts)[:, None] if amounts
-        else np.zeros((0, 1)),
+        edges=np.array(edges, dtype=np.int64),
+        edge_features=np.array(amounts)[:, None],
     )
     check = brute_force_planted_labels(g, labels >= 0, "out_neighbor_count")
     assert np.array_equal(check, labels[labels >= 0])

@@ -2,14 +2,16 @@
 
 A multigraph keeps its edges as an ordered multiset: the same (src, dst)
 pair may appear any number of times, and edge feature row k always belongs
-to edge k. All derived index structures (the support index and its mirror
-over the transposed edges) are built once and treated as immutable
-afterwards.
+to edge k. Every grouping (edges by pair, pairs by node, edges by node) is
+one Groups value from build_groups; the support index and its mirror over
+the transposed edges are three of them each. All are built once and
+treated as immutable afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,60 +80,71 @@ class Multigraph:
         return self.edges[:, 1]
 
 
-def build_groups(keys: np.ndarray, num_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable grouping of item indices by integer key.
+class Groups(NamedTuple):
+    """Stable partition of items by integer key: the one grouping type.
 
-    Returns (order, offsets): order is a permutation of item indices such
-    that items of group g occupy order[offsets[g]:offsets[g+1]], preserving
-    their original relative order.
+    key[i] is the group of item i. order lists the item indices group by
+    group, keeping their original relative order, so the items of group g
+    are order[offsets[g]:offsets[g + 1]]. Reductions read their value rows
+    in item order through key, or gather them transiently through order.
     """
+
+    key: np.ndarray         # [num_items]
+    order: np.ndarray       # [num_items]
+    offsets: np.ndarray     # [num_groups + 1]
+
+    @property
+    def num_groups(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+
+def build_groups(keys, num_groups: int) -> Groups:
+    """Group item indices by integer key in [0, num_groups)."""
     keys = _as_int_array(keys)
     order = np.argsort(keys, kind="stable")
     counts = np.bincount(keys, minlength=num_groups)
     offsets = np.zeros(num_groups + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return order, offsets
+    return Groups(keys, order, offsets)
 
 
 @dataclass(frozen=True)
 class SupportIndex:
-    """Unique-pair structure over a multigraph's edge multiset.
+    """Distinct (src, dst) pairs of a multigraph's edge multiset.
 
-    supp_pairs lists distinct (src, dst) pairs in first-occurrence order.
-    Parallel edges of pair s occupy group_order[group_offsets[s]:group_offsets[s+1]].
-    in_order/in_offsets group support-pair indices by destination node,
-    out_order/out_offsets by source node.
+    Pairs are numbered in first-occurrence order. by_pair groups edges by
+    their pair, by_dst groups pairs by destination node and by_src groups
+    pairs by source node.
     """
 
     num_nodes: int
-    supp_pairs: np.ndarray          # [S, 2]
-    edge_to_supp: np.ndarray        # [m]
-    group_order: np.ndarray         # [m], edge indices grouped by supp id
-    group_offsets: np.ndarray       # [S + 1]
-    multiplicity: np.ndarray        # [S]
-    in_order: np.ndarray            # [S], supp ids grouped by dst
-    in_offsets: np.ndarray          # [num_nodes + 1]
-    out_order: np.ndarray           # [S], supp ids grouped by src
-    out_offsets: np.ndarray         # [num_nodes + 1]
+    by_pair: Groups         # m edges into S pairs
+    by_dst: Groups          # S pairs into num_nodes nodes
+    by_src: Groups          # S pairs into num_nodes nodes
 
     @property
     def num_pairs(self) -> int:
-        return self.supp_pairs.shape[0]
+        return self.by_pair.num_groups
+
+    @property
+    def edge_to_supp(self) -> np.ndarray:
+        return self.by_pair.key
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        return self.by_pair.counts
 
     @property
     def supp_src(self) -> np.ndarray:
-        return self.supp_pairs[:, 0]
+        return self.by_src.key
 
     @property
     def supp_dst(self) -> np.ndarray:
-        return self.supp_pairs[:, 1]
-
-    def in_degrees(self) -> np.ndarray:
-        """Distinct in-neighbor count per node."""
-        return np.diff(self.in_offsets)
-
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.out_offsets)
+        return self.by_dst.key
 
 
 def build_support_index(g: Multigraph) -> SupportIndex:
@@ -140,48 +153,19 @@ def build_support_index(g: Multigraph) -> SupportIndex:
     Pairs are numbered in first-occurrence order so the result is
     deterministic for a given edge list.
     """
-    m = g.num_edges
     n = g.num_nodes
-    if m == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        zeros_n = np.zeros(n + 1, dtype=np.int64)
-        return SupportIndex(
-            num_nodes=n,
-            supp_pairs=np.zeros((0, 2), dtype=np.int64),
-            edge_to_supp=empty,
-            group_order=empty,
-            group_offsets=np.zeros(1, dtype=np.int64),
-            multiplicity=empty,
-            in_order=empty,
-            in_offsets=zeros_n,
-            out_order=empty,
-            out_offsets=zeros_n,
-        )
     key = g.src * np.int64(n) + g.dst
     _, first_idx, inverse = np.unique(key, return_index=True, return_inverse=True)
     # renumber sorted-unique ids into first-occurrence order
     occ_order = np.argsort(first_idx, kind="stable")
     rank = np.empty(occ_order.shape[0], dtype=np.int64)
     rank[occ_order] = np.arange(occ_order.shape[0])
-    edge_to_supp = rank[inverse]
-    supp_pairs = g.edges[first_idx[occ_order]]
-
-    num_pairs = supp_pairs.shape[0]
-    group_order, group_offsets = build_groups(edge_to_supp, num_pairs)
-    multiplicity = np.diff(group_offsets)
-    in_order, in_offsets = build_groups(supp_pairs[:, 1], n)
-    out_order, out_offsets = build_groups(supp_pairs[:, 0], n)
+    pairs = g.edges[first_idx[occ_order]]
     return SupportIndex(
         num_nodes=n,
-        supp_pairs=supp_pairs,
-        edge_to_supp=edge_to_supp,
-        group_order=group_order,
-        group_offsets=group_offsets,
-        multiplicity=multiplicity,
-        in_order=in_order,
-        in_offsets=in_offsets,
-        out_order=out_order,
-        out_offsets=out_offsets,
+        by_pair=build_groups(rank[inverse], pairs.shape[0]),
+        by_dst=build_groups(pairs[:, 1], n),
+        by_src=build_groups(pairs[:, 0], n),
     )
 
 

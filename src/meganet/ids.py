@@ -77,10 +77,8 @@ class IdState:
 
 def _pair_min_labels(supp: SupportIndex, labels: np.ndarray) -> np.ndarray:
     """Minimum edge label within each parallel-edge group."""
-    if supp.num_pairs == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.minimum.reduceat(labels[supp.group_order],
-                               supp.group_offsets[:-1])
+    _, order, offsets = supp.by_pair
+    return np.minimum.reduceat(labels[order], offsets[:-1])
 
 
 def bfs_assign_ids(
@@ -106,6 +104,9 @@ def bfs_assign_ids(
         rounds = n
     out_min = _pair_min_labels(supp, labels.labels)
     in_min = _pair_min_labels(rev, labels.labels)
+    _, out_order, out_offsets = supp.by_src
+    _, in_order, in_offsets = rev.by_src
+    out_dst, in_dst = supp.supp_dst, rev.supp_dst
 
     ids: list[tuple[int, ...] | None] = [None] * n
     ids[root] = (1,)
@@ -120,12 +121,12 @@ def bfs_assign_ids(
         proposals: dict[int, list[tuple[int, ...]]] = {}
         for v in active:
             # along edge direction: digit = min parallel label of the pair
-            for s in supp.out_order[supp.out_offsets[v]:supp.out_offsets[v + 1]]:
-                u = int(supp.supp_dst[s])
+            for s in out_order[out_offsets[v]:out_offsets[v + 1]]:
+                u = int(out_dst[s])
                 proposals.setdefault(u, []).append(ids[v] + (int(out_min[s]),))
             # against edge direction: digits offset by m
-            for s in rev.out_order[rev.out_offsets[v]:rev.out_offsets[v + 1]]:
-                u = int(rev.supp_dst[s])
+            for s in in_order[in_offsets[v]:in_offsets[v + 1]]:
+                u = int(in_dst[s])
                 proposals.setdefault(u, []).append(
                     ids[v] + (m + int(in_min[s]),))
         finished |= active
@@ -159,13 +160,15 @@ class PortAssignment:
 def assign_ports(g: Multigraph, supp: SupportIndex, order_seed: int) -> PortAssignment:
     rng = np.random.default_rng(order_seed)
     pair_ports = [rng.permutation(int(p)) + 1 for p in supp.multiplicity]
+    pair_src, out_order, out_offsets = supp.by_src
+    pair_dst, in_order, in_offsets = supp.by_dst
     neighbor_ports: list[dict[int, int]] = []
     for v in range(g.num_nodes):
         neigh = set()
-        for s in supp.out_order[supp.out_offsets[v]:supp.out_offsets[v + 1]]:
-            neigh.add(int(supp.supp_dst[s]))
-        for s in supp.in_order[supp.in_offsets[v]:supp.in_offsets[v + 1]]:
-            neigh.add(int(supp.supp_src[s]))
+        for s in out_order[out_offsets[v]:out_offsets[v + 1]]:
+            neigh.add(int(pair_dst[s]))
+        for s in in_order[in_offsets[v]:in_offsets[v + 1]]:
+            neigh.add(int(pair_src[s]))
         neigh = sorted(neigh)
         ports = rng.permutation(len(neigh)) + 1
         neighbor_ports.append({u: int(p) for u, p in zip(neigh, ports)})
@@ -180,6 +183,8 @@ def _port_embeddings(g: Multigraph, supp: SupportIndex, ports: PortAssignment,
     proposal is the sender's port number for the receiving neighbor.
     """
     n, m = g.num_nodes, g.num_edges
+    pair_src, out_order, out_offsets = supp.by_src
+    pair_dst, in_order, in_offsets = supp.by_dst
     ids: list[tuple[int, ...] | None] = [None] * n
     ids[root] = (1,)
     active = {root}
@@ -189,12 +194,12 @@ def _port_embeddings(g: Multigraph, supp: SupportIndex, ports: PortAssignment,
             break
         proposals: dict[int, list[tuple[int, ...]]] = {}
         for v in active:
-            for s in supp.out_order[supp.out_offsets[v]:supp.out_offsets[v + 1]]:
-                u = int(supp.supp_dst[s])
+            for s in out_order[out_offsets[v]:out_offsets[v + 1]]:
+                u = int(pair_dst[s])
                 digit = ports.neighbor_ports[v][u]
                 proposals.setdefault(u, []).append(ids[v] + (digit,))
-            for s in supp.in_order[supp.in_offsets[v]:supp.in_offsets[v + 1]]:
-                u = int(supp.supp_src[s])
+            for s in in_order[in_offsets[v]:in_offsets[v + 1]]:
+                u = int(pair_src[s])
                 digit = m + ports.neighbor_ports[v][u]
                 proposals.setdefault(u, []).append(ids[v] + (digit,))
         finished |= active

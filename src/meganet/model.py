@@ -20,6 +20,10 @@ MLP inputs that concatenate gathered rows ([x_src || h], [x_src || e || h],
 [x || a_0 (|| a_1)], the edge readout's [x_src || e || x_dst]) are passed
 as nn.GatheredConcat: nothing of per-edge width is built or cached, and
 each backward returns the gradients already summed into x, e and h rows.
+Reductions read their rows where they lie: edge latents e with the support
+index's by_pair groups, messages with its by_dst groups (agg.GroupedFeatures),
+and their VJPs return gradients in the same row order, so no reduction
+input is gathered and no gradient scattered back through a group order.
 
 The forward pass records caches; Model.backward replays them in reverse
 for exact gradients, including through max/min (lowest-index tie-break),
@@ -39,7 +43,7 @@ from .agg import (
     reduce_or_default_with_vjp,
     segment_reduce_with_vjp,
 )
-from .graph import Multigraph, SupportIndex, build_groups
+from .graph import Groups, Multigraph, SupportIndex, build_groups
 from .nn import GatheredConcat, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
 
 
@@ -155,19 +159,18 @@ def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
     """Multi-edge reduce, post-aggregation MLP, message MLP and node reduce.
 
     Returns (h, a, cache): h holds one latent per support pair, a one
-    aggregate per node (the default where no pair arrives). seeds are the
+    aggregate per node (zeros where no pair arrives). seeds are the
     dropout seeds of the two MLPs.
     """
-    gf = GroupedFeatures(e[supp.group_order], supp.group_offsets)
-    h_raw, edge_vjp = segment_reduce_with_vjp(agg_edge, gf,
-                                              degrees=supp.multiplicity)
+    h_raw, edge_vjp = segment_reduce_with_vjp(
+        agg_edge, GroupedFeatures(e, supp.by_pair))
     h, agg_cache = mlp_forward(nets.edge_agg_mlp, h_raw, train, seeds[0])
     msg, msg_cache = mlp_forward(nets.msg_net,
                                  GatheredConcat((x, supp.supp_src), (h, None)),
                                  train, seeds[1])
-    gf = GroupedFeatures(msg[supp.in_order], supp.in_offsets)
-    a, node_vjp = reduce_or_default_with_vjp(agg_node, gf, supp.num_nodes)
-    cache = (supp, nets, edge_vjp, agg_cache, msg_cache, node_vjp, e.shape)
+    a, node_vjp = reduce_or_default_with_vjp(
+        agg_node, GroupedFeatures(msg, supp.by_dst))
+    cache = (nets, edge_vjp, agg_cache, msg_cache, node_vjp)
     return h, a, cache
 
 
@@ -177,17 +180,12 @@ def direction_bwd(cache, ga, gh, gx):
     gh is the gradient already flowing into h (from the edge update) and is
     updated in place; the x gradient is added into gx. Returns the e gradient.
     """
-    supp, nets, edge_vjp, agg_cache, msg_cache, node_vjp, e_shape = cache
-    gvals = node_vjp(ga)
-    gmsg = np.zeros((supp.num_pairs, gvals.shape[1]))
-    gmsg[supp.in_order] = gvals
-    (gx_msg, gh_msg), _ = mlp_backward(nets.msg_net, msg_cache, gmsg)
+    nets, edge_vjp, agg_cache, msg_cache, node_vjp = cache
+    (gx_msg, gh_msg), _ = mlp_backward(nets.msg_net, msg_cache, node_vjp(ga))
     gx += gx_msg
     gh += gh_msg
     gh_raw, _ = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
-    ge = np.zeros(e_shape)
-    ge[supp.group_order] = edge_vjp(gh_raw)
-    return ge
+    return edge_vjp(gh_raw)
 
 
 def edge_update_fwd(x, e, h, supp: SupportIndex, net: Mlp, train=False,
@@ -247,20 +245,19 @@ def two_stage_layer_bwd(cache, gx1, ges1):
     return gx0, ges0
 
 
-def single_stage_layer_fwd(lp: LayerParams, x, es, g: Multigraph, in_groups,
-                           train=False, seq=lambda: 0):
+def single_stage_layer_fwd(lp: LayerParams, x, es, g: Multigraph,
+                           in_groups: Groups, train=False, seq=lambda: 0):
     """Baseline layer: all incoming edges aggregated at the node in one stage.
 
     in_groups is build_groups(g.dst, g.num_nodes); es holds one edge latent.
     """
     (e,) = es
     nets = lp.directions[0]
-    order, offsets = in_groups
     msg, msg_cache = mlp_forward(nets.msg_net,
                                  GatheredConcat((x, g.src), (e, None)),
                                  train, seq())
-    gf = GroupedFeatures(msg[order], offsets)
-    a, vjp = reduce_or_default_with_vjp(lp.agg_node, gf, g.num_nodes)
+    a, vjp = reduce_or_default_with_vjp(lp.agg_node,
+                                        GroupedFeatures(msg, in_groups))
     x1, gv_cache = mlp_forward(lp.node_update_net,
                                GatheredConcat((x, None), (a, None)),
                                train, seq())
@@ -268,11 +265,11 @@ def single_stage_layer_fwd(lp: LayerParams, x, es, g: Multigraph, in_groups,
                                GatheredConcat((x, g.src), (e, None),
                                               (x, g.dst)),
                                train, seq())
-    return x1, [e1], (lp, order, msg_cache, vjp, gv_cache, ge_cache)
+    return x1, [e1], (lp, msg_cache, vjp, gv_cache, ge_cache)
 
 
 def single_stage_layer_bwd(cache, gx1, ges1):
-    lp, order, msg_cache, vjp, gv_cache, ge_cache = cache
+    lp, msg_cache, vjp, gv_cache, ge_cache = cache
     nets = lp.directions[0]
 
     (gx_src, ge0, gx_dst), _ = mlp_backward(nets.edge_update_net, ge_cache,
@@ -281,10 +278,7 @@ def single_stage_layer_bwd(cache, gx1, ges1):
     (gx_nu, ga), _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
     gx0 += gx_nu
 
-    gvals = vjp(ga)
-    gmsg = np.zeros_like(gvals)
-    gmsg[order] = gvals
-    (gx_msg, ge_msg), _ = mlp_backward(nets.msg_net, msg_cache, gmsg)
+    (gx_msg, ge_msg), _ = mlp_backward(nets.msg_net, msg_cache, vjp(ga))
     gx0 += gx_msg
     ge0 += ge_msg
     return gx0, [ge0]
@@ -476,24 +470,37 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """Model saved by save_checkpoint; malformed content raises ModelError."""
     import json
 
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ModelError(f"unsupported checkpoint version "
-                         f"{payload.get('format_version')!r}")
-    config = ModelConfig.from_dict(payload["config"])
-    model = Model(config, payload["d_node_in"], payload["d_edge_in"],
-                  seed=payload.get("seed", 0))
-    by_name = {entry["name"]: entry for entry in payload["mlps"]}
-    for name, m in model.named_mlps():
-        entry = by_name.get(name)
-        if entry is None or entry["layer_dims"] != m.layer_dims:
-            raise ModelError(f"checkpoint does not match model structure "
-                             f"at {name!r}")
-        for w, flat in zip(m.weights, entry["weights"]):
-            w[...] = np.asarray(flat).reshape(w.shape)
-        for b, vals in zip(m.biases, entry["biases"]):
-            b[...] = np.asarray(vals)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"checkpoint is not JSON: {exc}") from None
+    try:
+        if payload.get("format_version") != CHECKPOINT_VERSION:
+            raise ModelError(f"unsupported checkpoint version "
+                             f"{payload.get('format_version')!r}")
+        config = ModelConfig.from_dict(payload["config"])
+        model = Model(config, payload["d_node_in"], payload["d_edge_in"],
+                      seed=payload.get("seed", 0))
+        by_name = {entry["name"]: entry for entry in payload["mlps"]}
+        for name, m in model.named_mlps():
+            entry = by_name.get(name)
+            if (entry is None or entry["layer_dims"] != m.layer_dims
+                    or len(entry["weights"]) != len(m.weights)
+                    or len(entry["biases"]) != len(m.biases)):
+                raise ModelError(f"checkpoint does not match model structure "
+                                 f"at {name!r}")
+            for w, flat in zip(m.weights, entry["weights"]):
+                w[...] = np.asarray(flat, dtype=np.float64).reshape(w.shape)
+            for b, vals in zip(m.biases, entry["biases"]):
+                b[...] = np.asarray(vals, dtype=np.float64).reshape(b.shape)
+    except ModelError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"malformed checkpoint: {exc!r}") from None
+    if not np.isfinite(model.params).all():
+        raise ModelError("checkpoint holds non-finite weights")
     return model

@@ -3,32 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meganet import agg as agg_mod
 from meganet.agg import (
     AggError,
     AggSpec,
     GroupedFeatures,
     pna_scalers,
-    reduce_or_default,
+    reduce_or_default_with_vjp,
     scatter_add,
     segment_reduce,
     segment_reduce_with_vjp,
 )
+from meganet.graph import Groups, build_groups
 
 KINDS = ("sum", "mean", "max", "min", "std")
 
 
 def grouped(rows, offsets):
+    """Rows already in group order, group g spanning offsets[g]:offsets[g+1]."""
+    sizes = np.diff(offsets)
+    keys = np.repeat(np.arange(sizes.size), sizes)
     return GroupedFeatures(np.array(rows, dtype=np.float64),
-                           np.array(offsets, dtype=np.int64))
+                           build_groups(keys, sizes.size))
+
+
+def reduce_or_default(spec, gf):
+    out, _ = reduce_or_default_with_vjp(spec, gf)
+    return out
 
 
 def naive_reduce(kind, gf):
-    """Per-group python loop, the independent oracle."""
+    """Per-group python loop over rows selected by key, the independent
+    oracle; an empty group gives zeros."""
     out = []
     for g in range(gf.num_groups):
-        block = gf.values[gf.group_offsets[g]:gf.group_offsets[g + 1]]
-        if kind == "sum":
+        block = gf.values[gf.groups.key == g]
+        if block.shape[0] == 0:
+            out.append(np.zeros(gf.values.shape[1]))
+        elif kind == "sum":
             out.append(block.sum(axis=0))
         elif kind == "mean":
             out.append(block.mean(axis=0))
@@ -67,10 +78,22 @@ def test_out_width():
 
 
 def test_grouped_features_validation():
-    with pytest.raises(AggError):
-        grouped([[1.0], [2.0]], [0, 1])  # offsets do not cover rows
-    with pytest.raises(AggError):
-        grouped([[1.0]], [0, 2, 1])
+    ok = Groups(np.array([1, 0]), np.array([1, 0]), np.array([0, 1, 2]))
+    GroupedFeatures(np.ones((2, 1)), ok)
+    bad = [
+        (np.ones(2), ok),                                  # values not 2-d
+        (np.ones((3, 1)), ok),                             # key, order short
+        (np.ones((2, 1)), ok._replace(key=np.array([0]))),
+        (np.ones((2, 1)), ok._replace(order=np.array([0]))),
+        (np.ones((2, 1)), ok._replace(offsets=np.array([1, 1, 2]))),
+        (np.ones((2, 1)), ok._replace(offsets=np.array([0, 1, 1]))),
+        (np.ones((2, 1)), ok._replace(offsets=np.array([0, 2, 1, 2]))),
+        (np.ones((2, 1)), ok._replace(offsets=np.array([[0, 2]]))),
+        (np.ones((2, 1)), np.array([0, 1, 2])),            # bare offsets
+    ]
+    for values, groups in bad:
+        with pytest.raises(AggError):
+            GroupedFeatures(values, groups)
 
 
 def test_sum_simple():
@@ -117,11 +140,11 @@ def test_pna_full_block_against_manual():
     assert np.allclose(out[0], expected)
 
 
-def test_pna_external_degrees():
-    gf = grouped([[1], [3]], [0, 2])
+def test_pna_scales_by_group_size():
+    gf = grouped([[1], [3], [2], [2], [2], [2], [2]], [0, 7])
     spec = AggSpec("pna", pna_stats=("mean",), pna_scalers=("amplification",),
                    mean_log_degree=np.log(2.0))
-    out = segment_reduce(spec, gf, degrees=np.array([7]))
+    out = segment_reduce(spec, gf)
     assert out[0, 0] == pytest.approx(2.0 * np.log(8.0) / np.log(2.0))
 
 
@@ -134,9 +157,40 @@ def test_oracle_equivalence(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
     values = rng.normal(size=(sum(sizes), d))
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    gf = GroupedFeatures(values, offsets)
+    gf = grouped(values, offsets)
     got = segment_reduce(AggSpec(kind), gf)
     want = naive_reduce(kind, gf)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def naive_pna(spec, gf):
+    """PNA block from the naive statistics and each group's size."""
+    size = np.bincount(gf.groups.key, minlength=gf.num_groups).astype(float)
+    stacked = np.concatenate([naive_reduce(s, gf) for s in spec.pna_stats],
+                             axis=1)
+    amp = np.log(np.maximum(size, 1) + 1.0) / spec.mean_log_degree
+    scale = {"identity": np.ones_like(amp), "amplification": amp,
+             "attenuation": 1.0 / amp}
+    return np.concatenate([stacked * scale[s][:, None]
+                           for s in spec.pna_scalers], axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_oracle_equivalence_rows_in_place(data):
+    """Random keys: a group's rows are interleaved with other groups' rows
+    and out of order, and some groups are empty (reduced to zeros)."""
+    kind = data.draw(st.sampled_from(KINDS + ("pna",)))
+    d = data.draw(st.integers(1, 3))
+    num_groups = data.draw(st.integers(1, 6))
+    keys = np.array(data.draw(st.lists(st.integers(0, num_groups - 1),
+                                       max_size=20)), dtype=np.int64)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    values = rng.normal(size=(keys.size, d))
+    gf = GroupedFeatures(values, build_groups(keys, num_groups))
+    spec = AggSpec(kind, mean_log_degree=0.8)
+    got = reduce_or_default(spec, gf)
+    want = naive_pna(spec, gf) if kind == "pna" else naive_reduce(kind, gf)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -151,17 +205,17 @@ def test_within_group_shuffle_invariance(data):
     shuffled = values.copy()
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         shuffled[lo:hi] = shuffled[lo:hi][rng.permutation(hi - lo)]
-    a = segment_reduce(AggSpec(kind), GroupedFeatures(values, offsets))
-    b = segment_reduce(AggSpec(kind), GroupedFeatures(shuffled, offsets))
+    a = segment_reduce(AggSpec(kind), grouped(values, offsets))
+    b = segment_reduce(AggSpec(kind), grouped(shuffled, offsets))
     if kind in ("max", "min"):
         assert np.array_equal(a, b)
     else:
         assert np.allclose(a, b, rtol=1e-6)
 
 
-def fd_vjp_check(spec, gf, degrees=None, eps=1e-6):
+def fd_vjp_check(spec, gf, eps=1e-6):
     """Compare the reduction VJP against finite differences of a probe."""
-    out, vjp = segment_reduce_with_vjp(spec, gf, degrees)
+    out, vjp = reduce_or_default_with_vjp(spec, gf)
     rng = np.random.default_rng(0)
     gout = rng.normal(size=out.shape)
     analytic = vjp(gout)
@@ -172,10 +226,8 @@ def fd_vjp_check(spec, gf, degrees=None, eps=1e-6):
             plus, minus = base.copy(), base.copy()
             plus[i, j] += eps
             minus[i, j] -= eps
-            fp = segment_reduce(spec, GroupedFeatures(plus, gf.group_offsets),
-                                degrees)
-            fm = segment_reduce(spec, GroupedFeatures(minus, gf.group_offsets),
-                                degrees)
+            fp = reduce_or_default(spec, GroupedFeatures(plus, gf.groups))
+            fm = reduce_or_default(spec, GroupedFeatures(minus, gf.groups))
             fd[i, j] = ((fp - fm) * gout).sum() / (2 * eps)
     assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-7)
 
@@ -183,8 +235,18 @@ def fd_vjp_check(spec, gf, degrees=None, eps=1e-6):
 def test_vjp_against_fd_all_kinds():
     rng = np.random.default_rng(42)
     values = rng.normal(size=(9, 2))
-    offsets = np.array([0, 3, 4, 9])
-    gf = GroupedFeatures(values, offsets)
+    gf = grouped(values, [0, 3, 4, 9])
+    for kind in KINDS:
+        fd_vjp_check(AggSpec(kind), gf)
+    fd_vjp_check(AggSpec("pna", mean_log_degree=0.7), gf)
+
+
+def test_vjp_against_fd_on_interleaved_rows():
+    """Rows of a group scattered and out of order, one group empty."""
+    rng = np.random.default_rng(43)
+    values = rng.normal(size=(9, 2))
+    keys = np.array([2, 0, 3, 0, 2, 3, 0, 3, 3])     # group 1 is empty
+    gf = GroupedFeatures(values, build_groups(keys, 4))
     for kind in KINDS:
         fd_vjp_check(AggSpec(kind), gf)
     fd_vjp_check(AggSpec("pna", mean_log_degree=0.7), gf)
@@ -195,6 +257,18 @@ def test_max_vjp_routes_to_lowest_index_on_tie():
     _, vjp = segment_reduce_with_vjp(AggSpec("max"), gf)
     gv = vjp(np.array([[1.0]]))
     assert gv.tolist() == [[1.0], [0.0], [0.0]]
+
+
+@pytest.mark.parametrize("kind, tie", [("max", 5.0), ("min", -5.0)])
+def test_tie_between_non_adjacent_rows_routes_to_lower_row(kind, tie):
+    # group 1 holds rows 1, 3 and 4, interleaved with the others; 1 and 4 tie
+    values = np.array([[0.0], [tie], [9.0], [0.0], [tie]])
+    values[3] = -tie
+    gf = GroupedFeatures(values, build_groups([0, 1, 2, 1, 1], 3))
+    out, vjp = segment_reduce_with_vjp(AggSpec(kind), gf)
+    assert out[1, 0] == tie
+    gv = vjp(np.array([[0.0], [1.0], [0.0]]))
+    assert gv[:, 0].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_scatter_add_equals_add_at():
@@ -209,28 +283,19 @@ def test_scatter_add_equals_add_at():
 
 def test_reduce_or_default_empty_groups():
     gf = grouped(np.zeros((0, 2)), [0, 0, 0, 0])
-    out = reduce_or_default(AggSpec("mean"), gf, 3)
-    assert out.shape == (3, 2)
-    assert not out.any()
+    for kind in KINDS + ("pna",):
+        out, vjp = reduce_or_default_with_vjp(AggSpec(kind), gf)
+        assert out.shape == (3, AggSpec(kind).out_width(2))
+        assert not out.any()
+        assert vjp(np.ones(out.shape)).shape == (0, 2)
 
 
 def test_reduce_or_default_mixed():
     gf = grouped([[1, 1], [3, 5]], [0, 2, 2])
-    out = reduce_or_default(AggSpec("sum"), gf, 2)
+    out = reduce_or_default(AggSpec("sum"), gf)
     assert out.tolist() == [[4, 6], [0, 0]]
-    out = reduce_or_default(AggSpec("max"), gf, 2, default=np.array([-1.0, -1.0]))
-    assert out.tolist() == [[3, 5], [-1, -1]]
-
-
-def test_reduce_counter_tracks_rows():
-    agg_mod.reset_reduce_counter()
-    gf = grouped(np.ones((10, 2)), [0, 4, 10])
-    segment_reduce(AggSpec("sum"), gf)
-    assert agg_mod.reduce_counter() == 10
-    segment_reduce(AggSpec("mean"), gf)
-    assert agg_mod.reduce_counter() == 20
-    agg_mod.reset_reduce_counter()
-    assert agg_mod.reduce_counter() == 0
+    out = reduce_or_default(AggSpec("max"), gf)
+    assert out.tolist() == [[3, 5], [0, 0]]
 
 
 def test_composition_separation():
@@ -249,7 +314,7 @@ def test_composition_separation():
     def max_of_sums(gf):
         sums = segment_reduce(AggSpec("sum"), gf)
         return segment_reduce(AggSpec("max"),
-                              GroupedFeatures(sums, [0, len(sums)]))[0, 0]
+                              grouped(sums, [0, len(sums)]))[0, 0]
 
     assert max_of_sums(g1) == 7.0
     assert max_of_sums(g2) == 8.0

@@ -168,3 +168,42 @@ def test_check_subcommand_report(tmp_path, capsys):
 
 def test_check_unknown_suite_exit_2(capsys):
     assert run(["check", "--suite", "nonsense"]) == 2
+
+
+def _corrupt_nan(p):
+    p["mlps"][0]["weights"][0][0] = float("nan")
+
+
+def _corrupt_truncate(p):
+    p["mlps"][1]["weights"][0] = p["mlps"][1]["weights"][0][:-1]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_nan,
+    lambda p: p.update(format_version=2),
+    lambda p: "{not json",
+    _corrupt_truncate,
+    lambda p: p.pop("d_edge_in"),
+], ids=["nan-weight", "format-version-2", "not-json", "truncated-weights",
+        "missing-key"])
+def test_malformed_checkpoint_exit_2(dataset, tmp_path, capsys, corrupt):
+    from meganet.model import Model, ModelConfig, save_checkpoint
+
+    tx, labels = dataset
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(Model(ModelConfig(), 1, 1), ckpt)
+    payload = json.loads(ckpt.read_text())
+    text = corrupt(payload)
+    ckpt.write_text(text if isinstance(text, str) else json.dumps(payload))
+    rc = run(["eval", "--checkpoint", ckpt, "--data", tx,
+              "--node-labels", labels])
+    assert rc == 2
+    assert "checkpoint" in capsys.readouterr().err
+
+
+def test_gen_out_neighbor_count_needs_median_degree_2(tmp_path, capsys):
+    rc = run(["gen", "--task", "out_neighbor_count", "--senders", 1,
+              "--num-nodes", 40, "--out", tmp_path / "tx.csv"])
+    assert rc == 2
+    assert "median out-degree" in capsys.readouterr().err
+    assert not (tmp_path / "tx.csv").exists()

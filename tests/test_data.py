@@ -205,7 +205,8 @@ def test_sampler_hops_zero_is_seed_closure():
     s = sample_neighborhood(g, supp, rev, seed_edges=[0], hops=0)
     # seed edge group plus both endpoints
     k = supp.edge_to_supp[0]
-    group = supp.group_order[supp.group_offsets[k]:supp.group_offsets[k + 1]]
+    _, order, offsets = supp.by_pair
+    group = order[offsets[k]:offsets[k + 1]]
     assert sorted(s.edge_map.tolist()) == sorted(group.tolist())
 
 
@@ -227,9 +228,10 @@ def test_sampler_keeps_parallel_groups_whole():
     s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=2, per_hop=1,
                             rng_seed=7)
     kept = set(s.edge_map.tolist())
+    _, order, offsets = supp.by_pair
     for k in kept:
         s_k = supp.edge_to_supp[k]
-        group = supp.group_order[supp.group_offsets[s_k]:supp.group_offsets[s_k + 1]]
+        group = order[offsets[s_k]:offsets[s_k + 1]]
         assert set(group.tolist()) <= kept
 
 

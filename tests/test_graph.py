@@ -47,8 +47,12 @@ def test_build_groups_matches_naive():
     for _ in range(50):
         num_groups = int(rng.integers(1, 8))
         keys = rng.integers(0, num_groups, size=int(rng.integers(0, 30)))
-        order, offsets = build_groups(keys, num_groups)
+        groups = build_groups(keys, num_groups)
+        key, order, offsets = groups
+        assert key.tolist() == keys.tolist()
         assert offsets.size == num_groups + 1
+        assert groups.counts.tolist() == np.bincount(
+            keys, minlength=num_groups).tolist()
         for g in range(num_groups):
             got = sorted(order[offsets[g]:offsets[g + 1]].tolist())
             assert got == sorted(np.flatnonzero(keys == g).tolist())
@@ -61,7 +65,7 @@ def test_support_index_basic_grouping():
     assert supp.supp_src.tolist() == [0, 2]
     assert supp.supp_dst.tolist() == [1, 1]
     assert supp.multiplicity.tolist() == [2, 1]
-    o, off = supp.group_order, supp.group_offsets
+    _, o, off = supp.by_pair
     groups = [sorted(o[off[s]:off[s + 1]].tolist())
               for s in range(supp.num_pairs)]
     assert groups == [[0, 1], [2]]
@@ -71,8 +75,10 @@ def test_support_index_empty_graph():
     g = make_graph([], n=3)
     supp = build_support_index(g)
     assert supp.num_pairs == 0
-    assert supp.in_order.size == 0
-    assert supp.in_offsets.tolist() == [0, 0, 0, 0]
+    assert supp.by_dst.order.size == 0
+    assert supp.by_dst.offsets.tolist() == [0, 0, 0, 0]
+    assert supp.by_src.offsets.tolist() == [0, 0, 0, 0]
+    assert supp.by_pair.offsets.tolist() == [0]
 
 
 def test_support_index_self_loop():
@@ -80,8 +86,10 @@ def test_support_index_self_loop():
     supp = build_support_index(g)
     assert supp.supp_src.tolist() == [0]
     assert supp.supp_dst.tolist() == [0]
-    assert 0 in supp.in_order[supp.in_offsets[0]:supp.in_offsets[1]]
-    assert 0 in supp.out_order[supp.out_offsets[0]:supp.out_offsets[1]]
+    _, in_order, in_offsets = supp.by_dst
+    _, out_order, out_offsets = supp.by_src
+    assert 0 in in_order[in_offsets[0]:in_offsets[1]]
+    assert 0 in out_order[out_offsets[0]:out_offsets[1]]
 
 
 def test_support_first_occurrence_order():
@@ -109,7 +117,7 @@ def test_reverse_index_swaps_pairs():
     assert rev.multiplicity.tolist() == [2]
     # reverse edge k is edge k
     assert rev.edge_to_supp.tolist() == [0, 0]
-    assert rev.group_order.tolist() == [0, 1]
+    assert rev.by_pair.order.tolist() == [0, 1]
 
 
 def test_reverse_of_reverse_recovers_pair_multiset():

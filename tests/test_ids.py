@@ -151,7 +151,7 @@ def test_pair_min_labels_matches_group_loop():
     g = random_connected_multigraph(10, 60, seed=2)    # parallel edges
     supp = build_support_index(g)
     labels = label_edges_by_features(g).labels
-    o, off = supp.group_order, supp.group_offsets
+    _, o, off = supp.by_pair
     loop = [labels[o[off[s]:off[s + 1]]].min() for s in range(supp.num_pairs)]
     assert max(supp.multiplicity) > 1
     assert _pair_min_labels(supp, labels).tolist() == loop
