@@ -57,14 +57,10 @@ DEFAULTS = {
     "mlp_hidden": 64,
 }
 
-_BOOL_KEYS = {"bidirectional", "ego_ids"}
-_INT_KEYS = {"hidden", "batch_size", "num_layers", "epochs", "patience",
-             "mlp_hidden"}
-_FLOAT_KEYS = {"learning_rate", "dropout", "class_weight_0", "class_weight_1"}
-
-
 def _coerce(key: str, raw: str):
-    if key in _BOOL_KEYS:
+    """Parse raw as the type of the key's DEFAULTS value."""
+    kind = type(DEFAULTS[key])
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
@@ -72,13 +68,9 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return kind(raw.strip())
     except ValueError:
         raise ConfigError(f"{key}: unparseable value {raw!r}") from None
-    return raw.strip()
 
 
 def read_config_file(path) -> dict:

@@ -10,11 +10,12 @@ on edges (illicit-transaction style) or on nodes (phishing-account style).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Multigraph, SupportIndex
+from .graph import Groups, Multigraph, SupportIndex, neighbor_walk
 
 
 class IngestionError(ValueError):
@@ -90,7 +91,8 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
 
     Accounts are renumbered densely in first-seen order (account_names
     keeps the CSV value of each id) and categorical columns are
-    dictionary-encoded. Errors carry 1-based data row numbers.
+    dictionary-encoded. Timestamps and amounts must be finite numbers and
+    edge labels 0 or 1. Errors carry 1-based data row numbers.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -113,29 +115,30 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
                     table[key] = len(table)
                 return table[key]
 
+            def number(column: str, role: str) -> float:
+                try:
+                    x = float(row[column])
+                except ValueError:
+                    x = math.nan
+                if not math.isfinite(x):
+                    raise IngestionError(
+                        f"{path} row {rownum}: {role} {row[column]!r} is not "
+                        "a finite number")
+                return x
+
             src.append(intern(accounts, row[schema.src]))
             dst.append(intern(accounts, row[schema.dst]))
-            try:
-                ts.append(int(float(row[schema.timestamp])))
-            except ValueError:
-                raise IngestionError(
-                    f"{path} row {rownum}: unparseable timestamp "
-                    f"{row[schema.timestamp]!r}") from None
-            try:
-                amt.append(float(row[schema.amount]))
-            except ValueError:
-                raise IngestionError(
-                    f"{path} row {rownum}: unparseable amount "
-                    f"{row[schema.amount]!r}") from None
+            ts.append(int(number(schema.timestamp, "timestamp")))
+            amt.append(number(schema.amount, "amount"))
             cats.append([intern(d, row[c])
                          for d, c in zip(cat_dicts, schema.categorical)])
             if schema.label is not None:
-                try:
-                    labels.append(int(float(row[schema.label])))
-                except ValueError:
+                label = number(schema.label, "label")
+                if label not in (0.0, 1.0):
                     raise IngestionError(
-                        f"{path} row {rownum}: unparseable label "
-                        f"{row[schema.label]!r}") from None
+                        f"{path} row {rownum}: label {row[schema.label]!r} "
+                        "must be 0 or 1")
+                labels.append(int(label))
     if not src:
         raise IngestionError(f"{path}: no data rows")
     n_cat = len(schema.categorical)
@@ -288,6 +291,8 @@ def sample_neighborhood(
 ) -> BatchSample:
     """Breadth-limited bidirectional expansion with whole-group inclusion.
 
+    A node's neighbours are listed by graph.neighbor_walk over (rev, supp):
+    in-neighbours through the reverse index first, then out-neighbours.
     When a node has more than per_hop distinct neighbors a uniform subset
     of neighbors is drawn, but every parallel edge of a selected pair is
     kept so the multi-edge aggregation always sees complete groups.
@@ -309,43 +314,34 @@ def sample_neighborhood(
             node_seen.add(v)
             node_order.append(v)
 
-    edge_to_supp, edge_order, edge_offsets = supp.by_pair
-    pair_src, out_order, out_offsets = supp.by_src
-    pair_dst, in_order, in_offsets = supp.by_dst
-
-    def add_group(s: int):
-        for k in edge_order[edge_offsets[s]:edge_offsets[s + 1]]:
-            edge_set.add(int(k))
+    def add_group(by_pair: Groups, s: int):
+        _, order, offsets = by_pair
+        edge_set.update(order[offsets[s]:offsets[s + 1]].tolist())
 
     roots: list[int] = []
     for v in seed_nodes:
         add_node(int(v))
         roots.append(int(v))
     for k in seed_edges:
-        add_group(int(edge_to_supp[k]))
+        add_group(supp.by_pair, int(supp.edge_to_supp[k]))
         for v in (int(g.src[k]), int(g.dst[k])):
             add_node(v)
             roots.append(v)
 
+    directions = (rev, supp)
     frontier = list(node_order)
     hop_nodes = [np.array(node_order, dtype=np.int64)]
     for _ in range(hops):
         next_frontier: list[int] = []
         for v in frontier:
-            # candidate distinct neighbors over both directions
-            pair_choices: list[tuple[int, int, int]] = []  # (neighbor, supp_id, dir)
-            for s in in_order[in_offsets[v]:in_offsets[v + 1]]:
-                pair_choices.append((int(pair_src[s]), int(s), 0))
-            for s in out_order[out_offsets[v]:out_offsets[v + 1]]:
-                pair_choices.append((int(pair_dst[s]), int(s), 0))
-            if len({c[0] for c in pair_choices}) > per_hop:
-                neighbors = sorted({c[0] for c in pair_choices})
-                chosen = set(rng.choice(neighbors, size=per_hop, replace=False))
-            else:
-                chosen = {c[0] for c in pair_choices}
-            for u, s, _ in pair_choices:
+            pair_choices = list(neighbor_walk(directions, v))
+            chosen = {u for _, _, u in pair_choices}
+            if len(chosen) > per_hop:
+                chosen = set(rng.choice(sorted(chosen), size=per_hop,
+                                        replace=False))
+            for i, s, u in pair_choices:
                 if u in chosen:
-                    add_group(s)
+                    add_group(directions[i].by_pair, s)
                     if u not in node_seen:
                         add_node(u)
                         next_frontier.append(u)
@@ -509,13 +505,21 @@ def _generate_out_neighbor_count(num_subjects, median_degree, p, seed):
     return g, labels
 
 
+def _incident_edges(endpoint: np.ndarray, nodes: np.ndarray) -> list[np.ndarray]:
+    """Edges whose endpoint is each node, in edge order: one stable argsort."""
+    order = np.argsort(endpoint, kind="stable")
+    ends = endpoint[order]
+    lo = np.searchsorted(ends, nodes, side="left")
+    hi = np.searchsorted(ends, nodes, side="right")
+    return [order[a:b] for a, b in zip(lo, hi)]
+
+
 def brute_force_planted_labels(g: Multigraph, labeled_mask, task: str) -> np.ndarray:
     """Independent re-derivation of planted labels straight from the graph."""
     labeled = np.flatnonzero(np.asarray(labeled_mask))
     out = np.zeros(labeled.size, dtype=np.int64)
     if task == "max_of_sums":
-        for i, j in enumerate(labeled):
-            incoming = np.flatnonzero(g.dst == j)
+        for i, incoming in enumerate(_incident_edges(g.dst, labeled)):
             senders = g.src[incoming]
             amounts = g.edge_features[incoming, 0]
             totals: dict[int, float] = {}
@@ -529,9 +533,8 @@ def brute_force_planted_labels(g: Multigraph, labeled_mask, task: str) -> np.nda
             out[i] = int(top_total != top_single)
         return out
     if task == "out_neighbor_count":
-        counts = np.array([
-            np.unique(g.dst[np.flatnonzero(g.src == j)]).size for j in labeled
-        ])
+        counts = np.array([np.unique(g.dst[outgoing]).size
+                           for outgoing in _incident_edges(g.src, labeled)])
         return (counts > np.median(counts)).astype(np.int64)
     raise ConfigError(f"unknown planted task {task!r}")
 

@@ -3,8 +3,9 @@
 A multigraph keeps its edges as an ordered multiset: the same (src, dst)
 pair may appear any number of times, and edge feature row k always belongs
 to edge k. Every grouping (edges by pair, pairs by node, edges by node) is
-one Groups value from build_groups; the support index and its mirror over
-the transposed edges are three of them each. All are built once and
+one Groups value from build_groups; the support index is three of them,
+and its mirror over the transposed edges is the same three with the
+by-destination and by-source roles swapped. All are built once and
 treated as immutable afterwards.
 """
 
@@ -170,19 +171,31 @@ def build_support_index(g: Multigraph) -> SupportIndex:
 
 
 def build_reverse_index(g: Multigraph, s: SupportIndex) -> SupportIndex:
-    """Support index of the transposed multigraph.
+    """Support index of the transposed multigraph: s read the other way.
 
-    The edges keep their order with (dst, src) endpoints, so reverse edge k
-    is edge k and carries its features.
+    Transposing keeps the edges in order with (dst, src) endpoints, so
+    reverse edge k is edge k and carries its features. Pair (u, v) becomes
+    (v, u) at the same first occurrence, so by_pair stays as it is and only
+    the pairs-by-destination and pairs-by-source groupings swap roles.
     """
     if s.num_nodes != g.num_nodes or s.edge_to_supp.shape[0] != g.num_edges:
         raise GraphError("support index does not match graph")
-    return build_support_index(Multigraph(
-        num_nodes=g.num_nodes,
-        node_features=g.node_features,
-        edges=g.edges[:, ::-1],
-        edge_features=g.edge_features,
-    ))
+    return SupportIndex(s.num_nodes, s.by_pair, by_dst=s.by_src, by_src=s.by_dst)
+
+
+def neighbor_walk(directions, v: int):
+    """Yield (direction, pair, neighbour) for every pair that leaves v.
+
+    directions is a sequence of support indices, such as [supp, rev]:
+    walking supp lists v's out-neighbours and walking the reverse index
+    lists its in-neighbours. Pairs come direction by direction, each in
+    by_src group order, and a pair id indexes its own direction's groups.
+    """
+    for i, d in enumerate(directions):
+        _, order, offsets = d.by_src
+        pairs = order[offsets[v]:offsets[v + 1]]
+        for s, u in zip(pairs.tolist(), d.supp_dst[pairs].tolist()):
+            yield i, s, u
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,14 @@ sequence whose length is its hop distance from the root plus one.
 nonequivariance_witness shows the converse failure mode of port numbering:
 running the same deterministic ID construction with arbitrary per-node
 port orders produces different embeddings under different port draws.
+
+Both run one round engine over the forward support index and its reverse
+(graph.neighbor_walk); they differ only in the digit each pair appends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .graph import (
     SupportIndex,
     build_reverse_index,
     build_support_index,
+    neighbor_walk,
 )
 
 
@@ -67,11 +71,9 @@ def label_edges_by_features(g: Multigraph) -> EdgeLabeling:
 
 @dataclass
 class IdState:
-    """Digit-sequence identifiers plus the active/finished bookkeeping sets."""
+    """Digit-sequence identifiers and the number of rounds that made them."""
 
     ids: list[tuple[int, ...]]
-    active: set[int]
-    finished: set[int]
     rounds_used: int = 0
 
 
@@ -81,67 +83,57 @@ def _pair_min_labels(supp: SupportIndex, labels: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(labels[order], offsets[:-1])
 
 
+def _id_rounds(n: int, root: int, directions, digits):
+    """The round engine behind every ID construction; returns (ids, rounds).
+
+    The root gets (1,). In each round every node that got its id in the
+    previous round offers it, extended by digits[i][s], to the neighbour
+    across each pair s that leaves it in directions[i]; a node without an
+    id adopts the lexicographically smallest offer it receives. Rounds run
+    while some node is new, so at most n of them. Nodes never reached keep
+    None.
+    """
+    ids: list[tuple[int, ...] | None] = [None] * n
+    ids[root] = (1,)
+    active = [root]
+    rounds = 0
+    while active:
+        rounds += 1
+        proposals: dict[int, list[tuple[int, ...]]] = {}
+        for v in active:
+            for i, s, u in neighbor_walk(directions, v):
+                proposals.setdefault(u, []).append(ids[v] + (digits[i][s],))
+        active = [u for u in proposals if ids[u] is None]
+        for u in active:
+            ids[u] = min(proposals[u])
+    return ids, rounds
+
+
 def bfs_assign_ids(
     g: Multigraph,
     supp: SupportIndex,
     rev: SupportIndex,
     labels: EdgeLabeling,
     root: int,
-    rounds: int | None = None,
 ) -> IdState:
     """Round-based unique-ID assignment over a weakly connected multigraph.
 
-    Digit sequences stand in for base-2n numerals: every active node offers
-    its own id extended by the minimum parallel-edge label of the connecting
-    pair (offset by m on the incoming side so in- and out-proposals can
-    never collide), and an unlabeled node adopts the lexicographically
-    smallest proposal it receives.
+    Digit sequences stand in for base-2n numerals: a pair's digit is the
+    minimum label of its parallel edges, offset by m when the offer travels
+    against the edge direction (through rev) so in- and out-proposals can
+    never collide.
     """
     n, m = g.num_nodes, g.num_edges
     if not 0 <= root < n:
         raise GraphError("root out of range")
-    if rounds is None:
-        rounds = n
-    out_min = _pair_min_labels(supp, labels.labels)
-    in_min = _pair_min_labels(rev, labels.labels)
-    _, out_order, out_offsets = supp.by_src
-    _, in_order, in_offsets = rev.by_src
-    out_dst, in_dst = supp.supp_dst, rev.supp_dst
-
-    ids: list[tuple[int, ...] | None] = [None] * n
-    ids[root] = (1,)
-    active: set[int] = {root}
-    finished: set[int] = set()
-    rounds_used = 0
-
-    for _ in range(rounds):
-        if not active:
-            break
-        rounds_used += 1
-        proposals: dict[int, list[tuple[int, ...]]] = {}
-        for v in active:
-            # along edge direction: digit = min parallel label of the pair
-            for s in out_order[out_offsets[v]:out_offsets[v + 1]]:
-                u = int(out_dst[s])
-                proposals.setdefault(u, []).append(ids[v] + (int(out_min[s]),))
-            # against edge direction: digits offset by m
-            for s in in_order[in_offsets[v]:in_offsets[v + 1]]:
-                u = int(in_dst[s])
-                proposals.setdefault(u, []).append(
-                    ids[v] + (m + int(in_min[s]),))
-        finished |= active
-        active = set()
-        for u, msgs in proposals.items():
-            if u in finished or ids[u] is not None:
-                continue
-            ids[u] = min(msgs)
-            active.add(u)
-
+    # the reverse index groups each pair's edges as supp does
+    pair_min = _pair_min_labels(supp, labels.labels)
+    ids, rounds_used = _id_rounds(n, root, [supp, rev],
+                                  [pair_min.tolist(), (m + pair_min).tolist()])
     unreached = [v for v in range(n) if ids[v] is None]
     if unreached:
         raise UnreachedError(unreached)
-    return IdState(ids=[i for i in ids], active=active, finished=finished,
-                   rounds_used=rounds_used)
+    return IdState(ids=ids, rounds_used=rounds_used)
 
 
 @dataclass(frozen=True)
@@ -160,55 +152,29 @@ class PortAssignment:
 def assign_ports(g: Multigraph, supp: SupportIndex, order_seed: int) -> PortAssignment:
     rng = np.random.default_rng(order_seed)
     pair_ports = [rng.permutation(int(p)) + 1 for p in supp.multiplicity]
-    pair_src, out_order, out_offsets = supp.by_src
-    pair_dst, in_order, in_offsets = supp.by_dst
+    directions = [supp, build_reverse_index(g, supp)]
     neighbor_ports: list[dict[int, int]] = []
     for v in range(g.num_nodes):
-        neigh = set()
-        for s in out_order[out_offsets[v]:out_offsets[v + 1]]:
-            neigh.add(int(pair_dst[s]))
-        for s in in_order[in_offsets[v]:in_offsets[v + 1]]:
-            neigh.add(int(pair_src[s]))
-        neigh = sorted(neigh)
+        neigh = sorted({u for _, _, u in neighbor_walk(directions, v)})
         ports = rng.permutation(len(neigh)) + 1
         neighbor_ports.append({u: int(p) for u, p in zip(neigh, ports)})
     return PortAssignment(pair_ports=pair_ports, neighbor_ports=neighbor_ports)
 
 
 def _port_embeddings(g: Multigraph, supp: SupportIndex, ports: PortAssignment,
-                     root: int, rounds: int) -> list[tuple[int, ...]]:
+                     root: int) -> list[tuple[int, ...]]:
     """Deterministic ID construction driven by port numbers instead of labels.
 
-    Mirrors bfs_assign_ids digit-for-digit, except the digit attached to a
-    proposal is the sender's port number for the receiving neighbor.
+    The rounds of bfs_assign_ids, except that the digit a node appends is
+    its port number for the receiving neighbour (offset by m against the
+    edge direction). Nodes never reached get ().
     """
-    n, m = g.num_nodes, g.num_edges
-    pair_src, out_order, out_offsets = supp.by_src
-    pair_dst, in_order, in_offsets = supp.by_dst
-    ids: list[tuple[int, ...] | None] = [None] * n
-    ids[root] = (1,)
-    active = {root}
-    finished: set[int] = set()
-    for _ in range(rounds):
-        if not active:
-            break
-        proposals: dict[int, list[tuple[int, ...]]] = {}
-        for v in active:
-            for s in out_order[out_offsets[v]:out_offsets[v + 1]]:
-                u = int(pair_dst[s])
-                digit = ports.neighbor_ports[v][u]
-                proposals.setdefault(u, []).append(ids[v] + (digit,))
-            for s in in_order[in_offsets[v]:in_offsets[v + 1]]:
-                u = int(pair_src[s])
-                digit = m + ports.neighbor_ports[v][u]
-                proposals.setdefault(u, []).append(ids[v] + (digit,))
-        finished |= active
-        active = set()
-        for u, msgs in proposals.items():
-            if u in finished or ids[u] is not None:
-                continue
-            ids[u] = min(msgs)
-            active.add(u)
+    m = g.num_edges
+    directions = [supp, build_reverse_index(g, supp)]
+    digits = [[offset + ports.neighbor_ports[v][u]
+               for v, u in zip(d.supp_src.tolist(), d.supp_dst.tolist())]
+              for d, offset in zip(directions, (0, m))]
+    ids, _ = _id_rounds(g.num_nodes, root, directions, digits)
     return [i if i is not None else () for i in ids]
 
 
@@ -246,10 +212,10 @@ def nonequivariance_witness(n: int, trials: int = 10,
     g = make_star_graph(n)
     supp = build_support_index(g)
     base = assign_ports(g, supp, base_seed)
-    emb_base = _port_embeddings(g, supp, base, root=0, rounds=n)
+    emb_base = _port_embeddings(g, supp, base, root=0)
     for t in range(1, trials + 1):
         other = assign_ports(g, supp, base_seed + t)
-        emb_other = _port_embeddings(g, supp, other, root=0, rounds=n)
+        emb_other = _port_embeddings(g, supp, other, root=0)
         for v in range(n):
             if emb_base[v] != emb_other[v]:
                 return WitnessReport(

@@ -32,7 +32,7 @@ mean, std and the log-degree-scaled aggregator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,22 +73,6 @@ class ModelConfig:
         if self.readout not in ("node", "edge"):
             raise ModelError(f"unknown readout {self.readout!r}")
 
-    def to_dict(self) -> dict:
-        d = {
-            "num_layers": self.num_layers,
-            "bidirectional": self.bidirectional,
-            "ego_ids": self.ego_ids,
-            "edge_agg": _agg_to_dict(self.edge_agg),
-            "node_agg": _agg_to_dict(self.node_agg),
-            "readout": self.readout,
-            "two_stage": self.two_stage,
-            "hidden_node": self.hidden_node,
-            "hidden_edge": self.hidden_edge,
-            "mlp_hidden": self.mlp_hidden,
-            "dropout": self.dropout,
-        }
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
@@ -99,15 +83,6 @@ class ModelConfig:
         d["edge_agg"] = _agg_from_dict(d["edge_agg"])
         d["node_agg"] = _agg_from_dict(d["node_agg"])
         return cls(**d)
-
-
-def _agg_to_dict(a: AggSpec) -> dict:
-    return {
-        "kind": a.kind,
-        "pna_stats": list(a.pna_stats),
-        "pna_scalers": list(a.pna_scalers),
-        "mean_log_degree": a.mean_log_degree,
-    }
 
 
 def _agg_from_dict(d: dict) -> AggSpec:
@@ -450,7 +425,7 @@ def save_checkpoint(model: Model, path) -> None:
 
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "d_node_in": model.d_node_in,
         "d_edge_in": model.d_edge_in,
         "seed": model.seed,

@@ -57,21 +57,9 @@ class ExperimentRecord:
     best_epoch: int = -1
     wall_clock: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "val_f1s": self.val_f1s,
-            "final_metrics": self.final_metrics,
-            "best_epoch": self.best_epoch,
-            "wall_clock": self.wall_clock,
-        }
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
 @dataclass
@@ -113,7 +101,7 @@ def train_model(task: TaskData, model_config: ModelConfig,
     weights = train_config.class_weights
 
     record = ExperimentRecord(
-        config={"model": model_config.to_dict(),
+        config={"model": asdict(model_config),
                 "train": asdict(train_config),
                 "task_type": task.task_type},
         seed=seed,
@@ -175,28 +163,6 @@ def train_model(task: TaskData, model_config: ModelConfig,
                                            task.labels[task.test_idx])
     record.wall_clock = time.perf_counter() - start
     return model, record
-
-
-def run_seeds(task_factory, model_config: ModelConfig,
-              train_config: TrainConfig, seeds) -> tuple[list, dict]:
-    """Repeat an experiment across seeds; returns (records, summary).
-
-    task_factory(seed) supplies the (possibly regenerated) TaskData so the
-    dataset itself can be seed-swept along with the model.
-    """
-    records = []
-    for seed in seeds:
-        _, rec = train_model(task_factory(seed), model_config, train_config,
-                             seed=seed)
-        records.append(rec)
-    f1s = np.array([r.final_metrics["f1"] for r in records])
-    summary = {
-        "seeds": list(seeds),
-        "f1_mean": float(f1s.mean()),
-        "f1_std": float(f1s.std()),
-        "f1_per_seed": f1s.tolist(),
-    }
-    return records, summary
 
 
 def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:

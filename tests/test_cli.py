@@ -94,6 +94,7 @@ def test_train_writes_records_and_summary(dataset, tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["seeds"] == [0, 1]
     assert len(summary["f1_per_seed"]) == 2
+    assert summary["f1_mean"] == pytest.approx(np.mean(summary["f1_per_seed"]))
     assert summary["effective_config"]["epochs"] == 4
     rec = json.loads((out_dir / "record_seed0.json").read_text())
     assert rec["seed"] == 0
@@ -207,3 +208,31 @@ def test_gen_out_neighbor_count_needs_median_degree_2(tmp_path, capsys):
     assert rc == 2
     assert "median out-degree" in capsys.readouterr().err
     assert not (tmp_path / "tx.csv").exists()
+
+
+@pytest.mark.parametrize("column,value,message", [
+    ("amount", "nan", "amount 'nan' is not a finite number"),
+    ("timestamp", "inf", "timestamp 'inf' is not a finite number"),
+    ("label", "2", "label '2' must be 0 or 1"),
+], ids=["nan-amount", "inf-timestamp", "label-2"])
+def test_malformed_transaction_row_exit_2(tmp_path, capsys, column, value,
+                                          message):
+    header = ["src", "dst", "timestamp", "amount", "label"]
+    rows = [[str(k % 3), str((k + 1) % 3), str(k), "1.5", str(k % 2)]
+            for k in range(10)]
+    rows[6][header.index(column)] = value
+    tx = tmp_path / "tx.csv"
+    tx.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    rc = run(["train", "--data", tx, "--out-dir", tmp_path / "o",
+              "--epochs", 1])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "row 7" in err and message in err
+
+
+def test_config_file_values_take_the_type_of_their_default(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join(f"{k}={v}" for k, v in DEFAULTS.items()))
+    parsed = read_config_file(cfg)
+    assert parsed == DEFAULTS
+    assert all(type(parsed[k]) is type(v) for k, v in DEFAULTS.items())

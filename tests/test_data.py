@@ -66,6 +66,24 @@ def test_load_transactions_bad_row_number(tmp_path):
         load_transactions(p, schema)
 
 
+@pytest.mark.parametrize("row,message", [
+    ("a,b,1,nan,0", "amount 'nan' is not a finite number"),
+    ("a,b,1,-inf,0", "amount '-inf' is not a finite number"),
+    ("a,b,inf,1.0,0", "timestamp 'inf' is not a finite number"),
+    ("a,b,nan,1.0,0", "timestamp 'nan' is not a finite number"),
+    ("a,b,1,1.0,2", "label '2' must be 0 or 1"),
+    ("a,b,1,1.0,0.5", "label '0.5' must be 0 or 1"),
+    ("a,b,1,1.0,inf", "label 'inf' is not a finite number"),
+], ids=["nan-amount", "-inf-amount", "inf-timestamp", "nan-timestamp",
+        "label-2", "label-0.5", "inf-label"])
+def test_load_transactions_rejects_malformed_rows(tmp_path, row, message):
+    p = write(tmp_path, "t.csv",
+              f"src,dst,timestamp,amount,label\nb,a,0,1.0,1\n{row}\n")
+    with pytest.raises(IngestionError, match="row 2") as excinfo:
+        load_transactions(p, GENERATED_SCHEMA)
+    assert message in str(excinfo.value)
+
+
 def test_load_transactions_empty(tmp_path):
     p = write(tmp_path, "t.csv", "src,dst,timestamp,amount\n")
     schema = Schema(src="src", dst="dst", timestamp="timestamp", amount="amount")
@@ -221,6 +239,18 @@ def test_sampler_large_cap_is_full_neighborhood():
     assert is_weakly_connected(s.graph)
 
 
+def test_sampler_lists_in_neighbours_first():
+    # node 0 sends to 1 and 3 and receives from 2 and 4
+    g = Multigraph(5, np.ones((5, 1)), [(0, 3), (2, 0), (0, 1), (4, 0), (2, 0)],
+                   np.arange(5.0)[:, None])
+    supp = build_support_index(g)
+    s = sample_neighborhood(g, supp, build_reverse_index(g, supp),
+                            seed_nodes=[0], hops=1)
+    assert s.node_map.tolist() == [0, 2, 4, 3, 1]
+    assert s.hop_nodes[1].tolist() == [2, 4, 3, 1]
+    assert s.edge_map.tolist() == [0, 1, 2, 3, 4]
+
+
 def test_sampler_keeps_parallel_groups_whole():
     g, _ = generate_planted_task(30, 3, 4, "max_of_sums", seed=2)
     supp = build_support_index(g)
@@ -313,3 +343,55 @@ def test_planted_determinism():
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.edge_features, b.edge_features)
     assert np.array_equal(la, lb)
+
+
+def scan_planted_labels(g, labeled_mask, task):
+    """The oracle as it was before the argsort: one endpoint scan per node."""
+    labeled = np.flatnonzero(np.asarray(labeled_mask))
+    out = np.zeros(labeled.size, dtype=np.int64)
+    if task == "max_of_sums":
+        for i, j in enumerate(labeled):
+            incoming = np.flatnonzero(g.dst == j)
+            totals, maxima = {}, {}
+            for s, amt in zip(g.src[incoming], g.edge_features[incoming, 0]):
+                s = int(s)
+                totals[s] = totals.get(s, 0.0) + amt
+                maxima[s] = max(maxima.get(s, -np.inf), amt)
+            top_total = max(totals, key=lambda s: totals[s])
+            top_single = max(maxima, key=lambda s: maxima[s])
+            out[i] = int(top_total != top_single)
+        return out
+    counts = np.array([np.unique(g.dst[np.flatnonzero(g.src == j)]).size
+                       for j in labeled])
+    return (counts > np.median(counts)).astype(np.int64)
+
+
+@pytest.mark.parametrize("task,senders", [("max_of_sums", 3),
+                                          ("out_neighbor_count", 3)])
+def test_oracle_matches_endpoint_scans(task, senders):
+    g, labels = generate_planted_task(120, senders, 2, task, seed=2)
+    rng = np.random.default_rng(0)
+    # ties: equal amounts and equal totals, so the dict tie order matters
+    feats = np.round(g.edge_features * 2) / 2
+    perm = rng.permutation(g.num_edges)
+    for graph in (g, Multigraph(g.num_nodes, g.node_features, g.edges[perm],
+                                feats[perm])):
+        for mask in (labels >= 0, rng.random(g.num_nodes) < 0.5):
+            if task == "max_of_sums":     # a receiver needs a sender
+                mask = mask & np.isin(np.arange(g.num_nodes), graph.dst)
+            assert np.array_equal(brute_force_planted_labels(graph, mask, task),
+                                  scan_planted_labels(graph, mask, task))
+
+
+def test_oracle_time_is_linear_in_edges():
+    """Eight times the receivers and edges cost about eight times, not 64."""
+    def best_of_3(num_nodes):
+        g, labels = generate_planted_task(num_nodes, 2, 2, "max_of_sums", seed=0)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            brute_force_planted_labels(g, labels >= 0, "max_of_sums")
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(16000) < 16 * best_of_3(2000)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meganet.graph import (
     GraphError,
@@ -130,6 +132,54 @@ def test_reverse_of_reverse_recovers_pair_multiset():
     fwd_pairs = sorted(zip(supp.supp_src, supp.supp_dst))
     back_pairs = sorted(zip(rev2.supp_src, rev2.supp_dst))
     assert fwd_pairs == back_pairs
+
+
+def assert_same_index(a, b):
+    assert a.num_nodes == b.num_nodes
+    for name in ("by_pair", "by_dst", "by_src"):
+        for x, y in zip(getattr(a, name), getattr(b, name)):
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y)
+
+
+@st.composite
+def multigraphs(draw):
+    """Edge lists with isolated nodes, self-loops and heavy parallel pairs."""
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return make_graph(np.zeros((0, 2)), n=0)
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=12))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(pairs),
+                            max_size=len(pairs)))
+    edges = [p for p, r in zip(pairs, repeats) for _ in range(r)]
+    order = draw(st.permutations(range(len(edges))))
+    return make_graph([edges[k] for k in order], n=n)
+
+
+def transposed(g):
+    return Multigraph(g.num_nodes, g.node_features, g.edges[:, ::-1],
+                      g.edge_features)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_reverse_index_is_the_support_index_of_the_transpose(g):
+    supp = build_support_index(g)
+    assert_same_index(build_reverse_index(g, supp),
+                      build_support_index(transposed(g)))
+
+
+@pytest.mark.parametrize("g", [
+    make_graph(np.zeros((0, 2)), n=0),
+    make_graph(np.zeros((0, 2)), n=4),
+    make_graph([(0, 1), (3, 3), (1, 0), (3, 3), (2, 2)], n=6),
+    make_graph([(2, 0)] * 10_000 + [(0, 2), (1, 2)], n=4),
+], ids=["empty", "isolated-nodes", "self-loops", "multiplicity-1e4"])
+def test_reverse_index_edge_cases(g):
+    supp = build_support_index(g)
+    assert_same_index(build_reverse_index(g, supp),
+                      build_support_index(transposed(g)))
 
 
 def test_apply_permutation_identity_and_roundtrip():

@@ -97,6 +97,8 @@ def test_ids_unique_and_digit_law_random():
         assert len(set(state.ids)) == n
         dist = undirected_bfs_distances(g, root)
         assert [len(i) for i in state.ids] == (dist + 1).tolist()
+        # round k gives ids at distance k; one more round finds no one new
+        assert state.rounds_used == dist.max() + 1
 
 
 def test_ids_unique_under_relabeling():

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -94,15 +96,38 @@ def test_config_dict_roundtrip():
                       edge_agg=AggSpec("pna", mean_log_degree=0.8),
                       node_agg=AggSpec("max"), readout="edge",
                       two_stage=False, hidden_node=7)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(asdict(cfg)) == cfg
+
+
+def test_checkpoint_config_json_bytes_pinned(tmp_path):
+    """The checkpoint's config is asdict(ModelConfig) in field order."""
+    from meganet.model import save_checkpoint
+
+    cfg = ModelConfig(num_layers=1, bidirectional=False, ego_ids=True,
+                      edge_agg=AggSpec("pna", pna_stats=("max", "mean"),
+                                       mean_log_degree=0.5),
+                      node_agg=AggSpec("max"), readout="edge", hidden_node=2,
+                      hidden_edge=3, mlp_hidden=2)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(Model(cfg, 1, 1, seed=0), path)
+    text = path.read_text()
+    assert text[:text.index(', "d_node_in"')] == (
+        '{"format_version": 1, "config": {"num_layers": 1, '
+        '"bidirectional": false, "ego_ids": true, "edge_agg": {"kind": "pna", '
+        '"pna_stats": ["mean", "max"], "pna_scalers": ["identity", '
+        '"amplification", "attenuation"], "mean_log_degree": 0.5}, '
+        '"node_agg": {"kind": "max", "pna_stats": ["mean", "max", "min", '
+        '"std"], "pna_scalers": ["identity", "amplification", "attenuation"], '
+        '"mean_log_degree": 1.0}, "readout": "edge", "two_stage": true, '
+        '"hidden_node": 2, "hidden_edge": 3, "mlp_hidden": 2, "dropout": 0.0}')
 
 
 def test_config_from_dict_post_agg_mlp_switch():
     """Version-1 checkpoints carry post_agg_mlp; only true is loadable."""
     cfg = ModelConfig(hidden_node=7)
-    assert ModelConfig.from_dict({**cfg.to_dict(), "post_agg_mlp": True}) == cfg
+    assert ModelConfig.from_dict({**asdict(cfg), "post_agg_mlp": True}) == cfg
     with pytest.raises(ModelError, match="post_agg_mlp"):
-        ModelConfig.from_dict({**cfg.to_dict(), "post_agg_mlp": False})
+        ModelConfig.from_dict({**asdict(cfg), "post_agg_mlp": False})
 
 
 def test_edge_stage_sum_of_parallel_pair():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from meganet.data import generate_planted_task
 from meganet.model import ModelConfig
 from meganet.nn import NnError
 from meganet.train import (
+    ExperimentRecord,
     TaskData,
     TrainConfig,
     TrainingError,
     evaluate_model,
     random_item_split,
-    run_seeds,
     train_model,
 )
 
@@ -58,7 +59,7 @@ def test_train_deterministic_given_seed():
     mc, tc = fast_configs()
     _, rec1 = train_model(task, mc, tc, seed=3)
     _, rec2 = train_model(task, mc, tc, seed=3)
-    d1, d2 = rec1.to_dict(), rec2.to_dict()
+    d1, d2 = asdict(rec1), asdict(rec2)
     d1.pop("wall_clock"), d2.pop("wall_clock")
     assert d1 == d2
 
@@ -82,21 +83,28 @@ def test_record_save_is_json(tmp_path):
     assert loaded["final_metrics"] == rec.final_metrics
 
 
+def test_record_json_bytes_pinned(tmp_path):
+    rec = ExperimentRecord(config={"model": {"b": 1, "a": [0.5]},
+                                   "task_type": "node"},
+                           seed=3, train_losses=[0.25, 0.125], val_losses=[0.5],
+                           val_f1s=[1.0], final_metrics={"f1": 0.75},
+                           best_epoch=0, wall_clock=1.5)
+    p = tmp_path / "rec.json"
+    rec.save(p)
+    assert p.read_text() == (
+        '{\n  "best_epoch": 0,\n  "config": {\n    "model": {\n      "a": [\n'
+        '        0.5\n      ],\n      "b": 1\n    },\n    "task_type": "node"\n'
+        '  },\n  "final_metrics": {\n    "f1": 0.75\n  },\n  "seed": 3,\n'
+        '  "train_losses": [\n    0.25,\n    0.125\n  ],\n  "val_f1s": [\n'
+        '    1.0\n  ],\n  "val_losses": [\n    0.5\n  ],\n  "wall_clock": 1.5\n}')
+
+
 def test_evaluate_model_matches_record():
     task = small_task()
     mc, tc = fast_configs()
     model, rec = train_model(task, mc, tc, seed=0)
     again = evaluate_model(model, task, split="test")
     assert again == rec.final_metrics
-
-
-def test_run_seeds_summary():
-    mc, tc = fast_configs()
-    records, summary = run_seeds(lambda s: small_task(seed=s), mc, tc,
-                                 seeds=(0, 1))
-    assert len(records) == 2
-    assert summary["seeds"] == [0, 1]
-    assert summary["f1_mean"] == pytest.approx(np.mean(summary["f1_per_seed"]))
 
 
 def test_two_stage_learns_planted_task():
