@@ -7,11 +7,13 @@ nothing and get gradients back in the same row order. Each reduction also
 exposes its vector-Jacobian product so the model can run exact
 reverse-mode gradients through both stages.
 
-Sums (sum, mean and both std moments) run as one scatter_add over the
-group keys: a single np.bincount pass that adds each group's rows in row
-order. max and min run np.maximum/np.minimum.reduceat over a transient
-gather of the rows into group order. PNA's degree scalers read the group
-sizes.
+A reduction buckets its groups by size. The rows of the G_s groups of
+size s are gathered once into a dense [s, G_s, d] block, which every
+statistic then reduces over its first axis: sums (sum, mean and both std
+moments) add the rows in group order, which is item order, and max and min
+take the extremes. The max/min VJP gathers the block again and routes each
+gradient to the first row that achieves the extreme. PNA's degree scalers
+read the group sizes. scatter_add is the row scatter of nn's backward pass.
 """
 
 from __future__ import annotations
@@ -128,60 +130,125 @@ def scatter_add(values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndar
                        minlength=num_rows * d).reshape(num_rows, d)
 
 
-def _stat_with_vjp(stat: str, gf: GroupedFeatures):
-    """One statistic over non-empty groups, plus its VJP."""
+def _size_buckets(groups: Groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The groups bucketed by size, smallest size first.
+
+    One (group ids, rows) pair per distinct size s: rows is the [s, G_s]
+    item index whose row k holds each group's k-th item in group order, so
+    values[rows] is one dense [s, G_s, d] block of those groups' rows.
+    """
+    _, order, offsets = groups
+    counts = np.diff(offsets)
+    by_size = np.argsort(counts, kind="stable")
+    sizes = counts[by_size]
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1))
+    ends = np.append(starts[1:], sizes.size)
+    return [(by_size[lo:hi],
+             order[offsets[by_size[lo:hi]] + np.arange(sizes[lo])[:, None]])
+            for lo, hi in zip(starts, ends)]
+
+
+def _reduce_rows(ufunc, block: np.ndarray) -> np.ndarray:
+    """ufunc over the rows of a [s, G_s, d] block, in row order.
+
+    Row order is the order np.bincount adds in. numpy adds a lone column
+    pairwise, so that case accumulates instead.
+    """
+    if block.shape[0] == 1:
+        return block[0]
+    if block[0].size == 1:
+        return ufunc.accumulate(block, axis=0)[-1]
+    return ufunc.reduce(block, axis=0)
+
+
+def _route_extremes(v: np.ndarray, buckets, extremes, gv: np.ndarray) -> None:
+    """Adds each (extreme values, gradient) pair's gradient into gv.
+
+    Per group and column the gradient goes to the first row in group order
+    that achieves the extreme, which is the lowest item index on a tie.
+    """
+    d = v.shape[1]
+    flat = gv.reshape(-1)
+    for gids, rows in buckets:
+        s = rows.shape[0]
+        if s == 1:
+            for _, g in extremes:
+                gv[rows[0]] += g[gids]
+            continue
+        block = np.take(v, rows, axis=0)
+        # row k of an achiever scores s - k, so the best score is s - first
+        score = np.arange(s, 0, -1, dtype=np.min_scalar_type(s))[:, None, None]
+        across = np.arange(rows.shape[1])[:, None]
+        for value, g in extremes:
+            first = s - np.maximum.reduce((block == value[gids]) * score, axis=0)
+            flat[rows[first, across] * d + np.arange(d)] += g[gids]
+
+
+def _stats_into(stacked: np.ndarray, stats: tuple[str, ...],
+                gf: GroupedFeatures):
+    """Writes each statistic of gf's non-empty groups into its d columns of
+    stacked; returns the VJP from the gradient of stacked into the values.
+    """
     v = gf.values
-    key, order, offsets = gf.groups
-    num_groups = gf.num_groups
-    counts = gf.counts.astype(np.float64)
+    key = gf.groups.key
+    d = v.shape[1]
+    col = {stat: stacked[:, i * d:(i + 1) * d] for i, stat in enumerate(stats)}
+    counts = gf.counts.astype(np.float64)[:, None]
+    buckets = _size_buckets(gf.groups)
 
-    if stat == "sum":
-        out = scatter_add(v, key, num_groups)
+    sums = col.get("sum", col.get("mean"))
+    if sums is None and "std" in col:
+        sums = np.empty_like(col["std"])
+    targets = [(col[stat], ufunc) for stat, ufunc in
+               (("max", np.maximum), ("min", np.minimum)) if stat in col]
+    if sums is not None:
+        targets.append((sums, np.add))
+    sumsq = np.empty_like(col["std"]) if "std" in col else None
+    for gids, rows in buckets:
+        block = np.take(v, rows, axis=0)
+        for out, ufunc in targets:
+            out[gids] = _reduce_rows(ufunc, block)
+        if sumsq is not None:
+            np.multiply(block, block, out=block)
+            sumsq[gids] = _reduce_rows(np.add, block)
+    mean = (np.divide(sums, counts, out=col.get("mean"))
+            if {"mean", "std"} & col.keys() else None)
+    std = col.get("std")
+    if std is not None:
+        np.sqrt(np.maximum(sumsq / counts - mean * mean, 0.0), out=std)
+    # the VJP keeps only what it reads: the rows for max, min and std, the
+    # buckets for max and min, the mean for std
+    extremes = [(stat, col[stat]) for stat in ("max", "min") if stat in col]
+    if not extremes:
+        buckets = None
+        if std is None:
+            v = None
+    if std is None:
+        mean = None
 
-        def vjp(gout):
-            return gout[key]
+    def vjp(gstacked):
+        g = {stat: gstacked[:, i * d:(i + 1) * d] for i, stat in enumerate(stats)}
+        if "sum" in g:
+            gv = np.take(g["sum"], key, axis=0)
+        elif "mean" in g:
+            gv = np.take(g["mean"] / counts, key, axis=0)
+        else:
+            gv = np.zeros((key.size, d))
+        if extremes:
+            _route_extremes(v, buckets,
+                            [(value, g[stat]) for stat, value in extremes], gv)
+        if std is not None:
+            # d std / d v = (v - mean) / (count * std), and 0 where std is 0
+            positive = std > 1e-12
+            ratio = np.where(positive,
+                             g["std"] / np.where(positive, std, 1.0), 0.0)
+            term = v - np.take(mean, key, axis=0)
+            term *= np.take(ratio, key, axis=0)
+            term /= np.take(counts, key, axis=0)
+            gv += term
+        return gv
 
-        return out, vjp
-
-    if stat == "mean":
-        out = scatter_add(v, key, num_groups) / counts[:, None]
-
-        def vjp(gout):
-            return gout[key] / counts[key][:, None]
-
-        return out, vjp
-
-    if stat in ("max", "min"):
-        ufunc = np.maximum if stat == "max" else np.minimum
-        starts = offsets[:-1]
-        out = ufunc.reduceat(v[order], starts, axis=0)
-
-        def vjp(gout):
-            # route to the lowest-index achiever in each group, per column
-            hit = np.where((v == out[key])[order], order[:, None], v.shape[0])
-            first = np.minimum.reduceat(hit, starts, axis=0)
-            # groups are disjoint, so no entry is hit twice
-            gv = np.zeros_like(v)
-            gv[first, np.arange(v.shape[1])] = gout
-            return gv
-
-        return out, vjp
-
-    if stat == "std":
-        mean = scatter_add(v, key, num_groups) / counts[:, None]
-        mean_sq = scatter_add(v * v, key, num_groups) / counts[:, None]
-        var = np.maximum(mean_sq - mean * mean, 0.0)
-        out = np.sqrt(var)
-
-        def vjp(gout):
-            safe = np.where(out > 1e-12, out, 1.0)
-            gvar = np.where(out > 1e-12, gout / (2.0 * safe), 0.0)
-            centered = v - mean[key]
-            return 2.0 * centered * gvar[key] / counts[key][:, None]
-
-        return out, vjp
-
-    raise AggError(f"unknown statistic {stat!r}")
+    return vjp
 
 
 def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
@@ -192,34 +259,26 @@ def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     """
     if np.any(gf.counts == 0):
         raise AggError("segment_reduce requires non-empty groups")
-
+    stats = spec.pna_stats if spec.kind == "pna" else (spec.kind,)
+    d = gf.values.shape[1]
+    stacked = np.empty((gf.num_groups, len(stats) * d))
+    stats_vjp = _stats_into(stacked, stats, gf)
     if spec.kind != "pna":
-        return _stat_with_vjp(spec.kind, gf)
-
-    blocks, vjps = [], []
-    for stat in spec.pna_stats:
-        out, vjp = _stat_with_vjp(stat, gf)
-        blocks.append(out)
-        vjps.append(vjp)
-    stacked = np.concatenate(blocks, axis=1)
+        return stacked, stats_vjp
 
     amp, att = pna_scalers(gf.counts, spec.mean_log_degree)
-    scale = {"identity": np.ones(gf.num_groups), "amplification": amp,
-             "attenuation": att}
-    scaler_values = [scale[scaler] for scaler in spec.pna_scalers]
-    out = np.concatenate([stacked * s[:, None] for s in scaler_values], axis=1)
+    column = {"identity": np.ones_like(amp), "amplification": amp,
+              "attenuation": att}
+    # [G, scalers, 1]: out[g] is stacked[g] times each scaler in turn
+    scale = np.stack([column[s] for s in spec.pna_scalers], axis=1)[:, :, None]
+    out = (stacked[:, None, :] * scale).reshape(gf.num_groups,
+                                                spec.out_width(d))
 
-    d = gf.values.shape[1]
     width = stacked.shape[1]
 
     def vjp(gout):
-        gstacked = np.zeros_like(stacked)
-        for i, s in enumerate(scaler_values):
-            gstacked += gout[:, i * width:(i + 1) * width] * s[:, None]
-        gv = np.zeros_like(gf.values)
-        for i, stat_vjp in enumerate(vjps):
-            gv += stat_vjp(gstacked[:, i * d:(i + 1) * d])
-        return gv
+        per_scaler = gout.reshape(*scale.shape[:2], width)
+        return stats_vjp(np.add.reduce(per_scaler * scale, axis=1))
 
     return out, vjp
 

@@ -17,6 +17,8 @@ import numpy as np
 
 from .graph import Groups, Multigraph, SupportIndex, neighbor_walk
 
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
 
 class IngestionError(ValueError):
     pass
@@ -91,8 +93,9 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
 
     Accounts are renumbered densely in first-seen order (account_names
     keeps the CSV value of each id) and categorical columns are
-    dictionary-encoded. Timestamps and amounts must be finite numbers and
-    edge labels 0 or 1. Errors carry 1-based data row numbers.
+    dictionary-encoded. Timestamps and amounts must be finite numbers,
+    timestamps within the int64 range, and edge labels 0 or 1. Errors carry
+    1-based data row numbers.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -128,7 +131,12 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
 
             src.append(intern(accounts, row[schema.src]))
             dst.append(intern(accounts, row[schema.dst]))
-            ts.append(int(number(schema.timestamp, "timestamp")))
+            t = int(number(schema.timestamp, "timestamp"))
+            if not _INT64_MIN <= t <= _INT64_MAX:
+                raise IngestionError(
+                    f"{path} row {rownum}: timestamp {row[schema.timestamp]!r} "
+                    "is outside the int64 range")
+            ts.append(t)
             amt.append(number(schema.amount, "amount"))
             cats.append([intern(d, row[c])
                          for d, c in zip(cat_dicts, schema.categorical)])

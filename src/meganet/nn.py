@@ -2,8 +2,8 @@
 
 Everything runs in float64. Dropout is realized through seeded masks so a
 training step can be replayed bit-for-bit, and the backward pass is exact
-for the realized mask. A central finite-difference helper doubles as the
-independent gradient oracle in the tests.
+for the realized mask. Every MLP built by init_mlp owns gradient arrays
+that mlp_backward adds into.
 
 An MLP input is a matrix or a GatheredConcat: the column concatenation of
 row-gathered parts, such as [x[src] || e || h[edge_to_pair]], left unbuilt.
@@ -38,7 +38,7 @@ class Mlp:
     biases: list[np.ndarray]
     activation: str = "relu"
     dropout: float = 0.0
-    # when set, mlp_backward adds into these (views into a model's gradients)
+    # mlp_backward adds into these (init_mlp sets them)
     grads: ParamGrads | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,11 +86,13 @@ def init_mlp(
 
     arena is an optional (params, grads) pair of flat arrays with
     mlp_size(layer_dims) entries each: the weights, then the biases, become
-    views into params, and m.grads the matching views into grads.
+    views into params, and m.grads the matching views into grads. Without
+    one, both are fresh arrays and the gradients start at zero.
     """
     if len(layer_dims) < 2:
         raise NnError("need at least input and output widths")
-    params, grads = arena or (np.empty(mlp_size(layer_dims)), None)
+    size = mlp_size(layer_dims)
+    params, grads = arena or (np.empty(size), np.zeros(size))
     shapes = list(zip(layer_dims[:-1], layer_dims[1:]))
     shapes += [(dout,) for _, dout in shapes]
     bounds = list(accumulate((math.prod(s) for s in shapes), initial=0))
@@ -106,11 +108,9 @@ def init_mlp(
         w *= np.sqrt(2.0 / max(w.shape[0], 1))
     for b in p[k:]:
         b[...] = 0.0
-    m = Mlp(p[:k], p[k:], activation=activation, dropout=dropout)
-    if grads is not None:
-        g = views(grads)
-        m.grads = ParamGrads(g[:k], g[k:])
-    return m
+    g = views(grads)
+    return Mlp(p[:k], p[k:], activation=activation, dropout=dropout,
+               grads=ParamGrads(g[:k], g[k:]))
 
 
 @dataclass
@@ -119,11 +119,6 @@ class ParamGrads:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, m: Mlp) -> "ParamGrads":
-        return cls([np.zeros_like(w) for w in m.weights],
-                   [np.zeros_like(b) for b in m.biases])
 
 
 class GatheredConcat:
@@ -250,11 +245,13 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
     Returns (input gradient, parameter gradients). The input gradient of a
     GatheredConcat is a list with one gradient per part, shaped like the
     part: rows its index selects more than once get the sum. The parameter
-    gradients are added into m.grads when it is set, else into fresh zeros.
+    gradients are added into m.grads, which must be set.
     """
     if cache.get("mlp") is not m:
         raise NnError("cache does not belong to this mlp")
-    grads = m.grads if m.grads is not None else ParamGrads.zeros_like(m)
+    grads = m.grads
+    if grads is None:
+        raise NnError("mlp has no gradient arrays; build it with init_mlp")
     g = np.asarray(upstream, dtype=np.float64)
     last = len(m.weights) - 1
     for i in range(last, -1, -1):
@@ -335,26 +332,3 @@ def adam_step(
     vhat = state.v / (1 - beta2 ** state.t)
     params -= learning_rate * mhat / (np.sqrt(vhat) + eps)
     return params
-
-
-def finite_difference_grad(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function, coordinate by coordinate."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = g.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = fn(x)
-        flat[i] = orig - eps
-        fm = fn(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2 * eps)
-    return g
-
-
-def directional_derivative_fd(fn, x: np.ndarray, direction: np.ndarray,
-                              eps: float = 1e-5) -> float:
-    d = direction / np.linalg.norm(direction)
-    return (fn(x + eps * d) - fn(x - eps * d)) / (2 * eps)

@@ -271,6 +271,174 @@ def test_tie_between_non_adjacent_rows_routes_to_lower_row(kind, tie):
     assert gv[:, 0].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
 
 
+# -- the bincount / reduceat kernel the size buckets replaced, kept as the
+# reference: forward outputs must match it bit for bit ---------------------
+
+def reference_scatter_add(values, index, num_rows):
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=num_rows * d).reshape(num_rows, d)
+
+
+def reference_stat(stat, gf):
+    v = gf.values
+    key, order, offsets = gf.groups
+    num_groups = gf.num_groups
+    counts = gf.counts.astype(np.float64)
+    if stat == "sum":
+        return reference_scatter_add(v, key, num_groups), lambda g: g[key]
+    if stat == "mean":
+        out = reference_scatter_add(v, key, num_groups) / counts[:, None]
+        return out, lambda g: g[key] / counts[key][:, None]
+    if stat in ("max", "min"):
+        ufunc = np.maximum if stat == "max" else np.minimum
+        starts = offsets[:-1]
+        out = ufunc.reduceat(v[order], starts, axis=0)
+
+        def vjp(g):
+            hit = np.where((v == out[key])[order], order[:, None], v.shape[0])
+            first = np.minimum.reduceat(hit, starts, axis=0)
+            gv = np.zeros_like(v)
+            gv[first, np.arange(v.shape[1])] = g
+            return gv
+
+        return out, vjp
+    mean = reference_scatter_add(v, key, num_groups) / counts[:, None]
+    mean_sq = reference_scatter_add(v * v, key, num_groups) / counts[:, None]
+    out = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
+
+    def vjp(g):
+        safe = np.where(out > 1e-12, out, 1.0)
+        gvar = np.where(out > 1e-12, g / (2.0 * safe), 0.0)
+        return 2.0 * (v - mean[key]) * gvar[key] / counts[key][:, None]
+
+    return out, vjp
+
+
+def reference_segment_reduce(spec, gf):
+    if spec.kind != "pna":
+        return reference_stat(spec.kind, gf)
+    blocks, vjps = zip(*(reference_stat(s, gf) for s in spec.pna_stats))
+    stacked = np.concatenate(blocks, axis=1)
+    amp, att = pna_scalers(gf.counts, spec.mean_log_degree)
+    scale = {"identity": np.ones(gf.num_groups), "amplification": amp,
+             "attenuation": att}
+    scalers = [scale[s] for s in spec.pna_scalers]
+    out = np.concatenate([stacked * s[:, None] for s in scalers], axis=1)
+    d, width = gf.values.shape[1], stacked.shape[1]
+
+    def vjp(g):
+        gstacked = np.zeros_like(stacked)
+        for i, s in enumerate(scalers):
+            gstacked += g[:, i * width:(i + 1) * width] * s[:, None]
+        gv = np.zeros_like(gf.values)
+        for i, stat_vjp in enumerate(vjps):
+            gv += stat_vjp(gstacked[:, i * d:(i + 1) * d])
+        return gv
+
+    return out, vjp
+
+
+def reference_reduce_or_default(spec, gf):
+    """The non-empty groups renumbered and reduced; empty ones get zeros."""
+    key, order, offsets = gf.groups
+    counts = gf.counts
+    full = np.flatnonzero(counts)
+    rank = np.cumsum(counts > 0) - 1
+    sub = Groups(rank[key], order, np.append(offsets[full], offsets[-1]))
+    reduced, sub_vjp = reference_segment_reduce(
+        spec, GroupedFeatures(gf.values, sub))
+    out = np.zeros((gf.num_groups, reduced.shape[1]))
+    out[full] = reduced
+    return out, lambda g: sub_vjp(g[full])
+
+
+def tie_prone_values(rng, rows, d):
+    """Magnitudes from 1e-6 to 1e6, so a changed summation order shows,
+    and about a third of the entries small integers, so extremes tie."""
+    values = rng.normal(size=(rows, d)) * 10.0 ** rng.integers(-6, 7, (rows, d))
+    ties = rng.random((rows, d)) < 0.3
+    values[ties] = rng.integers(-2, 3, size=ties.sum())
+    return values
+
+
+def layout_keys(name, rng):
+    """Group keys of one layout, shuffled so groups interleave; the last
+    value is the number of groups."""
+    if name == "singletons":
+        keys = np.arange(60)
+    elif name == "all-size-8":
+        keys = np.repeat(np.arange(30), 8)
+    elif name == "sizes-1-to-k":
+        keys = np.repeat(np.arange(12), np.arange(1, 13))
+    elif name == "huge-group-and-singletons":
+        keys = np.concatenate([np.zeros(10 ** 4, dtype=np.int64),
+                               np.arange(1, 40)])
+    else:                                   # "empty-groups": 7 of 20 empty
+        keys = np.repeat(np.array([0, 2, 3, 5, 8, 9, 11, 12, 13, 15, 16, 17,
+                                   19]), [1, 3, 1, 2, 5, 1, 3, 9, 1, 2, 1, 4, 2])
+        return rng.permutation(keys), 20
+    return rng.permutation(keys), int(keys.max()) + 1
+
+
+LAYOUTS = ("singletons", "all-size-8", "sizes-1-to-k",
+           "huge-group-and-singletons", "empty-groups")
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_matches_reference_kernel(layout, d):
+    rng = np.random.default_rng([LAYOUTS.index(layout), d])
+    keys, num_groups = layout_keys(layout, rng)
+    gf = GroupedFeatures(tie_prone_values(rng, keys.size, d),
+                         build_groups(keys, num_groups))
+    for spec in [AggSpec(k) for k in KINDS] + [
+            AggSpec("pna", mean_log_degree=0.9),
+            AggSpec("pna", pna_stats=("min", "std"),
+                    pna_scalers=("attenuation",), mean_log_degree=1.3)]:
+        out, vjp = reduce_or_default_with_vjp(spec, gf)
+        want, want_vjp = reference_reduce_or_default(spec, gf)
+        assert np.array_equal(out, want), (spec, "forward")
+        gout = rng.normal(size=out.shape)
+        got, ref = vjp(gout), want_vjp(gout)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (spec, "vjp")
+        if gf.counts.all():
+            seg, _ = segment_reduce_with_vjp(spec, gf)
+            assert np.array_equal(seg, want)
+
+
+@pytest.mark.parametrize("kind, tie", [("max", 5.0), ("min", -5.0)])
+def test_tie_routes_to_lowest_row_beside_other_sizes(kind, tie):
+    # group 0 is row 6, group 1 rows 0 and 4, group 2 rows 2, 5 and 7,
+    # group 3 rows 1, 3, 8 and 9: one group in each of four size buckets
+    keys = np.array([1, 3, 2, 3, 1, 2, 0, 2, 3, 3])
+    values = np.zeros((10, 2))
+    values[[2, 7], 0] = tie               # group 2 ties in column 0
+    values[5, 0] = -tie
+    values[[3, 8], 1] = tie               # group 3 ties in column 1
+    values[[1, 9], 1] = -tie
+    gf = GroupedFeatures(values, build_groups(keys, 4))
+    out, vjp = segment_reduce_with_vjp(AggSpec(kind), gf)
+    assert out[2, 0] == tie and out[3, 1] == tie
+    gout = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    want = np.zeros((10, 2))
+    # every other group ties at zero and also routes to its lowest row
+    want[[6, 0, 2, 1], 0] = gout[:, 0]
+    want[[6, 0, 2, 3], 1] = gout[:, 1]
+    assert np.array_equal(vjp(gout), want)
+
+
+def test_vjp_against_fd_across_size_buckets():
+    """Groups of sizes 1, 2, 3 and 5, interleaved, and one empty group."""
+    rng = np.random.default_rng(44)
+    keys = rng.permutation(np.repeat([0, 1, 3, 4], [1, 2, 3, 5]))
+    gf = GroupedFeatures(rng.normal(size=(keys.size, 2)), build_groups(keys, 5))
+    for kind in KINDS:
+        fd_vjp_check(AggSpec(kind), gf)
+    fd_vjp_check(AggSpec("pna", mean_log_degree=0.7), gf)
+
+
 def test_scatter_add_equals_add_at():
     rng = np.random.default_rng(4)
     values = rng.normal(size=(300, 5))

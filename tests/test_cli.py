@@ -214,7 +214,8 @@ def test_gen_out_neighbor_count_needs_median_degree_2(tmp_path, capsys):
     ("amount", "nan", "amount 'nan' is not a finite number"),
     ("timestamp", "inf", "timestamp 'inf' is not a finite number"),
     ("label", "2", "label '2' must be 0 or 1"),
-], ids=["nan-amount", "inf-timestamp", "label-2"])
+    ("timestamp", "1e300", "timestamp '1e300' is outside the int64 range"),
+], ids=["nan-amount", "inf-timestamp", "label-2", "huge-timestamp"])
 def test_malformed_transaction_row_exit_2(tmp_path, capsys, column, value,
                                           message):
     header = ["src", "dst", "timestamp", "amount", "label"]

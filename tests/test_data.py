@@ -74,8 +74,11 @@ def test_load_transactions_bad_row_number(tmp_path):
     ("a,b,1,1.0,2", "label '2' must be 0 or 1"),
     ("a,b,1,1.0,0.5", "label '0.5' must be 0 or 1"),
     ("a,b,1,1.0,inf", "label 'inf' is not a finite number"),
+    ("a,b,1e300,1.0,0", "timestamp '1e300' is outside the int64 range"),
+    ("a,b,-1e19,1.0,0", "timestamp '-1e19' is outside the int64 range"),
 ], ids=["nan-amount", "-inf-amount", "inf-timestamp", "nan-timestamp",
-        "label-2", "label-0.5", "inf-label"])
+        "label-2", "label-0.5", "inf-label", "huge-timestamp",
+        "huge-negative-timestamp"])
 def test_load_transactions_rejects_malformed_rows(tmp_path, row, message):
     p = write(tmp_path, "t.csv",
               f"src,dst,timestamp,amount,label\nb,a,0,1.0,1\n{row}\n")

@@ -7,13 +7,34 @@ from meganet.nn import (
     Mlp,
     NnError,
     adam_step,
-    directional_derivative_fd,
-    finite_difference_grad,
     init_mlp,
     mlp_backward,
     mlp_forward,
     weighted_bce_loss,
 )
+
+
+def finite_difference_grad(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Central finite differences of a scalar function, coordinate by coordinate."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    flat = x.ravel()
+    gflat = g.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = fn(x)
+        flat[i] = orig - eps
+        fm = fn(x)
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2 * eps)
+    return g
+
+
+def directional_derivative_fd(fn, x: np.ndarray, direction: np.ndarray,
+                              eps: float = 1e-5) -> float:
+    d = direction / np.linalg.norm(direction)
+    return (fn(x + eps * d) - fn(x - eps * d)) / (2 * eps)
 
 
 def test_mlp_validation():
@@ -64,6 +85,25 @@ def test_backward_zero_upstream():
     gin, grads = mlp_backward(m, cache, np.zeros_like(out))
     assert not gin.any()
     assert not any(w.any() for w in grads.weights)
+
+
+def test_init_mlp_without_arena_owns_zeroed_grads():
+    m = init_mlp([3, 5, 2], np.random.default_rng(0))
+    assert [g.shape for g in m.grads.weights] == [w.shape for w in m.weights]
+    assert [g.shape for g in m.grads.biases] == [b.shape for b in m.biases]
+    assert not any(g.any() for g in m.grads.weights + m.grads.biases)
+    x = np.random.default_rng(1).normal(size=(4, 3))
+    out, cache = mlp_forward(m, x)
+    _, grads = mlp_backward(m, cache, np.ones_like(out))
+    assert grads is m.grads
+    assert grads.biases[-1].tolist() == [4.0, 4.0]     # added in place
+
+
+def test_backward_needs_grads():
+    m = Mlp([np.eye(2)], [np.zeros(2)], activation="identity")
+    out, cache = mlp_forward(m, np.ones((3, 2)))
+    with pytest.raises(NnError, match="gradient"):
+        mlp_backward(m, cache, out)
 
 
 def test_backward_rejects_foreign_cache():
