@@ -13,7 +13,7 @@ statistic then reduces over its first axis: sums (sum, mean and both std
 moments) add the rows in group order, which is item order, and max and min
 take the extremes. The max/min VJP gathers the block again and routes each
 gradient to the first row that achieves the extreme. PNA's degree scalers
-read the group sizes. scatter_add is the row scatter of nn's backward pass.
+read the group sizes. scatter_add, nn's row scatter, is the same block sum.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Groups
+from .graph import Groups, build_groups
 
 _STAT_ORDER = ("mean", "max", "min", "std")
 _SCALER_ORDER = ("identity", "amplification", "attenuation")
@@ -121,13 +121,14 @@ def pna_scalers(degree, mean_log_degree: float):
 def scatter_add(values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
     """[num_rows, d] sums of value rows by target row: out[index[k]] += values[k].
 
-    One np.bincount pass over index * d + column. Each output entry adds its
-    values in row order, so the result equals np.add.at's bit for bit.
+    The reductions' block sum over the rows grouped by target: each entry
+    adds its values in row order, so it equals np.add.at's bit for bit.
     """
-    d = values.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=values.ravel(),
-                       minlength=num_rows * d).reshape(num_rows, d)
+    out = np.zeros((num_rows, values.shape[1]))
+    for gids, rows in _size_buckets(build_groups(index, num_rows)):
+        if rows.shape[0]:
+            out[gids] = _reduce_rows(np.add, np.take(values, rows, axis=0))
+    return out
 
 
 def _size_buckets(groups: Groups) -> list[tuple[np.ndarray, np.ndarray]]:

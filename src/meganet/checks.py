@@ -343,7 +343,7 @@ def planted_separation_suite(num_nodes: int = 500, seeds=(0, 1, 2, 3, 4),
 
     base_kw = dict(num_layers=2, hidden_node=16, hidden_edge=16, mlp_hidden=32,
                    readout="node", edge_agg=AggSpec("sum"),
-                   node_agg=AggSpec("sum"))
+                   node_agg=AggSpec("sum"), dropout=0.0)
     two_stage_f1, two_stage_all = run(
         "max_of_sums", ModelConfig(bidirectional=False, two_stage=True, **base_kw))
     single_f1, single_all = run(

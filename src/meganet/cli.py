@@ -32,7 +32,7 @@ from .data import (
     write_node_labels_csv,
     write_transactions_csv,
 )
-from .agg import AggSpec
+from .agg import AggError, AggSpec
 from .model import ModelConfig, ModelError, load_checkpoint, save_checkpoint
 from .nn import NnError
 from .train import (TaskData, TrainConfig, TrainingError, evaluate_model,
@@ -173,7 +173,10 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = effective_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds: bad seed list {args.seeds!r}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -326,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, IngestionError, ModelError, NnError,
+    except (AggError, ConfigError, IngestionError, ModelError, NnError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -171,16 +171,21 @@ def load_node_labels(path, account_names) -> np.ndarray:
     on the account's id, the position of the name in account_names (a
     TransactionTable's). Labels are 0 or 1; -1, as write_node_labels_csv
     writes it, leaves the node unlabeled. A labeled node must appear in
-    some transaction.
+    some transaction, and no node may be listed twice.
     """
     ids = {name: i for i, name in enumerate(account_names)}
     labels = np.full(len(ids), -1, dtype=np.int64)
+    listed = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"node", "label"} <= set(reader.fieldnames):
             raise IngestionError(f"{path}: expected 'node,label' columns")
         for rownum, row in enumerate(reader, start=1):
             node = row["node"]
+            if node in listed:
+                raise IngestionError(
+                    f"{path} row {rownum}: node {node!r} is listed twice")
+            listed.add(node)
             try:
                 label = int(row["label"])
             except (ValueError, TypeError):
@@ -232,7 +237,6 @@ class FeatureSpec:
     ts_std: float
     amount_mean: float
     amount_std: float
-    one_hot_categoricals: bool = True
 
 
 def compute_feature_spec(t: TransactionTable, train_idx=None) -> FeatureSpec:
@@ -258,20 +262,16 @@ def to_multigraph(t: TransactionTable, feature_spec: FeatureSpec):
         (t.timestamp - feature_spec.ts_mean) / feature_spec.ts_std,
         (t.amount - feature_spec.amount_mean) / feature_spec.amount_std,
     ]
-    feats = np.column_stack(cols)
-    if feature_spec.one_hot_categoricals and t.categorical.shape[1]:
-        hots = []
-        for c, size in enumerate(t.categorical_sizes):
-            hot = np.zeros((t.num_rows, size))
-            hot[np.arange(t.num_rows), t.categorical[:, c]] = 1.0
-            hots.append(hot)
-        feats = np.concatenate([feats] + hots, axis=1)
+    for c, size in enumerate(t.categorical_sizes):
+        hot = np.zeros((t.num_rows, size))
+        hot[np.arange(t.num_rows), t.categorical[:, c]] = 1.0
+        cols.append(hot)
     edges = np.column_stack([t.src, t.dst])
     g = Multigraph(
         num_nodes=t.num_accounts,
         node_features=np.ones((t.num_accounts, 1)),
         edges=edges,
-        edge_features=feats,
+        edge_features=np.column_stack(cols),
     )
     return g, t.labels, t.node_labels
 

@@ -70,6 +70,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_layers < 1:
             raise ModelError("num_layers must be at least 1")
+        if min(self.hidden_node, self.hidden_edge, self.mlp_hidden) < 1:
+            raise ModelError("hidden widths must be at least 1")
         if self.readout not in ("node", "edge"):
             raise ModelError(f"unknown readout {self.readout!r}")
 

@@ -1,9 +1,10 @@
 """Dense MLP stack with exact reverse-mode gradients.
 
-Everything runs in float64. Dropout is realized through seeded masks so a
-training step can be replayed bit-for-bit, and the backward pass is exact
-for the realized mask. Every MLP built by init_mlp owns gradient arrays
-that mlp_backward adds into.
+Everything runs in float64. Dropout masks are seeded, so a training step
+can be replayed bit-for-bit. The forward cache keeps only the layer inputs
+(and gelu's terms): backward reads a hidden layer's ReLU-and-dropout gate
+off the next layer's input, so train-mode dropout needs ReLU. Every MLP
+built by init_mlp owns gradient arrays that mlp_backward adds into.
 
 An MLP input is a matrix or a GatheredConcat: the column concatenation of
 row-gathered parts, such as [x[src] || e || h[edge_to_pair]], left unbuilt.
@@ -59,14 +60,6 @@ class Mlp:
     @property
     def layer_dims(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    @property
-    def in_width(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def out_width(self) -> int:
-        return self.weights[-1].shape[1]
 
 
 def mlp_size(layer_dims: list[int]) -> int:
@@ -179,23 +172,12 @@ def _act_forward(name: str, z: np.ndarray):
     if name == "identity":
         return z, None
     if name == "relu":
-        return np.maximum(z, 0.0), (z > 0)
+        return np.maximum(z, 0.0), None
     # tanh-approximation gelu; the backward differentiates the same formula
     c = np.sqrt(2.0 / np.pi)
     inner = c * (z + 0.044715 * z ** 3)
     t = np.tanh(inner)
     return 0.5 * z * (1.0 + t), (z, t)
-
-
-def _act_backward(name: str, aux, gout: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return gout
-    if name == "relu":
-        return gout * aux
-    z, t = aux
-    c = np.sqrt(2.0 / np.pi)
-    dinner = c * (1.0 + 3 * 0.044715 * z ** 2)
-    return gout * (0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * dinner)
 
 
 def mlp_forward(
@@ -204,20 +186,22 @@ def mlp_forward(
     train_mode: bool = False,
     dropout_mask_seed: int = 0,
 ):
-    """Returns (output, cache). Dropout hits hidden activations only.
+    """Returns (output, cache). Dropout hits hidden relu activations only.
 
     x is a matrix or a GatheredConcat.
     """
     built = not isinstance(x, GatheredConcat)
     if built:
         x = GatheredConcat((x, None))
-    if x.shape[1] != m.in_width:
-        raise NnError(f"input width {x.shape} does not match mlp input {m.in_width}")
+    if x.shape[1] != m.layer_dims[0]:
+        raise NnError(f"input width {x.shape} does not match mlp input {m.layer_dims[0]}")
     use_dropout = train_mode and m.dropout > 0.0
+    if use_dropout and m.activation != "relu":
+        raise NnError(f"train-mode dropout needs relu, not {m.activation!r}")
     drop_rng = np.random.default_rng(dropout_mask_seed) if use_dropout else None
     keep = 1.0 - m.dropout
 
-    inputs, act_auxes, masks = [], [], []
+    inputs, act_auxes = [], []
     h = x
     last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
@@ -227,15 +211,11 @@ def mlp_forward(
             h, aux = _act_forward(m.activation, z)
             act_auxes.append(aux)
             if use_dropout:
-                mask = (drop_rng.random(h.shape) < keep) / keep
-                h = h * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
+                h *= (drop_rng.random(h.shape) < keep) / keep
         else:
             h = z
     cache = {"mlp": m, "inputs": inputs, "act_auxes": act_auxes,
-             "masks": masks, "built": built}
+             "scale": 1.0 / keep if use_dropout else None, "built": built}
     return h, cache
 
 
@@ -256,10 +236,15 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
     last = len(m.weights) - 1
     for i in range(last, -1, -1):
         if i < last:
-            mask = cache["masks"][i]
-            if mask is not None:
-                g = g * mask
-            g = _act_backward(m.activation, cache["act_auxes"][i], g)
+            if m.activation == "relu":
+                # the realized gate: open where the next input is positive
+                g = g * (cache["inputs"][i + 1] > 0)
+                if cache["scale"] is not None:
+                    g *= cache["scale"]
+            elif m.activation == "gelu":
+                z, t = cache["act_auxes"][i]
+                dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3 * 0.044715 * z ** 2)
+                g = g * (0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * dinner)
         grads.biases[i] += g.sum(axis=0)
         if i:
             grads.weights[i] += cache["inputs"][i].T @ g

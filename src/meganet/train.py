@@ -26,7 +26,8 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters; widths and depth live in ModelConfig."""
+    """Optimization hyperparameters. Widths, depth and the dropout used live
+    in ModelConfig; the dropout field here is recorded but not read."""
 
     learning_rate: float = 0.003
     batch_size: int = 8192
@@ -40,6 +41,8 @@ class TrainConfig:
             raise NnError("learning_rate must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise NnError("dropout must be in [0, 1)")
+        if min(self.batch_size, self.epochs) < 1 or self.patience < 0:
+            raise NnError("batch_size and epochs must be >= 1, patience >= 0")
         if self.class_weights[0] <= 0 or self.class_weights[1] <= 0:
             raise NnError("class weights must be positive")
 

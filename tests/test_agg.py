@@ -449,6 +449,30 @@ def test_scatter_add_equals_add_at():
     assert scatter_add(values[:0], index[:0], 3).tolist() == [[0.0] * 5] * 3
 
 
+SCATTER_LAYOUTS = {
+    "every-other-row-unselected": (np.arange(0, 40, 2), 41),
+    "one-row-10^4-times": (np.full(10_000, 3), 5),
+    "hot-row-and-singletons": (np.concatenate([np.full(10_000, 7),
+                                               np.arange(100)]), 120),
+    "no-row-selected": (np.zeros(0, dtype=np.int64), 4),
+}
+
+
+@pytest.mark.parametrize("d", [1, 64])
+@pytest.mark.parametrize("layout", SCATTER_LAYOUTS)
+def test_scatter_add_layouts_equal_add_at(layout, d):
+    index, num_rows = SCATTER_LAYOUTS[layout]
+    rng = np.random.default_rng(5)
+    index = rng.permutation(index)
+    values = rng.normal(size=(index.size, d))
+    ref = np.zeros((num_rows, d))
+    np.add.at(ref, index, values)
+    out = scatter_add(values, index, num_rows)
+    assert np.array_equal(out, ref)
+    assert np.array_equal(out, reference_scatter_add(values, index, num_rows))
+    assert not out[np.setdiff1d(np.arange(num_rows), index)].any()
+
+
 def test_reduce_or_default_empty_groups():
     gf = grouped(np.zeros((0, 2)), [0, 0, 0, 0])
     for kind in KINDS + ("pna",):

@@ -148,6 +148,38 @@ def test_bad_node_label_row_exit_2(dataset, tmp_path, capsys):
     assert "row" in capsys.readouterr().err
 
 
+def test_node_listed_twice_in_sidecar_exit_2(dataset, tmp_path, capsys):
+    tx, labels = dataset
+    twice = tmp_path / "twice.labels.csv"
+    twice.write_text("node,label\n0,1\n0,0\n")
+    assert run(train_args(tx, twice, tmp_path / "o")) == 2
+    assert "row 2: node '0' is listed twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--config", "edge_agg=bogus"], "unknown aggregation kind 'bogus'"),
+    (["--seeds", "0,x"], "--seeds"),
+    (["--batch-size", 0], "batch_size"),
+    (["--batch-size", -5], "batch_size"),
+    (["--epochs", 0], "epochs"),
+    (["--patience", -1], "patience"),
+    (["--hidden", 0], "widths"),
+    (["--mlp-hidden", 0], "widths"),
+], ids=["unknown-agg", "bad-seeds", "batch-0", "batch-negative", "epochs-0",
+        "patience-negative", "hidden-0", "mlp-hidden-0"])
+def test_malformed_configuration_exit_2(dataset, tmp_path, capsys, extra,
+                                        message):
+    tx, labels = dataset
+    if extra[0] == "--config":
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(extra[1] + "\n")
+        extra = ["--config", cfg]
+    out_dir = tmp_path / "o"
+    assert run(train_args(tx, labels, out_dir, *extra)) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out_dir.glob("record_*.json"))
+
+
 def test_labelless_schema_without_sidecar_exit_2(dataset, tmp_path, capsys):
     tx, _ = dataset
     rc = run(["train", "--data", tx, "--schema", "eth",

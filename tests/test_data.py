@@ -125,7 +125,7 @@ def test_node_labels_map_through_account_names(tmp_path):
     assert load_node_labels(p, ["c", "a", "b"]).tolist() == [0, -1, 1]
 
 
-@pytest.mark.parametrize("row", ["-1,1", "4,0", "0,7", "1,-2", "2"])
+@pytest.mark.parametrize("row", ["-1,1", "4,0", "0,7", "1,-2", "2", "0,0"])
 def test_node_labels_reject_out_of_range_rows(tmp_path, row):
     p = write(tmp_path, "l.csv", f"node,label\n0,1\n{row}\n")
     with pytest.raises(IngestionError, match="row 2"):

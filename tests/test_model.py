@@ -305,6 +305,47 @@ def test_forward_deterministic_under_dropout_seed():
     assert not np.array_equal(a, c)
 
 
+def cache_array_bytes(root) -> int:
+    """Bytes of the distinct array buffers a forward cache keeps alive.
+
+    Follows containers, object attributes and closure cells; a view counts
+    its base once. Mlp objects are skipped: their parameters are not cache.
+    """
+    seen, buffers, stack = set(), {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (Mlp, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return sum(buffers.values())
+
+
+def test_train_cache_keeps_no_dropout_state():
+    """Dropout and relu gates are read off cached inputs, not kept."""
+    g = random_connected_multigraph(8, 20, seed=2)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    cfg = ModelConfig(bidirectional=True, hidden_node=4, hidden_edge=4,
+                      mlp_hidden=5, dropout=0.3)
+    model = Model(cfg, 2, 2, seed=3)
+    train_logits, train = model.forward(g, supp, rev, train_mode=True, seed=5)
+    eval_logits, evaluated = model.forward(g, supp, rev)
+    assert not np.array_equal(train_logits, eval_logits)
+    assert cache_array_bytes(train) == cache_array_bytes(evaluated) > 0
+
+
 def test_flat_params_roundtrip():
     """Every weight and bias is a view into params, its gradient into grads."""
     model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5), 2, 2)

@@ -152,11 +152,28 @@ def test_backward_matches_finite_differences(activation):
     assert np.allclose(gin, fd_in, rtol=1e-4, atol=1e-7)
 
 
+@pytest.mark.parametrize("activation", ["gelu", "identity"])
+def test_train_mode_dropout_needs_relu(activation):
+    """Only relu's gate can be read off the next layer's input."""
+    m = init_mlp([3, 8, 2], np.random.default_rng(1), activation=activation,
+                 dropout=0.3)
+    x = np.random.default_rng(2).normal(size=(6, 3))
+    with pytest.raises(NnError, match="relu"):
+        mlp_forward(m, x, train_mode=True, dropout_mask_seed=7)
+    out, cache = mlp_forward(m, x, train_mode=False, dropout_mask_seed=7)
+    gin, _ = mlp_backward(m, cache, np.ones_like(out))
+    assert gin.shape == x.shape
+    m.dropout = 0.0
+    a, _ = mlp_forward(m, x, train_mode=True, dropout_mask_seed=7)
+    assert np.array_equal(a, out)
+
+
 def test_dropout_backward_exact_for_realized_mask():
     rng = np.random.default_rng(5)
-    m = init_mlp([3, 8, 1], rng, activation="gelu", dropout=0.4)
+    m = init_mlp([3, 8, 1], rng, activation="relu", dropout=0.4)
     x = rng.normal(size=(5, 3))
     out, cache = mlp_forward(m, x, train_mode=True, dropout_mask_seed=11)
+    assert not np.array_equal(out, mlp_forward(m, x)[0])   # a mask was drawn
     gout = np.ones_like(out)
     _, grads = mlp_backward(m, cache, gout)
 
@@ -189,7 +206,9 @@ def built(parts):
 @pytest.mark.parametrize("activation", ["relu", "gelu"])
 def test_gathered_concat_equals_built_input(activation):
     rng = np.random.default_rng(8)
-    m = init_mlp([7, 6, 3], rng, activation=activation, dropout=0.3)
+    # train-mode dropout needs relu; gelu runs without it
+    dropout = 0.3 if activation == "relu" else 0.0
+    m = init_mlp([7, 6, 3], rng, activation=activation, dropout=dropout)
     parts = gathered_parts(rng)
     assert GatheredConcat(*parts).shape == (6, 7)
     for train in (False, True):
@@ -201,7 +220,9 @@ def test_gathered_concat_equals_built_input(activation):
 @pytest.mark.parametrize("activation", ["relu", "gelu"])
 def test_gathered_concat_backward_matches_finite_differences(activation):
     rng = np.random.default_rng(9)
-    m = init_mlp([7, 6, 3], rng, activation=activation, dropout=0.3)
+    # train-mode dropout needs relu; gelu runs without it
+    dropout = 0.3 if activation == "relu" else 0.0
+    m = init_mlp([7, 6, 3], rng, activation=activation, dropout=dropout)
     parts = gathered_parts(rng)
     gout = rng.normal(size=(6, 3))
 

@@ -29,7 +29,7 @@ def small_task(seed=0, num_nodes=60):
 
 def fast_configs():
     mc = ModelConfig(num_layers=1, bidirectional=False, readout="node",
-                     hidden_node=8, hidden_edge=8, mlp_hidden=8)
+                     hidden_node=8, hidden_edge=8, mlp_hidden=8, dropout=0.0)
     tc = TrainConfig(learning_rate=0.01, batch_size=1024, dropout=0.0,
                      class_weights=(1.0, 3.0), epochs=4, patience=10)
     return mc, tc
@@ -111,7 +111,8 @@ def test_two_stage_learns_planted_task():
     task = small_task(num_nodes=200)
     mc = ModelConfig(num_layers=2, bidirectional=False, readout="node",
                      hidden_node=16, hidden_edge=16, mlp_hidden=32,
-                     edge_agg=AggSpec("sum"), node_agg=AggSpec("sum"))
+                     edge_agg=AggSpec("sum"), node_agg=AggSpec("sum"),
+                     dropout=0.0)
     tc = TrainConfig(learning_rate=0.01, batch_size=4096, dropout=0.0,
                      class_weights=(1.0, 3.0), epochs=120, patience=40)
     _, rec = train_model(task, mc, tc, seed=0)
