@@ -219,7 +219,7 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
             return loss
 
         flat = model.params.copy()
-        logits, cache = model.forward(g, supp, rev)
+        logits, cache = model.forward(g, supp, rev, train_mode=True)
         _, dlogits = weighted_bce_loss(logits, labels, (1.0, 2.0))
         grads = model.backward(cache, dlogits)
 

@@ -177,6 +177,8 @@ def cmd_train(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         raise ConfigError(f"--seeds: bad seed list {args.seeds!r}") from None
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds: {args.seeds!r} repeats a seed")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

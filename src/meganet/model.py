@@ -9,8 +9,12 @@ Directions are data: a layer loops over its support indices, the forward
 one and, when bidirectional, the support index of the transposed multigraph
 (build_reverse_index), each with its own DirectionNets. The node update
 reads [x || a_0 (|| a_1)]; each direction updates its own copy of the edge
-latents. A single-stage layer (all edges aggregated at the node in one go)
-is kept as the baseline.
+latents, except in the last layer, which updates only the latents the
+readout reads: none for a node readout, the forward direction's for an edge
+readout. The skipped edge-update nets stay in Model.params and checkpoints
+but are inert: nothing calls them and their gradient stays 0. A
+single-stage layer (all edges aggregated at the node in one go) is kept as
+the baseline.
 
 Every MLP weight and bias is a view into Model.params and its gradient a
 view into Model.grads, so backward accumulates in place and an optimizer
@@ -25,9 +29,11 @@ index's by_pair groups, messages with its by_dst groups (agg.GroupedFeatures),
 and their VJPs return gradients in the same row order, so no reduction
 input is gathered and no gradient scattered back through a group order.
 
-The forward pass records caches; Model.backward replays them in reverse
-for exact gradients, including through max/min (lowest-index tie-break),
-mean, std and the log-degree-scaled aggregator.
+A train-mode forward records caches; Model.backward replays them in
+reverse for exact gradients, including through max/min (lowest-index
+tie-break), mean, std and the log-degree-scaled aggregator. An eval-mode
+forward drops each layer's cache once the layer is done and returns only
+the final node and edge states.
 """
 
 from __future__ import annotations
@@ -151,18 +157,20 @@ def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
     return h, a, cache
 
 
-def direction_bwd(cache, ga, gh, gx):
+def direction_bwd(cache, ga, gx, gh, ge):
     """Backward of direction_fwd.
 
-    gh is the gradient already flowing into h (from the edge update) and is
-    updated in place; the x gradient is added into gx. Returns the e gradient.
+    gh and ge are the h and e gradients of the direction's edge update, or
+    None when it did not run; the x gradient is added into gx. Returns the
+    e gradient.
     """
     nets, edge_vjp, agg_cache, msg_cache, node_vjp = cache
     (gx_msg, gh_msg), _ = mlp_backward(nets.msg_net, msg_cache, node_vjp(ga))
     gx += gx_msg
-    gh += gh_msg
-    gh_raw, _ = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
-    return edge_vjp(gh_raw)
+    gh_raw, _ = mlp_backward(nets.edge_agg_mlp, agg_cache,
+                             gh_msg if gh is None else gh + gh_msg)
+    ge_dir = edge_vjp(gh_raw)
+    return ge_dir if ge is None else ge + ge_dir
 
 
 def edge_update_fwd(x, e, h, supp: SupportIndex, net: Mlp, train=False,
@@ -187,8 +195,14 @@ def edge_update_bwd(cache, gout, gx):
 # ---------------------------------------------------------------------------
 
 def two_stage_layer_fwd(lp: LayerParams, x, es, supports, train=False,
-                        seq=lambda: 0):
-    """One layer over len(supports) directions; es holds their edge latents."""
+                        seq=lambda: 0, edge_updates=None):
+    """One layer over len(supports) directions; es holds their edge latents.
+
+    Only the first edge_updates directions (default: all) update their edge
+    latents; the others return theirs unchanged but still draw their seed.
+    """
+    if edge_updates is None:
+        edge_updates = len(supports)
     hs, parts, dir_caches = [], [(x, None)], []
     for supp, nets, e in zip(supports, lp.directions, es):
         h, a, c = direction_fwd(x, e, supp, nets, lp.agg_edge, lp.agg_node,
@@ -198,35 +212,37 @@ def two_stage_layer_fwd(lp: LayerParams, x, es, supports, train=False,
         dir_caches.append(c)
     x1, gv_cache = mlp_forward(lp.node_update_net, GatheredConcat(*parts),
                                train, seq())
-    es1, eu_caches = [], []
-    for supp, nets, e, h in zip(supports, lp.directions, es, hs):
-        e1, c = edge_update_fwd(x, e, h, supp, nets.edge_update_net, train,
-                                seq())
-        es1.append(e1)
-        eu_caches.append(c)
+    es1, eu_caches = list(es), []
+    for d, (supp, nets, e, h) in enumerate(zip(supports, lp.directions, es,
+                                               hs)):
+        seed = seq()
+        if d < edge_updates:
+            es1[d], c = edge_update_fwd(x, e, h, supp, nets.edge_update_net,
+                                        train, seed)
+            eu_caches.append(c)
     return x1, es1, (lp, dir_caches, gv_cache, eu_caches, x.shape)
 
 
 def two_stage_layer_bwd(cache, gx1, ges1):
+    """ges1 holds the e gradients of the directions whose edge update ran."""
     lp, dir_caches, gv_cache, eu_caches, x_shape = cache
     gx0 = np.zeros(x_shape)
-    ges0, ghs = [], []
-    for c, ge1 in zip(eu_caches, ges1):
-        ge0, gh = edge_update_bwd(c, ge1, gx0)
-        ges0.append(ge0)
-        ghs.append(gh)
+    eu_grads = [edge_update_bwd(c, ge1, gx0)
+                for c, ge1 in zip(eu_caches, ges1)]
+    eu_grads += [(None, None)] * (len(dir_caches) - len(eu_grads))
     (gx_nu, *gas), _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
     gx0 += gx_nu
-    for c, ga, gh, ge0 in zip(dir_caches, gas, ghs, ges0):
-        ge0 += direction_bwd(c, ga, gh, gx0)
-    return gx0, ges0
+    return gx0, [direction_bwd(c, ga, gx0, gh, ge0)
+                 for c, ga, (ge0, gh) in zip(dir_caches, gas, eu_grads)]
 
 
 def single_stage_layer_fwd(lp: LayerParams, x, es, g: Multigraph,
-                           in_groups: Groups, train=False, seq=lambda: 0):
+                           in_groups: Groups, train=False, seq=lambda: 0,
+                           edge_updates=1):
     """Baseline layer: all incoming edges aggregated at the node in one stage.
 
-    in_groups is build_groups(g.dst, g.num_nodes); es holds one edge latent.
+    in_groups is build_groups(g.dst, g.num_nodes); es holds one edge latent,
+    returned unchanged when edge_updates is 0.
     """
     (e,) = es
     nets = lp.directions[0]
@@ -238,27 +254,27 @@ def single_stage_layer_fwd(lp: LayerParams, x, es, g: Multigraph,
     x1, gv_cache = mlp_forward(lp.node_update_net,
                                GatheredConcat((x, None), (a, None)),
                                train, seq())
-    e1, ge_cache = mlp_forward(nets.edge_update_net,
-                               GatheredConcat((x, g.src), (e, None),
-                                              (x, g.dst)),
-                               train, seq())
-    return x1, [e1], (lp, msg_cache, vjp, gv_cache, ge_cache)
+    seed = seq()
+    ge_cache = None
+    if edge_updates:
+        e, ge_cache = mlp_forward(nets.edge_update_net,
+                                  GatheredConcat((x, g.src), (e, None),
+                                                 (x, g.dst)),
+                                  train, seed)
+    return x1, [e], (lp, msg_cache, vjp, gv_cache, ge_cache)
 
 
 def single_stage_layer_bwd(cache, gx1, ges1):
     lp, msg_cache, vjp, gv_cache, ge_cache = cache
     nets = lp.directions[0]
 
+    (gx_nu, ga), _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
+    (gx_msg, ge_msg), _ = mlp_backward(nets.msg_net, msg_cache, vjp(ga))
+    if ge_cache is None:
+        return gx_nu + gx_msg, [ge_msg]
     (gx_src, ge0, gx_dst), _ = mlp_backward(nets.edge_update_net, ge_cache,
                                             ges1[0])
-    gx0 = gx_src + gx_dst
-    (gx_nu, ga), _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
-    gx0 += gx_nu
-
-    (gx_msg, ge_msg), _ = mlp_backward(nets.msg_net, msg_cache, vjp(ga))
-    gx0 += gx_msg
-    ge0 += ge_msg
-    return gx0, [ge0]
+    return gx_src + gx_dst + gx_nu + gx_msg, [ge0 + ge_msg]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +350,9 @@ class Model:
         """Returns (logits, cache). Logits are per node or per edge.
 
         rev is build_reverse_index(g, supp); only the bidirectional
-        two-stage model reads it.
+        two-stage model reads it. A train-mode cache holds what backward
+        reads and nothing else. An eval-mode cache is {"final": (x, es)}:
+        the last node states and each direction's latest edge latents.
         """
         cfg = self.config
         supports = [supp]
@@ -357,15 +375,21 @@ class Model:
 
         if not cfg.two_stage:
             in_groups = build_groups(g.dst, g.num_nodes)
+        # the readout reads no edge latent (node) or the forward one (edge)
+        last_updates = 0 if cfg.readout == "node" else 1
         stages = []
-        for lp in self.layers:
+        for li, lp in enumerate(self.layers):
+            updates = (last_updates if li == len(self.layers) - 1
+                       else len(supports))
             if cfg.two_stage:
                 x, es, c = two_stage_layer_fwd(lp, x, es, supports,
-                                               train_mode, seq)
+                                               train_mode, seq, updates)
             else:
                 x, es, c = single_stage_layer_fwd(lp, x, es, g, in_groups,
-                                                  train_mode, seq)
-            stages.append(c)
+                                                  train_mode, seq, updates)
+            if train_mode:
+                stages.append(c)
+            del c                 # eval: free it before the next layer runs
 
         if cfg.readout == "node":
             ro_in = x
@@ -373,9 +397,10 @@ class Model:
             ro_in = GatheredConcat((x, g.src), (es[0], None), (x, g.dst))
         logits2d, c_ro = mlp_forward(self.readout_net, ro_in, train_mode,
                                      seq())
-        cache = {"enc": (c_nenc, c_eenc), "stages": stages,
-                 "readout": c_ro, "final": (x, es)}
-        return logits2d[:, 0], cache
+        if not train_mode:
+            return logits2d[:, 0], {"final": (x, es)}
+        return logits2d[:, 0], {"enc": (c_nenc, c_eenc), "stages": stages,
+                                "readout": c_ro}
 
     # -- backward -----------------------------------------------------------
 
@@ -384,16 +409,18 @@ class Model:
 
         The returned array is overwritten by the next call.
         """
+        if "stages" not in cache:
+            raise ModelError("backward needs the cache of a train-mode "
+                             "forward")
         self.grads[...] = 0.0
         gl = np.asarray(logit_grads, dtype=np.float64).reshape(-1, 1)
 
         gro_in, _ = mlp_backward(self.readout_net, cache["readout"], gl)
-        ges = [np.zeros_like(e) for e in cache["final"][1]]
         if self.config.readout == "node":
-            gx = gro_in
+            gx, ges = gro_in, []
         else:
-            gx_src, ges[0], gx_dst = gro_in
-            gx = gx_src + gx_dst
+            gx_src, ge, gx_dst = gro_in
+            gx, ges = gx_src + gx_dst, [ge]
 
         layer_bwd = (two_stage_layer_bwd if self.config.two_stage
                      else single_stage_layer_bwd)

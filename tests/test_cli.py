@@ -159,14 +159,16 @@ def test_node_listed_twice_in_sidecar_exit_2(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("extra,message", [
     (["--config", "edge_agg=bogus"], "unknown aggregation kind 'bogus'"),
     (["--seeds", "0,x"], "--seeds"),
+    (["--seeds", "0,1,0"], "repeats a seed"),
     (["--batch-size", 0], "batch_size"),
     (["--batch-size", -5], "batch_size"),
     (["--epochs", 0], "epochs"),
     (["--patience", -1], "patience"),
     (["--hidden", 0], "widths"),
     (["--mlp-hidden", 0], "widths"),
-], ids=["unknown-agg", "bad-seeds", "batch-0", "batch-negative", "epochs-0",
-        "patience-negative", "hidden-0", "mlp-hidden-0"])
+], ids=["unknown-agg", "bad-seeds", "repeated-seed", "batch-0",
+        "batch-negative", "epochs-0", "patience-negative", "hidden-0",
+        "mlp-hidden-0"])
 def test_malformed_configuration_exit_2(dataset, tmp_path, capsys, extra,
                                         message):
     tx, labels = dataset

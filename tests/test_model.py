@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -340,10 +340,48 @@ def test_train_cache_keeps_no_dropout_state():
     cfg = ModelConfig(bidirectional=True, hidden_node=4, hidden_edge=4,
                       mlp_hidden=5, dropout=0.3)
     model = Model(cfg, 2, 2, seed=3)
+    undropped = Model(replace(cfg, dropout=0.0), 2, 2, seed=3)
+    assert np.array_equal(model.params, undropped.params)
     train_logits, train = model.forward(g, supp, rev, train_mode=True, seed=5)
-    eval_logits, evaluated = model.forward(g, supp, rev)
-    assert not np.array_equal(train_logits, eval_logits)
-    assert cache_array_bytes(train) == cache_array_bytes(evaluated) > 0
+    plain_logits, plain = undropped.forward(g, supp, rev, train_mode=True,
+                                            seed=5)
+    assert not np.array_equal(train_logits, plain_logits)
+    assert cache_array_bytes(train) == cache_array_bytes(plain) > 0
+
+
+def test_eval_cache_keeps_only_final_state():
+    g = random_connected_multigraph(8, 20, seed=2)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5),
+                  2, 2, seed=3)
+    logits, cache = model.forward(g, supp, rev)
+    assert list(cache) == ["final"]
+    with pytest.raises(ModelError, match="train-mode"):
+        model.backward(cache, np.ones_like(logits))
+    _, train = model.forward(g, supp, rev, train_mode=True)
+    assert "final" not in train           # backward does not read it
+
+
+def test_eval_forward_frees_each_layer_cache():
+    """Peak eval-forward memory does not grow with the layer count."""
+    import tracemalloc
+
+    g = random_connected_multigraph(50, 400, seed=0)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    peaks = []
+    for num_layers in (1, 6):
+        model = Model(ModelConfig(num_layers=num_layers, hidden_node=16,
+                                  hidden_edge=16, mlp_hidden=16), 2, 2)
+        tracemalloc.start()
+        try:
+            model.forward(g, supp, rev)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # keeping every layer's cache would give about 4.7x
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_flat_params_roundtrip():
@@ -368,27 +406,17 @@ def test_backward_zero_upstream_zero_grads():
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
     model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5), 2, 2)
-    logits, cache = model.forward(g, supp, rev)
+    logits, cache = model.forward(g, supp, rev, train_mode=True)
     model.grads[...] = 1.0                 # stale values must not survive
     assert not model.backward(cache, np.zeros_like(logits)).any()
 
 
-def test_full_model_gradient_on_fixed_small_graph():
-    """6 nodes, 10 edges, bidirectional, both stages: analytic vs FD."""
-    g = random_connected_multigraph(6, 10, seed=13)
-    supp = build_support_index(g)
-    rev = build_reverse_index(g, supp)
-    cfg = ModelConfig(num_layers=2, bidirectional=True,
-                      edge_agg=AggSpec("mean"), node_agg=AggSpec("max"),
-                      readout="node", hidden_node=3, hidden_edge=3,
-                      mlp_hidden=4)
-    model = Model(cfg, 2, 2, seed=4)
+def assert_gradient_matches_fd(model, g, supp, rev, labels):
+    """Analytic gradient against central differences along 5 directions."""
     for _, mlp in model.named_mlps():
         if mlp.activation == "relu":
             mlp.activation = "gelu"  # smooth for the FD oracle
-    labels = np.array([0, 1, 1, 0, 1, 0])
-
-    logits, cache = model.forward(g, supp, rev)
+    logits, cache = model.forward(g, supp, rev, train_mode=True)
     _, dl = weighted_bce_loss(logits, labels)
     grads = model.backward(cache, dl).copy()
 
@@ -407,6 +435,95 @@ def test_full_model_gradient_on_fixed_small_graph():
         rel = abs(fd - grads @ d) / max(abs(fd), abs(grads @ d), 1e-8)
         assert rel <= 1e-4
     model.params[...] = flat
+
+
+def test_full_model_gradient_on_fixed_small_graph():
+    """6 nodes, 10 edges, bidirectional, both stages: analytic vs FD."""
+    g = random_connected_multigraph(6, 10, seed=13)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    cfg = ModelConfig(num_layers=2, bidirectional=True,
+                      edge_agg=AggSpec("mean"), node_agg=AggSpec("max"),
+                      readout="node", hidden_node=3, hidden_edge=3,
+                      mlp_hidden=4)
+    model = Model(cfg, 2, 2, seed=4)
+    assert_gradient_matches_fd(model, g, supp, rev,
+                               np.array([0, 1, 1, 0, 1, 0]))
+
+
+@pytest.mark.parametrize("cfg", [
+    # no edge update runs: the edge encoder learns through h alone
+    ModelConfig(num_layers=1, readout="node"),
+    ModelConfig(num_layers=1, readout="edge"),
+    ModelConfig(two_stage=False, readout="node"),
+], ids=["one-layer-node", "one-layer-edge", "single-stage-node"])
+def test_gradient_where_last_layer_skips_edge_updates(cfg):
+    g = random_connected_multigraph(6, 10, seed=13)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    cfg = replace(cfg, edge_agg=AggSpec("mean"), node_agg=AggSpec("max"),
+                  hidden_node=3, hidden_edge=3, mlp_hidden=4)
+    model = Model(cfg, 2, 2, seed=4)
+    n = g.num_nodes if cfg.readout == "node" else g.num_edges
+    assert_gradient_matches_fd(model, g, supp, rev, np.arange(n) % 2)
+
+
+@pytest.mark.parametrize("cfg,skipped", [
+    (ModelConfig(readout="node"),
+     {"layer1.edge_update_net", "layer1.rev_edge_update_net"}),
+    (ModelConfig(readout="edge"), {"layer1.rev_edge_update_net"}),
+    (ModelConfig(two_stage=False, readout="node"), {"layer1.edge_update_net"}),
+], ids=["node", "edge", "single-stage-node"])
+def test_last_layer_runs_only_edge_updates_readout_reads(monkeypatch, cfg,
+                                                         skipped):
+    import meganet.model as model_module
+
+    seen = set()
+
+    def recorded(fn):
+        def wrapper(m, *args, **kwargs):
+            seen.add(id(m))
+            return fn(m, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model_module, "mlp_forward",
+                        recorded(model_module.mlp_forward))
+    monkeypatch.setattr(model_module, "mlp_backward",
+                        recorded(model_module.mlp_backward))
+    g = random_connected_multigraph(6, 10, seed=13)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = Model(replace(cfg, num_layers=2, hidden_node=3, hidden_edge=3,
+                          mlp_hidden=4), 2, 2, seed=4)
+    logits, cache = model.forward(g, supp, rev, train_mode=True, seed=1)
+    model.backward(cache, np.ones_like(logits))
+    mlps = dict(model.named_mlps())
+    assert skipped <= set(mlps)
+    assert {name for name, m in mlps.items() if id(m) not in seen} == skipped
+    for name in skipped:          # inert: never moved by an optimizer
+        assert not any(gw.any() for gw in mlps[name].grads.weights)
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(readout="node"),
+    ModelConfig(readout="edge"),
+    ModelConfig(two_stage=False, readout="node"),
+], ids=["node", "edge", "single-stage-node"])
+def test_skipped_edge_updates_shift_no_dropout_seed(monkeypatch, cfg):
+    """Running every last-layer edge update leaves train-mode logits as is."""
+    import meganet.model as model_module
+
+    g = random_connected_multigraph(6, 10, seed=13)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = Model(replace(cfg, hidden_node=3, hidden_edge=3, mlp_hidden=4,
+                          dropout=0.3), 2, 2, seed=4)
+    want, _ = model.forward(g, supp, rev, train_mode=True, seed=1)
+    for name in ("two_stage_layer_fwd", "single_stage_layer_fwd"):
+        # drop the edge_updates argument: every direction updates
+        monkeypatch.setattr(model_module, name,
+                            lambda *args, fwd=getattr(model_module, name):
+                            fwd(*args[:-1]))
+    got, _ = model.forward(g, supp, rev, train_mode=True, seed=1)
+    assert np.array_equal(got, want)
 
 
 def test_checkpoint_roundtrip(tmp_path):
