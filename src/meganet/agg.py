@@ -14,6 +14,7 @@ moments) add the rows in group order, which is item order, and max and min
 take the extremes. The max/min VJP gathers the block again and routes each
 gradient to the first row that achieves the extreme. PNA's degree scalers
 read the group sizes. scatter_add, nn's row scatter, is the same block sum.
+Every output and VJP is in the dtype of the values (float32 or float64).
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ _KINDS = ("sum", "mean", "max", "min", "std", "pna")
 
 class AggError(ValueError):
     pass
+
+
+def as_float_array(a) -> np.ndarray:
+    """a as an array, kept in its floating dtype; anything else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype.kind == "f" else a.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class GroupedFeatures:
     groups: Groups
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "values", as_float_array(self.values))
         if self.values.ndim != 2:
             raise AggError("values must be a 2-d matrix")
         if not isinstance(self.groups, Groups):
@@ -106,26 +113,29 @@ class GroupedFeatures:
         return self.groups.counts
 
 
-def pna_scalers(degree, mean_log_degree: float):
-    """Log-degree amplification and its reciprocal attenuation."""
-    degree = np.asarray(degree, dtype=np.float64)
+def pna_scalers(degree, mean_log_degree: float, dtype=np.float64):
+    """Log-degree amplification and its reciprocal attenuation, in dtype."""
+    degree = np.asarray(degree, dtype=dtype)
     if np.any(degree < 1):
         raise AggError("pna scalers need degree >= 1 (empty groups are handled upstream)")
     if not mean_log_degree > 0:
         raise AggError("mean_log_degree must be positive")
-    amplification = np.log(degree + 1.0) / mean_log_degree
+    amplification = np.log(degree + 1.0) / float(mean_log_degree)
     attenuation = 1.0 / amplification
     return amplification, attenuation
 
 
-def scatter_add(values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+def scatter_add(values: np.ndarray, index, num_rows: int) -> np.ndarray:
     """[num_rows, d] sums of value rows by target row: out[index[k]] += values[k].
 
-    The reductions' block sum over the rows grouped by target: each entry
-    adds its values in row order, so it equals np.add.at's bit for bit.
+    index is a row index or the graph.Groups that groups one by target row,
+    which saves grouping it again. The reductions' block sum over the rows
+    grouped by target: each entry adds its values in row order, so it
+    equals np.add.at's bit for bit.
     """
-    out = np.zeros((num_rows, values.shape[1]))
-    for gids, rows in _size_buckets(build_groups(index, num_rows)):
+    out = np.zeros((num_rows, values.shape[1]), dtype=values.dtype)
+    groups = index if isinstance(index, Groups) else build_groups(index, num_rows)
+    for gids, rows in _size_buckets(groups):
         if rows.shape[0]:
             out[gids] = _reduce_rows(np.add, np.take(values, rows, axis=0))
     return out
@@ -194,7 +204,7 @@ def _stats_into(stacked: np.ndarray, stats: tuple[str, ...],
     key = gf.groups.key
     d = v.shape[1]
     col = {stat: stacked[:, i * d:(i + 1) * d] for i, stat in enumerate(stats)}
-    counts = gf.counts.astype(np.float64)[:, None]
+    counts = gf.counts.astype(v.dtype)[:, None]
     buckets = _size_buckets(gf.groups)
 
     sums = col.get("sum", col.get("mean"))
@@ -234,7 +244,7 @@ def _stats_into(stacked: np.ndarray, stats: tuple[str, ...],
         elif "mean" in g:
             gv = np.take(g["mean"] / counts, key, axis=0)
         else:
-            gv = np.zeros((key.size, d))
+            gv = np.zeros((key.size, d), dtype=counts.dtype)
         if extremes:
             _route_extremes(v, buckets,
                             [(value, g[stat]) for stat, value in extremes], gv)
@@ -262,12 +272,12 @@ def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
         raise AggError("segment_reduce requires non-empty groups")
     stats = spec.pna_stats if spec.kind == "pna" else (spec.kind,)
     d = gf.values.shape[1]
-    stacked = np.empty((gf.num_groups, len(stats) * d))
+    stacked = np.empty((gf.num_groups, len(stats) * d), dtype=gf.values.dtype)
     stats_vjp = _stats_into(stacked, stats, gf)
     if spec.kind != "pna":
         return stacked, stats_vjp
 
-    amp, att = pna_scalers(gf.counts, spec.mean_log_degree)
+    amp, att = pna_scalers(gf.counts, spec.mean_log_degree, stacked.dtype)
     column = {"identity": np.ones_like(amp), "amplification": amp,
               "attenuation": att}
     # [G, scalers, 1]: out[g] is stacked[g] times each scaler in turn
@@ -301,7 +311,7 @@ def reduce_or_default_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     rank = np.cumsum(counts > 0) - 1
     sub = Groups(rank[key], order, np.append(offsets[full], offsets[-1]))
     reduced, sub_vjp = segment_reduce_with_vjp(spec, GroupedFeatures(gf.values, sub))
-    out = np.zeros((gf.num_groups, reduced.shape[1]))
+    out = np.zeros((gf.num_groups, reduced.shape[1]), dtype=reduced.dtype)
     out[full] = reduced
 
     def vjp(gout):

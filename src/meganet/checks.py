@@ -38,7 +38,8 @@ def _rel_close(a: np.ndarray, b: np.ndarray, rtol: float) -> bool:
 def equivariance_suite(num_graphs: int = 100, seed: int = 0,
                        rtol: float = 1e-5) -> dict:
     """Permuted-input outputs must equal permuted outputs for every
-    EdgeAgg x AGG combination, bidirectional on and off."""
+    EdgeAgg x AGG combination, bidirectional on and off, in float64: a
+    permutation reorders additions, and 1e-5 is below float32's spread."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     models = {}
@@ -48,7 +49,7 @@ def equivariance_suite(num_graphs: int = 100, seed: int = 0,
                 cfg = ModelConfig(
                     num_layers=2, bidirectional=bidir, edge_agg=AggSpec(ek),
                     node_agg=AggSpec(nk), readout="node", hidden_node=6,
-                    hidden_edge=6, mlp_hidden=8)
+                    hidden_edge=6, mlp_hidden=8, dtype="float64")
                 models[(ek, nk, bidir)] = Model(cfg, 2, 2, seed=17)
 
     failures = []
@@ -184,7 +185,8 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
     """Analytic full-model gradients vs central finite differences.
 
     Smooth activations keep the finite-difference oracle valid; max/min
-    aggregation paths are exercised away from ties.
+    aggregation paths are exercised away from ties. The models run in
+    float64, which central differences at eps=1e-5 need.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -203,7 +205,7 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
         cfg = ModelConfig(num_layers=2, bidirectional=True,
                           edge_agg=AggSpec(ek), node_agg=AggSpec(nk),
                           readout=readout, hidden_node=4, hidden_edge=4,
-                          mlp_hidden=5)
+                          mlp_hidden=5, dtype="float64")
         model = Model(cfg, 2, 2, seed=int(rng.integers(1 << 30)))
         # smooth activations for a clean finite-difference oracle
         for _, mlp in model.named_mlps():

@@ -5,13 +5,15 @@ pair may appear any number of times, and edge feature row k always belongs
 to edge k. Every grouping (edges by pair, pairs by node, edges by node) is
 one Groups value from build_groups; the support index is three of them,
 and its mirror over the transposed edges is the same three with the
-by-destination and by-source roles swapped. All are built once and
+by-destination and by-source roles swapped. The edges-by-node groupings
+a support index adds are built on first use. All are built once and
 treated as immutable afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -119,7 +121,9 @@ class SupportIndex:
 
     Pairs are numbered in first-occurrence order. by_pair groups edges by
     their pair, by_dst groups pairs by destination node and by_src groups
-    pairs by source node.
+    pairs by source node. edges_by_src and edges_by_dst group the edges by
+    the source and destination node of their pair; each is built on first
+    use and kept.
     """
 
     num_nodes: int
@@ -146,6 +150,14 @@ class SupportIndex:
     @property
     def supp_dst(self) -> np.ndarray:
         return self.by_dst.key
+
+    @cached_property
+    def edges_by_src(self) -> Groups:
+        return build_groups(self.supp_src[self.edge_to_supp], self.num_nodes)
+
+    @cached_property
+    def edges_by_dst(self) -> Groups:
+        return build_groups(self.supp_dst[self.edge_to_supp], self.num_nodes)
 
 
 def build_support_index(g: Multigraph) -> SupportIndex:

@@ -18,12 +18,16 @@ the baseline.
 
 Every MLP weight and bias is a view into Model.params and its gradient a
 view into Model.grads, so backward accumulates in place and an optimizer
-updates Model.params in place.
+updates Model.params in place. ModelConfig.dtype (float32 by default, or
+float64) is the dtype of both arenas, of the node and edge features a
+forward casts, and so of every activation, cache and gradient.
 
 MLP inputs that concatenate gathered rows ([x_src || h], [x_src || e || h],
 [x || a_0 (|| a_1)], the edge readout's [x_src || e || x_dst]) are passed
 as nn.GatheredConcat: nothing of per-edge width is built or cached, and
-each backward returns the gradients already summed into x, e and h rows.
+each backward returns the gradients already summed into x, e and h rows;
+a gathered part carries the support index's Groups for its row index, so
+the backward scatter groups nothing again.
 Reductions read their rows where they lie: edge latents e with the support
 index's by_pair groups, messages with its by_dst groups (agg.GroupedFeatures),
 and their VJPs return gradients in the same row order, so no reduction
@@ -49,7 +53,7 @@ from .agg import (
     reduce_or_default_with_vjp,
     segment_reduce_with_vjp,
 )
-from .graph import Groups, Multigraph, SupportIndex, build_groups
+from .graph import Multigraph, SupportIndex
 from .nn import GatheredConcat, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
 
 
@@ -72,6 +76,7 @@ class ModelConfig:
     hidden_edge: int = 16
     mlp_hidden: int = 16
     dropout: float = 0.0
+    dtype: str = "float32"         # or "float64"
 
     def __post_init__(self):
         if self.num_layers < 1:
@@ -80,6 +85,8 @@ class ModelConfig:
             raise ModelError("hidden widths must be at least 1")
         if self.readout not in ("node", "edge"):
             raise ModelError(f"unknown readout {self.readout!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ModelError(f"unknown dtype {self.dtype!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -90,6 +97,8 @@ class ModelConfig:
                              "post-aggregation MLP is part of every layer")
         d["edge_agg"] = _agg_from_dict(d["edge_agg"])
         d["node_agg"] = _agg_from_dict(d["node_agg"])
+        # checkpoints written before the dtype switch ran in float64
+        d.setdefault("dtype", "float64")
         return cls(**d)
 
 
@@ -124,7 +133,7 @@ class LayerParams:
 def add_ego_ids(node_features: np.ndarray, roots) -> np.ndarray:
     """Append a binary root-marker column."""
     roots = np.asarray(roots, dtype=np.int64)
-    col = np.zeros((node_features.shape[0], 1))
+    col = np.zeros((node_features.shape[0], 1), dtype=node_features.dtype)
     if roots.size:
         if roots.min() < 0 or roots.max() >= node_features.shape[0]:
             raise ModelError("root index out of range")
@@ -149,7 +158,7 @@ def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
         agg_edge, GroupedFeatures(e, supp.by_pair))
     h, agg_cache = mlp_forward(nets.edge_agg_mlp, h_raw, train, seeds[0])
     msg, msg_cache = mlp_forward(nets.msg_net,
-                                 GatheredConcat((x, supp.supp_src), (h, None)),
+                                 GatheredConcat((x, supp.by_src), (h, None)),
                                  train, seeds[1])
     a, node_vjp = reduce_or_default_with_vjp(
         agg_node, GroupedFeatures(msg, supp.by_dst))
@@ -176,8 +185,7 @@ def direction_bwd(cache, ga, gx, gh, ge):
 def edge_update_fwd(x, e, h, supp: SupportIndex, net: Mlp, train=False,
                     seed=0):
     """Per-edge update from pre-update node features: [x_src || e || h]."""
-    inp = GatheredConcat((x, supp.supp_src[supp.edge_to_supp]), (e, None),
-                         (h, supp.edge_to_supp))
+    inp = GatheredConcat((x, supp.edges_by_src), (e, None), (h, supp.by_pair))
     out, net_cache = mlp_forward(net, inp, train, seed)
     return out, (net, net_cache)
 
@@ -226,7 +234,7 @@ def two_stage_layer_fwd(lp: LayerParams, x, es, supports, train=False,
 def two_stage_layer_bwd(cache, gx1, ges1):
     """ges1 holds the e gradients of the directions whose edge update ran."""
     lp, dir_caches, gv_cache, eu_caches, x_shape = cache
-    gx0 = np.zeros(x_shape)
+    gx0 = np.zeros(x_shape, dtype=gx1.dtype)
     eu_grads = [edge_update_bwd(c, ge1, gx0)
                 for c, ge1 in zip(eu_caches, ges1)]
     eu_grads += [(None, None)] * (len(dir_caches) - len(eu_grads))
@@ -236,21 +244,21 @@ def two_stage_layer_bwd(cache, gx1, ges1):
                  for c, ga, (ge0, gh) in zip(dir_caches, gas, eu_grads)]
 
 
-def single_stage_layer_fwd(lp: LayerParams, x, es, g: Multigraph,
-                           in_groups: Groups, train=False, seq=lambda: 0,
-                           edge_updates=1):
+def single_stage_layer_fwd(lp: LayerParams, x, es, supp: SupportIndex,
+                           train=False, seq=lambda: 0, edge_updates=1):
     """Baseline layer: all incoming edges aggregated at the node in one stage.
 
-    in_groups is build_groups(g.dst, g.num_nodes); es holds one edge latent,
-    returned unchanged when edge_updates is 0.
+    Edges are read through supp's edges_by_src and edges_by_dst groups; es
+    holds one edge latent, returned unchanged when edge_updates is 0.
     """
     (e,) = es
     nets = lp.directions[0]
+    src, dst = supp.edges_by_src, supp.edges_by_dst
     msg, msg_cache = mlp_forward(nets.msg_net,
-                                 GatheredConcat((x, g.src), (e, None)),
+                                 GatheredConcat((x, src), (e, None)),
                                  train, seq())
     a, vjp = reduce_or_default_with_vjp(lp.agg_node,
-                                        GroupedFeatures(msg, in_groups))
+                                        GroupedFeatures(msg, dst))
     x1, gv_cache = mlp_forward(lp.node_update_net,
                                GatheredConcat((x, None), (a, None)),
                                train, seq())
@@ -258,8 +266,8 @@ def single_stage_layer_fwd(lp: LayerParams, x, es, g: Multigraph,
     ge_cache = None
     if edge_updates:
         e, ge_cache = mlp_forward(nets.edge_update_net,
-                                  GatheredConcat((x, g.src), (e, None),
-                                                 (x, g.dst)),
+                                  GatheredConcat((x, src), (e, None),
+                                                 (x, dst)),
                                   train, seed)
     return x1, [e], (lp, msg_cache, vjp, gv_cache, ge_cache)
 
@@ -314,8 +322,8 @@ class Model:
                             hid, 1]
 
         sizes = [mlp_size(dims) for dims in specs.values()]
-        self.params = np.empty(sum(sizes))
-        self.grads = np.zeros(sum(sizes))
+        self.params = np.empty(sum(sizes), dtype=config.dtype)
+        self.grads = np.zeros(sum(sizes), dtype=config.dtype)
         nets: dict[str, Mlp] = {}
         pos = 0
         for (name, dims), size in zip(specs.items(), sizes):
@@ -365,16 +373,15 @@ class Model:
             roots = np.zeros(0, dtype=np.int64)
 
         seq = _SeedSequence(seed)
-        feats = g.node_features
+        feats = g.node_features.astype(cfg.dtype, copy=False)
         if cfg.ego_ids:
             feats = add_ego_ids(feats, roots)
         x, c_nenc = mlp_forward(self.node_encoder, feats, train_mode, seq())
-        e, c_eenc = mlp_forward(self.edge_encoder, g.edge_features,
+        e, c_eenc = mlp_forward(self.edge_encoder,
+                                g.edge_features.astype(cfg.dtype, copy=False),
                                 train_mode, seq())
         es = [e] * len(supports)
 
-        if not cfg.two_stage:
-            in_groups = build_groups(g.dst, g.num_nodes)
         # the readout reads no edge latent (node) or the forward one (edge)
         last_updates = 0 if cfg.readout == "node" else 1
         stages = []
@@ -385,8 +392,8 @@ class Model:
                 x, es, c = two_stage_layer_fwd(lp, x, es, supports,
                                                train_mode, seq, updates)
             else:
-                x, es, c = single_stage_layer_fwd(lp, x, es, g, in_groups,
-                                                  train_mode, seq, updates)
+                x, es, c = single_stage_layer_fwd(lp, x, es, supp, train_mode,
+                                                  seq, updates)
             if train_mode:
                 stages.append(c)
             del c                 # eval: free it before the next layer runs
@@ -394,7 +401,8 @@ class Model:
         if cfg.readout == "node":
             ro_in = x
         else:
-            ro_in = GatheredConcat((x, g.src), (es[0], None), (x, g.dst))
+            ro_in = GatheredConcat((x, supp.edges_by_src), (es[0], None),
+                                   (x, supp.edges_by_dst))
         logits2d, c_ro = mlp_forward(self.readout_net, ro_in, train_mode,
                                      seq())
         if not train_mode:
@@ -407,13 +415,19 @@ class Model:
     def backward(self, cache, logit_grads) -> np.ndarray:
         """Exact reverse-mode gradients, written into and returned as self.grads.
 
-        The returned array is overwritten by the next call.
+        The returned array is overwritten by the next call. Logit gradients
+        below the dtype's resolution of the largest one (eps * max |g|) are
+        taken as 0: they change no gradient at that resolution, and in
+        float32 they would carry subnormals, which slow every matmul they
+        reach several times over.
         """
         if "stages" not in cache:
             raise ModelError("backward needs the cache of a train-mode "
                              "forward")
         self.grads[...] = 0.0
-        gl = np.asarray(logit_grads, dtype=np.float64).reshape(-1, 1)
+        gl = np.array(logit_grads, dtype=self.params.dtype).reshape(-1, 1)
+        mag = np.abs(gl)
+        gl[mag < np.finfo(gl.dtype).eps * mag.max(initial=0.0)] = 0.0
 
         gro_in, _ = mlp_backward(self.readout_net, cache["readout"], gl)
         if self.config.readout == "node":
@@ -498,9 +512,9 @@ def load_checkpoint(path) -> Model:
                 raise ModelError(f"checkpoint does not match model structure "
                                  f"at {name!r}")
             for w, flat in zip(m.weights, entry["weights"]):
-                w[...] = np.asarray(flat, dtype=np.float64).reshape(w.shape)
+                w[...] = np.asarray(flat, dtype=w.dtype).reshape(w.shape)
             for b, vals in zip(m.biases, entry["biases"]):
-                b[...] = np.asarray(vals, dtype=np.float64).reshape(b.shape)
+                b[...] = np.asarray(vals, dtype=b.dtype).reshape(b.shape)
     except ModelError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

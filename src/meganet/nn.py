@@ -1,7 +1,10 @@
 """Dense MLP stack with exact reverse-mode gradients.
 
-Everything runs in float64. Dropout masks are seeded, so a training step
-can be replayed bit-for-bit. The forward cache keeps only the layer inputs
+An MLP computes in the dtype of its parameters (float32 or float64): its
+activations, caches and gradients follow that dtype, and init_mlp and
+dropout draw in float64 and round, so the two dtypes start from the same
+weights and drop the same units. Dropout masks are seeded, so a training
+step can be replayed bit-for-bit. The forward cache keeps only the layer inputs
 (and gelu's terms): backward reads a hidden layer's ReLU-and-dropout gate
 off the next layer's input, so train-mode dropout needs ReLU. Every MLP
 built by init_mlp owns gradient arrays that mlp_backward adds into.
@@ -12,6 +15,8 @@ The first layer multiplies each part by its block of weight rows before
 gathering, so a part of n rows costs n rows of matmul however many rows
 its index selects; the backward pass scatters the upstream gradient into
 each part's rows once (agg.scatter_add) and returns one gradient per part.
+A part's index may be a graph.Groups keyed by it, which the scatter then
+adds through instead of grouping the index again.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .agg import scatter_add
+from .agg import as_float_array, scatter_add
+from .graph import Groups
 
 _ACTIVATIONS = ("relu", "gelu", "identity")
 
@@ -80,7 +86,8 @@ def init_mlp(
     arena is an optional (params, grads) pair of flat arrays with
     mlp_size(layer_dims) entries each: the weights, then the biases, become
     views into params, and m.grads the matching views into grads. Without
-    one, both are fresh arrays and the gradients start at zero.
+    one, both are fresh float64 arrays and the gradients start at zero. The
+    weights are drawn in float64 and rounded to the arena's dtype.
     """
     if len(layer_dims) < 2:
         raise NnError("need at least input and output widths")
@@ -97,8 +104,7 @@ def init_mlp(
     k = len(layer_dims) - 1
     p = views(params)
     for w in p[:k]:
-        rng.standard_normal(out=w)
-        w *= np.sqrt(2.0 / max(w.shape[0], 1))
+        w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / max(w.shape[0], 1))
     for b in p[k:]:
         b[...] = 0.0
     g = views(grads)
@@ -117,23 +123,34 @@ class ParamGrads:
 class GatheredConcat:
     """np.concatenate([p if i is None else p[i] for p, i in parts], axis=1), unbuilt.
 
-    Each part is a 2-d array and a row index into it (None takes every row
-    in order); all parts must give the same number of rows. shape is that
-    of the concatenation.
+    Each part is a 2-d array and a row index into it: None takes every row
+    in order, and a graph.Groups over the part's rows stands for its key.
+    All parts must give the same number of rows. shape is that of the
+    concatenation.
     """
 
     def __init__(self, *parts):
         self.parts = tuple(
-            (np.asarray(p, dtype=np.float64),
-             None if i is None else np.asarray(i, dtype=np.int64))
+            (as_float_array(p),
+             i if i is None or isinstance(i, Groups)
+             else np.asarray(i, dtype=np.int64))
             for p, i in parts)
-        if any(p.ndim != 2 or (i is not None and i.ndim != 1)
+        if any(p.ndim != 2 or (i is not None and _rows(i).ndim != 1)
                for p, i in self.parts):
             raise NnError("parts must be 2-d arrays with 1-d row indices")
-        rows = {p.shape[0] if i is None else i.size for p, i in self.parts}
+        if any(isinstance(i, Groups) and i.num_groups != p.shape[0]
+               for p, i in self.parts):
+            raise NnError("a part's groups must cover its rows")
+        rows = {p.shape[0] if i is None else _rows(i).size
+                for p, i in self.parts}
         if len(rows) != 1:
             raise NnError(f"parts give different row counts {sorted(rows)}")
         self.shape = (rows.pop(), sum(p.shape[1] for p, _ in self.parts))
+
+
+def _rows(i) -> np.ndarray:
+    """The row index of a part: the index itself or its groups' key."""
+    return i.key if isinstance(i, Groups) else i
 
 
 def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -144,7 +161,7 @@ def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         hi = lo + p.shape[1]
         zp = p @ w[lo:hi]
         if i is not None:
-            zp = zp[i]
+            zp = zp[_rows(i)]
         if z is None:
             z = zp
         else:
@@ -174,7 +191,7 @@ def _act_forward(name: str, z: np.ndarray):
     if name == "relu":
         return np.maximum(z, 0.0), None
     # tanh-approximation gelu; the backward differentiates the same formula
-    c = np.sqrt(2.0 / np.pi)
+    c = math.sqrt(2.0 / math.pi)
     inner = c * (z + 0.044715 * z ** 3)
     t = np.tanh(inner)
     return 0.5 * z * (1.0 + t), (z, t)
@@ -211,7 +228,8 @@ def mlp_forward(
             h, aux = _act_forward(m.activation, z)
             act_auxes.append(aux)
             if use_dropout:
-                h *= (drop_rng.random(h.shape) < keep) / keep
+                h *= drop_rng.random(h.shape) < keep
+                h *= 1.0 / keep
         else:
             h = z
     cache = {"mlp": m, "inputs": inputs, "act_auxes": act_auxes,
@@ -232,7 +250,7 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
     grads = m.grads
     if grads is None:
         raise NnError("mlp has no gradient arrays; build it with init_mlp")
-    g = np.asarray(upstream, dtype=np.float64)
+    g = np.asarray(upstream, dtype=m.weights[0].dtype)
     last = len(m.weights) - 1
     for i in range(last, -1, -1):
         if i < last:
@@ -243,7 +261,7 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
                     g *= cache["scale"]
             elif m.activation == "gelu":
                 z, t = cache["act_auxes"][i]
-                dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3 * 0.044715 * z ** 2)
+                dinner = math.sqrt(2.0 / math.pi) * (1.0 + 3 * 0.044715 * z ** 2)
                 g = g * (0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * dinner)
         grads.biases[i] += g.sum(axis=0)
         if i:
@@ -291,8 +309,8 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def zeros(cls, size: int) -> "AdamState":
-        return cls(np.zeros(size), np.zeros(size), 0)
+    def zeros(cls, size: int, dtype=np.float64) -> "AdamState":
+        return cls(np.zeros(size, dtype), np.zeros(size, dtype), 0)
 
 
 def adam_step(

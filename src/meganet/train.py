@@ -99,7 +99,7 @@ def train_model(task: TaskData, model_config: ModelConfig,
 
     model = Model(model_config, g.node_features.shape[1],
                   g.edge_features.shape[1], seed=seed)
-    adam = AdamState.zeros(model.params.size)
+    adam = AdamState.zeros(model.params.size, model.params.dtype)
     rng = np.random.default_rng(seed + 1)
     weights = train_config.class_weights
 

@@ -236,6 +236,21 @@ def test_malformed_checkpoint_exit_2(dataset, tmp_path, capsys, corrupt):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_unknown_dtype_checkpoint_exit_2(dataset, tmp_path, capsys):
+    from meganet.model import Model, ModelConfig, save_checkpoint
+
+    tx, labels = dataset
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(Model(ModelConfig(), 1, 1), ckpt)
+    payload = json.loads(ckpt.read_text())
+    payload["config"]["dtype"] = "float16"
+    ckpt.write_text(json.dumps(payload))
+    rc = run(["eval", "--checkpoint", ckpt, "--data", tx,
+              "--node-labels", labels])
+    assert rc == 2
+    assert "unknown dtype 'float16'" in capsys.readouterr().err
+
+
 def test_gen_out_neighbor_count_needs_median_degree_2(tmp_path, capsys):
     rc = run(["gen", "--task", "out_neighbor_count", "--senders", 1,
               "--num-nodes", 40, "--out", tmp_path / "tx.csv"])

@@ -6,7 +6,6 @@ import pytest
 from meganet.agg import AggSpec
 from meganet.graph import (
     Multigraph,
-    build_groups,
     build_reverse_index,
     build_support_index,
     random_connected_multigraph,
@@ -119,7 +118,8 @@ def test_checkpoint_config_json_bytes_pinned(tmp_path):
         '"node_agg": {"kind": "max", "pna_stats": ["mean", "max", "min", '
         '"std"], "pna_scalers": ["identity", "amplification", "attenuation"], '
         '"mean_log_degree": 1.0}, "readout": "edge", "two_stage": true, '
-        '"hidden_node": 2, "hidden_edge": 3, "mlp_hidden": 2, "dropout": 0.0}')
+        '"hidden_node": 2, "hidden_edge": 3, "mlp_hidden": 2, "dropout": 0.0, '
+        '"dtype": "float32"}')
 
 
 def test_config_from_dict_post_agg_mlp_switch():
@@ -243,8 +243,7 @@ def test_single_stage_collapse_on_simple_graph():
     params.node_update_net = slice_mlp(2, 1, 2)     # echo the aggregate
     x, e = np.ones((3, 1)), g.edge_features
     x_two, _, _ = two_stage_layer_fwd(params, x, [e], [supp])
-    x_single, _, _ = single_stage_layer_fwd(params, x, [e], g,
-                                            build_groups(g.dst, g.num_nodes))
+    x_single, _, _ = single_stage_layer_fwd(params, x, [e], supp)
     assert np.allclose(x_two, x_single)
 
 
@@ -445,7 +444,7 @@ def test_full_model_gradient_on_fixed_small_graph():
     cfg = ModelConfig(num_layers=2, bidirectional=True,
                       edge_agg=AggSpec("mean"), node_agg=AggSpec("max"),
                       readout="node", hidden_node=3, hidden_edge=3,
-                      mlp_hidden=4)
+                      mlp_hidden=4, dtype="float64")
     model = Model(cfg, 2, 2, seed=4)
     assert_gradient_matches_fd(model, g, supp, rev,
                                np.array([0, 1, 1, 0, 1, 0]))
@@ -462,7 +461,7 @@ def test_gradient_where_last_layer_skips_edge_updates(cfg):
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
     cfg = replace(cfg, edge_agg=AggSpec("mean"), node_agg=AggSpec("max"),
-                  hidden_node=3, hidden_edge=3, mlp_hidden=4)
+                  hidden_node=3, hidden_edge=3, mlp_hidden=4, dtype="float64")
     model = Model(cfg, 2, 2, seed=4)
     n = g.num_nodes if cfg.readout == "node" else g.num_edges
     assert_gradient_matches_fd(model, g, supp, rev, np.arange(n) % 2)
@@ -564,3 +563,203 @@ def test_ego_id_roots_change_output():
     a, _ = model.forward(g, supp, rev, roots=[0])
     b, _ = model.forward(g, supp, rev, roots=[1])
     assert not np.array_equal(a, b)
+
+
+def test_config_rejects_unknown_dtype():
+    assert ModelConfig().dtype == "float32"
+    with pytest.raises(ModelError, match="dtype"):
+        ModelConfig(dtype="float16")
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_roundtrip_keeps_dtype(tmp_path, dtype):
+    g = random_connected_multigraph(5, 9, seed=2)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    cfg = ModelConfig(edge_agg=AggSpec("pna"), readout="edge", hidden_node=4,
+                      hidden_edge=4, mlp_hidden=5, dtype=dtype)
+    model = Model(cfg, 2, 2, seed=8)
+    want, _ = model.forward(g, supp, rev)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    got, _ = loaded.forward(g, supp, rev)
+    assert loaded.config == cfg
+    assert loaded.params.dtype == want.dtype == got.dtype == np.dtype(dtype)
+    assert np.array_equal(want, got)
+
+
+def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
+    """Checkpoints written before the dtype switch reproduce their logits."""
+    import json
+
+    g = random_connected_multigraph(5, 9, seed=2)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5,
+                              dtype="float64"), 2, 2, seed=8)
+    want, _ = model.forward(g, supp, rev)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    del payload["config"]["dtype"]
+    path.write_text(json.dumps(payload))
+    loaded = load_checkpoint(path)
+    got, _ = loaded.forward(g, supp, rev)
+    assert loaded.config.dtype == "float64"
+    assert np.array_equal(want, got)
+
+
+# edge and node aggregations, readouts and layer types the dtype must reach
+DTYPE_CONFIGS = {
+    "edge-sum-sum": ModelConfig(readout="edge"),
+    "node-max-std-ego": ModelConfig(edge_agg=AggSpec("max"),
+                                    node_agg=AggSpec("std"), ego_ids=True),
+    "edge-std-pna-unidir": ModelConfig(readout="edge", bidirectional=False,
+                                       edge_agg=AggSpec("std"),
+                                       node_agg=AggSpec("pna")),
+    "node-pna-max": ModelConfig(edge_agg=AggSpec("pna"),
+                                node_agg=AggSpec("max")),
+    "single-stage-edge-pna": ModelConfig(two_stage=False, readout="edge",
+                                         node_agg=AggSpec("pna")),
+    "single-stage-node-std": ModelConfig(two_stage=False,
+                                         node_agg=AggSpec("std")),
+}
+
+
+def dtype_model(cfg, dtype, dropout=0.2):
+    return Model(replace(cfg, hidden_node=4, hidden_edge=3, mlp_hidden=5,
+                         dropout=dropout, dtype=dtype), 2, 2, seed=6)
+
+
+def record_mlp_backward_upstreams(monkeypatch):
+    """The upstream gradient of every mlp_backward call the model makes."""
+    import meganet.model as model_module
+
+    seen = []
+
+    def wrapper(m, cache, upstream, fn=model_module.mlp_backward):
+        seen.append(np.asarray(upstream))
+        return fn(m, cache, upstream)
+
+    monkeypatch.setattr(model_module, "mlp_backward", wrapper)
+    return seen
+
+
+def reachable_float_dtypes(root) -> set:
+    """dtypes of the floating arrays reachable from root, as cache_array_bytes
+    walks it, Mlp parameters included."""
+    seen, dtypes, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.dtype.kind == "f":
+                dtypes.add(obj.dtype)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return dtypes
+
+
+@pytest.mark.parametrize("cfg", DTYPE_CONFIGS.values(), ids=DTYPE_CONFIGS)
+def test_float32_reaches_every_array(monkeypatch, cfg):
+    """Caches, gradients and logits of a float32 model hold no float64."""
+    upstreams = record_mlp_backward_upstreams(monkeypatch)
+    g = random_connected_multigraph(9, 30, seed=4)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = dtype_model(cfg, "float32")
+    f32 = np.dtype(np.float32)
+    roots = [0, 2] if cfg.ego_ids else None
+    logits, _ = model.forward(g, supp, rev, roots=roots)
+    assert logits.dtype == f32
+    logits, cache = model.forward(g, supp, rev, roots=roots, train_mode=True,
+                                  seed=3)
+    assert logits.dtype == f32
+    assert reachable_float_dtypes(cache) == {f32}
+    _, dl = weighted_bce_loss(logits, np.arange(logits.size) % 2)
+    grads = model.backward(cache, dl)
+    assert grads.dtype == model.params.dtype == f32
+    assert grads.any()
+    assert len(upstreams) > 5
+    assert {u.dtype for u in upstreams} == {f32}
+
+
+@pytest.mark.parametrize("cfg", DTYPE_CONFIGS.values(), ids=DTYPE_CONFIGS)
+def test_float32_matches_float64_on_the_same_weights(cfg):
+    """Same weights and dropout masks: logits and gradients agree to 1e-3."""
+    g = random_connected_multigraph(9, 30, seed=4)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    m32, m64 = dtype_model(cfg, "float32"), dtype_model(cfg, "float64")
+    m64.params[...] = m32.params              # the rounded float64 init
+    roots = [0, 2] if cfg.ego_ids else None
+    labels = np.arange(g.num_edges if cfg.readout == "edge"
+                       else g.num_nodes) % 2
+    got = {}
+    for m in (m32, m64):
+        eval_logits, _ = m.forward(g, supp, rev, roots=roots)
+        train_logits, cache = m.forward(g, supp, rev, roots=roots,
+                                        train_mode=True, seed=3)
+        _, dl = weighted_bce_loss(train_logits, labels)
+        got[m.params.dtype] = (eval_logits, train_logits,
+                               m.backward(cache, dl).copy())
+    for a, b in zip(got[np.dtype(np.float32)], got[np.dtype(np.float64)]):
+        assert a.dtype == np.float32
+        assert np.abs(a - b).max() <= 1e-3 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(readout="edge"),
+                                 ModelConfig(two_stage=False, readout="edge")],
+                         ids=["two-stage", "single-stage"])
+def test_train_step_groups_no_index_again(monkeypatch, cfg):
+    """Gathered parts carry the support index's groups: once they are built,
+    a train step's backward scatters through them and groups nothing."""
+    import meganet.agg as agg_module
+    import meganet.graph as graph_module
+
+    calls = []
+
+    def counted(*args, fn=graph_module.build_groups):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(graph_module, "build_groups", counted)
+    monkeypatch.setattr(agg_module, "build_groups", counted)
+    g = random_connected_multigraph(9, 30, seed=4)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = dtype_model(cfg, "float32")
+    for step in range(2):
+        calls.clear()
+        logits, cache = model.forward(g, supp, rev, train_mode=True, seed=step)
+        model.backward(cache, np.ones_like(logits))
+        # the first step builds the edges_by_src and edges_by_dst it reads
+        assert len(calls) <= (3 if step == 0 else 0)
+
+
+def test_float32_backward_passes_no_subnormal(monkeypatch):
+    """Logit gradients under float32's resolution of the largest are dropped
+    before they turn into subnormals."""
+    upstreams = record_mlp_backward_upstreams(monkeypatch)
+    g = random_connected_multigraph(9, 30, seed=4)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = dtype_model(ModelConfig(readout="edge"), "float32")
+    logits, cache = model.forward(g, supp, rev, train_mode=True, seed=3)
+    dl = np.full(logits.size, 1e-4)
+    dl[::3] = 1e-40
+    dl[1::3] = -1e-33
+    model.backward(cache, dl)
+    tiny = np.finfo(np.float32).tiny
+    assert upstreams
+    for u in upstreams:
+        assert not ((u != 0) & (np.abs(u) < tiny)).any()

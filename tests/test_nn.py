@@ -320,3 +320,25 @@ def test_directional_derivative_helper():
     x = np.array([1.0, 2.0])
     d = np.array([1.0, 0.0])
     assert directional_derivative_fd(fn, x, d) == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("activation,dropout", [("relu", 0.3), ("gelu", 0.0),
+                                                ("identity", 0.0)])
+def test_float32_mlp_computes_in_float32(activation, dropout):
+    """Weights drawn in float64 and rounded; outputs and gradients float32."""
+    dims = [7, 6, 3]
+    size = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
+    m32 = init_mlp(dims, np.random.default_rng(4), activation, dropout,
+                   arena=(np.empty(size, np.float32), np.zeros(size, np.float32)))
+    m64 = init_mlp(dims, np.random.default_rng(4), activation, dropout)
+    for w32, w64 in zip(m32.weights, m64.weights):
+        assert np.array_equal(w32, w64.astype(np.float32))
+    parts = gathered_parts(np.random.default_rng(9))
+    parts32 = [(p.astype(np.float32), i) for p, i in parts]
+    out, cache = mlp_forward(m32, GatheredConcat(*parts32), True, 5)
+    want, _ = mlp_forward(m64, GatheredConcat(*parts), True, 5)
+    assert out.dtype == np.float32
+    assert np.abs(out - want).max() <= 1e-5 * np.abs(want).max()
+    gparts, grads = mlp_backward(m32, cache, np.ones(out.shape, np.float32))
+    assert {g.dtype for g in gparts} == {np.dtype(np.float32)}
+    assert {g.dtype for g in grads.weights + grads.biases} == {np.dtype(np.float32)}
