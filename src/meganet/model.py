@@ -36,8 +36,9 @@ input is gathered and no gradient scattered back through a group order.
 A train-mode forward records caches; Model.backward replays them in
 reverse for exact gradients, including through max/min (lowest-index
 tie-break), mean, std and the log-degree-scaled aggregator. An eval-mode
-forward drops each layer's cache once the layer is done and returns only
-the final node and edge states.
+forward drops each MLP's cache as soon as the MLP returns and returns only
+the final node and edge states; it trims the heap before it runs, and
+train_model before and after a whole run (heap.trimmed_heap).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .agg import (
     segment_reduce_with_vjp,
 )
 from .graph import Multigraph, SupportIndex
+from .heap import trimmed_heap
 from .nn import GatheredConcat, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
 
 
@@ -145,6 +147,13 @@ def add_ego_ids(node_features: np.ndarray, roots) -> np.ndarray:
 # direction step and edge update (forward + cached backward)
 # ---------------------------------------------------------------------------
 
+def _mlp(net: Mlp, x, train: bool, seed: int):
+    """mlp_forward; in eval mode the cache is dropped at once, so the MLP's
+    hidden activations are freed before the next MLP runs."""
+    out, cache = mlp_forward(net, x, train, seed)
+    return out, cache if train else None
+
+
 def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
                   agg_edge: AggSpec, agg_node: AggSpec, train=False,
                   seeds=(0, 0)):
@@ -156,13 +165,13 @@ def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
     """
     h_raw, edge_vjp = segment_reduce_with_vjp(
         agg_edge, GroupedFeatures(e, supp.by_pair))
-    h, agg_cache = mlp_forward(nets.edge_agg_mlp, h_raw, train, seeds[0])
-    msg, msg_cache = mlp_forward(nets.msg_net,
-                                 GatheredConcat((x, supp.by_src), (h, None)),
-                                 train, seeds[1])
+    h, agg_cache = _mlp(nets.edge_agg_mlp, h_raw, train, seeds[0])
+    msg, msg_cache = _mlp(nets.msg_net,
+                          GatheredConcat((x, supp.by_src), (h, None)),
+                          train, seeds[1])
     a, node_vjp = reduce_or_default_with_vjp(
         agg_node, GroupedFeatures(msg, supp.by_dst))
-    cache = (nets, edge_vjp, agg_cache, msg_cache, node_vjp)
+    cache = (nets, edge_vjp, agg_cache, msg_cache, node_vjp) if train else None
     return h, a, cache
 
 
@@ -186,7 +195,7 @@ def edge_update_fwd(x, e, h, supp: SupportIndex, net: Mlp, train=False,
                     seed=0):
     """Per-edge update from pre-update node features: [x_src || e || h]."""
     inp = GatheredConcat((x, supp.edges_by_src), (e, None), (h, supp.by_pair))
-    out, net_cache = mlp_forward(net, inp, train, seed)
+    out, net_cache = _mlp(net, inp, train, seed)
     return out, (net, net_cache)
 
 
@@ -218,8 +227,8 @@ def two_stage_layer_fwd(lp: LayerParams, x, es, supports, train=False,
         hs.append(h)
         parts.append((a, None))
         dir_caches.append(c)
-    x1, gv_cache = mlp_forward(lp.node_update_net, GatheredConcat(*parts),
-                               train, seq())
+    x1, gv_cache = _mlp(lp.node_update_net, GatheredConcat(*parts), train,
+                        seq())
     es1, eu_caches = list(es), []
     for d, (supp, nets, e, h) in enumerate(zip(supports, lp.directions, es,
                                                hs)):
@@ -254,21 +263,18 @@ def single_stage_layer_fwd(lp: LayerParams, x, es, supp: SupportIndex,
     (e,) = es
     nets = lp.directions[0]
     src, dst = supp.edges_by_src, supp.edges_by_dst
-    msg, msg_cache = mlp_forward(nets.msg_net,
-                                 GatheredConcat((x, src), (e, None)),
-                                 train, seq())
+    msg, msg_cache = _mlp(nets.msg_net, GatheredConcat((x, src), (e, None)),
+                          train, seq())
     a, vjp = reduce_or_default_with_vjp(lp.agg_node,
                                         GroupedFeatures(msg, dst))
-    x1, gv_cache = mlp_forward(lp.node_update_net,
-                               GatheredConcat((x, None), (a, None)),
-                               train, seq())
+    x1, gv_cache = _mlp(lp.node_update_net,
+                        GatheredConcat((x, None), (a, None)), train, seq())
     seed = seq()
     ge_cache = None
     if edge_updates:
-        e, ge_cache = mlp_forward(nets.edge_update_net,
-                                  GatheredConcat((x, src), (e, None),
-                                                 (x, dst)),
-                                  train, seed)
+        e, ge_cache = _mlp(nets.edge_update_net,
+                           GatheredConcat((x, src), (e, None), (x, dst)),
+                           train, seed)
     return x1, [e], (lp, msg_cache, vjp, gv_cache, ge_cache)
 
 
@@ -361,7 +367,15 @@ class Model:
         two-stage model reads it. A train-mode cache holds what backward
         reads and nothing else. An eval-mode cache is {"final": (x, es)}:
         the last node states and each direction's latest edge latents.
+        An eval forward outside train_model trims the heap before it runs
+        (heap.trimmed_heap).
         """
+        if train_mode:
+            return self._forward(g, supp, rev, roots, True, seed)
+        with trimmed_heap(on_exit=False):
+            return self._forward(g, supp, rev, roots, False, seed)
+
+    def _forward(self, g, supp, rev, roots, train_mode, seed):
         cfg = self.config
         supports = [supp]
         if cfg.two_stage and cfg.bidirectional:
@@ -376,10 +390,10 @@ class Model:
         feats = g.node_features.astype(cfg.dtype, copy=False)
         if cfg.ego_ids:
             feats = add_ego_ids(feats, roots)
-        x, c_nenc = mlp_forward(self.node_encoder, feats, train_mode, seq())
-        e, c_eenc = mlp_forward(self.edge_encoder,
-                                g.edge_features.astype(cfg.dtype, copy=False),
-                                train_mode, seq())
+        x, c_nenc = _mlp(self.node_encoder, feats, train_mode, seq())
+        e, c_eenc = _mlp(self.edge_encoder,
+                         g.edge_features.astype(cfg.dtype, copy=False),
+                         train_mode, seq())
         es = [e] * len(supports)
 
         # the readout reads no edge latent (node) or the forward one (edge)
@@ -403,8 +417,7 @@ class Model:
         else:
             ro_in = GatheredConcat((x, supp.edges_by_src), (es[0], None),
                                    (x, supp.edges_by_dst))
-        logits2d, c_ro = mlp_forward(self.readout_net, ro_in, train_mode,
-                                     seq())
+        logits2d, c_ro = _mlp(self.readout_net, ro_in, train_mode, seq())
         if not train_mode:
             return logits2d[:, 0], {"final": (x, es)}
         return logits2d[:, 0], {"enc": (c_nenc, c_eenc), "stages": stages,

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import Multigraph, build_reverse_index, build_support_index
+from .heap import trimmed_heap
 from .metrics import evaluate_scores
 from .model import Model, ModelConfig
 from .nn import AdamState, NnError, adam_step, weighted_bce_loss
@@ -87,9 +88,14 @@ def random_item_split(num_items: int, seed: int,
     return order[:n1], order[n1:n2], order[n2:]
 
 
+@trimmed_heap()
 def train_model(task: TaskData, model_config: ModelConfig,
                 train_config: TrainConfig, seed: int):
-    """Train one model; returns (model, ExperimentRecord)."""
+    """Train one model; returns (model, ExperimentRecord).
+
+    The heap is trimmed when the run starts and when it ends
+    (heap.trimmed_heap), so the run holds only what it keeps alive.
+    """
     start = time.perf_counter()
     g = task.graph
     supp = build_support_index(g)

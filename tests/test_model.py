@@ -383,6 +383,33 @@ def test_eval_forward_frees_each_layer_cache():
     assert peaks[1] < 2 * peaks[0]
 
 
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(bidirectional=True, readout="edge"),
+    ModelConfig(two_stage=False, readout="node"),
+], ids=["two-stage-edge", "single-stage-node"])
+def test_eval_forward_frees_each_mlp_cache(monkeypatch, cfg):
+    """In eval mode an MLP's hidden activations die before the next MLP runs."""
+    import weakref
+
+    import meganet.model as model_module
+
+    hidden = []
+    real = model_module.mlp_forward
+
+    def recording(net, x, train_mode=False, dropout_mask_seed=0):
+        assert all(ref() is None for ref in hidden)
+        out, cache = real(net, x, train_mode, dropout_mask_seed)
+        hidden.extend(weakref.ref(h) for h in cache["inputs"][1:])
+        return out, cache
+
+    monkeypatch.setattr(model_module, "mlp_forward", recording)
+    g = random_connected_multigraph(8, 20, seed=2)
+    supp = build_support_index(g)
+    cfg = replace(cfg, hidden_node=4, hidden_edge=4, mlp_hidden=5)
+    Model(cfg, 2, 2, seed=3).forward(g, supp, build_reverse_index(g, supp))
+    assert hidden
+
+
 def test_flat_params_roundtrip():
     """Every weight and bias is a view into params, its gradient into grads."""
     model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5), 2, 2)

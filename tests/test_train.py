@@ -1,12 +1,15 @@
 import json
+import platform
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from meganet import heap
 from meganet.agg import AggSpec
 from meganet.data import generate_planted_task
-from meganet.model import ModelConfig
+from meganet.graph import build_support_index
+from meganet.model import Model, ModelConfig
 from meganet.nn import NnError
 from meganet.train import (
     ExperimentRecord,
@@ -140,3 +143,48 @@ def test_train_config_validation():
     assert cfg.batch_size == 8192
     assert cfg.dropout == 0.1
     assert cfg.class_weights == (1.0, 6.27)
+
+
+@pytest.fixture
+def trims(monkeypatch):
+    """The pad argument of every heap trim, in call order."""
+    calls = []
+    monkeypatch.setattr(heap, "_malloc_trim", calls.append)
+    return calls
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_heap_trim_found_on_glibc():
+    assert heap._malloc_trim is not None
+
+
+def test_train_model_trims_heap_before_and_after_only(trims):
+    # its per-epoch validation forwards and the test forward are nested
+    task = small_task()
+    mc, tc = fast_configs()
+    train_model(task, mc, tc, seed=0)
+    assert trims == [0, 0]
+
+
+def test_eval_forward_trims_heap_before_it_runs(trims):
+    task = small_task()
+    mc, _ = fast_configs()
+    g = task.graph
+    model = Model(mc, g.node_features.shape[1], g.edge_features.shape[1], seed=0)
+    supp = build_support_index(g)
+    model.forward(g, supp)
+    assert trims == [0]
+    model.forward(g, supp, train_mode=True)
+    assert trims == [0]
+
+
+def test_trimmed_heap_nests_and_trims_on_error(trims):
+    with pytest.raises(RuntimeError):
+        with heap.trimmed_heap():
+            with heap.trimmed_heap():
+                assert trims == [0]
+            raise RuntimeError
+    assert trims == [0, 0]
+    with heap.trimmed_heap(on_exit=False):
+        pass
+    assert trims == [0, 0, 0]
