@@ -23,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Groups, build_groups
+from .graph import Groups
 
-_STAT_ORDER = ("mean", "max", "min", "std")
-_SCALER_ORDER = ("identity", "amplification", "attenuation")
+# a PNA block concatenates these statistics and repeats the whole block
+# under each of these degree scalers, in this order
+PNA_STATS = ("mean", "max", "min", "std")
+PNA_SCALERS = ("identity", "amplification", "attenuation")
 
 _KINDS = ("sum", "mean", "max", "min", "std", "pna")
 
@@ -45,38 +47,25 @@ def as_float_array(a) -> np.ndarray:
 class AggSpec:
     """Choice of reduction statistic.
 
-    For kind="pna" the output concatenates the selected statistics (in the
-    canonical order mean, max, min, std) and multiplies the whole block by
-    each selected scaler (identity, amplification, attenuation). The
-    log-degree scalers are normalized by mean_log_degree, which callers
-    compute over their training split.
+    For kind="pna" the output concatenates the PNA_STATS (mean, max, min,
+    std) and multiplies the whole block by each of the PNA_SCALERS
+    (identity, amplification, attenuation). The log-degree scalers are
+    normalized by mean_log_degree, which callers compute over their
+    training split.
     """
 
     kind: str
-    pna_stats: tuple[str, ...] = _STAT_ORDER
-    pna_scalers: tuple[str, ...] = _SCALER_ORDER
     mean_log_degree: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise AggError(f"unknown aggregation kind {self.kind!r}")
-        if self.kind == "pna":
-            stats = tuple(s for s in _STAT_ORDER if s in self.pna_stats)
-            scalers = tuple(s for s in _SCALER_ORDER if s in self.pna_scalers)
-            if not stats:
-                raise AggError("pna needs a non-empty statistic set")
-            if set(stats) != set(self.pna_stats):
-                raise AggError(f"unknown pna statistic in {self.pna_stats}")
-            if not scalers or set(scalers) != set(self.pna_scalers):
-                raise AggError(f"bad pna scaler set {self.pna_scalers}")
-            object.__setattr__(self, "pna_stats", stats)
-            object.__setattr__(self, "pna_scalers", scalers)
-            if not self.mean_log_degree > 0:
-                raise AggError("mean_log_degree must be positive")
+        if self.kind == "pna" and not self.mean_log_degree > 0:
+            raise AggError("mean_log_degree must be positive")
 
     def out_width(self, d: int) -> int:
         if self.kind == "pna":
-            return d * len(self.pna_stats) * len(self.pna_scalers)
+            return d * len(PNA_STATS) * len(PNA_SCALERS)
         return d
 
 
@@ -125,16 +114,13 @@ def pna_scalers(degree, mean_log_degree: float, dtype=np.float64):
     return amplification, attenuation
 
 
-def scatter_add(values: np.ndarray, index, num_rows: int) -> np.ndarray:
-    """[num_rows, d] sums of value rows by target row: out[index[k]] += values[k].
+def scatter_add(values: np.ndarray, groups: Groups) -> np.ndarray:
+    """[num_groups, d] sums of value rows by group: out[key[k]] += values[k].
 
-    index is a row index or the graph.Groups that groups one by target row,
-    which saves grouping it again. The reductions' block sum over the rows
-    grouped by target: each entry adds its values in row order, so it
-    equals np.add.at's bit for bit.
+    The reductions' block sum over the rows grouped by target: each entry
+    adds its values in row order, so it equals np.add.at's bit for bit.
     """
-    out = np.zeros((num_rows, values.shape[1]), dtype=values.dtype)
-    groups = index if isinstance(index, Groups) else build_groups(index, num_rows)
+    out = np.zeros((groups.num_groups, values.shape[1]), dtype=values.dtype)
     for gids, rows in _size_buckets(groups):
         if rows.shape[0]:
             out[gids] = _reduce_rows(np.add, np.take(values, rows, axis=0))
@@ -270,7 +256,7 @@ def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     """
     if np.any(gf.counts == 0):
         raise AggError("segment_reduce requires non-empty groups")
-    stats = spec.pna_stats if spec.kind == "pna" else (spec.kind,)
+    stats = PNA_STATS if spec.kind == "pna" else (spec.kind,)
     d = gf.values.shape[1]
     stacked = np.empty((gf.num_groups, len(stats) * d), dtype=gf.values.dtype)
     stats_vjp = _stats_into(stacked, stats, gf)
@@ -278,10 +264,8 @@ def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
         return stacked, stats_vjp
 
     amp, att = pna_scalers(gf.counts, spec.mean_log_degree, stacked.dtype)
-    column = {"identity": np.ones_like(amp), "amplification": amp,
-              "attenuation": att}
     # [G, scalers, 1]: out[g] is stacked[g] times each scaler in turn
-    scale = np.stack([column[s] for s in spec.pna_scalers], axis=1)[:, :, None]
+    scale = np.stack([np.ones_like(amp), amp, att], axis=1)[:, :, None]
     out = (stacked[:, None, :] * scale).reshape(gf.num_groups,
                                                 spec.out_width(d))
 

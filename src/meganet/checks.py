@@ -184,9 +184,10 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
                    directions: int = 3) -> dict:
     """Analytic full-model gradients vs central finite differences.
 
-    Smooth activations keep the finite-difference oracle valid; max/min
-    aggregation paths are exercised away from ties. The models run in
-    float64, which central differences at eps=1e-5 need.
+    Smooth activations keep the finite-difference oracle valid (so no
+    dropout, which needs ReLU); max/min aggregation paths are exercised
+    away from ties. The models run in float64, which central differences
+    at eps=1e-5 need.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -205,7 +206,7 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
         cfg = ModelConfig(num_layers=2, bidirectional=True,
                           edge_agg=AggSpec(ek), node_agg=AggSpec(nk),
                           readout=readout, hidden_node=4, hidden_edge=4,
-                          mlp_hidden=5, dtype="float64")
+                          mlp_hidden=5, dropout=0.0, dtype="float64")
         model = Model(cfg, 2, 2, seed=int(rng.integers(1 << 30)))
         # smooth activations for a clean finite-difference oracle
         for _, mlp in model.named_mlps():

@@ -38,24 +38,27 @@ from .nn import NnError
 from .train import (TaskData, TrainConfig, TrainingError, evaluate_model,
                     random_item_split, train_model)
 
-# defaults mirror the reference hyperparameter table
+_MODELS = ("single-stage-gin", "two-stage")     # indexed by two_stage
+_MODEL, _TRAIN = ModelConfig(), TrainConfig()
+# option defaults, read off the reference hyperparameters the two configs hold
 DEFAULTS = {
-    "learning_rate": 0.003,
-    "hidden": 64,
-    "batch_size": 8192,
-    "dropout": 0.1,
-    "class_weight_0": 1.0,
-    "class_weight_1": 6.27,
-    "num_layers": 2,
-    "epochs": 80,
-    "patience": 10,
-    "model": "two-stage",          # or "single-stage-gin"
-    "bidirectional": True,
-    "ego_ids": False,
-    "edge_agg": "sum",
-    "node_agg": "sum",
-    "mlp_hidden": 64,
+    "learning_rate": _TRAIN.learning_rate,
+    "hidden": _MODEL.hidden_node,
+    "batch_size": _TRAIN.batch_size,
+    "dropout": _MODEL.dropout,
+    "class_weight_0": _TRAIN.class_weights[0],
+    "class_weight_1": _TRAIN.class_weights[1],
+    "num_layers": _MODEL.num_layers,
+    "epochs": _TRAIN.epochs,
+    "patience": _TRAIN.patience,
+    "model": _MODELS[_MODEL.two_stage],
+    "bidirectional": _MODEL.bidirectional,
+    "ego_ids": _MODEL.ego_ids,
+    "edge_agg": _MODEL.edge_agg.kind,
+    "node_agg": _MODEL.node_agg.kind,
+    "mlp_hidden": _MODEL.mlp_hidden,
 }
+
 
 def _coerce(key: str, raw: str):
     """Parse raw as the type of the key's DEFAULTS value."""
@@ -91,36 +94,36 @@ def read_config_file(path) -> dict:
 
 
 def effective_config(args) -> dict:
+    """DEFAULTS, overridden by the config file, overridden by the flags."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(read_config_file(args.config))
     for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
-            cfg[key] = flag
-    if cfg["model"] not in ("two-stage", "single-stage-gin"):
+            # a boolean flag stores its value, any other its raw string
+            cfg[key] = _coerce(key, flag) if isinstance(flag, str) else flag
+    if cfg["model"] not in _MODELS:
         raise ConfigError(f"unknown model {cfg['model']!r}")
     return cfg
 
 
-def _model_config(cfg: dict, readout: str) -> ModelConfig:
-    return ModelConfig(
+def _configs(cfg: dict, readout: str) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training configs of an effective configuration."""
+    model = ModelConfig(
         num_layers=cfg["num_layers"],
         bidirectional=cfg["bidirectional"],
         ego_ids=cfg["ego_ids"],
         edge_agg=AggSpec(cfg["edge_agg"]),
         node_agg=AggSpec(cfg["node_agg"]),
         readout=readout,
-        two_stage=cfg["model"] == "two-stage",
+        two_stage=cfg["model"] == _MODELS[True],
         hidden_node=cfg["hidden"],
         hidden_edge=cfg["hidden"],
         mlp_hidden=cfg["mlp_hidden"],
         dropout=cfg["dropout"],
     )
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
+    train = TrainConfig(
         learning_rate=cfg["learning_rate"],
         batch_size=cfg["batch_size"],
         dropout=cfg["dropout"],
@@ -128,6 +131,13 @@ def _train_config(cfg: dict) -> TrainConfig:
         epochs=cfg["epochs"],
         patience=cfg["patience"],
     )
+    return model, train
+
+
+def _node_split(items: np.ndarray, seed: int) -> dict:
+    """The train/val/test split of a node task's labeled items under seed."""
+    tr, va, te = random_item_split(items.size, seed + 101)
+    return dict(train_idx=tr, val_idx=va, test_idx=te)
 
 
 def _load_task(args, seed: int) -> TaskData:
@@ -145,10 +155,8 @@ def _load_task(args, seed: int) -> TaskData:
         items = np.flatnonzero(node_labels >= 0)
         if items.size < 5:
             raise ConfigError("too few labeled nodes to split")
-        tr, va, te = random_item_split(items.size, seed + 101)
         return TaskData(graph=g, labels=node_labels[items], items=items,
-                        task_type="node", train_idx=tr, val_idx=va,
-                        test_idx=te)
+                        task_type="node", **_node_split(items, seed))
     if table.labels is None:
         raise ConfigError(
             f"schema {args.schema!r} has no label column; pass --node-labels")
@@ -179,16 +187,20 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--seeds: bad seed list {args.seeds!r}") from None
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"--seeds: {args.seeds!r} repeats a seed")
+    # checked before any data is read; a node-label file makes a node task
+    model_config, train_config = _configs(
+        cfg, readout="node" if args.node_labels else "edge")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # the CSV is read once; only a node task's split depends on the seed
+    task = _load_task(args, seeds[0])
     records = []
     first_model = None
     for seed in seeds:
-        task = _load_task(args, seed)
-        readout = "node" if task.task_type == "node" else "edge"
-        model, rec = train_model(task, _model_config(cfg, readout),
-                                 _train_config(cfg), seed=seed)
+        if task.task_type == "node":
+            task = dataclasses.replace(task, **_node_split(task.items, seed))
+        model, rec = train_model(task, model_config, train_config, seed=seed)
         rec.config["effective"] = cfg
         rec.save(out_dir / f"record_seed{seed}.json")
         records.append(rec)
@@ -282,31 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--checkpoint", help="write first-seed model weights here")
-    p.add_argument("--model", choices=("two-stage", "single-stage-gin"))
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--mlp-hidden", dest="mlp_hidden", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--class-weight-0", dest="class_weight_0", type=float)
-    p.add_argument("--class-weight-1", dest="class_weight_1", type=float)
-    p.add_argument("--num-layers", dest="num_layers", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--edge-agg", dest="edge_agg",
-                   choices=("sum", "mean", "max", "min", "std", "pna"))
-    p.add_argument("--node-agg", dest="node_agg",
-                   choices=("sum", "mean", "max", "min", "std", "pna"))
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--bidirectional", dest="bidirectional",
-                       action="store_const", const=True)
-    group.add_argument("--no-bidirectional", dest="bidirectional",
-                       action="store_const", const=False)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--ego-ids", dest="ego_ids",
-                       action="store_const", const=True)
-    group.add_argument("--no-ego-ids", dest="ego_ids",
-                       action="store_const", const=False)
+    for key, default in DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            group = p.add_mutually_exclusive_group()
+            group.add_argument(flag, dest=key, action="store_true",
+                               default=None, help=f"(default {default})")
+            group.add_argument("--no-" + flag[2:], dest=key,
+                               action="store_false", default=None)
+        else:
+            # parsed by effective_config, as a config-file value is
+            p.add_argument(flag, dest=key, help=f"(default {default})")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved checkpoint")

@@ -49,6 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .agg import (
+    PNA_SCALERS,
+    PNA_STATS,
     AggSpec,
     GroupedFeatures,
     reduce_or_default_with_vjp,
@@ -65,7 +67,11 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture switches and latent widths."""
+    """Architecture switches and latent widths.
+
+    The defaults are the reference hyperparameters, which the command line
+    also builds from.
+    """
 
     num_layers: int = 2
     bidirectional: bool = True
@@ -74,10 +80,10 @@ class ModelConfig:
     node_agg: AggSpec = AggSpec("sum")
     readout: str = "node"          # "node" or "edge"
     two_stage: bool = True         # False selects the single-stage baseline
-    hidden_node: int = 16
-    hidden_edge: int = 16
-    mlp_hidden: int = 16
-    dropout: float = 0.0
+    hidden_node: int = 64
+    hidden_edge: int = 64
+    mlp_hidden: int = 64
+    dropout: float = 0.1
     dtype: str = "float32"         # or "float64"
 
     def __post_init__(self):
@@ -105,13 +111,14 @@ class ModelConfig:
 
 
 def _agg_from_dict(d: dict) -> AggSpec:
-    return AggSpec(
-        kind=d["kind"],
-        pna_stats=tuple(d.get("pna_stats", ("mean", "min", "max", "std"))),
-        pna_scalers=tuple(d.get("pna_scalers",
-                                ("identity", "amplification", "attenuation"))),
-        mean_log_degree=float(d.get("mean_log_degree", 1.0)),
-    )
+    # version-1 checkpoints list PNA's statistics and scalers; only the full
+    # sets, which the command line always wrote, still load
+    for key, full in (("pna_stats", PNA_STATS), ("pna_scalers", PNA_SCALERS)):
+        if sorted(d.get(key, full)) != sorted(full):
+            raise ModelError(f"{key}={d[key]} is not supported: pna uses "
+                             f"all of {', '.join(full)}")
+    return AggSpec(kind=d["kind"],
+                   mean_log_degree=float(d.get("mean_log_degree", 1.0)))
 
 
 class DirectionNets(NamedTuple):

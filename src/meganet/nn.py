@@ -15,8 +15,8 @@ The first layer multiplies each part by its block of weight rows before
 gathering, so a part of n rows costs n rows of matmul however many rows
 its index selects; the backward pass scatters the upstream gradient into
 each part's rows once (agg.scatter_add) and returns one gradient per part.
-A part's index may be a graph.Groups keyed by it, which the scatter then
-adds through instead of grouping the index again.
+A part's row index is the key of a graph.Groups, which the scatter adds
+through, so nothing is grouped again.
 """
 
 from __future__ import annotations
@@ -121,36 +121,27 @@ class ParamGrads:
 
 
 class GatheredConcat:
-    """np.concatenate([p if i is None else p[i] for p, i in parts], axis=1), unbuilt.
+    """np.concatenate([p if i is None else p[i.key] for p, i in parts], axis=1),
+    unbuilt.
 
-    Each part is a 2-d array and a row index into it: None takes every row
-    in order, and a graph.Groups over the part's rows stands for its key.
-    All parts must give the same number of rows. shape is that of the
+    Each part is a 2-d array and None, which takes every row in order, or
+    a graph.Groups over the part's rows, whose key is the row index. All
+    parts must give the same number of rows. shape is that of the
     concatenation.
     """
 
     def __init__(self, *parts):
-        self.parts = tuple(
-            (as_float_array(p),
-             i if i is None or isinstance(i, Groups)
-             else np.asarray(i, dtype=np.int64))
-            for p, i in parts)
-        if any(p.ndim != 2 or (i is not None and _rows(i).ndim != 1)
+        self.parts = tuple((as_float_array(p), i) for p, i in parts)
+        if any(p.ndim != 2 or not (i is None or isinstance(i, Groups))
                for p, i in self.parts):
-            raise NnError("parts must be 2-d arrays with 1-d row indices")
-        if any(isinstance(i, Groups) and i.num_groups != p.shape[0]
+            raise NnError("parts must be 2-d arrays with None or a graph.Groups")
+        if any(i is not None and i.num_groups != p.shape[0]
                for p, i in self.parts):
             raise NnError("a part's groups must cover its rows")
-        rows = {p.shape[0] if i is None else _rows(i).size
-                for p, i in self.parts}
+        rows = {p.shape[0] if i is None else i.key.size for p, i in self.parts}
         if len(rows) != 1:
             raise NnError(f"parts give different row counts {sorted(rows)}")
         self.shape = (rows.pop(), sum(p.shape[1] for p, _ in self.parts))
-
-
-def _rows(i) -> np.ndarray:
-    """The row index of a part: the index itself or its groups' key."""
-    return i.key if isinstance(i, Groups) else i
 
 
 def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,7 +152,7 @@ def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         hi = lo + p.shape[1]
         zp = p @ w[lo:hi]
         if i is not None:
-            zp = zp[_rows(i)]
+            zp = zp[i.key]
         if z is None:
             z = zp
         else:
@@ -178,7 +169,7 @@ def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
     lo = 0
     for p, i in x.parts:
         hi = lo + p.shape[1]
-        gp = g if i is None else scatter_add(g, i, p.shape[0])
+        gp = g if i is None else scatter_add(g, i)
         gw[lo:hi] += p.T @ gp
         gparts.append(gp @ w[lo:hi].T)
         lo = hi
@@ -189,7 +180,7 @@ def _act_forward(name: str, z: np.ndarray):
     if name == "identity":
         return z, None
     if name == "relu":
-        return np.maximum(z, 0.0), None
+        return np.maximum(z, 0.0, out=z), None      # z is a fresh product
     # tanh-approximation gelu; the backward differentiates the same formula
     c = math.sqrt(2.0 / math.pi)
     inner = c * (z + 0.044715 * z ** 3)

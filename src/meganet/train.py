@@ -27,8 +27,13 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters. Widths, depth and the dropout used live
-    in ModelConfig; the dropout field here is recorded but not read."""
+    """Optimization hyperparameters; the defaults are the reference ones,
+    which the command line also builds from.
+
+    Widths, depth and the dropout used live in ModelConfig. The dropout
+    field here is recorded but never read; it stays because the benchmark
+    harness (perfbench/workloads.py) passes it.
+    """
 
     learning_rate: float = 0.003
     batch_size: int = 8192

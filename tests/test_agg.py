@@ -16,6 +16,8 @@ from meganet.agg import (
 from meganet.graph import Groups, build_groups
 
 KINDS = ("sum", "mean", "max", "min", "std")
+# the PNA block's statistics, in column order
+PNA_STATS = ("mean", "max", "min", "std")
 
 
 def grouped(rows, offsets):
@@ -56,25 +58,12 @@ def test_spec_validation():
     with pytest.raises(AggError):
         AggSpec("median")
     with pytest.raises(AggError):
-        AggSpec("pna", pna_stats=())
-    with pytest.raises(AggError):
-        AggSpec("pna", pna_scalers=("bogus",))
-    with pytest.raises(AggError):
         AggSpec("pna", mean_log_degree=0.0)
-
-
-def test_spec_canonicalizes_order():
-    spec = AggSpec("pna", pna_stats=("std", "mean"),
-                   pna_scalers=("attenuation", "identity"))
-    assert spec.pna_stats == ("mean", "std")
-    assert spec.pna_scalers == ("identity", "attenuation")
 
 
 def test_out_width():
     assert AggSpec("sum").out_width(3) == 3
     assert AggSpec("pna").out_width(3) == 3 * 4 * 3
-    assert AggSpec("pna", pna_stats=("mean",),
-                   pna_scalers=("identity",)).out_width(5) == 5
 
 
 def test_grouped_features_validation():
@@ -116,9 +105,7 @@ def test_std_zero_variance():
 def test_pna_identity_scaler_layout():
     # stats over {1, 3}: mean 2, max 3, min 1, std 1
     gf = grouped([[1], [3]], [0, 2])
-    spec = AggSpec("pna", pna_stats=("mean", "max", "min", "std"),
-                   pna_scalers=("identity",))
-    assert segment_reduce(spec, gf).tolist() == [[2, 3, 1, 1]]
+    assert segment_reduce(AggSpec("pna"), gf)[:, :4].tolist() == [[2, 3, 1, 1]]
 
 
 def test_pna_scaler_values():
@@ -142,10 +129,10 @@ def test_pna_full_block_against_manual():
 
 def test_pna_scales_by_group_size():
     gf = grouped([[1], [3], [2], [2], [2], [2], [2]], [0, 7])
-    spec = AggSpec("pna", pna_stats=("mean",), pna_scalers=("amplification",),
-                   mean_log_degree=np.log(2.0))
+    spec = AggSpec("pna", mean_log_degree=np.log(2.0))
     out = segment_reduce(spec, gf)
-    assert out[0, 0] == pytest.approx(2.0 * np.log(8.0) / np.log(2.0))
+    # the amplified block's mean column
+    assert out[0, 4] == pytest.approx(2.0 * np.log(8.0) / np.log(2.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -166,13 +153,10 @@ def test_oracle_equivalence(data):
 def naive_pna(spec, gf):
     """PNA block from the naive statistics and each group's size."""
     size = np.bincount(gf.groups.key, minlength=gf.num_groups).astype(float)
-    stacked = np.concatenate([naive_reduce(s, gf) for s in spec.pna_stats],
-                             axis=1)
+    stacked = np.concatenate([naive_reduce(s, gf) for s in PNA_STATS], axis=1)
     amp = np.log(np.maximum(size, 1) + 1.0) / spec.mean_log_degree
-    scale = {"identity": np.ones_like(amp), "amplification": amp,
-             "attenuation": 1.0 / amp}
-    return np.concatenate([stacked * scale[s][:, None]
-                           for s in spec.pna_scalers], axis=1)
+    return np.concatenate([stacked * s[:, None]
+                           for s in (np.ones_like(amp), amp, 1.0 / amp)], axis=1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,12 +303,10 @@ def reference_stat(stat, gf):
 def reference_segment_reduce(spec, gf):
     if spec.kind != "pna":
         return reference_stat(spec.kind, gf)
-    blocks, vjps = zip(*(reference_stat(s, gf) for s in spec.pna_stats))
+    blocks, vjps = zip(*(reference_stat(s, gf) for s in PNA_STATS))
     stacked = np.concatenate(blocks, axis=1)
     amp, att = pna_scalers(gf.counts, spec.mean_log_degree)
-    scale = {"identity": np.ones(gf.num_groups), "amplification": amp,
-             "attenuation": att}
-    scalers = [scale[s] for s in spec.pna_scalers]
+    scalers = [np.ones(gf.num_groups), amp, att]
     out = np.concatenate([stacked * s[:, None] for s in scalers], axis=1)
     d, width = gf.values.shape[1], stacked.shape[1]
 
@@ -395,8 +377,7 @@ def test_matches_reference_kernel(layout, d):
                          build_groups(keys, num_groups))
     for spec in [AggSpec(k) for k in KINDS] + [
             AggSpec("pna", mean_log_degree=0.9),
-            AggSpec("pna", pna_stats=("min", "std"),
-                    pna_scalers=("attenuation",), mean_log_degree=1.3)]:
+            AggSpec("pna", mean_log_degree=1.3)]:
         out, vjp = reduce_or_default_with_vjp(spec, gf)
         want, want_vjp = reference_reduce_or_default(spec, gf)
         assert np.array_equal(out, want), (spec, "forward")
@@ -445,8 +426,9 @@ def test_scatter_add_equals_add_at():
     index = rng.integers(0, 40, size=300)    # repeats, and rows never hit
     ref = np.zeros((50, 5))
     np.add.at(ref, index, values)
-    assert np.array_equal(scatter_add(values, index, 50), ref)
-    assert scatter_add(values[:0], index[:0], 3).tolist() == [[0.0] * 5] * 3
+    assert np.array_equal(scatter_add(values, build_groups(index, 50)), ref)
+    assert (scatter_add(values[:0], build_groups(index[:0], 3)).tolist()
+            == [[0.0] * 5] * 3)
 
 
 SCATTER_LAYOUTS = {
@@ -467,7 +449,7 @@ def test_scatter_add_layouts_equal_add_at(layout, d):
     values = rng.normal(size=(index.size, d))
     ref = np.zeros((num_rows, d))
     np.add.at(ref, index, values)
-    out = scatter_add(values, index, num_rows)
+    out = scatter_add(values, build_groups(index, num_rows))
     assert np.array_equal(out, ref)
     assert np.array_equal(out, reference_scatter_add(values, index, num_rows))
     assert not out[np.setdiff1d(np.arange(num_rows), index)].any()

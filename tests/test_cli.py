@@ -5,12 +5,15 @@ import pytest
 
 from meganet.cli import (
     DEFAULTS,
+    _configs,
     build_parser,
     effective_config,
     main,
     read_config_file,
 )
 from meganet.data import ConfigError
+from meganet.model import ModelConfig
+from meganet.train import TrainConfig
 
 
 def run(argv):
@@ -80,6 +83,43 @@ def test_defaults_match_reference_table():
     assert DEFAULTS["class_weight_1"] == 6.27
 
 
+@pytest.mark.parametrize("readout", ["node", "edge"])
+def test_defaults_build_the_default_configs(readout):
+    """With no flag and no file, train builds ModelConfig() and TrainConfig()."""
+    assert _configs(DEFAULTS, readout) == (ModelConfig(readout=readout),
+                                           TrainConfig())
+
+
+# a value other than the default, as a flag or a config-file line writes it
+OTHER_STRINGS = {"model": "single-stage-gin", "edge_agg": "pna",
+                 "node_agg": "max"}
+
+
+def other_value(key):
+    default = DEFAULTS[key]
+    if isinstance(default, bool):
+        return str(not default).lower()
+    return OTHER_STRINGS[key] if isinstance(default, str) else str(default * 2)
+
+
+@pytest.mark.parametrize("key", DEFAULTS)
+def test_every_option_has_a_flag_parsed_as_its_file_line(tmp_path, key):
+    raw = other_value(key)
+    flag = "--" + key.replace("_", "-")
+    if isinstance(DEFAULTS[key], bool):
+        argv = [flag if raw == "true" else "--no-" + flag[2:]]
+    else:
+        argv = [flag, raw]
+    args = build_parser().parse_args(["train", "--data", "x", "--out-dir", "y",
+                                      *argv])
+    from_flag = effective_config(args)[key]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key}={raw}\n")
+    from_file = read_config_file(cfg)[key]
+    assert from_flag == from_file != DEFAULTS[key]
+    assert type(from_flag) is type(from_file) is type(DEFAULTS[key])
+
+
 def train_args(tx, labels, out_dir, *extra):
     return ["train", "--data", tx, "--node-labels", labels,
             "--out-dir", out_dir, "--epochs", 4, "--hidden", 8,
@@ -109,6 +149,30 @@ def test_train_determinism_across_invocations(dataset, tmp_path):
     b = json.loads((tmp_path / "b" / "record_seed0.json").read_text())
     a.pop("wall_clock"), b.pop("wall_clock")
     assert a == b
+
+
+def test_train_reads_the_csv_once_for_all_seeds(dataset, tmp_path,
+                                               monkeypatch):
+    """Each seed's record equals the record of a run with that seed alone."""
+    import meganet.cli as cli_module
+
+    tx, labels = dataset
+    loads = []
+
+    def counted(*args, fn=cli_module.load_transactions):
+        loads.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(cli_module, "load_transactions", counted)
+    assert run(train_args(tx, labels, tmp_path / "all", "--seeds", "0,1,2")) == 0
+    assert len(loads) == 1
+    for seed in (0, 1, 2):
+        assert run(train_args(tx, labels, tmp_path / f"s{seed}",
+                              "--seeds", seed)) == 0
+        a, b = (json.loads((tmp_path / d / f"record_seed{seed}.json").read_text())
+                for d in ("all", f"s{seed}"))
+        a.pop("wall_clock"), b.pop("wall_clock")
+        assert a == b
 
 
 def test_train_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
@@ -166,9 +230,15 @@ def test_node_listed_twice_in_sidecar_exit_2(dataset, tmp_path, capsys):
     (["--patience", -1], "patience"),
     (["--hidden", 0], "widths"),
     (["--mlp-hidden", 0], "widths"),
+    (["--edge-agg", "bogus"], "unknown aggregation kind 'bogus'"),
+    (["--config", "epochs=soon"], "epochs: unparseable value 'soon'"),
+    (["--epochs", "soon"], "epochs: unparseable value 'soon'"),
+    (["--config", "model=gcn"], "unknown model 'gcn'"),
+    (["--model", "gcn"], "unknown model 'gcn'"),
 ], ids=["unknown-agg", "bad-seeds", "repeated-seed", "batch-0",
         "batch-negative", "epochs-0", "patience-negative", "hidden-0",
-        "mlp-hidden-0"])
+        "mlp-hidden-0", "unknown-agg-flag", "unparseable-epochs",
+        "unparseable-epochs-flag", "unknown-model", "unknown-model-flag"])
 def test_malformed_configuration_exit_2(dataset, tmp_path, capsys, extra,
                                         message):
     tx, labels = dataset
@@ -179,7 +249,7 @@ def test_malformed_configuration_exit_2(dataset, tmp_path, capsys, extra,
     out_dir = tmp_path / "o"
     assert run(train_args(tx, labels, out_dir, *extra)) == 2
     assert message in capsys.readouterr().err
-    assert not list(out_dir.glob("record_*.json"))
+    assert not out_dir.exists()          # rejected before anything is run
 
 
 def test_labelless_schema_without_sidecar_exit_2(dataset, tmp_path, capsys):
@@ -249,6 +319,24 @@ def test_unknown_dtype_checkpoint_exit_2(dataset, tmp_path, capsys):
               "--node-labels", labels])
     assert rc == 2
     assert "unknown dtype 'float16'" in capsys.readouterr().err
+
+
+def test_pna_subset_checkpoint_exit_2(dataset, tmp_path, capsys):
+    from meganet.agg import AggSpec
+    from meganet.model import Model, save_checkpoint
+
+    tx, labels = dataset
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(Model(ModelConfig(edge_agg=AggSpec("pna"), hidden_node=4,
+                                      hidden_edge=4, mlp_hidden=4), 1, 1),
+                    ckpt)
+    payload = json.loads(ckpt.read_text())
+    payload["config"]["edge_agg"]["pna_stats"] = ["mean", "max"]
+    ckpt.write_text(json.dumps(payload))
+    rc = run(["eval", "--checkpoint", ckpt, "--data", tx,
+              "--node-labels", labels])
+    assert rc == 2
+    assert "pna_stats=['mean', 'max'] is not supported" in capsys.readouterr().err
 
 
 def test_gen_out_neighbor_count_needs_median_degree_2(tmp_path, capsys):

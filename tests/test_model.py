@@ -1,4 +1,5 @@
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,20 +104,16 @@ def test_checkpoint_config_json_bytes_pinned(tmp_path):
     from meganet.model import save_checkpoint
 
     cfg = ModelConfig(num_layers=1, bidirectional=False, ego_ids=True,
-                      edge_agg=AggSpec("pna", pna_stats=("max", "mean"),
-                                       mean_log_degree=0.5),
+                      edge_agg=AggSpec("pna", mean_log_degree=0.5),
                       node_agg=AggSpec("max"), readout="edge", hidden_node=2,
-                      hidden_edge=3, mlp_hidden=2)
+                      hidden_edge=3, mlp_hidden=2, dropout=0.0)
     path = tmp_path / "ckpt.json"
     save_checkpoint(Model(cfg, 1, 1, seed=0), path)
     text = path.read_text()
     assert text[:text.index(', "d_node_in"')] == (
         '{"format_version": 1, "config": {"num_layers": 1, '
         '"bidirectional": false, "ego_ids": true, "edge_agg": {"kind": "pna", '
-        '"pna_stats": ["mean", "max"], "pna_scalers": ["identity", '
-        '"amplification", "attenuation"], "mean_log_degree": 0.5}, '
-        '"node_agg": {"kind": "max", "pna_stats": ["mean", "max", "min", '
-        '"std"], "pna_scalers": ["identity", "amplification", "attenuation"], '
+        '"mean_log_degree": 0.5}, "node_agg": {"kind": "max", '
         '"mean_log_degree": 1.0}, "readout": "edge", "two_stage": true, '
         '"hidden_node": 2, "hidden_edge": 3, "mlp_hidden": 2, "dropout": 0.0, '
         '"dtype": "float32"}')
@@ -471,7 +468,7 @@ def test_full_model_gradient_on_fixed_small_graph():
     cfg = ModelConfig(num_layers=2, bidirectional=True,
                       edge_agg=AggSpec("mean"), node_agg=AggSpec("max"),
                       readout="node", hidden_node=3, hidden_edge=3,
-                      mlp_hidden=4, dtype="float64")
+                      mlp_hidden=4, dropout=0.0, dtype="float64")
     model = Model(cfg, 2, 2, seed=4)
     assert_gradient_matches_fd(model, g, supp, rev,
                                np.array([0, 1, 1, 0, 1, 0]))
@@ -488,7 +485,8 @@ def test_gradient_where_last_layer_skips_edge_updates(cfg):
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
     cfg = replace(cfg, edge_agg=AggSpec("mean"), node_agg=AggSpec("max"),
-                  hidden_node=3, hidden_edge=3, mlp_hidden=4, dtype="float64")
+                  hidden_node=3, hidden_edge=3, mlp_hidden=4, dropout=0.0,
+                  dtype="float64")
     model = Model(cfg, 2, 2, seed=4)
     n = g.num_nodes if cfg.readout == "node" else g.num_edges
     assert_gradient_matches_fd(model, g, supp, rev, np.arange(n) % 2)
@@ -567,6 +565,46 @@ def test_checkpoint_roundtrip(tmp_path):
     got, _ = loaded.forward(g, supp, rev)
     assert np.array_equal(want, got)
     assert loaded.config == cfg
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["as-saved", "reversed"])
+def test_checkpoint_listing_full_pna_sets_loads(tmp_path, reverse):
+    """A checkpoint written while AggSpec still listed PNA's statistics and
+    scalers (both aggregations pna, float32, edge readout) loads in either
+    order and reproduces the logits it was saved with bit for bit."""
+    import json
+
+    payload = json.loads((DATA / "pna_checkpoint_v1.json").read_text())
+    for agg in ("edge_agg", "node_agg"):
+        spec = payload["config"][agg]
+        assert spec["pna_stats"] == ["mean", "max", "min", "std"]
+        if reverse:
+            spec["pna_stats"].reverse()
+            spec["pna_scalers"].reverse()
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(payload))
+    model = load_checkpoint(path)
+    assert model.config.edge_agg == AggSpec("pna", mean_log_degree=0.9)
+    g = random_connected_multigraph(5, 9, seed=2)
+    supp = build_support_index(g)
+    logits, _ = model.forward(g, supp, build_reverse_index(g, supp))
+    want = json.loads((DATA / "pna_checkpoint_v1_logits.json").read_text())
+    assert np.array_equal(logits, np.array(want, dtype=logits.dtype))
+
+
+@pytest.mark.parametrize("key,subset", [
+    ("pna_stats", ["mean", "max", "min"]),
+    ("pna_stats", ["mean", "max", "min", "std", "std"]),
+    ("pna_scalers", ["identity"]),
+], ids=["three-stats", "repeated-stat", "identity-only"])
+def test_config_from_dict_rejects_pna_subsets(key, subset):
+    d = asdict(ModelConfig(node_agg=AggSpec("pna")))
+    d["node_agg"][key] = subset
+    with pytest.raises(ModelError, match=f"{key}=.* is not supported"):
+        ModelConfig.from_dict(d)
 
 
 def test_checkpoint_rejects_version_mismatch(tmp_path):
@@ -750,7 +788,6 @@ def test_float32_matches_float64_on_the_same_weights(cfg):
 def test_train_step_groups_no_index_again(monkeypatch, cfg):
     """Gathered parts carry the support index's groups: once they are built,
     a train step's backward scatters through them and groups nothing."""
-    import meganet.agg as agg_module
     import meganet.graph as graph_module
 
     calls = []
@@ -760,7 +797,6 @@ def test_train_step_groups_no_index_again(monkeypatch, cfg):
         return fn(*args)
 
     monkeypatch.setattr(graph_module, "build_groups", counted)
-    monkeypatch.setattr(agg_module, "build_groups", counted)
     g = random_connected_multigraph(9, 30, seed=4)
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from meganet.graph import build_groups
 from meganet.nn import (
     AdamState,
     GatheredConcat,
@@ -194,13 +195,14 @@ def test_dropout_backward_exact_for_realized_mask():
 
 def gathered_parts(rng):
     """Three parts of 6 rows: indices repeat, skip rows and run out of order."""
-    return [(rng.normal(size=(4, 3)), np.array([3, 0, 0, 1, 3, 1])),
+    return [(rng.normal(size=(4, 3)), build_groups([3, 0, 0, 1, 3, 1], 4)),
             (rng.normal(size=(6, 2)), None),
-            (rng.normal(size=(5, 2)), np.array([4, 2, 2, 0, 1, 4]))]
+            (rng.normal(size=(5, 2)), build_groups([4, 2, 2, 0, 1, 4], 5))]
 
 
 def built(parts):
-    return np.concatenate([p if i is None else p[i] for p, i in parts], axis=1)
+    return np.concatenate([p if i is None else p[i.key] for p, i in parts],
+                          axis=1)
 
 
 @pytest.mark.parametrize("activation", ["relu", "gelu"])
@@ -247,10 +249,12 @@ def test_gathered_concat_rejects_bad_parts():
     with pytest.raises(NnError, match="row counts"):
         GatheredConcat((np.ones((3, 2)), None), (np.ones((4, 2)), None))
     with pytest.raises(NnError, match="row counts"):
-        GatheredConcat((np.ones((5, 2)), np.array([0, 1])),
+        GatheredConcat((np.ones((5, 2)), build_groups([0, 1], 5)),
                        (np.ones((3, 2)), None))
     with pytest.raises(NnError):
         GatheredConcat((np.ones(3), None))
+    with pytest.raises(NnError, match="Groups"):        # a bare row index
+        GatheredConcat((np.ones((5, 2)), np.array([0, 1])))
     m = init_mlp([4, 2], np.random.default_rng(0))
     with pytest.raises(NnError, match="width"):
         mlp_forward(m, GatheredConcat((np.ones((3, 2)), None),
