@@ -6,7 +6,8 @@ to edge k. Every grouping (edges by pair, pairs by node, edges by node) is
 one Groups value from build_groups; the support index is three of them,
 and its mirror over the transposed edges is the same three with the
 by-destination and by-source roles swapped. The edges-by-node groupings
-a support index adds are built on first use. All are built once and
+a support index adds are built on first use, and so is its per-edge
+index, whose sites are the edges themselves. All are built once and
 treated as immutable afterwards.
 """
 
@@ -158,6 +159,22 @@ class SupportIndex:
     @cached_property
     def edges_by_dst(self) -> Groups:
         return build_groups(self.supp_dst[self.edge_to_supp], self.num_nodes)
+
+    @cached_property
+    def per_edge(self) -> "SupportIndex":
+        """The same edges with every edge its own site.
+
+        by_pair is the identity and by_src / by_dst are this index's
+        edges_by_src / edges_by_dst, which are also the per-edge index's own
+        edges-by-node groupings, so no grouping is built.
+        """
+        ident = np.arange(self.edge_to_supp.shape[0], dtype=np.int64)
+        src, dst = self.edges_by_src, self.edges_by_dst
+        sites = SupportIndex(self.num_nodes,
+                             Groups(ident, ident, np.arange(ident.size + 1)),
+                             by_dst=dst, by_src=src)
+        vars(sites).update(edges_by_src=src, edges_by_dst=dst)
+        return sites
 
 
 def build_support_index(g: Multigraph) -> SupportIndex:

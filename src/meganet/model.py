@@ -12,9 +12,11 @@ reads [x || a_0 (|| a_1)]; each direction updates its own copy of the edge
 latents, except in the last layer, which updates only the latents the
 readout reads: none for a node readout, the forward direction's for an edge
 readout. The skipped edge-update nets stay in Model.params and checkpoints
-but are inert: nothing calls them and their gradient stays 0. A
-single-stage layer (all edges aggregated at the node in one go) is kept as
-the baseline.
+but are inert: nothing calls them and their gradient stays 0. The
+single-stage baseline (every edge aggregated at its node in one go) is the
+same engine over per-edge sites (SupportIndex.per_edge): each edge is its
+own site, there is no multi-edge stage (edge_agg_mlp is None, so h is e),
+and the edge update reads [x_src || e || x_dst].
 
 Every MLP weight and bias is a view into Model.params and its gradient a
 view into Model.grads, so backward accumulates in place and an optimizer
@@ -79,7 +81,7 @@ class ModelConfig:
     edge_agg: AggSpec = AggSpec("sum")
     node_agg: AggSpec = AggSpec("sum")
     readout: str = "node"          # "node" or "edge"
-    two_stage: bool = True         # False selects the single-stage baseline
+    two_stage: bool = True         # False: the same layers over per-edge sites
     hidden_node: int = 64
     hidden_edge: int = 64
     mlp_hidden: int = 64
@@ -126,7 +128,8 @@ class DirectionNets(NamedTuple):
 
     msg_net: Mlp                   # builds messages from [x_src || h]
     edge_update_net: Mlp           # updates e from [x_src || e || h]
-    edge_agg_mlp: Mlp | None       # maps reduced parallel edges to h
+    edge_agg_mlp: Mlp | None       # maps reduced parallel edges to h; None:
+                                   # per-edge sites, h = e, e reads x_dst
 
 
 @dataclass
@@ -163,19 +166,22 @@ def _mlp(net: Mlp, x, train: bool, seed: int):
 
 def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
                   agg_edge: AggSpec, agg_node: AggSpec, train=False,
-                  seeds=(0, 0)):
+                  seq=lambda: 0):
     """Multi-edge reduce, post-aggregation MLP, message MLP and node reduce.
 
     Returns (h, a, cache): h holds one latent per support pair, a one
-    aggregate per node (zeros where no pair arrives). seeds are the
-    dropout seeds of the two MLPs.
+    aggregate per node (zeros where no pair arrives). Without an
+    edge_agg_mlp the pairs are edges and h is e: neither the reduce nor the
+    MLP runs. seq draws the dropout seed of each MLP that runs.
     """
-    h_raw, edge_vjp = segment_reduce_with_vjp(
-        agg_edge, GroupedFeatures(e, supp.by_pair))
-    h, agg_cache = _mlp(nets.edge_agg_mlp, h_raw, train, seeds[0])
+    h, edge_vjp, agg_cache = e, None, None
+    if nets.edge_agg_mlp is not None:
+        h_raw, edge_vjp = segment_reduce_with_vjp(
+            agg_edge, GroupedFeatures(e, supp.by_pair))
+        h, agg_cache = _mlp(nets.edge_agg_mlp, h_raw, train, seq())
     msg, msg_cache = _mlp(nets.msg_net,
                           GatheredConcat((x, supp.by_src), (h, None)),
-                          train, seeds[1])
+                          train, seq())
     a, node_vjp = reduce_or_default_with_vjp(
         agg_node, GroupedFeatures(msg, supp.by_dst))
     cache = (nets, edge_vjp, agg_cache, msg_cache, node_vjp) if train else None
@@ -192,34 +198,42 @@ def direction_bwd(cache, ga, gx, gh, ge):
     nets, edge_vjp, agg_cache, msg_cache, node_vjp = cache
     (gx_msg, gh_msg), _ = mlp_backward(nets.msg_net, msg_cache, node_vjp(ga))
     gx += gx_msg
-    gh_raw, _ = mlp_backward(nets.edge_agg_mlp, agg_cache,
-                             gh_msg if gh is None else gh + gh_msg)
-    ge_dir = edge_vjp(gh_raw)
-    return ge_dir if ge is None else ge + ge_dir
+    gh = gh_msg if gh is None else gh + gh_msg
+    if nets.edge_agg_mlp is not None:
+        gh_raw, _ = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
+        gh = edge_vjp(gh_raw)
+    return gh if ge is None else ge + gh
 
 
-def edge_update_fwd(x, e, h, supp: SupportIndex, net: Mlp, train=False,
-                    seed=0):
-    """Per-edge update from pre-update node features: [x_src || e || h]."""
-    inp = GatheredConcat((x, supp.edges_by_src), (e, None), (h, supp.by_pair))
-    out, net_cache = _mlp(net, inp, train, seed)
-    return out, (net, net_cache)
+def edge_update_fwd(x, e, h, supp: SupportIndex, nets: DirectionNets,
+                    train=False, seed=0):
+    """Per-edge update from pre-update node features: [x_src || e || h],
+    or [x_src || e || x_dst] where the direction has no multi-edge stage."""
+    third = ((x, supp.edges_by_dst) if nets.edge_agg_mlp is None
+             else (h, supp.by_pair))
+    inp = GatheredConcat((x, supp.edges_by_src), (e, None), third)
+    out, net_cache = _mlp(nets.edge_update_net, inp, train, seed)
+    return out, (nets, net_cache)
 
 
 def edge_update_bwd(cache, gout, gx):
-    """Backward of edge_update_fwd; adds into gx and returns (ge, gh)."""
-    net, net_cache = cache
-    (gx_eu, ge, gh), _ = mlp_backward(net, net_cache, gout)
-    gx += gx_eu
-    return ge, gh
+    """Backward of edge_update_fwd; adds the x gradients into gx and returns
+    (ge, gh), gh None where the third part is x_dst."""
+    nets, net_cache = cache
+    (gx_src, ge, g3), _ = mlp_backward(nets.edge_update_net, net_cache, gout)
+    gx += gx_src
+    if nets.edge_agg_mlp is None:
+        gx += g3
+        return ge, None
+    return ge, g3
 
 
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
 
-def two_stage_layer_fwd(lp: LayerParams, x, es, supports, train=False,
-                        seq=lambda: 0, edge_updates=None):
+def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
+              edge_updates=None):
     """One layer over len(supports) directions; es holds their edge latents.
 
     Only the first edge_updates directions (default: all) update their edge
@@ -230,7 +244,7 @@ def two_stage_layer_fwd(lp: LayerParams, x, es, supports, train=False,
     hs, parts, dir_caches = [], [(x, None)], []
     for supp, nets, e in zip(supports, lp.directions, es):
         h, a, c = direction_fwd(x, e, supp, nets, lp.agg_edge, lp.agg_node,
-                                train, (seq(), seq()))
+                                train, seq)
         hs.append(h)
         parts.append((a, None))
         dir_caches.append(c)
@@ -241,13 +255,12 @@ def two_stage_layer_fwd(lp: LayerParams, x, es, supports, train=False,
                                                hs)):
         seed = seq()
         if d < edge_updates:
-            es1[d], c = edge_update_fwd(x, e, h, supp, nets.edge_update_net,
-                                        train, seed)
+            es1[d], c = edge_update_fwd(x, e, h, supp, nets, train, seed)
             eu_caches.append(c)
     return x1, es1, (lp, dir_caches, gv_cache, eu_caches, x.shape)
 
 
-def two_stage_layer_bwd(cache, gx1, ges1):
+def layer_bwd(cache, gx1, ges1):
     """ges1 holds the e gradients of the directions whose edge update ran."""
     lp, dir_caches, gv_cache, eu_caches, x_shape = cache
     gx0 = np.zeros(x_shape, dtype=gx1.dtype)
@@ -258,44 +271,6 @@ def two_stage_layer_bwd(cache, gx1, ges1):
     gx0 += gx_nu
     return gx0, [direction_bwd(c, ga, gx0, gh, ge0)
                  for c, ga, (ge0, gh) in zip(dir_caches, gas, eu_grads)]
-
-
-def single_stage_layer_fwd(lp: LayerParams, x, es, supp: SupportIndex,
-                           train=False, seq=lambda: 0, edge_updates=1):
-    """Baseline layer: all incoming edges aggregated at the node in one stage.
-
-    Edges are read through supp's edges_by_src and edges_by_dst groups; es
-    holds one edge latent, returned unchanged when edge_updates is 0.
-    """
-    (e,) = es
-    nets = lp.directions[0]
-    src, dst = supp.edges_by_src, supp.edges_by_dst
-    msg, msg_cache = _mlp(nets.msg_net, GatheredConcat((x, src), (e, None)),
-                          train, seq())
-    a, vjp = reduce_or_default_with_vjp(lp.agg_node,
-                                        GroupedFeatures(msg, dst))
-    x1, gv_cache = _mlp(lp.node_update_net,
-                        GatheredConcat((x, None), (a, None)), train, seq())
-    seed = seq()
-    ge_cache = None
-    if edge_updates:
-        e, ge_cache = _mlp(nets.edge_update_net,
-                           GatheredConcat((x, src), (e, None), (x, dst)),
-                           train, seed)
-    return x1, [e], (lp, msg_cache, vjp, gv_cache, ge_cache)
-
-
-def single_stage_layer_bwd(cache, gx1, ges1):
-    lp, msg_cache, vjp, gv_cache, ge_cache = cache
-    nets = lp.directions[0]
-
-    (gx_nu, ga), _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
-    (gx_msg, ge_msg), _ = mlp_backward(nets.msg_net, msg_cache, vjp(ga))
-    if ge_cache is None:
-        return gx_nu + gx_msg, [ge_msg]
-    (gx_src, ge0, gx_dst), _ = mlp_backward(nets.edge_update_net, ge_cache,
-                                            ges1[0])
-    return gx_src + gx_dst + gx_nu + gx_msg, [ge0 + ge_msg]
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +346,10 @@ class Model:
         """Returns (logits, cache). Logits are per node or per edge.
 
         rev is build_reverse_index(g, supp); only the bidirectional
-        two-stage model reads it. A train-mode cache holds what backward
-        reads and nothing else. An eval-mode cache is {"final": (x, es)}:
-        the last node states and each direction's latest edge latents.
+        two-stage model reads it, and the single-stage one reads
+        supp.per_edge. A train-mode cache holds what backward reads and
+        nothing else. An eval-mode cache is {"final": (x, es)}: the last
+        node states and each direction's latest edge latents.
         An eval forward outside train_model trims the heap before it runs
         (heap.trimmed_heap).
         """
@@ -384,7 +360,7 @@ class Model:
 
     def _forward(self, g, supp, rev, roots, train_mode, seed):
         cfg = self.config
-        supports = [supp]
+        supports = [supp if cfg.two_stage else supp.per_edge]
         if cfg.two_stage and cfg.bidirectional:
             if rev is None:
                 raise ModelError("bidirectional model needs a reverse "
@@ -409,12 +385,8 @@ class Model:
         for li, lp in enumerate(self.layers):
             updates = (last_updates if li == len(self.layers) - 1
                        else len(supports))
-            if cfg.two_stage:
-                x, es, c = two_stage_layer_fwd(lp, x, es, supports,
-                                               train_mode, seq, updates)
-            else:
-                x, es, c = single_stage_layer_fwd(lp, x, es, supp, train_mode,
-                                                  seq, updates)
+            x, es, c = layer_fwd(lp, x, es, supports, train_mode, seq,
+                                 updates)
             if train_mode:
                 stages.append(c)
             del c                 # eval: free it before the next layer runs
@@ -456,8 +428,6 @@ class Model:
             gx_src, ge, gx_dst = gro_in
             gx, ges = gx_src + gx_dst, [ge]
 
-        layer_bwd = (two_stage_layer_bwd if self.config.two_stage
-                     else single_stage_layer_bwd)
         for c in reversed(cache["stages"]):
             gx, ges = layer_bwd(c, gx, ges)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .graph import Multigraph, build_reverse_index, build_support_index
 from .heap import trimmed_heap
 from .metrics import evaluate_scores
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, ModelError
 from .nn import AdamState, NnError, adam_step, weighted_bce_loss
 
 
@@ -104,8 +104,7 @@ def train_model(task: TaskData, model_config: ModelConfig,
     start = time.perf_counter()
     g = task.graph
     supp = build_support_index(g)
-    rev = (build_reverse_index(g, supp)
-           if model_config.two_stage and model_config.bidirectional else None)
+    rev = build_reverse_index(g, supp)       # the model decides if it reads it
     roots = task.items if task.task_type == "node" else None
 
     model = Model(model_config, g.node_features.shape[1],
@@ -180,10 +179,14 @@ def train_model(task: TaskData, model_config: ModelConfig,
 
 
 def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
+    """Metrics of model on one split of task, whose type must match the
+    model's readout (ModelError otherwise)."""
+    if model.config.readout != task.task_type:
+        raise ModelError(f"a {model.config.readout}-readout model cannot "
+                         f"evaluate a {task.task_type} task")
     g = task.graph
     supp = build_support_index(g)
-    rev = (build_reverse_index(g, supp)
-           if model.config.two_stage and model.config.bidirectional else None)
+    rev = build_reverse_index(g, supp)
     roots = task.items if task.task_type == "node" else None
     logits, _ = model.forward(g, supp, rev, roots=roots)
     idx = {"train": task.train_idx, "val": task.val_idx,

@@ -189,6 +189,37 @@ def test_train_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
     assert out["metrics"]["f1"] == rec["final_metrics"]["f1"]
 
 
+def with_edge_labels(tx, out):
+    """tx plus a label column that marks every third transaction."""
+    header, *rows = tx.read_text().splitlines()
+    out.write_text("\n".join([header + ",label"] + [
+        f"{row},{int(i % 3 == 0)}" for i, row in enumerate(rows)]) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("trained_on", ["node", "edge"])
+def test_eval_on_the_other_task_type_exit_2(dataset, tmp_path, capsys,
+                                            trained_on):
+    """A node-readout checkpoint on an edge task, or an edge-readout one on
+    a node task, is a usage error, not a traceback or wrong-row metrics."""
+    tx, labels = dataset
+    edge_tx = with_edge_labels(tx, tmp_path / "edges.csv")
+    ckpt = tmp_path / "model.json"
+    node_task = ["--node-labels", labels]
+    train = train_args(edge_tx, labels, tmp_path / "run", "--epochs", 1,
+                       "--checkpoint", ckpt)
+    if trained_on == "edge":
+        train = [a for a in train if a not in node_task]
+    assert run(train) == 0
+    capsys.readouterr()
+    rc = run(["eval", "--checkpoint", ckpt, "--data", edge_tx,
+              *(node_task if trained_on == "edge" else [])])
+    assert rc == 2
+    other = "node" if trained_on == "edge" else "edge"
+    assert (f"a {trained_on}-readout model cannot evaluate a {other} task"
+            in capsys.readouterr().err)
+
+
 def test_train_single_stage_switch(dataset, tmp_path):
     tx, labels = dataset
     out_dir = tmp_path / "gin"

@@ -122,6 +122,25 @@ def test_reverse_index_swaps_pairs():
     assert rev.by_pair.order.tolist() == [0, 1]
 
 
+def test_per_edge_index_reuses_the_edges_by_node_groupings(monkeypatch):
+    """Every edge is its own site, grouped by the parent's edges-by-node
+    groupings: nothing is grouped again, and the index is built once."""
+    import meganet.graph as graph_module
+
+    g = make_graph([(0, 1), (0, 1), (2, 1), (1, 0), (2, 2)])
+    supp = build_support_index(g)
+    by_src, by_dst = supp.edges_by_src, supp.edges_by_dst
+    monkeypatch.setattr(graph_module, "build_groups", None)   # no new grouping
+    sites = supp.per_edge
+    ident = np.arange(g.num_edges)
+    assert np.array_equal(sites.by_pair.key, ident)
+    assert np.array_equal(sites.by_pair.order, ident)
+    assert np.array_equal(sites.by_pair.offsets, np.arange(g.num_edges + 1))
+    assert sites.by_src is by_src and sites.by_dst is by_dst
+    assert sites.edges_by_src is by_src and sites.edges_by_dst is by_dst
+    assert supp.per_edge is sites
+
+
 def test_reverse_of_reverse_recovers_pair_multiset():
     g = random_connected_multigraph(8, 20, seed=3)
     supp = build_support_index(g)

@@ -7,9 +7,11 @@ import pytest
 from meganet.agg import AggSpec
 from meganet.graph import (
     Multigraph,
+    apply_permutation,
     build_reverse_index,
     build_support_index,
     random_connected_multigraph,
+    random_permutation,
 )
 from meganet.model import (
     DirectionNets,
@@ -20,10 +22,9 @@ from meganet.model import (
     add_ego_ids,
     direction_fwd,
     edge_update_fwd,
+    layer_fwd,
     load_checkpoint,
     save_checkpoint,
-    single_stage_layer_fwd,
-    two_stage_layer_fwd,
 )
 from meganet.nn import Mlp, weighted_bce_loss
 
@@ -79,8 +80,7 @@ def direction(x, e, supp, params, d=0):
 
 def edge_update(x, e, supp, params):
     h, _ = direction(x, e, supp, params)
-    e_next, _ = edge_update_fwd(x, e, h, supp,
-                                params.directions[0].edge_update_net)
+    e_next, _ = edge_update_fwd(x, e, h, supp, params.directions[0])
     return e_next
 
 
@@ -155,7 +155,7 @@ def test_node_stage_empty_in_neighbors_gets_zero():
     params.node_update_net = slice_mlp(dn + dn, dn, 2 * dn)
     x = np.array([[4.0], [9.0]])
     _, a = direction(x, g.edge_features, supp, params)
-    x_next, _, _ = two_stage_layer_fwd(params, x, [g.edge_features], [supp])
+    x_next, _, _ = layer_fwd(params, x, [g.edge_features], [supp])
     assert a[0].tolist() == [0.0]        # node 0 has no in-neighbors
     assert x_next[0].tolist() == [0.0]
 
@@ -210,8 +210,8 @@ def test_bidirectional_single_edge_structure():
     with_nets(params, 1, msg_net=constant_mlp(dn + de, dn, 1.0))
     # x_next echoes [a || a_rev]
     params.node_update_net = slice_mlp(dn + 2 * dn, dn, 3 * dn)
-    x_next, _, _ = two_stage_layer_fwd(params, np.zeros((2, 1)),
-                                       [g.edge_features] * 2, [supp, rev])
+    x_next, _, _ = layer_fwd(params, np.zeros((2, 1)),
+                             [g.edge_features] * 2, [supp, rev])
     # node 0: no in-neighbors (a=0), one out-neighbor (a_rev=1); node 1 flipped
     assert x_next.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
@@ -224,24 +224,58 @@ def test_bidirectional_out_degree_recoverable():
     params = with_nets(plain_params(1, 1, directions=2), 1,
                        msg_net=constant_mlp(2, 1, 1.0))
     params.node_update_net = slice_mlp(3, 2, 3)  # echo a_rev
-    x_next, _, _ = two_stage_layer_fwd(params, np.zeros((4, 1)),
-                                       [g.edge_features] * 2, [supp, rev])
+    x_next, _, _ = layer_fwd(params, np.zeros((4, 1)),
+                             [g.edge_features] * 2, [supp, rev])
     assert x_next[0, 0] == 3.0
     assert x_next[1:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_single_stage_collapse_on_simple_graph():
     """With P_ij = 1 everywhere and message nets that read the same inputs,
-    both layer types aggregate the same multiset of messages."""
+    the layer over pairs and the layer over per-edge sites (no multi-edge
+    stage) aggregate the same multiset of messages."""
     g = make_graph([(0, 2), (1, 2)], [[3.0], [4.0]])
     supp = build_support_index(g)
     params = with_nets(plain_params(1, 1),
                        msg_net=slice_mlp(2, 1, 2))  # message = edge latent
     params.node_update_net = slice_mlp(2, 1, 2)     # echo the aggregate
     x, e = np.ones((3, 1)), g.edge_features
-    x_two, _, _ = two_stage_layer_fwd(params, x, [e], [supp])
-    x_single, _, _ = single_stage_layer_fwd(params, x, [e], supp)
+    x_two, _, _ = layer_fwd(params, x, [e], [supp])
+    with_nets(params, edge_agg_mlp=None)
+    x_single, _, _ = layer_fwd(params, x, [e], [supp.per_edge])
     assert np.allclose(x_two, x_single)
+
+
+def permuted(a, perm):
+    out = np.empty_like(a)
+    out[perm] = a
+    return out
+
+
+@pytest.mark.parametrize("node_agg", ["sum", "pna", "max"])
+@pytest.mark.parametrize("readout", ["node", "edge"])
+def test_single_stage_equivariance(readout, node_agg):
+    """Relabeling the nodes and reordering the edges permutes the baseline's
+    logits, node states and edge latents alike, to 1e-5 in float64."""
+    cfg = ModelConfig(two_stage=False, readout=readout,
+                      node_agg=AggSpec(node_agg), hidden_node=6, hidden_edge=6,
+                      mlp_hidden=8, dtype="float64")
+    model = Model(cfg, 2, 2, seed=17)
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        n = int(rng.integers(2, 21))
+        g = random_connected_multigraph(n, int(rng.integers(n, 81)),
+                                        seed=int(rng.integers(1 << 30)))
+        p = random_permutation(g, rng)
+        gp = apply_permutation(g, p)
+        logits, cache = model.forward(g, build_support_index(g))
+        logits_p, cache_p = model.forward(gp, build_support_index(gp))
+        (x, (e,)), (x_p, (e_p,)) = cache["final"], cache_p["final"]
+        item_perm = p.node_perm if readout == "node" else p.edge_perm
+        for got, want, perm in ((logits_p, logits, item_perm),
+                                (x_p, x, p.node_perm), (e_p, e, p.edge_perm)):
+            np.testing.assert_allclose(got, permuted(want, perm), rtol=1e-5,
+                                       atol=1e-7)
 
 
 def test_add_ego_ids():
@@ -479,7 +513,10 @@ def test_full_model_gradient_on_fixed_small_graph():
     ModelConfig(num_layers=1, readout="node"),
     ModelConfig(num_layers=1, readout="edge"),
     ModelConfig(two_stage=False, readout="node"),
-], ids=["one-layer-node", "one-layer-edge", "single-stage-node"])
+    # the last edge update reads x_dst: its gradient reaches x and e
+    ModelConfig(two_stage=False, readout="edge"),
+], ids=["one-layer-node", "one-layer-edge", "single-stage-node",
+        "single-stage-edge"])
 def test_gradient_where_last_layer_skips_edge_updates(cfg):
     g = random_connected_multigraph(6, 10, seed=13)
     supp = build_support_index(g)
@@ -541,11 +578,10 @@ def test_skipped_edge_updates_shift_no_dropout_seed(monkeypatch, cfg):
     model = Model(replace(cfg, hidden_node=3, hidden_edge=3, mlp_hidden=4,
                           dropout=0.3), 2, 2, seed=4)
     want, _ = model.forward(g, supp, rev, train_mode=True, seed=1)
-    for name in ("two_stage_layer_fwd", "single_stage_layer_fwd"):
-        # drop the edge_updates argument: every direction updates
-        monkeypatch.setattr(model_module, name,
-                            lambda *args, fwd=getattr(model_module, name):
-                            fwd(*args[:-1]))
+    # drop the edge_updates argument: every direction updates
+    monkeypatch.setattr(model_module, "layer_fwd",
+                        lambda *args, fwd=model_module.layer_fwd:
+                        fwd(*args[:-1]))
     got, _ = model.forward(g, supp, rev, train_mode=True, seed=1)
     assert np.array_equal(got, want)
 
