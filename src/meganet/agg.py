@@ -12,9 +12,17 @@ size s are gathered once into a dense [s, G_s, d] block, which every
 statistic then reduces over its first axis: sums (sum, mean and both std
 moments) add the rows in group order, which is item order, and max and min
 take the extremes. The max/min VJP gathers the block again and routes each
-gradient to the first row that achieves the extreme. PNA's degree scalers
-read the group sizes. scatter_add, nn's row scatter, is the same block sum.
-Every output and VJP is in the dtype of the values (float32 or float64).
+gradient to the first row that achieves the extreme. scatter_add, nn's
+row scatter, is the same block sum. Every output and VJP is in the dtype of
+the values (float32 or float64).
+
+A reduction returns its statistics together with per-group scale columns,
+None except under PNA. PNA returns its four statistics side by side and
+the three degree scalers read off the group sizes as a [G, 3] matrix; it
+never multiplies them out. The consuming MLP takes the pair as one scaled
+nn.GatheredConcat part, which stands for the 12·d-wide block of every
+statistic under every scaler, and its first-layer backward applies the
+scalers to the gradient, so the VJP here starts from the statistics.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ import numpy as np
 
 from .graph import Groups
 
-# a PNA block concatenates these statistics and repeats the whole block
-# under each of these degree scalers, in this order
+# PNA's statistics, in column order, and its degree scalers, in the order
+# of its scale columns
 PNA_STATS = ("mean", "max", "min", "std")
 PNA_SCALERS = ("identity", "amplification", "attenuation")
 
@@ -47,11 +55,13 @@ def as_float_array(a) -> np.ndarray:
 class AggSpec:
     """Choice of reduction statistic.
 
-    For kind="pna" the output concatenates the PNA_STATS (mean, max, min,
-    std) and multiplies the whole block by each of the PNA_SCALERS
-    (identity, amplification, attenuation). The log-degree scalers are
-    normalized by mean_log_degree, which callers compute over their
-    training split.
+    For kind="pna" a reduction returns the PNA_STATS (mean, max, min, std)
+    side by side, 4·d wide, and one scale column per PNA_SCALERS entry
+    (identity, amplification, attenuation). out_width is the nominal width
+    of the block the pair stands for, each statistic under each scaler
+    (scaler-major), which the consuming MLP's weight rows are laid out
+    for; that block is never built. The log-degree scalers are normalized
+    by mean_log_degree, which callers compute over their training split.
     """
 
     kind: str
@@ -122,15 +132,14 @@ def scatter_add(values: np.ndarray, groups: Groups) -> np.ndarray:
     """
     out = np.zeros((groups.num_groups, values.shape[1]), dtype=values.dtype)
     for gids, rows in _size_buckets(groups):
-        if rows.shape[0]:
-            out[gids] = _reduce_rows(np.add, np.take(values, rows, axis=0))
+        out[gids] = _reduce_rows(np.add, np.take(values, rows, axis=0))
     return out
 
 
 def _size_buckets(groups: Groups) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The groups bucketed by size, smallest size first.
+    """The non-empty groups bucketed by size, smallest size first.
 
-    One (group ids, rows) pair per distinct size s: rows is the [s, G_s]
+    One (group ids, rows) pair per distinct size s >= 1: rows is the [s, G_s]
     item index whose row k holds each group's k-th item in group order, so
     values[rows] is one dense [s, G_s, d] block of those groups' rows.
     """
@@ -140,6 +149,8 @@ def _size_buckets(groups: Groups) -> list[tuple[np.ndarray, np.ndarray]]:
     sizes = counts[by_size]
     starts = np.flatnonzero(np.diff(sizes, prepend=-1))
     ends = np.append(starts[1:], sizes.size)
+    if sizes.size and sizes[0] == 0:            # the empty groups
+        starts, ends = starts[1:], ends[1:]
     return [(by_size[lo:hi],
              order[offsets[by_size[lo:hi]] + np.arange(sizes[lo])[:, None]])
             for lo, hi in zip(starts, ends)]
@@ -183,24 +194,27 @@ def _route_extremes(v: np.ndarray, buckets, extremes, gv: np.ndarray) -> None:
 
 def _stats_into(stacked: np.ndarray, stats: tuple[str, ...],
                 gf: GroupedFeatures):
-    """Writes each statistic of gf's non-empty groups into its d columns of
-    stacked; returns the VJP from the gradient of stacked into the values.
+    """Writes each statistic of gf's groups into its d columns of stacked,
+    zeros for an empty group; returns the VJP from the gradient of stacked
+    into the values.
     """
     v = gf.values
     key = gf.groups.key
     d = v.shape[1]
     col = {stat: stacked[:, i * d:(i + 1) * d] for i, stat in enumerate(stats)}
-    counts = gf.counts.astype(v.dtype)[:, None]
+    # an empty group's sums are 0, and so are its mean and std over 1
+    stacked[gf.counts == 0] = 0.0
+    counts = np.maximum(gf.counts, 1).astype(v.dtype)[:, None]
     buckets = _size_buckets(gf.groups)
 
     sums = col.get("sum", col.get("mean"))
     if sums is None and "std" in col:
-        sums = np.empty_like(col["std"])
+        sums = np.zeros_like(col["std"])
     targets = [(col[stat], ufunc) for stat, ufunc in
                (("max", np.maximum), ("min", np.minimum)) if stat in col]
     if sums is not None:
         targets.append((sums, np.add))
-    sumsq = np.empty_like(col["std"]) if "std" in col else None
+    sumsq = np.zeros_like(col["std"]) if "std" in col else None
     for gids, rows in buckets:
         block = np.take(v, rows, axis=0)
         for out, ufunc in targets:
@@ -251,54 +265,36 @@ def _stats_into(stacked: np.ndarray, stats: tuple[str, ...],
 def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     """Reduce each group to one row; also return the VJP into the values.
 
-    Groups must be non-empty here; callers with possibly-empty targets use
-    reduce_or_default_with_vjp.
+    Returns ((stats, scale), vjp). stats holds each group's statistics;
+    scale is None, or under PNA the [G, 3] degree scaler columns by which
+    the consumer weighs stats. vjp maps a gradient of stats, scalers
+    already applied, to the values. Groups must be non-empty here; callers
+    with possibly-empty targets use reduce_or_default_with_vjp.
     """
     if np.any(gf.counts == 0):
         raise AggError("segment_reduce requires non-empty groups")
-    stats = PNA_STATS if spec.kind == "pna" else (spec.kind,)
-    d = gf.values.shape[1]
-    stacked = np.empty((gf.num_groups, len(stats) * d), dtype=gf.values.dtype)
-    stats_vjp = _stats_into(stacked, stats, gf)
-    if spec.kind != "pna":
-        return stacked, stats_vjp
-
-    amp, att = pna_scalers(gf.counts, spec.mean_log_degree, stacked.dtype)
-    # [G, scalers, 1]: out[g] is stacked[g] times each scaler in turn
-    scale = np.stack([np.ones_like(amp), amp, att], axis=1)[:, :, None]
-    out = (stacked[:, None, :] * scale).reshape(gf.num_groups,
-                                                spec.out_width(d))
-
-    width = stacked.shape[1]
-
-    def vjp(gout):
-        per_scaler = gout.reshape(*scale.shape[:2], width)
-        return stats_vjp(np.add.reduce(per_scaler * scale, axis=1))
-
-    return out, vjp
+    return reduce_or_default_with_vjp(spec, gf)
 
 
 def segment_reduce(spec: AggSpec, gf: GroupedFeatures) -> np.ndarray:
-    out, _ = segment_reduce_with_vjp(spec, gf)
-    return out
+    """Each group's statistics, without PNA's scale columns or the VJP."""
+    (stats, _), _ = segment_reduce_with_vjp(spec, gf)
+    return stats
 
 
 def reduce_or_default_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     """segment_reduce_with_vjp that gives each empty group a row of zeros.
 
-    The reduction runs over the non-empty groups only, renumbered in order;
-    no gradient flows out of an empty group.
+    No gradient flows out of an empty group. Its PNA scale row is that of
+    a group of one: it weighs zeros, so its value changes nothing.
     """
-    key, order, offsets = gf.groups
-    counts = gf.counts
-    full = np.flatnonzero(counts)
-    rank = np.cumsum(counts > 0) - 1
-    sub = Groups(rank[key], order, np.append(offsets[full], offsets[-1]))
-    reduced, sub_vjp = segment_reduce_with_vjp(spec, GroupedFeatures(gf.values, sub))
-    out = np.zeros((gf.num_groups, reduced.shape[1]), dtype=reduced.dtype)
-    out[full] = reduced
-
-    def vjp(gout):
-        return sub_vjp(gout[full])
-
-    return out, vjp
+    stats = PNA_STATS if spec.kind == "pna" else (spec.kind,)
+    d = gf.values.shape[1]
+    stacked = np.empty((gf.num_groups, len(stats) * d), dtype=gf.values.dtype)
+    vjp = _stats_into(stacked, stats, gf)
+    scale = None
+    if spec.kind == "pna":
+        amp, att = pna_scalers(np.maximum(gf.counts, 1), spec.mean_log_degree,
+                               stacked.dtype)
+        scale = np.stack([np.ones_like(amp), amp, att], axis=1)
+    return (stacked, scale), vjp

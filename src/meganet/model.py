@@ -29,7 +29,11 @@ MLP inputs that concatenate gathered rows ([x_src || h], [x_src || e || h],
 as nn.GatheredConcat: nothing of per-edge width is built or cached, and
 each backward returns the gradients already summed into x, e and h rows;
 a gathered part carries the support index's Groups for its row index, so
-the backward scatter groups nothing again.
+the backward scatter groups nothing again. A reduction's result enters
+its MLP (the post-aggregation MLP, the node update) as one part with the
+reduction's scale columns: under PNA the 4·d statistics weighed by the
+three degree scalers stand for the 12·d block the MLP's weights are laid
+out for, which is never built or cached; every other kind has no scale.
 Reductions read their rows where they lie: edge latents e with the support
 index's by_pair groups, messages with its by_dst groups (agg.GroupedFeatures),
 and their VJPs return gradients in the same row order, so no reduction
@@ -169,16 +173,18 @@ def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
                   seq=lambda: 0):
     """Multi-edge reduce, post-aggregation MLP, message MLP and node reduce.
 
-    Returns (h, a, cache): h holds one latent per support pair, a one
-    aggregate per node (zeros where no pair arrives). Without an
-    edge_agg_mlp the pairs are edges and h is e: neither the reduce nor the
-    MLP runs. seq draws the dropout seed of each MLP that runs.
+    Returns (h, a, cache): h holds one latent per support pair, a the
+    (statistics, scale) pair of the node reduce, one row per node (zeros
+    where no pair arrives). Without an edge_agg_mlp the pairs are edges
+    and h is e: neither the reduce nor the MLP runs. seq draws the dropout
+    seed of each MLP that runs.
     """
     h, edge_vjp, agg_cache = e, None, None
     if nets.edge_agg_mlp is not None:
-        h_raw, edge_vjp = segment_reduce_with_vjp(
+        (h_raw, scale), edge_vjp = segment_reduce_with_vjp(
             agg_edge, GroupedFeatures(e, supp.by_pair))
-        h, agg_cache = _mlp(nets.edge_agg_mlp, h_raw, train, seq())
+        h, agg_cache = _mlp(nets.edge_agg_mlp,
+                            GatheredConcat((h_raw, None, scale)), train, seq())
     msg, msg_cache = _mlp(nets.msg_net,
                           GatheredConcat((x, supp.by_src), (h, None)),
                           train, seq())
@@ -200,7 +206,7 @@ def direction_bwd(cache, ga, gx, gh, ge):
     gx += gx_msg
     gh = gh_msg if gh is None else gh + gh_msg
     if nets.edge_agg_mlp is not None:
-        gh_raw, _ = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
+        (gh_raw,), _ = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
         gh = edge_vjp(gh_raw)
     return gh if ge is None else ge + gh
 
@@ -243,10 +249,10 @@ def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
         edge_updates = len(supports)
     hs, parts, dir_caches = [], [(x, None)], []
     for supp, nets, e in zip(supports, lp.directions, es):
-        h, a, c = direction_fwd(x, e, supp, nets, lp.agg_edge, lp.agg_node,
-                                train, seq)
+        h, (a, scale), c = direction_fwd(x, e, supp, nets, lp.agg_edge,
+                                         lp.agg_node, train, seq)
         hs.append(h)
-        parts.append((a, None))
+        parts.append((a, None, scale))
         dir_caches.append(c)
     x1, gv_cache = _mlp(lp.node_update_net, GatheredConcat(*parts), train,
                         seq())

@@ -16,7 +16,12 @@ gathering, so a part of n rows costs n rows of matmul however many rows
 its index selects; the backward pass scatters the upstream gradient into
 each part's rows once (agg.scatter_add) and returns one gradient per part.
 A part's row index is the key of a graph.Groups, which the scatter adds
-through, so nothing is grouped again.
+through, so nothing is grouped again. A part may also carry a [rows, k]
+scale matrix s: it then stands for the k column blocks p * s[:, j] side by
+side, as PNA's statistics under its degree scalers do. The first layer
+sums s[:, j] * (p @ W_j) over the part's k weight blocks and the backward
+weighs the gradient by each column in turn, so the k-fold wide block is
+never built.
 """
 
 from __future__ import annotations
@@ -121,36 +126,62 @@ class ParamGrads:
 
 
 class GatheredConcat:
-    """np.concatenate([p if i is None else p[i.key] for p, i in parts], axis=1),
-    unbuilt.
+    """np.concatenate([expand(p, s) if i is None else expand(p, s)[i.key]
+    for p, i, s in parts], axis=1), unbuilt.
 
-    Each part is a 2-d array and None, which takes every row in order, or
-    a graph.Groups over the part's rows, whose key is the row index. All
-    parts must give the same number of rows. shape is that of the
-    concatenation.
+    Each part is (p, i) or (p, i, s). p is a 2-d array. i is None, which
+    takes every row in order, or a graph.Groups over p's rows, whose key
+    is the row index. s is None, or a [p rows, k] scale matrix, for which
+    expand(p, s) is the k blocks p * s[:, j] side by side; without one,
+    expand(p, None) is p. All parts must give the same number of rows.
+    shape is that of the concatenation.
     """
 
     def __init__(self, *parts):
-        self.parts = tuple((as_float_array(p), i) for p, i in parts)
+        self.parts = tuple(_part(*part) for part in parts)
         if any(p.ndim != 2 or not (i is None or isinstance(i, Groups))
-               for p, i in self.parts):
+               for p, i, _ in self.parts):
             raise NnError("parts must be 2-d arrays with None or a graph.Groups")
         if any(i is not None and i.num_groups != p.shape[0]
-               for p, i in self.parts):
+               for p, i, _ in self.parts):
             raise NnError("a part's groups must cover its rows")
-        rows = {p.shape[0] if i is None else i.key.size for p, i in self.parts}
+        if any(s is not None and (s.ndim != 2 or s.shape[0] != p.shape[0])
+               for p, _, s in self.parts):
+            raise NnError("a part's scale must be a matrix with a row per row")
+        rows = {p.shape[0] if i is None else i.key.size
+                for p, i, _ in self.parts}
         if len(rows) != 1:
             raise NnError(f"parts give different row counts {sorted(rows)}")
-        self.shape = (rows.pop(), sum(p.shape[1] for p, _ in self.parts))
+        self.shape = (rows.pop(),
+                      sum(p.shape[1] * (1 if s is None else s.shape[1])
+                          for p, _, s in self.parts))
+
+
+def _part(p, i, s=None):
+    """A part as (p, i, s), its scale in p's dtype."""
+    p = as_float_array(p)
+    return p, i, None if s is None else np.asarray(s, dtype=p.dtype)
+
+
+def _side_by_side(w: np.ndarray, k: int) -> np.ndarray:
+    """The [k * c, out] weight rows of a part with k scale columns as
+    [c, k * out]: the weight block of each scale column side by side."""
+    c = w.shape[0] // k
+    return w.reshape(k, c, -1).transpose(1, 0, 2).reshape(c, -1)
 
 
 def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b as a sum of per-part products, each gathered after the matmul."""
+    """x @ w + b as a sum of per-part products, each gathered after the
+    matmul; a scaled part's product is its blocks' products weighed by its
+    scale columns."""
     z = None
     lo = 0
-    for p, i in x.parts:
-        hi = lo + p.shape[1]
-        zp = p @ w[lo:hi]
+    for p, i, s in x.parts:
+        k = 1 if s is None else s.shape[1]
+        hi = lo + k * p.shape[1]
+        zp = p @ _side_by_side(w[lo:hi], k)
+        if s is not None:
+            zp = np.einsum("rk,rko->ro", s, zp.reshape(len(p), k, -1))
         if i is not None:
             zp = zp[i.key]
         if z is None:
@@ -164,14 +195,20 @@ def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
                           g: np.ndarray) -> list[np.ndarray]:
-    """Adds the weight gradient into gw; returns one gradient per part."""
+    """Adds the weight gradient into gw; returns one gradient per part,
+    shaped like the part's p."""
     gparts = []
     lo = 0
-    for p, i in x.parts:
-        hi = lo + p.shape[1]
+    for p, i, s in x.parts:
+        k = 1 if s is None else s.shape[1]
+        hi = lo + k * p.shape[1]
         gp = g if i is None else scatter_add(g, i)
-        gw[lo:hi] += p.T @ gp
-        gparts.append(gp @ w[lo:hi].T)
+        if s is not None:
+            # the gradient of each block side by side: [rows, k * out]
+            gp = np.einsum("rk,ro->rko", s, gp).reshape(len(p), -1)
+        gw_blocks = gw[lo:hi].reshape(k, p.shape[1], -1)       # a view
+        gw_blocks += (p.T @ gp).reshape(p.shape[1], k, -1).transpose(1, 0, 2)
+        gparts.append(gp @ _side_by_side(w[lo:hi], k).T)
         lo = hi
     return gparts
 

@@ -98,9 +98,11 @@ def train_model(task: TaskData, model_config: ModelConfig,
                 train_config: TrainConfig, seed: int):
     """Train one model; returns (model, ExperimentRecord).
 
+    The model's readout must match the task type (ModelError otherwise).
     The heap is trimmed when the run starts and when it ends
     (heap.trimmed_heap), so the run holds only what it keeps alive.
     """
+    _check_readout(model_config, task, "train on")
     start = time.perf_counter()
     g = task.graph
     supp = build_support_index(g)
@@ -178,12 +180,16 @@ def train_model(task: TaskData, model_config: ModelConfig,
     return model, record
 
 
+def _check_readout(config: ModelConfig, task: TaskData, verb: str) -> None:
+    if config.readout != task.task_type:
+        raise ModelError(f"a {config.readout}-readout model cannot "
+                         f"{verb} a {task.task_type} task")
+
+
 def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
     """Metrics of model on one split of task, whose type must match the
     model's readout (ModelError otherwise)."""
-    if model.config.readout != task.task_type:
-        raise ModelError(f"a {model.config.readout}-readout model cannot "
-                         f"evaluate a {task.task_type} task")
+    _check_readout(model.config, task, "evaluate")
     g = task.graph
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)

@@ -28,9 +28,26 @@ def grouped(rows, offsets):
                            build_groups(keys, sizes.size))
 
 
+def expand(stats, scale):
+    """The nominal block a reduction's (stats, scale) stands for: stats, or
+    under PNA every statistic under every degree scaler, scaler-major."""
+    if scale is None:
+        return stats
+    return (stats[:, None, :] * scale[:, :, None]).reshape(len(stats), -1)
+
+
+def fold(gblock, scale):
+    """The gradient of stats from the gradient of expand(stats, scale)."""
+    if scale is None:
+        return gblock
+    per_scaler = gblock.reshape(*scale.shape, -1)
+    return (per_scaler * scale[:, :, None]).sum(axis=1)
+
+
 def reduce_or_default(spec, gf):
+    """The nominal block of reduce_or_default_with_vjp."""
     out, _ = reduce_or_default_with_vjp(spec, gf)
-    return out
+    return expand(*out)
 
 
 def naive_reduce(kind, gf):
@@ -120,19 +137,23 @@ def test_pna_scaler_values():
 def test_pna_full_block_against_manual():
     gf = grouped([[1], [3]], [0, 2])
     spec = AggSpec("pna", mean_log_degree=np.log(3.0))
-    out = segment_reduce(spec, gf)
-    stats = np.array([2.0, 3.0, 1.0, 1.0])
+    (stats, scale), _ = segment_reduce_with_vjp(spec, gf)
+    assert stats.tolist() == [[2.0, 3.0, 1.0, 1.0]]
     amp = np.log(3.0) / np.log(3.0)
-    expected = np.concatenate([stats, stats * amp, stats / amp])
-    assert np.allclose(out[0], expected)
+    assert np.allclose(scale, [[1.0, amp, 1.0 / amp]])
+    expected = np.concatenate([stats[0], stats[0] * amp, stats[0] / amp])
+    assert np.allclose(expand(stats, scale)[0], expected)
 
 
 def test_pna_scales_by_group_size():
     gf = grouped([[1], [3], [2], [2], [2], [2], [2]], [0, 7])
     spec = AggSpec("pna", mean_log_degree=np.log(2.0))
-    out = segment_reduce(spec, gf)
+    (stats, scale), _ = segment_reduce_with_vjp(spec, gf)
+    assert stats.shape == (1, 4) and scale.shape == (1, 3)
+    assert scale[0, 1] == pytest.approx(np.log(8.0) / np.log(2.0))
     # the amplified block's mean column
-    assert out[0, 4] == pytest.approx(2.0 * np.log(8.0) / np.log(2.0))
+    assert (expand(stats, scale)[0, 4]
+            == pytest.approx(2.0 * np.log(8.0) / np.log(2.0)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,21 +219,26 @@ def test_within_group_shuffle_invariance(data):
 
 
 def fd_vjp_check(spec, gf, eps=1e-6):
-    """Compare the reduction VJP against finite differences of a probe."""
-    out, vjp = reduce_or_default_with_vjp(spec, gf)
+    """Compare the reduction VJP against finite differences of a probe of
+    the statistics (PNA's scale columns read only the group sizes)."""
+    (out, _), vjp = reduce_or_default_with_vjp(spec, gf)
     rng = np.random.default_rng(0)
     gout = rng.normal(size=out.shape)
     analytic = vjp(gout)
     fd = np.zeros_like(gf.values)
     base = gf.values.copy()
+
+    def stats(values):
+        (s, _), _ = reduce_or_default_with_vjp(
+            spec, GroupedFeatures(values, gf.groups))
+        return s
+
     for i in range(base.shape[0]):
         for j in range(base.shape[1]):
             plus, minus = base.copy(), base.copy()
             plus[i, j] += eps
             minus[i, j] -= eps
-            fp = reduce_or_default(spec, GroupedFeatures(plus, gf.groups))
-            fm = reduce_or_default(spec, GroupedFeatures(minus, gf.groups))
-            fd[i, j] = ((fp - fm) * gout).sum() / (2 * eps)
+            fd[i, j] = ((stats(plus) - stats(minus)) * gout).sum() / (2 * eps)
     assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -249,7 +275,7 @@ def test_tie_between_non_adjacent_rows_routes_to_lower_row(kind, tie):
     values = np.array([[0.0], [tie], [9.0], [0.0], [tie]])
     values[3] = -tie
     gf = GroupedFeatures(values, build_groups([0, 1, 2, 1, 1], 3))
-    out, vjp = segment_reduce_with_vjp(AggSpec(kind), gf)
+    (out, _), vjp = segment_reduce_with_vjp(AggSpec(kind), gf)
     assert out[1, 0] == tie
     gv = vjp(np.array([[0.0], [1.0], [0.0]]))
     assert gv[:, 0].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
@@ -378,15 +404,18 @@ def test_matches_reference_kernel(layout, d):
     for spec in [AggSpec(k) for k in KINDS] + [
             AggSpec("pna", mean_log_degree=0.9),
             AggSpec("pna", mean_log_degree=1.3)]:
-        out, vjp = reduce_or_default_with_vjp(spec, gf)
+        (out, scale), vjp = reduce_or_default_with_vjp(spec, gf)
+        assert (scale is None) == (spec.kind != "pna")
         want, want_vjp = reference_reduce_or_default(spec, gf)
-        assert np.array_equal(out, want), (spec, "forward")
-        gout = rng.normal(size=out.shape)
-        got, ref = vjp(gout), want_vjp(gout)
+        # the statistics are the reference's, so multiplying them out
+        # rebuilds its block bit for bit
+        assert np.array_equal(expand(out, scale), want), (spec, "forward")
+        gout = rng.normal(size=want.shape)
+        got, ref = vjp(fold(gout, scale)), want_vjp(gout)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (spec, "vjp")
         if gf.counts.all():
             seg, _ = segment_reduce_with_vjp(spec, gf)
-            assert np.array_equal(seg, want)
+            assert np.array_equal(expand(*seg), want)
 
 
 @pytest.mark.parametrize("kind, tie", [("max", 5.0), ("min", -5.0)])
@@ -400,7 +429,7 @@ def test_tie_routes_to_lowest_row_beside_other_sizes(kind, tie):
     values[[3, 8], 1] = tie               # group 3 ties in column 1
     values[[1, 9], 1] = -tie
     gf = GroupedFeatures(values, build_groups(keys, 4))
-    out, vjp = segment_reduce_with_vjp(AggSpec(kind), gf)
+    (out, _), vjp = segment_reduce_with_vjp(AggSpec(kind), gf)
     assert out[2, 0] == tie and out[3, 1] == tie
     gout = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
     want = np.zeros((10, 2))
@@ -458,9 +487,10 @@ def test_scatter_add_layouts_equal_add_at(layout, d):
 def test_reduce_or_default_empty_groups():
     gf = grouped(np.zeros((0, 2)), [0, 0, 0, 0])
     for kind in KINDS + ("pna",):
-        out, vjp = reduce_or_default_with_vjp(AggSpec(kind), gf)
-        assert out.shape == (3, AggSpec(kind).out_width(2))
-        assert not out.any()
+        (out, scale), vjp = reduce_or_default_with_vjp(AggSpec(kind), gf)
+        block = expand(out, scale)
+        assert block.shape == (3, AggSpec(kind).out_width(2))
+        assert not block.any()
         assert vjp(np.ones(out.shape)).shape == (0, 2)
 
 

@@ -245,6 +245,79 @@ def test_gathered_concat_backward_matches_finite_differences(activation):
         assert np.allclose(got, fd, rtol=1e-4, atol=1e-7)
 
 
+def scaled_parts(rng):
+    """A scaled part with a Groups index, a plain part and a scaled part
+    without an index, 6 rows each; scales are positive and negative."""
+    return [(rng.normal(size=(4, 3)), build_groups([3, 0, 0, 1, 3, 1], 4),
+             rng.normal(size=(4, 3))),
+            (rng.normal(size=(6, 2)), None),
+            (rng.normal(size=(6, 2)), None, rng.normal(size=(6, 2)))]
+
+
+def expanded(parts):
+    """Each scaled part as the plain part of its blocks p * s[:, j]."""
+    return [(part[0] if len(part) == 2 else
+             (part[0][:, None, :] * part[2][:, :, None]).reshape(
+                 len(part[0]), -1), part[1])
+            for part in parts]
+
+
+@pytest.mark.parametrize("activation", ["relu", "gelu"])
+def test_scaled_part_equals_built_blocks(activation):
+    """Outputs, weight gradients and per-part gradients equal those of the
+    explicitly built blocks, the latter folded back through the scales."""
+    rng = np.random.default_rng(10)
+    dropout = 0.3 if activation == "relu" else 0.0
+    parts = scaled_parts(rng)
+    assert GatheredConcat(*parts).shape == (6, 9 + 2 + 4)
+    gout = rng.normal(size=(6, 3))
+    got = {}
+    for name, x in (("scaled", GatheredConcat(*parts)),
+                    ("built", GatheredConcat(*expanded(parts)))):
+        m = init_mlp([15, 6, 3], np.random.default_rng(11),
+                     activation=activation, dropout=dropout)
+        out, cache = mlp_forward(m, x, True, 5)
+        gparts, grads = mlp_backward(m, cache, gout)
+        eval_out, _ = mlp_forward(m, x, False)
+        got[name] = (out, eval_out, gparts, grads.weights + grads.biases)
+    scaled, built_ = got["scaled"], got["built"]
+
+    def close(a, b):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    for a, b in zip(scaled[:2], built_[:2]):
+        close(a, b)
+    for a, b in zip(scaled[3], built_[3]):
+        close(a, b)
+    for part, a, b in zip(parts, scaled[2], built_[2]):
+        if len(part) == 3:
+            b = (b.reshape(*part[2].shape, -1) * part[2][:, :, None]).sum(1)
+        assert a.shape == part[0].shape
+        close(a, b)
+
+
+def test_scaled_part_backward_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    m = init_mlp([15, 6, 3], rng, activation="gelu")
+    parts = scaled_parts(rng)
+    gout = rng.normal(size=(6, 3))
+
+    def loss(_):
+        out, _ = mlp_forward(m, GatheredConcat(*parts), True, 5)
+        return float((out * gout).sum())
+
+    _, cache = mlp_forward(m, GatheredConcat(*parts), True, 5)
+    gparts, grads = mlp_backward(m, cache, gout)
+    assert not gparts[0][2].any()                 # row 2 is never selected
+    probes = ([(part[0], g) for part, g in zip(parts, gparts)]
+              + list(zip(m.weights, grads.weights))
+              + list(zip(m.biases, grads.biases)))
+    for arr, got in probes:
+        fd = finite_difference_grad(loss, arr)
+        assert np.allclose(got, fd, rtol=1e-4, atol=1e-7)
+
+
 def test_gathered_concat_rejects_bad_parts():
     with pytest.raises(NnError, match="row counts"):
         GatheredConcat((np.ones((3, 2)), None), (np.ones((4, 2)), None))
@@ -259,6 +332,13 @@ def test_gathered_concat_rejects_bad_parts():
     with pytest.raises(NnError, match="width"):
         mlp_forward(m, GatheredConcat((np.ones((3, 2)), None),
                                       (np.ones((3, 3)), None)))
+
+
+def test_gathered_concat_rejects_bad_scales():
+    with pytest.raises(NnError, match="scale"):         # a scale per row
+        GatheredConcat((np.ones((5, 2)), None, np.ones((4, 3))))
+    with pytest.raises(NnError, match="scale"):
+        GatheredConcat((np.ones((5, 2)), None, np.ones(5)))
 
 
 def test_bce_loss_values():

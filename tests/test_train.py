@@ -1,6 +1,6 @@
 import json
 import platform
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ import pytest
 from meganet import heap
 from meganet.agg import AggSpec
 from meganet.data import generate_planted_task
-from meganet.graph import build_support_index
-from meganet.model import Model, ModelConfig
+from meganet.graph import build_support_index, random_connected_multigraph
+from meganet.model import Model, ModelConfig, ModelError
 from meganet.nn import NnError
 from meganet.train import (
     ExperimentRecord,
@@ -108,6 +108,32 @@ def test_evaluate_model_matches_record():
     model, rec = train_model(task, mc, tc, seed=0)
     again = evaluate_model(model, task, split="test")
     assert again == rec.final_metrics
+
+
+def edge_task(seed=0):
+    g = random_connected_multigraph(20, 60, seed=seed)
+    tr, va, te = random_item_split(g.num_edges, seed)
+    return TaskData(graph=g, labels=np.arange(g.num_edges) % 2,
+                    items=np.arange(g.num_edges), task_type="edge",
+                    train_idx=tr, val_idx=va, test_idx=te)
+
+
+@pytest.mark.parametrize("task_fn,readout", [(edge_task, "node"),
+                                             (small_task, "edge")],
+                         ids=["node-readout-edge-task",
+                              "edge-readout-node-task"])
+def test_train_model_rejects_readout_of_other_task_type(monkeypatch, task_fn,
+                                                        readout):
+    """The readout is checked against the task before any forward runs."""
+    forwards = []
+    monkeypatch.setattr(Model, "forward",
+                        lambda *args, **kwargs: forwards.append(args))
+    task = task_fn()
+    mc, tc = fast_configs()
+    with pytest.raises(ModelError, match=f"a {readout}-readout model cannot "
+                       f"train on a {task.task_type} task"):
+        train_model(task, replace(mc, readout=readout), tc, seed=0)
+    assert forwards == []
 
 
 def test_two_stage_learns_planted_task():
