@@ -9,12 +9,13 @@ reverse-mode gradients through both stages.
 
 A reduction buckets its groups by size. The rows of the G_s groups of
 size s are gathered once into a dense [s, G_s, d] block, which every
-statistic then reduces over its first axis: sums (sum, mean and both std
-moments) add the rows in group order, which is item order, and max and min
-take the extremes. The max/min VJP gathers the block again and routes each
-gradient to the first row that achieves the extreme. scatter_add, nn's
-row scatter, is the same block sum. Every output and VJP is in the dtype of
-the values (float32 or float64).
+statistic then reduces over its first axis: sums (sum, mean, and std's
+squared deviations from the group mean) add the rows in group order,
+which is item order, and max and min take the extremes. The max/min VJP
+gathers the block again and routes each gradient to the first row that
+achieves the extreme. scatter_add, nn's row scatter, is the same block
+sum. Every output and VJP is in the dtype of the values (float32 or
+float64).
 
 A reduction returns its statistics together with per-group scale columns,
 None except under PNA. PNA returns its four statistics side by side and
@@ -214,19 +215,20 @@ def _stats_into(stacked: np.ndarray, stats: tuple[str, ...],
                (("max", np.maximum), ("min", np.minimum)) if stat in col]
     if sums is not None:
         targets.append((sums, np.add))
-    sumsq = np.zeros_like(col["std"]) if "std" in col else None
+    std = col.get("std")
     for gids, rows in buckets:
         block = np.take(v, rows, axis=0)
         for out, ufunc in targets:
             out[gids] = _reduce_rows(ufunc, block)
-        if sumsq is not None:
+        if std is not None:
+            # squared deviations from the group mean, which do not cancel
+            block -= sums[gids] / counts[gids]
             np.multiply(block, block, out=block)
-            sumsq[gids] = _reduce_rows(np.add, block)
+            std[gids] = _reduce_rows(np.add, block)
     mean = (np.divide(sums, counts, out=col.get("mean"))
             if {"mean", "std"} & col.keys() else None)
-    std = col.get("std")
     if std is not None:
-        np.sqrt(np.maximum(sumsq / counts - mean * mean, 0.0), out=std)
+        np.sqrt(std / counts, out=std)
     # the VJP keeps only what it reads: the rows for max, min and std, the
     # buckets for max and min, the mean for std
     extremes = [(stat, col[stat]) for stat in ("max", "min") if stat in col]

@@ -26,7 +26,7 @@ from .graph import (
 from .ids import bfs_assign_ids, label_edges_by_features, nonequivariance_witness
 from .model import Model, ModelConfig
 from .nn import weighted_bce_loss
-from .train import TaskData, TrainConfig, random_item_split, train_model
+from .train import TaskData, TrainConfig, node_split, train_model
 
 AGG_KINDS = ("sum", "mean", "max", "min", "pna")
 
@@ -319,9 +319,8 @@ def _planted_task_data(task: str, num_nodes: int, seed: int) -> TaskData:
     items = np.flatnonzero(labels >= 0)
     oracle = brute_force_planted_labels(g, labels >= 0, task)
     assert np.array_equal(oracle, labels[items])
-    tr, va, te = random_item_split(items.size, seed + 101)
     return TaskData(graph=g, labels=labels[items], items=items,
-                    task_type="node", train_idx=tr, val_idx=va, test_idx=te)
+                    task_type="node", **node_split(items.size, seed))
 
 
 def planted_separation_suite(num_nodes: int = 500, seeds=(0, 1, 2, 3, 4),

@@ -36,7 +36,7 @@ from .agg import AggError, AggSpec
 from .model import ModelConfig, ModelError, load_checkpoint, save_checkpoint
 from .nn import NnError
 from .train import (TaskData, TrainConfig, TrainingError, evaluate_model,
-                    random_item_split, train_model)
+                    node_split, train_model)
 
 _MODELS = ("single-stage-gin", "two-stage")     # indexed by two_stage
 _MODEL, _TRAIN = ModelConfig(), TrainConfig()
@@ -134,12 +134,6 @@ def _configs(cfg: dict, readout: str) -> tuple[ModelConfig, TrainConfig]:
     return model, train
 
 
-def _node_split(items: np.ndarray, seed: int) -> dict:
-    """The train/val/test split of a node task's labeled items under seed."""
-    tr, va, te = random_item_split(items.size, seed + 101)
-    return dict(train_idx=tr, val_idx=va, test_idx=te)
-
-
 def _load_task(args, seed: int) -> TaskData:
     """Build TaskData from a transaction CSV (edge or node labels)."""
     schema = SCHEMAS[args.schema]
@@ -156,7 +150,7 @@ def _load_task(args, seed: int) -> TaskData:
         if items.size < 5:
             raise ConfigError("too few labeled nodes to split")
         return TaskData(graph=g, labels=node_labels[items], items=items,
-                        task_type="node", **_node_split(items, seed))
+                        task_type="node", **node_split(items.size, seed))
     if table.labels is None:
         raise ConfigError(
             f"schema {args.schema!r} has no label column; pass --node-labels")
@@ -199,7 +193,8 @@ def cmd_train(args) -> int:
     first_model = None
     for seed in seeds:
         if task.task_type == "node":
-            task = dataclasses.replace(task, **_node_split(task.items, seed))
+            task = dataclasses.replace(task,
+                                       **node_split(task.items.size, seed))
         model, rec = train_model(task, model_config, train_config, seed=seed)
         rec.config["effective"] = cfg
         rec.save(out_dir / f"record_seed{seed}.json")

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Groups, Multigraph, SupportIndex, neighbor_walk
+from .graph import (GraphError, Multigraph, SupportIndex, group_items,
+                    neighbor_pairs)
 
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
@@ -299,7 +300,7 @@ def sample_neighborhood(
 ) -> BatchSample:
     """Breadth-limited bidirectional expansion with whole-group inclusion.
 
-    A node's neighbours are listed by graph.neighbor_walk over (rev, supp):
+    A node's neighbours are listed by graph.neighbor_pairs over (rev, supp):
     in-neighbours through the reverse index first, then out-neighbours.
     When a node has more than per_hop distinct neighbors a uniform subset
     of neighbors is drawn, but every parallel edge of a selected pair is
@@ -307,76 +308,52 @@ def sample_neighborhood(
     """
     if per_hop < 1:
         raise ConfigError("per_hop must be at least 1")
+    n = g.num_nodes
+    seed_nodes, seed_edges = (np.asarray([] if s is None else s, dtype=np.int64)
+                              for s in (seed_nodes, seed_edges))
+    if np.any((seed_nodes < 0) | (seed_nodes >= n)):
+        raise GraphError("seed node out of range")
+    if np.any((seed_edges < 0) | (seed_edges >= g.num_edges)):
+        raise GraphError("seed edge out of range")
     rng = np.random.default_rng(rng_seed)
-    seed_nodes = (np.zeros(0, dtype=np.int64) if seed_nodes is None
-                  else np.asarray(seed_nodes, dtype=np.int64))
-    seed_edges = (np.zeros(0, dtype=np.int64) if seed_edges is None
-                  else np.asarray(seed_edges, dtype=np.int64))
-
-    edge_set: set[int] = set()
-    node_order: list[int] = []
-    node_seen: set[int] = set()
-
-    def add_node(v: int):
-        if v not in node_seen:
-            node_seen.add(v)
-            node_order.append(v)
-
-    def add_group(by_pair: Groups, s: int):
-        _, order, offsets = by_pair
-        edge_set.update(order[offsets[s]:offsets[s + 1]].tolist())
-
-    roots: list[int] = []
-    for v in seed_nodes:
-        add_node(int(v))
-        roots.append(int(v))
-    for k in seed_edges:
-        add_group(supp.by_pair, int(supp.edge_to_supp[k]))
-        for v in (int(g.src[k]), int(g.dst[k])):
-            add_node(v)
-            roots.append(v)
-
-    directions = (rev, supp)
-    frontier = list(node_order)
-    hop_nodes = [np.array(node_order, dtype=np.int64)]
+    seen = np.zeros(n, dtype=bool)
+    kept = np.zeros(supp.num_pairs, dtype=bool)
+    pairs = [_mark_new(supp.edge_to_supp[seed_edges], kept)]
+    hop_nodes = [_mark_new(np.append(seed_nodes, g.edges[seed_edges]), seen)]
     for _ in range(hops):
-        next_frontier: list[int] = []
-        for v in frontier:
-            pair_choices = list(neighbor_walk(directions, v))
-            chosen = {u for _, _, u in pair_choices}
-            if len(chosen) > per_hop:
-                chosen = set(rng.choice(sorted(chosen), size=per_hop,
-                                        replace=False))
-            for i, s, u in pair_choices:
-                if u in chosen:
-                    add_group(directions[i].by_pair, s)
-                    if u not in node_seen:
-                        add_node(u)
-                        next_frontier.append(u)
-        frontier = next_frontier
-        hop_nodes.append(np.array(next_frontier, dtype=np.int64))
+        pos, _, pair, u = neighbor_pairs((rev, supp), hop_nodes[-1])
+        key = pos * n + u
+        distinct = np.unique(key)   # each node's distinct neighbours, sorted
+        counts = np.bincount(distinct // n, minlength=hop_nodes[-1].size)
+        over = np.flatnonzero(counts > per_hop)
+        starts = (np.cumsum(counts) - counts)[over]
+        drawn = [rng.choice(distinct[lo:lo + c], size=per_hop, replace=False)
+                 for lo, c in zip(starts.tolist(), counts[over].tolist())]
+        take = (counts[pos] <= per_hop) | np.isin(key, drawn)
+        pairs.append(_mark_new(pair[take], kept))
+        hop_nodes.append(_mark_new(u[take], seen))
 
-    # endpoints of all included edges must be present
-    edge_ids = np.array(sorted(edge_set), dtype=np.int64)
-    for k in edge_ids:
-        add_node(int(g.src[k]))
-        add_node(int(g.dst[k]))
-
-    node_map = np.array(node_order, dtype=np.int64)
-    local_of = {int(v): i for i, v in enumerate(node_map)}
-    local_edges = np.column_stack([
-        [local_of[int(g.src[k])] for k in edge_ids],
-        [local_of[int(g.dst[k])] for k in edge_ids],
-    ]) if edge_ids.size else np.zeros((0, 2), dtype=np.int64)
+    edge_ids = np.sort(group_items(supp.by_pair, np.concatenate(pairs))[1])
+    node_map = np.concatenate(hop_nodes)
+    local = np.empty(n, dtype=np.int64)
+    local[node_map] = np.arange(node_map.size)
     sub = Multigraph(
         num_nodes=node_map.size,
         node_features=g.node_features[node_map],
-        edges=local_edges,
+        edges=local[g.edges[edge_ids]],
         edge_features=g.edge_features[edge_ids],
     )
-    roots_local = np.array(sorted({local_of[r] for r in roots}), dtype=np.int64)
     return BatchSample(graph=sub, node_map=node_map, edge_map=edge_ids,
-                       roots_local=roots_local, hop_nodes=hop_nodes)
+                       roots_local=np.arange(hop_nodes[0].size),
+                       hop_nodes=hop_nodes)
+
+
+def _mark_new(items: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Marks and returns the unmarked items, once each, in first order."""
+    items = items[~seen[items]]
+    new = items[np.sort(np.unique(items, return_index=True)[1])]
+    seen[new] = True
+    return new
 
 
 # ---------------------------------------------------------------------------

@@ -212,19 +212,36 @@ def build_reverse_index(g: Multigraph, s: SupportIndex) -> SupportIndex:
     return SupportIndex(s.num_nodes, s.by_pair, by_dst=s.by_src, by_src=s.by_dst)
 
 
-def neighbor_walk(directions, v: int):
-    """Yield (direction, pair, neighbour) for every pair that leaves v.
+def group_items(groups: Groups, keys: np.ndarray):
+    """(position, item) for the items of groups keys[0], keys[1], ...
+
+    A CSR gather through order and offsets: items come group after group,
+    each group's in group order, and item j is in group keys[position[j]].
+    """
+    ends = groups.offsets[1:][keys]
+    counts = ends - groups.offsets[keys]
+    position = np.arange(keys.size).repeat(counts)
+    shift = ends - counts.cumsum()      # slot minus output index, per group
+    return position, groups.order[np.arange(position.size) + shift[position]]
+
+
+def neighbor_pairs(directions, nodes: np.ndarray):
+    """(position, direction, pair, neighbour) for every pair leaving nodes.
 
     directions is a sequence of support indices, such as [supp, rev]:
-    walking supp lists v's out-neighbours and walking the reverse index
-    lists its in-neighbours. Pairs come direction by direction, each in
-    by_src group order, and a pair id indexes its own direction's groups.
+    supp lists a node's out-neighbours and the reverse index its
+    in-neighbours. Pairs come node by node (nodes[position]), then
+    direction by direction, each in by_src group order, and a pair id
+    indexes its own direction's groups.
     """
-    for i, d in enumerate(directions):
-        _, order, offsets = d.by_src
-        pairs = order[offsets[v]:offsets[v + 1]]
-        for s, u in zip(pairs.tolist(), d.supp_dst[pairs].tolist()):
-            yield i, s, u
+    found = [group_items(d.by_src, nodes) for d in directions]
+    position = np.concatenate([p for p, _ in found])
+    walk = position.argsort(kind="stable")
+    direction = np.arange(len(found)).repeat([p.size for p, _ in found])
+    pair = np.concatenate([s for _, s in found])
+    neighbour = np.concatenate([d.supp_dst[s]
+                                for d, (_, s) in zip(directions, found)])
+    return position[walk], direction[walk], pair[walk], neighbour[walk]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ running the same deterministic ID construction with arbitrary per-node
 port orders produces different embeddings under different port draws.
 
 Both run one round engine over the forward support index and its reverse
-(graph.neighbor_walk); they differ only in the digit each pair appends.
+(graph.neighbor_pairs); they differ only in the digit each pair appends.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .graph import (
     SupportIndex,
     build_reverse_index,
     build_support_index,
-    neighbor_walk,
+    neighbor_pairs,
 )
 
 
@@ -62,7 +62,7 @@ def label_edges_by_features(g: Multigraph) -> EdgeLabeling:
         return EdgeLabeling(np.zeros(0, dtype=np.int64))
     order = np.lexsort(feats.T[::-1])
     sorted_feats = feats[order]
-    if m > 1 and np.any(np.all(sorted_feats[1:] == sorted_feats[:-1], axis=1)):
+    if m > 1 and (sorted_feats[1:] == sorted_feats[:-1]).all(axis=1).any():
         raise OrderError("duplicate edge feature rows admit no strict total order")
     labels = np.empty(m, dtype=np.int64)
     labels[order] = np.arange(1, m + 1)
@@ -83,29 +83,33 @@ def _pair_min_labels(supp: SupportIndex, labels: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(labels[order], offsets[:-1])
 
 
-def _id_rounds(n: int, root: int, directions, digits):
+def _id_rounds(n: int, root: int, directions, digits: np.ndarray):
     """The round engine behind every ID construction; returns (ids, rounds).
 
     The root gets (1,). In each round every node that got its id in the
-    previous round offers it, extended by digits[i][s], to the neighbour
+    previous round offers it, extended by digits[i, s], to the neighbour
     across each pair s that leaves it in directions[i]; a node without an
     id adopts the lexicographically smallest offer it receives. Rounds run
-    while some node is new, so at most n of them. Nodes never reached keep
-    None.
+    while some node is new, so at most n of them; the last one is counted
+    but not walked once every node has an id. Nodes never reached keep None.
     """
     ids: list[tuple[int, ...] | None] = [None] * n
     ids[root] = (1,)
-    active = [root]
-    rounds = 0
-    while active:
+    active = np.array([root])
+    rounds, reached = 0, 1
+    while active.size:
         rounds += 1
+        if reached == n:
+            break
         proposals: dict[int, list[tuple[int, ...]]] = {}
-        for v in active:
-            for i, s, u in neighbor_walk(directions, v):
-                proposals.setdefault(u, []).append(ids[v] + (digits[i][s],))
-        active = [u for u in proposals if ids[u] is None]
-        for u in active:
+        pos, i, s, nbr = neighbor_pairs(directions, active)
+        for v, digit, u in zip(active[pos].tolist(), digits[i, s].tolist(),
+                               nbr.tolist()):
+            proposals.setdefault(u, []).append(ids[v] + (digit,))
+        new = [u for u in proposals if ids[u] is None]
+        for u in new:
             ids[u] = min(proposals[u])
+        active, reached = np.array(new, dtype=np.int64), reached + len(new)
     return ids, rounds
 
 
@@ -129,7 +133,7 @@ def bfs_assign_ids(
     # the reverse index groups each pair's edges as supp does
     pair_min = _pair_min_labels(supp, labels.labels)
     ids, rounds_used = _id_rounds(n, root, [supp, rev],
-                                  [pair_min.tolist(), (m + pair_min).tolist()])
+                                  np.array((pair_min, m + pair_min)))
     unreached = [v for v in range(n) if ids[v] is None]
     if unreached:
         raise UnreachedError(unreached)
@@ -152,17 +156,19 @@ class PortAssignment:
 def assign_ports(g: Multigraph, supp: SupportIndex, order_seed: int) -> PortAssignment:
     rng = np.random.default_rng(order_seed)
     pair_ports = [rng.permutation(int(p)) + 1 for p in supp.multiplicity]
-    directions = [supp, build_reverse_index(g, supp)]
-    neighbor_ports: list[dict[int, int]] = []
-    for v in range(g.num_nodes):
-        neigh = sorted({u for _, _, u in neighbor_walk(directions, v)})
-        ports = rng.permutation(len(neigh)) + 1
-        neighbor_ports.append({u: int(p) for u, p in zip(neigh, ports)})
+    n = g.num_nodes
+    v, _, _, u = neighbor_pairs([supp, build_reverse_index(g, supp)],
+                                np.arange(n))
+    v, u = np.divmod(np.unique(v * n + u), n)   # distinct neighbours, sorted
+    ends = np.cumsum(np.bincount(v, minlength=n)).tolist()
+    neighbor_ports = [dict(zip(u[lo:hi].tolist(),
+                               (rng.permutation(hi - lo) + 1).tolist()))
+                      for lo, hi in zip([0] + ends[:-1], ends)]
     return PortAssignment(pair_ports=pair_ports, neighbor_ports=neighbor_ports)
 
 
-def _port_embeddings(g: Multigraph, supp: SupportIndex, ports: PortAssignment,
-                     root: int) -> list[tuple[int, ...]]:
+def _port_embeddings(g: Multigraph, supp: SupportIndex, rev: SupportIndex,
+                     ports: PortAssignment, root: int) -> list[tuple[int, ...]]:
     """Deterministic ID construction driven by port numbers instead of labels.
 
     The rounds of bfs_assign_ids, except that the digit a node appends is
@@ -170,11 +176,11 @@ def _port_embeddings(g: Multigraph, supp: SupportIndex, ports: PortAssignment,
     edge direction). Nodes never reached get ().
     """
     m = g.num_edges
-    directions = [supp, build_reverse_index(g, supp)]
+    directions = [supp, rev]
     digits = [[offset + ports.neighbor_ports[v][u]
                for v, u in zip(d.supp_src.tolist(), d.supp_dst.tolist())]
               for d, offset in zip(directions, (0, m))]
-    ids, _ = _id_rounds(g.num_nodes, root, directions, digits)
+    ids, _ = _id_rounds(g.num_nodes, root, directions, np.array(digits))
     return [i if i is not None else () for i in ids]
 
 
@@ -211,11 +217,12 @@ def nonequivariance_witness(n: int, trials: int = 10,
         raise ValueError("witness construction needs a star of order n > 3")
     g = make_star_graph(n)
     supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
     base = assign_ports(g, supp, base_seed)
-    emb_base = _port_embeddings(g, supp, base, root=0)
+    emb_base = _port_embeddings(g, supp, rev, base, root=0)
     for t in range(1, trials + 1):
         other = assign_ports(g, supp, base_seed + t)
-        emb_other = _port_embeddings(g, supp, other, root=0)
+        emb_other = _port_embeddings(g, supp, rev, other, root=0)
         for v in range(n):
             if emb_base[v] != emb_other[v]:
                 return WitnessReport(

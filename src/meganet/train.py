@@ -93,6 +93,12 @@ def random_item_split(num_items: int, seed: int,
     return order[:n1], order[n1:n2], order[n2:]
 
 
+def node_split(num_items: int, seed: int) -> dict:
+    """The train/val/test split of a node task's items under a run seed."""
+    tr, va, te = random_item_split(num_items, seed + 101)
+    return dict(train_idx=tr, val_idx=va, test_idx=te)
+
+
 @trimmed_heap()
 def train_model(task: TaskData, model_config: ModelConfig,
                 train_config: TrainConfig, seed: int):

@@ -119,6 +119,17 @@ def test_std_zero_variance():
     assert segment_reduce(AggSpec("std"), gf).tolist() == [[0]]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_std_of_nearly_equal_values(dtype):
+    # E[v^2] - mean^2 cancels here: 0.0 at float32, 1.2e-4 off at float64
+    values = np.array([[1000.001], [1000.0], [1000.0005]], dtype=dtype)
+    gf = GroupedFeatures(values, build_groups(np.zeros(3), 1))
+    got = segment_reduce(AggSpec("std"), gf)
+    assert got.dtype == dtype
+    np.testing.assert_allclose(got[0, 0], np.std(values),
+                               rtol=1e-3 if dtype == np.float32 else 1e-9)
+
+
 def test_pna_identity_scaler_layout():
     # stats over {1, 3}: mean 2, max 3, min 1, std 1
     gf = grouped([[1], [3]], [0, 2])
@@ -315,8 +326,8 @@ def reference_stat(stat, gf):
 
         return out, vjp
     mean = reference_scatter_add(v, key, num_groups) / counts[:, None]
-    mean_sq = reference_scatter_add(v * v, key, num_groups) / counts[:, None]
-    out = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
+    dev = v - mean[key]
+    out = np.sqrt(reference_scatter_add(dev * dev, key, num_groups) / counts[:, None])
 
     def vjp(g):
         safe = np.where(out > 1e-12, out, 1.0)

@@ -22,6 +22,7 @@ from meganet.data import (
     write_transactions_csv,
 )
 from meganet.graph import (
+    GraphError,
     Multigraph,
     build_reverse_index,
     build_support_index,
@@ -252,6 +253,17 @@ def test_sampler_lists_in_neighbours_first():
     assert s.node_map.tolist() == [0, 2, 4, 3, 1]
     assert s.hop_nodes[1].tolist() == [2, 4, 3, 1]
     assert s.edge_map.tolist() == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("seeds", [dict(seed_nodes=[-1]), dict(seed_nodes=[3]),
+                                   dict(seed_nodes=[0, 5]),
+                                   dict(seed_edges=[-1]), dict(seed_edges=[2]),
+                                   dict(seed_nodes=[0], seed_edges=[0, -2])])
+def test_sampler_rejects_seeds_out_of_range(seeds):
+    g = Multigraph(3, np.ones((3, 1)), [(0, 1), (1, 2)], np.ones((2, 1)))
+    supp = build_support_index(g)
+    with pytest.raises(GraphError, match="seed (node|edge) out of range"):
+        sample_neighborhood(g, supp, build_reverse_index(g, supp), **seeds)
 
 
 def test_sampler_keeps_parallel_groups_whole():
