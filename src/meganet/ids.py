@@ -49,8 +49,10 @@ class EdgeLabeling:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        m = self.labels.size
-        if m and not np.array_equal(np.sort(self.labels), np.arange(1, m + 1)):
+        labels, m = self.labels, self.labels.size
+        # m labels in [1, m], none repeated, are a bijection onto [1, m]
+        if m and (labels.ndim != 1 or labels.min() < 1 or labels.max() > m
+                  or np.bincount(labels).max() > 1):
             raise OrderError("labels must be a bijection onto [1, m]")
 
 

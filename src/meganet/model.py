@@ -12,7 +12,10 @@ reads [x || a_0 (|| a_1)]; each direction updates its own copy of the edge
 latents, except in the last layer, which updates only the latents the
 readout reads: none for a node readout, the forward direction's for an edge
 readout. The skipped edge-update nets stay in Model.params and checkpoints
-but are inert: nothing calls them and their gradient stays 0. The
+but are inert: nothing calls them and their gradient stays 0. A forward
+given the rows whose logits it returns computes, under an edge readout,
+that last edge update and the readout on those edges alone; a node
+readout computes every node's logit and returns the rows'. The
 single-stage baseline (every edge aggregated at its node in one go) is the
 same engine over per-edge sites (SupportIndex.per_edge): each edge is its
 own site, there is no multi-edge stage (edge_agg_mlp is None, so h is e),
@@ -62,7 +65,7 @@ from .agg import (
     reduce_or_default_with_vjp,
     segment_reduce_with_vjp,
 )
-from .graph import Multigraph, SupportIndex
+from .graph import Groups, Multigraph, SupportIndex, build_groups
 from .heap import trimmed_heap
 from .nn import GatheredConcat, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
 
@@ -211,13 +214,28 @@ def direction_bwd(cache, ga, gx, gh, ge):
     return gh if ge is None else ge + gh
 
 
+def _at(groups: Groups, rows) -> Groups:
+    """The groups of the items in rows, in that order: a gathered part's
+    index restricted to those rows. groups itself when rows is None."""
+    if rows is None:
+        return groups
+    return build_groups(groups.key[rows], groups.num_groups)
+
+
 def edge_update_fwd(x, e, h, supp: SupportIndex, nets: DirectionNets,
-                    train=False, seed=0):
+                    train=False, seed=0, rows=None):
     """Per-edge update from pre-update node features: [x_src || e || h],
-    or [x_src || e || x_dst] where the direction has no multi-edge stage."""
-    third = ((x, supp.edges_by_dst) if nets.edge_agg_mlp is None
-             else (h, supp.by_pair))
-    inp = GatheredConcat((x, supp.edges_by_src), (e, None), third)
+    or [x_src || e || x_dst] where the direction has no multi-edge stage.
+
+    rows lists the edges whose latents are computed, in that order
+    (default: every edge). Each gathered part's product is taken over the
+    whole part and then gathered, so a listed edge's first layer is the
+    same as in the update of every edge.
+    """
+    third = ((x, _at(supp.edges_by_dst, rows)) if nets.edge_agg_mlp is None
+             else (h, _at(supp.by_pair, rows)))
+    own = None if rows is None else build_groups(rows, e.shape[0])
+    inp = GatheredConcat((x, _at(supp.edges_by_src, rows)), (e, own), third)
     out, net_cache = _mlp(nets.edge_update_net, inp, train, seed)
     return out, (nets, net_cache)
 
@@ -242,11 +260,13 @@ def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
               edge_updates=None):
     """One layer over len(supports) directions; es holds their edge latents.
 
-    Only the first edge_updates directions (default: all) update their edge
-    latents; the others return theirs unchanged but still draw their seed.
+    edge_updates holds, for each of the first len(edge_updates) directions,
+    the edges whose latents its edge update computes, or None for every
+    edge (default: every direction, every edge). The other directions
+    return their latents unchanged but still draw their seed.
     """
     if edge_updates is None:
-        edge_updates = len(supports)
+        edge_updates = [None] * len(supports)
     hs, parts, dir_caches = [], [(x, None)], []
     for supp, nets, e in zip(supports, lp.directions, es):
         h, (a, scale), c = direction_fwd(x, e, supp, nets, lp.agg_edge,
@@ -260,8 +280,9 @@ def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
     for d, (supp, nets, e, h) in enumerate(zip(supports, lp.directions, es,
                                                hs)):
         seed = seq()
-        if d < edge_updates:
-            es1[d], c = edge_update_fwd(x, e, h, supp, nets, train, seed)
+        if d < len(edge_updates):
+            es1[d], c = edge_update_fwd(x, e, h, supp, nets, train, seed,
+                                        edge_updates[d])
             eu_caches.append(c)
     return x1, es1, (lp, dir_caches, gv_cache, eu_caches, x.shape)
 
@@ -348,24 +369,40 @@ class Model:
 
     def forward(self, g: Multigraph, supp: SupportIndex,
                 rev: SupportIndex | None = None, roots=None,
-                train_mode: bool = False, seed: int = 0):
+                train_mode: bool = False, seed: int = 0, rows=None):
         """Returns (logits, cache). Logits are per node or per edge.
 
         rev is build_reverse_index(g, supp); only the bidirectional
         two-stage model reads it, and the single-stage one reads
-        supp.per_edge. A train-mode cache holds what backward reads and
-        nothing else. An eval-mode cache is {"final": (x, es)}: the last
-        node states and each direction's latest edge latents.
+        supp.per_edge. rows lists the nodes or edges whose logits are
+        returned, in that order (default: all); an index outside the graph
+        raises ModelError. Under an edge readout, the last layer's forward
+        edge update and the readout run on rows alone, and a train-mode
+        forward draws their dropout masks over those rows only; a node
+        readout computes every node's logit and returns the rows'. Backward
+        takes one logit gradient per row.
+
+        A train-mode cache holds what backward reads and nothing else. An
+        eval-mode cache is {"final": (x, es)}: the last node states and
+        each direction's latest edge latents, which under an edge readout
+        given rows are the forward direction's latents of those edges.
         An eval forward outside train_model trims the heap before it runs
         (heap.trimmed_heap).
         """
         if train_mode:
-            return self._forward(g, supp, rev, roots, True, seed)
+            return self._forward(g, supp, rev, roots, True, seed, rows)
         with trimmed_heap(on_exit=False):
-            return self._forward(g, supp, rev, roots, False, seed)
+            return self._forward(g, supp, rev, roots, False, seed, rows)
 
-    def _forward(self, g, supp, rev, roots, train_mode, seed):
+    def _forward(self, g, supp, rev, roots, train_mode, seed, rows):
         cfg = self.config
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            width = g.num_nodes if cfg.readout == "node" else g.num_edges
+            if rows.ndim != 1 or (rows.size and (rows.min() < 0
+                                                 or rows.max() >= width)):
+                raise ModelError(f"rows must index the graph's {width} "
+                                 f"{cfg.readout}s")
         supports = [supp if cfg.two_stage else supp.per_edge]
         if cfg.two_stage and cfg.bidirectional:
             if rev is None:
@@ -385,12 +422,12 @@ class Model:
                          train_mode, seq())
         es = [e] * len(supports)
 
-        # the readout reads no edge latent (node) or the forward one (edge)
-        last_updates = 0 if cfg.readout == "node" else 1
+        # the readout reads no edge latent (node) or the forward one at its
+        # rows (edge)
+        last_updates = [] if cfg.readout == "node" else [rows]
         stages = []
         for li, lp in enumerate(self.layers):
-            updates = (last_updates if li == len(self.layers) - 1
-                       else len(supports))
+            updates = last_updates if li == len(self.layers) - 1 else None
             x, es, c = layer_fwd(lp, x, es, supports, train_mode, seq,
                                  updates)
             if train_mode:
@@ -400,13 +437,19 @@ class Model:
         if cfg.readout == "node":
             ro_in = x
         else:
-            ro_in = GatheredConcat((x, supp.edges_by_src), (es[0], None),
-                                   (x, supp.edges_by_dst))
+            ro_in = GatheredConcat((x, _at(supp.edges_by_src, rows)),
+                                   (es[0], None),
+                                   (x, _at(supp.edges_by_dst, rows)))
         logits2d, c_ro = _mlp(self.readout_net, ro_in, train_mode, seq())
+        logits = logits2d[:, 0]
+        # a node readout's rows pick logits it computed for every node
+        picked = rows if cfg.readout == "node" else None
+        if picked is not None:
+            logits = logits[picked]
         if not train_mode:
-            return logits2d[:, 0], {"final": (x, es)}
-        return logits2d[:, 0], {"enc": (c_nenc, c_eenc), "stages": stages,
-                                "readout": c_ro}
+            return logits, {"final": (x, es)}
+        return logits, {"enc": (c_nenc, c_eenc), "stages": stages,
+                        "readout": c_ro, "picked": (picked, len(x))}
 
     # -- backward -----------------------------------------------------------
 
@@ -424,6 +467,10 @@ class Model:
                              "forward")
         self.grads[...] = 0.0
         gl = np.array(logit_grads, dtype=self.params.dtype).reshape(-1, 1)
+        picked, num_nodes = cache["picked"]
+        if picked is not None:
+            gl, gl_picked = np.zeros((num_nodes, 1), gl.dtype), gl
+            np.add.at(gl, picked, gl_picked)
         mag = np.abs(gl)
         gl[mag < np.finfo(gl.dtype).eps * mag.max(initial=0.0)] = 0.0
 

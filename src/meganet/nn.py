@@ -1,9 +1,11 @@
 """Dense MLP stack with exact reverse-mode gradients.
 
 An MLP computes in the dtype of its parameters (float32 or float64): its
-activations, caches and gradients follow that dtype, and init_mlp and
-dropout draw in float64 and round, so the two dtypes start from the same
-weights and drop the same units. Dropout masks are seeded, so a training
+activations, caches and gradients follow that dtype. init_mlp draws in
+float64 and rounds, so the two dtypes start from the same weights. Dropout
+keeps a unit when a 32-bit half of a raw generator word falls below
+keep * 2^32, a test that reads no float, so the two dtypes drop the same
+units. Dropout masks are seeded, so a training
 step can be replayed bit-for-bit. The forward cache keeps only the layer inputs
 (and gelu's terms): backward reads a hidden layer's ReLU-and-dropout gate
 off the next layer's input, so train-mode dropout needs ReLU. Every MLP
@@ -225,6 +227,16 @@ def _act_forward(name: str, z: np.ndarray):
     return 0.5 * z * (1.0 + t), (z, t)
 
 
+def _keep_mask(rng: np.random.Generator, shape, threshold: int) -> np.ndarray:
+    """Boolean mask, True where a unit is kept: one 32-bit half of a raw
+    generator word per unit, below threshold. The words are read as
+    little-endian, so the mask does not depend on the machine's byte order."""
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw((n + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")[:n]
+    return (halves < threshold).reshape(shape)
+
+
 def mlp_forward(
     m: Mlp,
     x: np.ndarray,
@@ -245,18 +257,24 @@ def mlp_forward(
         raise NnError(f"train-mode dropout needs relu, not {m.activation!r}")
     drop_rng = np.random.default_rng(dropout_mask_seed) if use_dropout else None
     keep = 1.0 - m.dropout
+    # the largest 32-bit threshold, so a keep just below 1 cannot overflow
+    threshold = min(round(keep * 2 ** 32), 2 ** 32 - 1)
 
     inputs, act_auxes = [], []
     h = x
     last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         inputs.append(h)
-        z = _first_layer(h, w, b) if i == 0 else h @ w + b
+        if i == 0:
+            z = _first_layer(h, w, b)
+        else:
+            z = h @ w
+            z += b
         if i < last:
             h, aux = _act_forward(m.activation, z)
             act_auxes.append(aux)
             if use_dropout:
-                h *= drop_rng.random(h.shape) < keep
+                h *= _keep_mask(drop_rng, h.shape, threshold)
                 h *= 1.0 / keep
         else:
             h = z

@@ -1,9 +1,12 @@
 """Training and evaluation driver for node- and edge-level tasks.
 
-Desk-scale trainer: the whole graph fits in memory, mini-batches partition
-the labeled items (nodes or edges) and every step runs a full-graph
-forward pass with the loss restricted to the batch. Model selection keeps
-the parameters with the best validation minority-class F1.
+Desk-scale trainer: the whole graph fits in memory and mini-batches
+partition the labeled items (nodes or edges). Every step runs message
+passing over the whole graph but asks the model for the batch's logits
+alone, so an edge readout runs on the batch's edges only; the loss reads
+those logits and its gradient goes to backward as is. Validation and test
+forwards likewise ask for their split's items. Model selection keeps the
+parameters with the best validation minority-class F1.
 """
 
 from __future__ import annotations
@@ -139,32 +142,29 @@ def train_model(task: TaskData, model_config: ModelConfig,
             batch = task.train_idx[order[lo:lo + train_config.batch_size]]
             items = task.items[batch]
             logits, cache = model.forward(g, supp, rev, roots=roots,
-                                          train_mode=True, seed=seed * 7919 + step)
+                                          train_mode=True, seed=seed * 7919 + step,
+                                          rows=items)
             step += 1
-            batch_logits = logits[items]
-            if not np.isfinite(batch_logits).all():
+            if not np.isfinite(logits).all():
                 raise TrainingError(f"non-finite logits at epoch {epoch}")
-            loss, dlogits_batch = weighted_bce_loss(batch_logits,
-                                                    task.labels[batch], weights)
+            loss, dlogits = weighted_bce_loss(logits, task.labels[batch],
+                                              weights)
             if not np.isfinite(loss):
                 record.final_metrics = {"aborted": True, "loss": float(loss)}
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
-            dlogits = np.zeros_like(logits)
-            dlogits[items] = dlogits_batch
             model.backward(cache, dlogits)
             adam_step(model.params, model.grads, adam,
                       train_config.learning_rate)
             epoch_losses.append(loss)
         record.train_losses.append(float(np.mean(epoch_losses)))
 
-        val_logits, _ = model.forward(g, supp, rev, roots=roots)
-        val_items = task.items[task.val_idx]
+        val_logits, _ = model.forward(g, supp, rev, roots=roots,
+                                      rows=task.items[task.val_idx])
         if not np.isfinite(val_logits).all():
             raise TrainingError(f"non-finite logits at epoch {epoch}")
-        val_loss, _ = weighted_bce_loss(val_logits[val_items],
-                                        task.labels[task.val_idx], weights)
-        val_metrics = evaluate_scores(val_logits[val_items],
-                                      task.labels[task.val_idx])
+        val_loss, _ = weighted_bce_loss(val_logits, task.labels[task.val_idx],
+                                        weights)
+        val_metrics = evaluate_scores(val_logits, task.labels[task.val_idx])
         record.val_losses.append(float(val_loss))
         record.val_f1s.append(val_metrics["f1"])
         if val_metrics["f1"] > best_f1:
@@ -178,9 +178,9 @@ def train_model(task: TaskData, model_config: ModelConfig,
                 break
 
     model.params[...] = best_params
-    test_logits, _ = model.forward(g, supp, rev, roots=roots)
-    test_items = task.items[task.test_idx]
-    record.final_metrics = evaluate_scores(test_logits[test_items],
+    test_logits, _ = model.forward(g, supp, rev, roots=roots,
+                                   rows=task.items[task.test_idx])
+    record.final_metrics = evaluate_scores(test_logits,
                                            task.labels[task.test_idx])
     record.wall_clock = time.perf_counter() - start
     return model, record
@@ -200,8 +200,7 @@ def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
     roots = task.items if task.task_type == "node" else None
-    logits, _ = model.forward(g, supp, rev, roots=roots)
     idx = {"train": task.train_idx, "val": task.val_idx,
            "test": task.test_idx}[split]
-    items = task.items[idx]
-    return evaluate_scores(logits[items], task.labels[idx])
+    logits, _ = model.forward(g, supp, rev, roots=roots, rows=task.items[idx])
+    return evaluate_scores(logits, task.labels[idx])

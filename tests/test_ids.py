@@ -49,6 +49,24 @@ def test_label_edges_duplicate_rows_rejected():
         label_edges_by_features(g)
 
 
+@pytest.mark.parametrize("labels", [[1, 2, 2], [1, 3, 3]],
+                         ids=["duplicate", "duplicate-and-missing"])
+def test_edge_labeling_rejects_repeated_labels(labels):
+    from meganet.ids import EdgeLabeling
+
+    with pytest.raises(OrderError, match="bijection"):
+        EdgeLabeling(np.array(labels))
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2], [1, 2, 4], [-1, 1, 2]],
+                         ids=["zero", "above-m", "negative"])
+def test_edge_labeling_rejects_labels_out_of_range(labels):
+    from meganet.ids import EdgeLabeling
+
+    with pytest.raises(OrderError, match="bijection"):
+        EdgeLabeling(np.array(labels))
+
+
 def test_ids_parallel_pair():
     # 2 nodes, 2 parallel edges with labels {1,2}, m=2
     g = make_graph([(0, 1), (0, 1)], [[1.0], [2.0]])

@@ -426,3 +426,41 @@ def test_float32_mlp_computes_in_float32(activation, dropout):
     gparts, grads = mlp_backward(m32, cache, np.ones(out.shape, np.float32))
     assert {g.dtype for g in gparts} == {np.dtype(np.float32)}
     assert {g.dtype for g in grads.weights + grads.biases} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("dropout", [0.1, 0.5])
+def test_dropout_keeps_binomial_fraction(dropout):
+    """Over 2**20 units the kept count lies within 5 sigma of the binomial."""
+    m = init_mlp([1, 1 << 20, 1], np.random.default_rng(0), dropout=dropout)
+    m.weights[0][...] = 1.0          # every hidden unit is 1 before dropout
+    _, cache = mlp_forward(m, np.ones((1, 1)), train_mode=True,
+                           dropout_mask_seed=3)
+    kept = int((cache["inputs"][1] > 0).sum())
+    n, keep = 1 << 20, 1.0 - dropout
+    assert abs(kept - n * keep) <= 5 * np.sqrt(n * keep * dropout)
+
+
+def test_dropout_just_above_zero_keeps_every_unit():
+    """keep * 2**32 rounds up to 2**32; the threshold stays a 32-bit value."""
+    m = init_mlp([1, 1 << 16, 1], np.random.default_rng(0), dropout=1e-12)
+    m.weights[0][...] = 1.0
+    _, cache = mlp_forward(m, np.ones((4, 1)), train_mode=True,
+                           dropout_mask_seed=3)
+    assert (cache["inputs"][1] > 0).all()
+
+
+def test_float32_and_float64_mlps_drop_the_same_units():
+    dims = [5, 64, 64, 2]
+    size = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
+    m32 = init_mlp(dims, np.random.default_rng(4), "relu", 0.4,
+                   arena=(np.empty(size, np.float32), np.zeros(size, np.float32)))
+    m64 = init_mlp(dims, np.random.default_rng(4), "relu", 0.4)
+    for m in (m32, m64):
+        for w in m.weights:
+            np.abs(w, out=w)         # positive units: only dropout zeroes one
+    x = np.random.default_rng(2).random((300, 5))
+    _, c32 = mlp_forward(m32, x.astype(np.float32), True, 9)
+    _, c64 = mlp_forward(m64, x, True, 9)
+    for h32, h64 in zip(c32["inputs"][1:], c64["inputs"][1:]):
+        assert 0 < (h64 > 0).mean() < 1
+        assert np.array_equal(h32 > 0, h64 > 0)

@@ -214,3 +214,34 @@ def test_trimmed_heap_nests_and_trims_on_error(trims):
     with heap.trimmed_heap(on_exit=False):
         pass
     assert trims == [0, 0, 0]
+
+
+@pytest.mark.parametrize("task_fn,readout", [(edge_task, "edge"),
+                                             (small_task, "node")])
+def test_train_model_asks_each_forward_for_its_items(monkeypatch, task_fn,
+                                                     readout):
+    """Train steps ask for their batch's logits; validation and test
+    forwards for their split's."""
+    calls = []
+    real = Model.forward
+
+    def spy(self, *args, **kwargs):
+        calls.append((kwargs.get("train_mode", False), kwargs.get("rows")))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", spy)
+    task = task_fn()
+    mc, tc = fast_configs()
+    train_model(task, replace(mc, readout=readout),
+                replace(tc, batch_size=16, epochs=2, patience=2), seed=0)
+    n_train = task.train_idx.size
+    sizes = [min(16, n_train - lo) for lo in range(0, n_train, 16)]
+    steps = len(sizes)
+    val, test = task.items[task.val_idx], task.items[task.test_idx]
+    epoch = [(True, size) for size in sizes] + [(False, val.size)]
+    assert [(t, len(r)) for t, r in calls] == epoch * 2 + [(False, test.size)]
+    for e in range(2):
+        batches = [r for _, r in calls[e * (steps + 1):(e + 1) * (steps + 1) - 1]]
+        assert sorted(np.concatenate(batches)) == sorted(task.items[task.train_idx])
+        assert np.array_equal(calls[(e + 1) * (steps + 1) - 1][1], val)
+    assert np.array_equal(calls[-1][1], test)
