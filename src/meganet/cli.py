@@ -53,7 +53,6 @@ DEFAULTS = {
     "patience": _TRAIN.patience,
     "model": _MODELS[_MODEL.two_stage],
     "bidirectional": _MODEL.bidirectional,
-    "ego_ids": _MODEL.ego_ids,
     "edge_agg": _MODEL.edge_agg.kind,
     "node_agg": _MODEL.node_agg.kind,
     "mlp_hidden": _MODEL.mlp_hidden,
@@ -113,7 +112,6 @@ def _configs(cfg: dict, readout: str) -> tuple[ModelConfig, TrainConfig]:
     model = ModelConfig(
         num_layers=cfg["num_layers"],
         bidirectional=cfg["bidirectional"],
-        ego_ids=cfg["ego_ids"],
         edge_agg=AggSpec(cfg["edge_agg"]),
         node_agg=AggSpec(cfg["node_agg"]),
         readout=readout,

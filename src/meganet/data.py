@@ -306,8 +306,8 @@ def sample_neighborhood(
     of neighbors is drawn, but every parallel edge of a selected pair is
     kept so the multi-edge aggregation always sees complete groups.
     """
-    if per_hop < 1:
-        raise ConfigError("per_hop must be at least 1")
+    if per_hop < 1 or hops < 0:
+        raise ConfigError("per_hop must be at least 1 and hops at least 0")
     n = g.num_nodes
     seed_nodes, seed_edges = (np.asarray([] if s is None else s, dtype=np.int64)
                               for s in (seed_nodes, seed_edges))

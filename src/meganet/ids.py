@@ -142,35 +142,25 @@ def bfs_assign_ids(
     return IdState(ids=ids, rounds_used=rounds_used)
 
 
-@dataclass(frozen=True)
-class PortAssignment:
-    """Arbitrary per-scope port orders in the style of port-numbered GNNs.
-
-    pair_ports[s] permutes 1..P over the parallel edges of support pair s
-    (in group order). neighbor_ports[v] maps each distinct neighbor of v
-    (incoming and outgoing numbered jointly) to a port in 1..k.
-    """
-
-    pair_ports: list[np.ndarray]
-    neighbor_ports: list[dict[int, int]]
-
-
-def assign_ports(g: Multigraph, supp: SupportIndex, order_seed: int) -> PortAssignment:
+def assign_ports(g: Multigraph, supp: SupportIndex,
+                 order_seed: int) -> list[dict[int, int]]:
+    """Arbitrary per-node port orders in the style of port-numbered GNNs:
+    entry v maps each distinct neighbor of v (incoming and outgoing
+    numbered jointly) to a port in 1..k."""
     rng = np.random.default_rng(order_seed)
-    pair_ports = [rng.permutation(int(p)) + 1 for p in supp.multiplicity]
     n = g.num_nodes
     v, _, _, u = neighbor_pairs([supp, build_reverse_index(g, supp)],
                                 np.arange(n))
     v, u = np.divmod(np.unique(v * n + u), n)   # distinct neighbours, sorted
     ends = np.cumsum(np.bincount(v, minlength=n)).tolist()
-    neighbor_ports = [dict(zip(u[lo:hi].tolist(),
-                               (rng.permutation(hi - lo) + 1).tolist()))
-                      for lo, hi in zip([0] + ends[:-1], ends)]
-    return PortAssignment(pair_ports=pair_ports, neighbor_ports=neighbor_ports)
+    return [dict(zip(u[lo:hi].tolist(),
+                     (rng.permutation(hi - lo) + 1).tolist()))
+            for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def _port_embeddings(g: Multigraph, supp: SupportIndex, rev: SupportIndex,
-                     ports: PortAssignment, root: int) -> list[tuple[int, ...]]:
+                     ports: list[dict[int, int]],
+                     root: int) -> list[tuple[int, ...]]:
     """Deterministic ID construction driven by port numbers instead of labels.
 
     The rounds of bfs_assign_ids, except that the digit a node appends is
@@ -179,7 +169,7 @@ def _port_embeddings(g: Multigraph, supp: SupportIndex, rev: SupportIndex,
     """
     m = g.num_edges
     directions = [supp, rev]
-    digits = [[offset + ports.neighbor_ports[v][u]
+    digits = [[offset + ports[v][u]
                for v, u in zip(d.supp_src.tolist(), d.supp_dst.tolist())]
               for d, offset in zip(directions, (0, m))]
     ids, _ = _id_rounds(g.num_nodes, root, directions, np.array(digits))

@@ -17,9 +17,10 @@ given the rows whose logits it returns computes, under an edge readout,
 that last edge update and the readout on those edges alone; a node
 readout computes every node's logit and returns the rows'. The
 single-stage baseline (every edge aggregated at its node in one go) is the
-same engine over per-edge sites (SupportIndex.per_edge): each edge is its
-own site, there is no multi-edge stage (edge_agg_mlp is None, so h is e),
-and the edge update reads [x_src || e || x_dst].
+same engine, in the same one or two directions, over each support index's
+per-edge sites (SupportIndex.per_edge): each edge is its own site, there is
+no multi-edge stage (edge_agg_mlp is None, so h is e), and the edge update
+reads [x_src || e || x_dst].
 
 Every MLP weight and bias is a view into Model.params and its gradient a
 view into Model.grads, so backward accumulates in place and an optimizer
@@ -316,7 +317,7 @@ class Model:
         rng = np.random.default_rng(seed)
         dn, de = config.hidden_node, config.hidden_edge
         hid = config.mlp_hidden
-        n_dir = 2 if config.two_stage and config.bidirectional else 1
+        n_dir = 2 if config.bidirectional else 1
         prefixes = [[f"layer{li}." + ("rev_" if d else "") for d in range(n_dir)]
                     for li in range(config.num_layers)]
 
@@ -372,15 +373,16 @@ class Model:
                 train_mode: bool = False, seed: int = 0, rows=None):
         """Returns (logits, cache). Logits are per node or per edge.
 
-        rev is build_reverse_index(g, supp); only the bidirectional
-        two-stage model reads it, and the single-stage one reads
-        supp.per_edge. rows lists the nodes or edges whose logits are
-        returned, in that order (default: all); an index outside the graph
-        raises ModelError. Under an edge readout, the last layer's forward
-        edge update and the readout run on rows alone, and a train-mode
-        forward draws their dropout masks over those rows only; a node
-        readout computes every node's logit and returns the rows'. Backward
-        takes one logit gradient per row.
+        rev is build_reverse_index(g, supp); a bidirectional model reads
+        it (ModelError when it is None), and the single-stage baseline
+        reads each index's per_edge sites. roots lists the nodes an ego_ids
+        model marks (default: none). rows lists the nodes or edges whose
+        logits are returned, in that order (default: all); an index outside
+        the graph raises ModelError. Under an edge readout, the last layer's
+        forward edge update and the readout run on rows alone, and a
+        train-mode forward draws their dropout masks over those rows only; a
+        node readout computes every node's logit and returns the rows'.
+        Backward takes one logit gradient per row.
 
         A train-mode cache holds what backward reads and nothing else. An
         eval-mode cache is {"final": (x, es)}: the last node states and
@@ -403,19 +405,17 @@ class Model:
                                                  or rows.max() >= width)):
                 raise ModelError(f"rows must index the graph's {width} "
                                  f"{cfg.readout}s")
-        supports = [supp if cfg.two_stage else supp.per_edge]
-        if cfg.two_stage and cfg.bidirectional:
-            if rev is None:
-                raise ModelError("bidirectional model needs a reverse "
-                                 "SupportIndex")
-            supports.append(rev)
-        if cfg.ego_ids and roots is None:
-            roots = np.zeros(0, dtype=np.int64)
+        supports = [supp, rev][:len(self.layers[0].directions)]
+        if supports[-1] is None:
+            raise ModelError("bidirectional model needs a reverse "
+                             "SupportIndex")
+        if not cfg.two_stage:
+            supports = [s.per_edge for s in supports]
 
         seq = _SeedSequence(seed)
         feats = g.node_features.astype(cfg.dtype, copy=False)
         if cfg.ego_ids:
-            feats = add_ego_ids(feats, roots)
+            feats = add_ego_ids(feats, [] if roots is None else roots)
         x, c_nenc = _mlp(self.node_encoder, feats, train_mode, seq())
         e, c_eenc = _mlp(self.edge_encoder,
                          g.edge_features.astype(cfg.dtype, copy=False),

@@ -6,7 +6,9 @@ passing over the whole graph but asks the model for the batch's logits
 alone, so an edge readout runs on the batch's edges only; the loss reads
 those logits and its gradient goes to backward as is. Validation and test
 forwards likewise ask for their split's items. Model selection keeps the
-parameters with the best validation minority-class F1.
+parameters with the best validation minority-class F1. A full-graph
+forward has no ego node to mark, so training and evaluation refuse an
+ego_ids model (ConfigError) until training samples per-seed subgraphs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import ConfigError
 from .graph import Multigraph, build_reverse_index, build_support_index
 from .heap import trimmed_heap
 from .metrics import evaluate_scores
@@ -33,9 +36,8 @@ class TrainConfig:
     """Optimization hyperparameters; the defaults are the reference ones,
     which the command line also builds from.
 
-    Widths, depth and the dropout used live in ModelConfig. The dropout
-    field here is recorded but never read; it stays because the benchmark
-    harness (perfbench/workloads.py) passes it.
+    Widths, depth and the dropout used live in ModelConfig; train_model
+    refuses a dropout here that differs from the model's (ConfigError).
     """
 
     learning_rate: float = 0.003
@@ -107,16 +109,19 @@ def train_model(task: TaskData, model_config: ModelConfig,
                 train_config: TrainConfig, seed: int):
     """Train one model; returns (model, ExperimentRecord).
 
-    The model's readout must match the task type (ModelError otherwise).
-    The heap is trimmed when the run starts and when it ends
-    (heap.trimmed_heap), so the run holds only what it keeps alive.
+    The model's readout must match the task type (ModelError otherwise);
+    an ego_ids model and a train_config.dropout other than the model's
+    raise ConfigError. The heap is trimmed when the run starts and when it
+    ends (heap.trimmed_heap), so the run holds only what it keeps alive.
     """
-    _check_readout(model_config, task, "train on")
+    _check_model(model_config, task, "train on")
+    if train_config.dropout != model_config.dropout:
+        raise ConfigError(f"TrainConfig.dropout {train_config.dropout} is "
+                          f"not the model's dropout {model_config.dropout}")
     start = time.perf_counter()
     g = task.graph
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)       # the model decides if it reads it
-    roots = task.items if task.task_type == "node" else None
 
     model = Model(model_config, g.node_features.shape[1],
                   g.edge_features.shape[1], seed=seed)
@@ -141,9 +146,8 @@ def train_model(task: TaskData, model_config: ModelConfig,
         for lo in range(0, order.size, train_config.batch_size):
             batch = task.train_idx[order[lo:lo + train_config.batch_size]]
             items = task.items[batch]
-            logits, cache = model.forward(g, supp, rev, roots=roots,
-                                          train_mode=True, seed=seed * 7919 + step,
-                                          rows=items)
+            logits, cache = model.forward(g, supp, rev, train_mode=True,
+                                          seed=seed * 7919 + step, rows=items)
             step += 1
             if not np.isfinite(logits).all():
                 raise TrainingError(f"non-finite logits at epoch {epoch}")
@@ -158,7 +162,7 @@ def train_model(task: TaskData, model_config: ModelConfig,
             epoch_losses.append(loss)
         record.train_losses.append(float(np.mean(epoch_losses)))
 
-        val_logits, _ = model.forward(g, supp, rev, roots=roots,
+        val_logits, _ = model.forward(g, supp, rev,
                                       rows=task.items[task.val_idx])
         if not np.isfinite(val_logits).all():
             raise TrainingError(f"non-finite logits at epoch {epoch}")
@@ -178,7 +182,7 @@ def train_model(task: TaskData, model_config: ModelConfig,
                 break
 
     model.params[...] = best_params
-    test_logits, _ = model.forward(g, supp, rev, roots=roots,
+    test_logits, _ = model.forward(g, supp, rev,
                                    rows=task.items[task.test_idx])
     record.final_metrics = evaluate_scores(test_logits,
                                            task.labels[task.test_idx])
@@ -186,21 +190,26 @@ def train_model(task: TaskData, model_config: ModelConfig,
     return model, record
 
 
-def _check_readout(config: ModelConfig, task: TaskData, verb: str) -> None:
+def _check_model(config: ModelConfig, task: TaskData, verb: str) -> None:
     if config.readout != task.task_type:
         raise ModelError(f"a {config.readout}-readout model cannot "
                          f"{verb} a {task.task_type} task")
+    if config.ego_ids:
+        raise ConfigError("ego_ids waits for sampled training: a full-graph "
+                          "forward has no ego node to mark")
 
 
 def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
-    """Metrics of model on one split of task, whose type must match the
-    model's readout (ModelError otherwise)."""
-    _check_readout(model.config, task, "evaluate")
+    """Metrics of model on one split ("train", "val" or "test") of task,
+    whose type must match the model's readout (ModelError otherwise); an
+    ego_ids model or an unknown split raises ConfigError."""
+    _check_model(model.config, task, "evaluate")
+    idx = {"train": task.train_idx, "val": task.val_idx,
+           "test": task.test_idx}.get(split)
+    if idx is None:
+        raise ConfigError(f"split {split!r} is not train, val or test")
     g = task.graph
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    roots = task.items if task.task_type == "node" else None
-    idx = {"train": task.train_idx, "val": task.val_idx,
-           "test": task.test_idx}[split]
-    logits, _ = model.forward(g, supp, rev, roots=roots, rows=task.items[idx])
+    logits, _ = model.forward(g, supp, rev, rows=task.items[idx])
     return evaluate_scores(logits, task.labels[idx])

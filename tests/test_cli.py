@@ -266,10 +266,12 @@ def test_node_listed_twice_in_sidecar_exit_2(dataset, tmp_path, capsys):
     (["--epochs", "soon"], "epochs: unparseable value 'soon'"),
     (["--config", "model=gcn"], "unknown model 'gcn'"),
     (["--model", "gcn"], "unknown model 'gcn'"),
+    (["--config", "ego_ids=true"], "unknown key 'ego_ids'"),
 ], ids=["unknown-agg", "bad-seeds", "repeated-seed", "batch-0",
         "batch-negative", "epochs-0", "patience-negative", "hidden-0",
         "mlp-hidden-0", "unknown-agg-flag", "unparseable-epochs",
-        "unparseable-epochs-flag", "unknown-model", "unknown-model-flag"])
+        "unparseable-epochs-flag", "unknown-model", "unknown-model-flag",
+        "ego-ids-file"])
 def test_malformed_configuration_exit_2(dataset, tmp_path, capsys, extra,
                                         message):
     tx, labels = dataset
@@ -281,6 +283,17 @@ def test_malformed_configuration_exit_2(dataset, tmp_path, capsys, extra,
     assert run(train_args(tx, labels, out_dir, *extra)) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()          # rejected before anything is run
+
+
+@pytest.mark.parametrize("flag", ["--ego-ids", "--no-ego-ids"])
+def test_ego_ids_flag_is_unknown_exit_2(dataset, tmp_path, capsys, flag):
+    """Full-graph training cannot mark ego nodes, so no flag sets them."""
+    tx, labels = dataset
+    with pytest.raises(SystemExit) as excinfo:
+        run(train_args(tx, labels, tmp_path / "o", flag))
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_labelless_schema_without_sidecar_exit_2(dataset, tmp_path, capsys):
@@ -350,6 +363,31 @@ def test_unknown_dtype_checkpoint_exit_2(dataset, tmp_path, capsys):
               "--node-labels", labels])
     assert rc == 2
     assert "unknown dtype 'float16'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("saved,echoed,message", [
+    # written before the baseline ran both directions: one direction's
+    # weights under a config that says two
+    ({"two_stage": False, "bidirectional": False}, {"bidirectional": True},
+     "does not match model structure at 'layer0.rev_msg_net'"),
+    # trained on an ego column that marked every labeled node
+    ({"ego_ids": True}, {}, "ego_ids waits for sampled training"),
+], ids=["single-stage-bidirectional", "ego-ids"])
+def test_checkpoint_of_an_unhonoured_switch_exit_2(dataset, tmp_path, capsys,
+                                                   saved, echoed, message):
+    from meganet.model import Model, save_checkpoint
+
+    tx, labels = dataset
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(Model(ModelConfig(hidden_node=4, hidden_edge=4,
+                                      mlp_hidden=4, **saved), 1, 1), ckpt)
+    payload = json.loads(ckpt.read_text())
+    payload["config"].update(echoed)
+    ckpt.write_text(json.dumps(payload))
+    rc = run(["eval", "--checkpoint", ckpt, "--data", tx,
+              "--node-labels", labels])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_pna_subset_checkpoint_exit_2(dataset, tmp_path, capsys):

@@ -266,6 +266,16 @@ def test_sampler_rejects_seeds_out_of_range(seeds):
         sample_neighborhood(g, supp, build_reverse_index(g, supp), **seeds)
 
 
+@pytest.mark.parametrize("bad", [dict(hops=-3), dict(per_hop=0)],
+                         ids=["hops-3", "per-hop-0"])
+def test_sampler_rejects_negative_hops_and_zero_per_hop(bad):
+    g = Multigraph(3, np.ones((3, 1)), [(0, 1), (1, 2)], np.ones((2, 1)))
+    supp = build_support_index(g)
+    with pytest.raises(ConfigError, match="hops at least 0"):
+        sample_neighborhood(g, supp, build_reverse_index(g, supp),
+                            seed_nodes=[0], **bad)
+
+
 def test_sampler_keeps_parallel_groups_whole():
     g, _ = generate_planted_task(30, 3, 4, "max_of_sums", seed=2)
     supp = build_support_index(g)

@@ -252,30 +252,89 @@ def permuted(a, perm):
     return out
 
 
-@pytest.mark.parametrize("node_agg", ["sum", "pna", "max"])
-@pytest.mark.parametrize("readout", ["node", "edge"])
-def test_single_stage_equivariance(readout, node_agg):
+SINGLE_STAGE_CASES = {
+    f"{readout}-{node_agg}" + ("" if bi else "-unidirectional"):
+        (readout, node_agg, bi)
+    for readout in ("node", "edge") for node_agg in ("sum", "pna", "max")
+    for bi in (True, False)}
+
+
+@pytest.mark.parametrize("readout,node_agg,bidirectional",
+                         SINGLE_STAGE_CASES.values(), ids=SINGLE_STAGE_CASES)
+def test_single_stage_equivariance(readout, node_agg, bidirectional):
     """Relabeling the nodes and reordering the edges permutes the baseline's
-    logits, node states and edge latents alike, to 1e-5 in float64."""
-    cfg = ModelConfig(two_stage=False, readout=readout,
-                      node_agg=AggSpec(node_agg), hidden_node=6, hidden_edge=6,
-                      mlp_hidden=8, dtype="float64")
+    logits, node states and each direction's edge latents alike, to 1e-5 in
+    float64."""
+    cfg = ModelConfig(two_stage=False, bidirectional=bidirectional,
+                      readout=readout, node_agg=AggSpec(node_agg),
+                      hidden_node=6, hidden_edge=6, mlp_hidden=8,
+                      dtype="float64")
     model = Model(cfg, 2, 2, seed=17)
     rng = np.random.default_rng(0)
+
+    def forward(g):
+        supp = build_support_index(g)
+        return model.forward(g, supp, build_reverse_index(g, supp))
+
     for _ in range(8):
         n = int(rng.integers(2, 21))
         g = random_connected_multigraph(n, int(rng.integers(n, 81)),
                                         seed=int(rng.integers(1 << 30)))
         p = random_permutation(g, rng)
-        gp = apply_permutation(g, p)
-        logits, cache = model.forward(g, build_support_index(g))
-        logits_p, cache_p = model.forward(gp, build_support_index(gp))
-        (x, (e,)), (x_p, (e_p,)) = cache["final"], cache_p["final"]
+        (logits, cache), (logits_p, cache_p) = (
+            forward(g), forward(apply_permutation(g, p)))
+        (x, es), (x_p, es_p) = cache["final"], cache_p["final"]
+        assert len(es) == len(es_p) == (2 if bidirectional else 1)
         item_perm = p.node_perm if readout == "node" else p.edge_perm
         for got, want, perm in ((logits_p, logits, item_perm),
-                                (x_p, x, p.node_perm), (e_p, e, p.edge_perm)):
+                                (x_p, x, p.node_perm),
+                                *((e_p, e, p.edge_perm)
+                                  for e, e_p in zip(es, es_p))):
             np.testing.assert_allclose(got, permuted(want, perm), rtol=1e-5,
                                        atol=1e-7)
+
+
+def test_bidirectional_baseline_has_reverse_nets():
+    """bidirectional gives the baseline a reverse direction per layer; its
+    node update reads [x || a_0 || a_1]."""
+    cfg = ModelConfig(two_stage=False, num_layers=2, hidden_node=4,
+                      hidden_edge=3, mlp_hidden=5)
+    bi = dict(Model(cfg, 2, 2).named_mlps())
+    uni = dict(Model(replace(cfg, bidirectional=False), 2, 2).named_mlps())
+    for li in range(2):
+        for net in ("msg_net", "edge_update_net"):
+            assert bi[f"layer{li}.rev_{net}"].layer_dims == \
+                bi[f"layer{li}.{net}"].layer_dims
+        assert bi[f"layer{li}.node_update_net"].layer_dims[0] == 4 + 2 * 4
+        assert uni[f"layer{li}.node_update_net"].layer_dims[0] == 4 + 4
+    assert not any("edge_agg_mlp" in name for name in bi)
+    assert not any(".rev_" in name for name in uni)
+    assert set(bi) - set(uni) == {f"layer{li}.rev_{net}" for li in range(2)
+                                  for net in ("msg_net", "edge_update_net")}
+
+
+@pytest.mark.parametrize("bidirectional", [True, False],
+                         ids=["bidirectional", "unidirectional"])
+def test_baseline_reads_out_neighbours_only_when_bidirectional(bidirectional):
+    """Node 0 only sends. Changing its out-neighbour's features moves its
+    logit when the baseline runs the reverse direction, and not otherwise."""
+    rng = np.random.default_rng(2)
+    edges = [(0, 1), (0, 1), (1, 2), (3, 2)]
+    cfg = ModelConfig(two_stage=False, bidirectional=bidirectional,
+                      hidden_node=4, hidden_edge=3, mlp_hidden=5,
+                      dtype="float64")
+    model = Model(cfg, 2, 2, seed=5)
+    feats = rng.normal(size=(4, 2))
+    edge_feats = rng.normal(size=(len(edges), 2))
+    logits = []
+    for shift in (0.0, 1.0):
+        moved = feats.copy()
+        moved[1] += shift
+        g = Multigraph(4, moved, edges, edge_feats)
+        supp = build_support_index(g)
+        logits.append(model.forward(g, supp,
+                                    build_reverse_index(g, supp))[0][0])
+    assert (logits[0] != logits[1]) == bidirectional
 
 
 def test_add_ego_ids():
@@ -512,11 +571,15 @@ def test_full_model_gradient_on_fixed_small_graph():
     # no edge update runs: the edge encoder learns through h alone
     ModelConfig(num_layers=1, readout="node"),
     ModelConfig(num_layers=1, readout="edge"),
+    # the baseline, in both directions and in one
     ModelConfig(two_stage=False, readout="node"),
+    ModelConfig(two_stage=False, bidirectional=False, readout="node"),
     # the last edge update reads x_dst: its gradient reaches x and e
     ModelConfig(two_stage=False, readout="edge"),
+    ModelConfig(two_stage=False, bidirectional=False, readout="edge"),
 ], ids=["one-layer-node", "one-layer-edge", "single-stage-node",
-        "single-stage-edge"])
+        "single-stage-node-unidirectional", "single-stage-edge",
+        "single-stage-edge-unidirectional"])
 def test_gradient_where_last_layer_skips_edge_updates(cfg):
     g = random_connected_multigraph(6, 10, seed=13)
     supp = build_support_index(g)
@@ -533,7 +596,8 @@ def test_gradient_where_last_layer_skips_edge_updates(cfg):
     (ModelConfig(readout="node"),
      {"layer1.edge_update_net", "layer1.rev_edge_update_net"}),
     (ModelConfig(readout="edge"), {"layer1.rev_edge_update_net"}),
-    (ModelConfig(two_stage=False, readout="node"), {"layer1.edge_update_net"}),
+    (ModelConfig(two_stage=False, readout="node"),
+     {"layer1.edge_update_net", "layer1.rev_edge_update_net"}),
 ], ids=["node", "edge", "single-stage-node"])
 def test_last_layer_runs_only_edge_updates_readout_reads(monkeypatch, cfg,
                                                          skipped):
@@ -824,10 +888,11 @@ def test_float32_matches_float64_on_the_same_weights(cfg):
         assert np.abs(a - b).max() <= 1e-3 * np.abs(b).max()
 
 
-@pytest.mark.parametrize("cfg", [ModelConfig(readout="edge"),
-                                 ModelConfig(two_stage=False, readout="edge")],
-                         ids=["two-stage", "single-stage"])
-def test_train_step_groups_no_index_again(monkeypatch, cfg):
+@pytest.mark.parametrize("cfg,first_step", [
+    (ModelConfig(readout="edge"), 3),
+    (ModelConfig(two_stage=False, readout="edge"), 4),
+], ids=["two-stage", "single-stage"])
+def test_train_step_groups_no_index_again(monkeypatch, cfg, first_step):
     """Gathered parts carry the support index's groups: once they are built,
     a train step's backward scatters through them and groups nothing."""
     import meganet.graph as graph_module
@@ -847,8 +912,10 @@ def test_train_step_groups_no_index_again(monkeypatch, cfg):
         calls.clear()
         logits, cache = model.forward(g, supp, rev, train_mode=True, seed=step)
         model.backward(cache, np.ones_like(logits))
-        # the first step builds the edges_by_src and edges_by_dst it reads
-        assert len(calls) <= (3 if step == 0 else 0)
+        # the first step builds the edges_by_src and edges_by_dst it reads:
+        # the two-stage forward edge update's and readout's and the reverse
+        # edge update's; the baseline's per-edge sites of both directions
+        assert len(calls) <= (first_step if step == 0 else 0)
 
 
 def test_float32_backward_passes_no_subnormal(monkeypatch):

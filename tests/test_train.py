@@ -7,7 +7,7 @@ import pytest
 
 from meganet import heap
 from meganet.agg import AggSpec
-from meganet.data import generate_planted_task
+from meganet.data import ConfigError, generate_planted_task
 from meganet.graph import build_support_index, random_connected_multigraph
 from meganet.model import Model, ModelConfig, ModelError
 from meganet.nn import NnError
@@ -134,6 +134,41 @@ def test_train_model_rejects_readout_of_other_task_type(monkeypatch, task_fn,
                        f"train on a {task.task_type} task"):
         train_model(task, replace(mc, readout=readout), tc, seed=0)
     assert forwards == []
+
+
+@pytest.mark.parametrize("task_fn", [small_task, edge_task],
+                         ids=["node-task", "edge-task"])
+def test_full_graph_runs_refuse_ego_ids(monkeypatch, task_fn):
+    """A full-graph forward has no ego nodes: training and evaluation of an
+    ego_ids model raise ConfigError before any forward runs."""
+    task = task_fn()
+    mc, tc = fast_configs()
+    mc = replace(mc, readout=task.task_type, ego_ids=True)
+    model = Model(mc, 2, 2)
+    forwards = []
+    monkeypatch.setattr(Model, "forward",
+                        lambda *args, **kwargs: forwards.append(args))
+    with pytest.raises(ConfigError, match="ego_ids waits for sampled"):
+        train_model(task, mc, tc, seed=0)
+    with pytest.raises(ConfigError, match="ego_ids waits for sampled"):
+        evaluate_model(model, task)
+    assert forwards == []
+
+
+def test_train_model_refuses_a_second_dropout():
+    """The record cannot carry a dropout the model did not use."""
+    mc, tc = fast_configs()
+    with pytest.raises(ConfigError, match="dropout 0.3 is not the model's "
+                       "dropout 0.0"):
+        train_model(small_task(), mc, replace(tc, dropout=0.3), seed=0)
+
+
+@pytest.mark.parametrize("split", ["dev", "Test", ""])
+def test_evaluate_model_names_the_splits(split):
+    task = small_task()
+    mc, _ = fast_configs()
+    with pytest.raises(ConfigError, match="is not train, val or test"):
+        evaluate_model(Model(mc, 2, 2), task, split)
 
 
 def test_two_stage_learns_planted_task():

@@ -111,14 +111,13 @@ def reference_id_rounds(n, root, directions, digits):
 
 def reference_ports(g, supp, order_seed):
     rng = np.random.default_rng(order_seed)
-    pair_ports = [rng.permutation(int(p)) + 1 for p in supp.multiplicity]
     directions = [supp, build_reverse_index(g, supp)]
     neighbor_ports = []
     for v in range(g.num_nodes):
         neigh = sorted({u for _, _, u in neighbor_walk(directions, v)})
         ports = rng.permutation(len(neigh)) + 1
         neighbor_ports.append({u: int(p) for u, p in zip(neigh, ports)})
-    return pair_ports, neighbor_ports
+    return neighbor_ports
 
 
 def reference_port_digits(g, supp, neighbor_ports):
@@ -133,7 +132,7 @@ def reference_witness(n, trials=10, base_seed=0):
     supp = build_support_index(g)
 
     def embed(seed):
-        _, ports = reference_ports(g, supp, seed)
+        ports = reference_ports(g, supp, seed)
         ids, _ = reference_id_rounds(n, 0, *reference_port_digits(g, supp, ports))
         return [i if i is not None else () for i in ids]
 
@@ -231,10 +230,8 @@ def test_ports_and_port_embeddings_match_reference():
         rev = build_reverse_index(g, supp)
         for seed in (0, 1):
             ports = assign_ports(g, supp, seed)
-            pair_ports, neighbor_ports = reference_ports(g, supp, seed)
-            assert ports.neighbor_ports == neighbor_ports
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(ports.pair_ports, pair_ports, strict=True))
+            neighbor_ports = reference_ports(g, supp, seed)
+            assert ports == neighbor_ports
             ids, _ = reference_id_rounds(
                 g.num_nodes, 0, *reference_port_digits(g, supp, neighbor_ports))
             assert (_port_embeddings(g, supp, rev, ports, 0)
