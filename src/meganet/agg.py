@@ -71,8 +71,8 @@ class AggSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise AggError(f"unknown aggregation kind {self.kind!r}")
-        if self.kind == "pna" and not self.mean_log_degree > 0:
-            raise AggError("mean_log_degree must be positive")
+        if self.kind == "pna" and not 0 < self.mean_log_degree < np.inf:
+            raise AggError("mean_log_degree must be positive and finite")
 
     def out_width(self, d: int) -> int:
         if self.kind == "pna":
@@ -118,8 +118,8 @@ def pna_scalers(degree, mean_log_degree: float, dtype=np.float64):
     degree = np.asarray(degree, dtype=dtype)
     if np.any(degree < 1):
         raise AggError("pna scalers need degree >= 1 (empty groups are handled upstream)")
-    if not mean_log_degree > 0:
-        raise AggError("mean_log_degree must be positive")
+    if not 0 < mean_log_degree < np.inf:
+        raise AggError("mean_log_degree must be positive and finite")
     amplification = np.log(degree + 1.0) / float(mean_log_degree)
     attenuation = 1.0 / amplification
     return amplification, attenuation

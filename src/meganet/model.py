@@ -8,11 +8,10 @@ through the post-aggregation MLP, builds one message per site from
 Directions are data: a layer loops over its support indices, the forward
 one and, when bidirectional, the support index of the transposed multigraph
 (build_reverse_index), each with its own DirectionNets. The node update
-reads [x || a_0 (|| a_1)]; each direction updates its own copy of the edge
-latents, except in the last layer, which updates only the latents the
-readout reads: none for a node readout, the forward direction's for an edge
-readout. The skipped edge-update nets stay in Model.params and checkpoints
-but are inert: nothing calls them and their gradient stays 0. A forward
+reads [x || a_0 (|| a_1)]; each direction with an edge-update net updates
+its own copy of the edge latents. Every layer but the last has one per
+direction; the last has only those whose latents the readout reads: none
+for a node readout, the forward direction's for an edge readout. A forward
 given the rows whose logits it returns computes, under an edge readout,
 that last edge update and the readout on those edges alone; a node
 readout computes every node's logit and returns the rows'. The
@@ -135,7 +134,8 @@ class DirectionNets(NamedTuple):
     """Weights of one message direction."""
 
     msg_net: Mlp                   # builds messages from [x_src || h]
-    edge_update_net: Mlp           # updates e from [x_src || e || h]
+    edge_update_net: Mlp | None    # updates e from [x_src || e || h]; None:
+                                   # the direction keeps its latents
     edge_agg_mlp: Mlp | None       # maps reduced parallel edges to h; None:
                                    # per-edge sites, h = e, e reads x_dst
 
@@ -258,16 +258,13 @@ def edge_update_bwd(cache, gout, gx):
 # ---------------------------------------------------------------------------
 
 def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
-              edge_updates=None):
+              rows=None):
     """One layer over len(supports) directions; es holds their edge latents.
 
-    edge_updates holds, for each of the first len(edge_updates) directions,
-    the edges whose latents its edge update computes, or None for every
-    edge (default: every direction, every edge). The other directions
-    return their latents unchanged but still draw their seed.
+    A direction with an edge-update net computes the latents of the edges
+    in rows, in that order (default: every edge); one without returns its
+    latents unchanged and draws no dropout seed for them.
     """
-    if edge_updates is None:
-        edge_updates = [None] * len(supports)
     hs, parts, dir_caches = [], [(x, None)], []
     for supp, nets, e in zip(supports, lp.directions, es):
         h, (a, scale), c = direction_fwd(x, e, supp, nets, lp.agg_edge,
@@ -280,16 +277,16 @@ def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
     es1, eu_caches = list(es), []
     for d, (supp, nets, e, h) in enumerate(zip(supports, lp.directions, es,
                                                hs)):
-        seed = seq()
-        if d < len(edge_updates):
-            es1[d], c = edge_update_fwd(x, e, h, supp, nets, train, seed,
-                                        edge_updates[d])
+        if nets.edge_update_net is not None:
+            es1[d], c = edge_update_fwd(x, e, h, supp, nets, train, seq(),
+                                        rows)
             eu_caches.append(c)
     return x1, es1, (lp, dir_caches, gv_cache, eu_caches, x.shape)
 
 
 def layer_bwd(cache, gx1, ges1):
-    """ges1 holds the e gradients of the directions whose edge update ran."""
+    """ges1 holds the e gradients of the directions whose edge update ran,
+    which come first."""
     lp, dir_caches, gv_cache, eu_caches, x_shape = cache
     gx0 = np.zeros(x_shape, dtype=gx1.dtype)
     eu_grads = [edge_update_bwd(c, ge1, gx0)
@@ -318,6 +315,7 @@ class Model:
         dn, de = config.hidden_node, config.hidden_edge
         hid = config.mlp_hidden
         n_dir = 2 if config.bidirectional else 1
+        last = config.num_layers - 1
         prefixes = [[f"layer{li}." + ("rev_" if d else "") for d in range(n_dir)]
                     for li in range(config.num_layers)]
 
@@ -326,12 +324,14 @@ class Model:
                  "edge_encoder": [d_edge_in, de]}
         eu_in = dn + 2 * de if config.two_stage else 2 * dn + de
         for li, layer_prefixes in enumerate(prefixes):
-            for p in layer_prefixes:
+            for d, p in enumerate(layer_prefixes):
                 if config.two_stage:
                     specs[p + "edge_agg_mlp"] = [config.edge_agg.out_width(de),
                                                  hid, de]
                 specs[p + "msg_net"] = [dn + de, hid, dn]
-                specs[p + "edge_update_net"] = [eu_in, hid, de]
+                # the last layer's edge latents feed only the readout
+                if li < last or (config.readout == "edge" and d == 0):
+                    specs[p + "edge_update_net"] = [eu_in, hid, de]
             specs[f"layer{li}.node_update_net"] = [
                 dn + n_dir * config.node_agg.out_width(dn), hid, dn]
         specs["readout"] = [dn if config.readout == "node" else 2 * dn + de,
@@ -356,7 +356,7 @@ class Model:
         self.readout_net = nets["readout"]
         self.layers = [
             LayerParams([DirectionNets(nets[p + "msg_net"],
-                                       nets[p + "edge_update_net"],
+                                       nets.get(p + "edge_update_net"),
                                        nets.get(p + "edge_agg_mlp"))
                          for p in layer_prefixes],
                         nets[f"layer{li}.node_update_net"],
@@ -422,14 +422,12 @@ class Model:
                          train_mode, seq())
         es = [e] * len(supports)
 
-        # the readout reads no edge latent (node) or the forward one at its
-        # rows (edge)
-        last_updates = [] if cfg.readout == "node" else [rows]
         stages = []
         for li, lp in enumerate(self.layers):
-            updates = last_updates if li == len(self.layers) - 1 else None
+            # an edge readout reads the last layer's latents at its rows
+            to_readout = li == len(self.layers) - 1 and cfg.readout == "edge"
             x, es, c = layer_fwd(lp, x, es, supports, train_mode, seq,
-                                 updates)
+                                 rows if to_readout else None)
             if train_mode:
                 stages.append(c)
             del c                 # eval: free it before the next layer runs
@@ -519,7 +517,6 @@ def save_checkpoint(model: Model, path) -> None:
             {
                 "name": name,
                 "layer_dims": m.layer_dims,
-                "activation": m.activation,
                 "weights": [w.ravel().tolist() for w in m.weights],
                 "biases": [b.tolist() for b in m.biases],
             }

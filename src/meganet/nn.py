@@ -183,7 +183,8 @@ def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         hi = lo + k * p.shape[1]
         zp = p @ _side_by_side(w[lo:hi], k)
         if s is not None:
-            zp = np.einsum("rk,rko->ro", s, zp.reshape(len(p), k, -1))
+            zp = np.einsum("rk,rko->ro", s,
+                           zp.reshape(len(p), k, w.shape[1]))
         if i is not None:
             zp = zp[i.key]
         if z is None:
@@ -207,7 +208,8 @@ def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
         gp = g if i is None else scatter_add(g, i)
         if s is not None:
             # the gradient of each block side by side: [rows, k * out]
-            gp = np.einsum("rk,ro->rko", s, gp).reshape(len(p), -1)
+            gp = np.einsum("rk,ro->rko", s, gp).reshape(len(p),
+                                                         k * w.shape[1])
         gw_blocks = gw[lo:hi].reshape(k, p.shape[1], -1)       # a view
         gw_blocks += (p.T @ gp).reshape(p.shape[1], k, -1).transpose(1, 0, 2)
         gparts.append(gp @ _side_by_side(w[lo:hi], k).T)

@@ -48,14 +48,14 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise NnError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise NnError("learning_rate must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise NnError("dropout must be in [0, 1)")
         if min(self.batch_size, self.epochs) < 1 or self.patience < 0:
             raise NnError("batch_size and epochs must be >= 1, patience >= 0")
-        if self.class_weights[0] <= 0 or self.class_weights[1] <= 0:
-            raise NnError("class weights must be positive")
+        if not all(0 < w < np.inf for w in self.class_weights):
+            raise NnError("class weights must be positive and finite")
 
 
 @dataclass
@@ -154,7 +154,6 @@ def train_model(task: TaskData, model_config: ModelConfig,
             loss, dlogits = weighted_bce_loss(logits, task.labels[batch],
                                               weights)
             if not np.isfinite(loss):
-                record.final_metrics = {"aborted": True, "loss": float(loss)}
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             model.backward(cache, dlogits)
             adam_step(model.params, model.grads, adam,

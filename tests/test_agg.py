@@ -74,8 +74,9 @@ def naive_reduce(kind, gf):
 def test_spec_validation():
     with pytest.raises(AggError):
         AggSpec("median")
-    with pytest.raises(AggError):
-        AggSpec("pna", mean_log_degree=0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(AggError, match="positive and finite"):
+            AggSpec("pna", mean_log_degree=bad)
 
 
 def test_out_width():

@@ -267,11 +267,15 @@ def test_node_listed_twice_in_sidecar_exit_2(dataset, tmp_path, capsys):
     (["--config", "model=gcn"], "unknown model 'gcn'"),
     (["--model", "gcn"], "unknown model 'gcn'"),
     (["--config", "ego_ids=true"], "unknown key 'ego_ids'"),
+    (["--learning-rate", "inf"], "learning_rate must be positive and finite"),
+    (["--class-weight-1", "inf"], "class weights must be positive and finite"),
+    (["--class-weight-0", "nan"], "class weights must be positive and finite"),
 ], ids=["unknown-agg", "bad-seeds", "repeated-seed", "batch-0",
         "batch-negative", "epochs-0", "patience-negative", "hidden-0",
         "mlp-hidden-0", "unknown-agg-flag", "unparseable-epochs",
         "unparseable-epochs-flag", "unknown-model", "unknown-model-flag",
-        "ego-ids-file"])
+        "ego-ids-file", "learning-rate-inf", "class-weight-1-inf",
+        "class-weight-0-nan"])
 def test_malformed_configuration_exit_2(dataset, tmp_path, capsys, extra,
                                         message):
     tx, labels = dataset
@@ -406,6 +410,28 @@ def test_pna_subset_checkpoint_exit_2(dataset, tmp_path, capsys):
               "--node-labels", labels])
     assert rc == 2
     assert "pna_stats=['mean', 'max'] is not supported" in capsys.readouterr().err
+
+
+def test_infinite_mean_log_degree_checkpoint_exit_2(dataset, tmp_path, capsys):
+    """A PNA normaliser of Infinity (valid JSON to Python's reader) would
+    scale every amplification to 0 and score NaN logits."""
+    from meganet.agg import AggSpec
+    from meganet.model import Model, save_checkpoint
+
+    tx, labels = dataset
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(Model(ModelConfig(node_agg=AggSpec("pna"), hidden_node=4,
+                                      hidden_edge=4, mlp_hidden=4), 1, 1),
+                    ckpt)
+    payload = json.loads(ckpt.read_text())
+    payload["config"]["node_agg"]["mean_log_degree"] = float("inf")
+    ckpt.write_text(json.dumps(payload))
+    assert "Infinity" in ckpt.read_text()
+    rc = run(["eval", "--checkpoint", ckpt, "--data", tx,
+              "--node-labels", labels])
+    assert rc == 2
+    assert "mean_log_degree must be positive and finite" in \
+        capsys.readouterr().err
 
 
 def test_gen_out_neighbor_count_needs_median_degree_2(tmp_path, capsys):

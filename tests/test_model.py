@@ -296,21 +296,24 @@ def test_single_stage_equivariance(readout, node_agg, bidirectional):
 
 def test_bidirectional_baseline_has_reverse_nets():
     """bidirectional gives the baseline a reverse direction per layer; its
-    node update reads [x || a_0 || a_1]."""
+    node update reads [x || a_0 || a_1]. Under the default node readout the
+    last layer updates no edge latents, so it has no edge-update net."""
     cfg = ModelConfig(two_stage=False, num_layers=2, hidden_node=4,
                       hidden_edge=3, mlp_hidden=5)
     bi = dict(Model(cfg, 2, 2).named_mlps())
     uni = dict(Model(replace(cfg, bidirectional=False), 2, 2).named_mlps())
-    for li in range(2):
-        for net in ("msg_net", "edge_update_net"):
+    for li, nets in enumerate([("msg_net", "edge_update_net"), ("msg_net",)]):
+        for net in nets:
             assert bi[f"layer{li}.rev_{net}"].layer_dims == \
                 bi[f"layer{li}.{net}"].layer_dims
         assert bi[f"layer{li}.node_update_net"].layer_dims[0] == 4 + 2 * 4
         assert uni[f"layer{li}.node_update_net"].layer_dims[0] == 4 + 4
     assert not any("edge_agg_mlp" in name for name in bi)
     assert not any(".rev_" in name for name in uni)
-    assert set(bi) - set(uni) == {f"layer{li}.rev_{net}" for li in range(2)
-                                  for net in ("msg_net", "edge_update_net")}
+    assert not any(name.startswith("layer1.") and "edge_update" in name
+                   for name in {**bi, **uni})
+    assert set(bi) - set(uni) == {"layer0.rev_msg_net", "layer1.rev_msg_net",
+                                  "layer0.rev_edge_update_net"}
 
 
 @pytest.mark.parametrize("bidirectional", [True, False],
@@ -592,62 +595,50 @@ def test_gradient_where_last_layer_skips_edge_updates(cfg):
     assert_gradient_matches_fd(model, g, supp, rev, np.arange(n) % 2)
 
 
-@pytest.mark.parametrize("cfg,skipped", [
-    (ModelConfig(readout="node"),
-     {"layer1.edge_update_net", "layer1.rev_edge_update_net"}),
-    (ModelConfig(readout="edge"), {"layer1.rev_edge_update_net"}),
-    (ModelConfig(two_stage=False, readout="node"),
-     {"layer1.edge_update_net", "layer1.rev_edge_update_net"}),
-], ids=["node", "edge", "single-stage-node"])
-def test_last_layer_runs_only_edge_updates_readout_reads(monkeypatch, cfg,
-                                                         skipped):
+LAST_LAYER_CONFIGS = {
+    ("one-layer-" if layers == 1 else "")
+    + ("" if two_stage else "single-stage-") + readout
+    + ("" if bidirectional else "-unidirectional"):
+    ModelConfig(num_layers=layers, two_stage=two_stage, readout=readout,
+                bidirectional=bidirectional)
+    for layers in (2, 1) for two_stage in (True, False)
+    for readout in ("node", "edge") for bidirectional in (True, False)}
+
+
+@pytest.mark.parametrize("cfg", LAST_LAYER_CONFIGS.values(),
+                         ids=LAST_LAYER_CONFIGS)
+def test_last_layer_runs_only_edge_updates_readout_reads(monkeypatch, cfg):
+    """The last layer has an edge-update net only where the readout reads
+    its latents, and one train step runs and differentiates every MLP the
+    model builds."""
     import meganet.model as model_module
 
-    seen = set()
+    seen = {"forward": set(), "backward": set()}
 
-    def recorded(fn):
+    def recorded(fn, calls):
         def wrapper(m, *args, **kwargs):
-            seen.add(id(m))
+            calls.add(id(m))
             return fn(m, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(model_module, "mlp_forward",
-                        recorded(model_module.mlp_forward))
+                        recorded(model_module.mlp_forward, seen["forward"]))
     monkeypatch.setattr(model_module, "mlp_backward",
-                        recorded(model_module.mlp_backward))
+                        recorded(model_module.mlp_backward, seen["backward"]))
     g = random_connected_multigraph(6, 10, seed=13)
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    model = Model(replace(cfg, num_layers=2, hidden_node=3, hidden_edge=3,
-                          mlp_hidden=4), 2, 2, seed=4)
+    model = Model(replace(cfg, hidden_node=3, hidden_edge=3, mlp_hidden=4),
+                  2, 2, seed=4)
     logits, cache = model.forward(g, supp, rev, train_mode=True, seed=1)
     model.backward(cache, np.ones_like(logits))
     mlps = dict(model.named_mlps())
-    assert skipped <= set(mlps)
-    assert {name for name, m in mlps.items() if id(m) not in seen} == skipped
-    for name in skipped:          # inert: never moved by an optimizer
-        assert not any(gw.any() for gw in mlps[name].grads.weights)
-@pytest.mark.parametrize("cfg", [
-    ModelConfig(readout="node"),
-    ModelConfig(readout="edge"),
-    ModelConfig(two_stage=False, readout="node"),
-], ids=["node", "edge", "single-stage-node"])
-def test_skipped_edge_updates_shift_no_dropout_seed(monkeypatch, cfg):
-    """Running every last-layer edge update leaves train-mode logits as is."""
-    import meganet.model as model_module
-
-    g = random_connected_multigraph(6, 10, seed=13)
-    supp = build_support_index(g)
-    rev = build_reverse_index(g, supp)
-    model = Model(replace(cfg, hidden_node=3, hidden_edge=3, mlp_hidden=4,
-                          dropout=0.3), 2, 2, seed=4)
-    want, _ = model.forward(g, supp, rev, train_mode=True, seed=1)
-    # drop the edge_updates argument: every direction updates
-    monkeypatch.setattr(model_module, "layer_fwd",
-                        lambda *args, fwd=model_module.layer_fwd:
-                        fwd(*args[:-1]))
-    got, _ = model.forward(g, supp, rev, train_mode=True, seed=1)
-    assert np.array_equal(got, want)
+    last = f"layer{cfg.num_layers - 1}."
+    assert {name for name in mlps if name.startswith(last)
+            and name.endswith("edge_update_net")} == (
+        {last + "edge_update_net"} if cfg.readout == "edge" else set())
+    for calls in seen.values():
+        assert {name for name, m in mlps.items() if id(m) not in calls} == set()
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -699,6 +690,27 @@ def test_checkpoint_listing_full_pna_sets_loads(tmp_path, reverse):
     want = json.loads((DATA / "pna_checkpoint_v1_logits.json").read_text())
     assert np.allclose(logits, np.array(want, dtype=logits.dtype), rtol=1e-5,
                        atol=0.0)
+
+
+def test_node_readout_checkpoint_with_last_layer_edge_updates_loads():
+    """A checkpoint written while the last layer still carried edge-update
+    nets (float32, bidirectional, node readout, max/mean) loads, ignores
+    those nets and reproduces the logits it was saved with exactly."""
+    import json
+
+    payload = json.loads((DATA / "node_checkpoint_v1.json").read_text())
+    saved = {entry["name"] for entry in payload["mlps"]}
+    model = load_checkpoint(DATA / "node_checkpoint_v1.json")
+    built = {name for name, _ in model.named_mlps()}
+    assert saved - built == {"layer1.edge_update_net",
+                             "layer1.rev_edge_update_net"}
+    assert built <= saved
+    g = random_connected_multigraph(5, 9, seed=2)
+    supp = build_support_index(g)
+    logits, _ = model.forward(g, supp, build_reverse_index(g, supp))
+    want = json.loads((DATA / "node_checkpoint_v1_logits.json").read_text())
+    assert logits.dtype == np.float32
+    assert np.array_equal(logits, np.array(want, dtype=np.float32))
 
 
 @pytest.mark.parametrize("key,subset", [
@@ -1099,3 +1111,24 @@ def test_rows_outside_the_graph_raise(readout, rows):
     for train_mode in (False, True):
         with pytest.raises(ModelError, match="rows must index"):
             model.forward(g, supp, train_mode=train_mode, rows=rows)
+
+
+@pytest.mark.parametrize("readout", ["node", "edge"])
+@pytest.mark.parametrize("kind", ["sum", "mean", "max", "min", "std", "pna"])
+def test_edgeless_graph_runs_forward_and_backward(kind, readout):
+    """A graph with no edges (as a sampled batch of edgeless seeds would be)
+    gives finite logits and gradients under every edge aggregation, PNA's
+    zero-row scaled parts included."""
+    g = make_graph([], np.zeros((0, 2)), n=3)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = Model(ModelConfig(edge_agg=AggSpec(kind), node_agg=AggSpec(kind),
+                              readout=readout, hidden_node=3, hidden_edge=3,
+                              mlp_hidden=4), 1, 2)
+    width = g.num_nodes if readout == "node" else 0
+    logits, _ = model.forward(g, supp, rev)
+    assert logits.shape == (width,) and np.isfinite(logits).all()
+    logits, cache = model.forward(g, supp, rev, train_mode=True, seed=1)
+    assert logits.shape == (width,)
+    grads = model.backward(cache, np.ones_like(logits))
+    assert np.isfinite(grads).all()
