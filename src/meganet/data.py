@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .graph import (GraphError, Multigraph, SupportIndex, group_items,
-                    neighbor_pairs)
+from .graph import (GraphError, Multigraph, SupportIndex, build_reverse_index,
+                    build_support_index, group_items, neighbor_pairs)
 
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
@@ -279,13 +280,57 @@ def to_multigraph(t: TransactionTable, feature_spec: FeatureSpec):
 
 @dataclass
 class BatchSample:
-    """Induced subgraph of a sampled neighborhood."""
+    """A view of a multigraph: a seeded neighbourhood, or the whole graph.
+
+    sample_neighborhood keeps, whole, the seed edges' (src, dst) pairs, the
+    pairs it takes leaving nodes within hops - 1 hops of the seeds in
+    either direction (every one when per_hop is None), and the nodes they
+    reach. A pair between two nodes first reached at the last hop is not
+    kept, so this is not the induced subgraph: with every pair taken it is
+    the receptive field of a hops-layer model at the seeds, whose logits
+    through the view are the whole graph's. full_view is the graph itself,
+    with identity maps and its own indices. supp and rev are the view's
+    support and reverse indices, built on first use.
+    """
 
     graph: Multigraph
     node_map: np.ndarray    # local node i -> parent node id
-    edge_map: np.ndarray    # local edge k -> parent edge id
+    edge_map: np.ndarray    # local edge k -> parent edge id, ascending
     roots_local: np.ndarray
     hop_nodes: list[np.ndarray]
+
+    @cached_property
+    def supp(self) -> SupportIndex:
+        return build_support_index(self.graph)
+
+    @cached_property
+    def rev(self) -> SupportIndex:
+        return build_reverse_index(self.graph, self.supp)
+
+    def local(self, items, kind: str) -> np.ndarray:
+        """Local rows of parent node ids (kind "node") or edge ids (kind
+        "edge"), in the order given; GraphError for an id not in the view."""
+        parent = self.edge_map if kind == "edge" else self.node_map
+        items = np.asarray(items, dtype=np.int64)
+        order = np.argsort(parent, kind="stable")
+        pos = np.searchsorted(parent, items, sorter=order)
+        if pos.size and (pos.max() >= parent.size
+                         or not np.array_equal(parent[order[pos]], items)):
+            raise GraphError(f"{kind} id outside the view")
+        return order[pos]
+
+
+def full_view(g: Multigraph, supp: SupportIndex, rev: SupportIndex,
+              hop_nodes=None) -> BatchSample:
+    """g as a view: identity maps and the given indices, nothing copied or
+    built. hop_nodes is the walk that reached every node, if any; its
+    first hop are the roots."""
+    hop_nodes = hop_nodes or [np.empty(0, dtype=np.int64)]
+    view = BatchSample(graph=g, node_map=np.arange(g.num_nodes),
+                       edge_map=np.arange(g.num_edges),
+                       roots_local=hop_nodes[0], hop_nodes=hop_nodes)
+    vars(view).update(supp=supp, rev=rev)
+    return view
 
 
 def sample_neighborhood(
@@ -295,7 +340,7 @@ def sample_neighborhood(
     seed_nodes=None,
     seed_edges=None,
     hops: int = 2,
-    per_hop: int = 100,
+    per_hop: int | None = 100,
     rng_seed: int = 0,
 ) -> BatchSample:
     """Breadth-limited bidirectional expansion with whole-group inclusion.
@@ -304,9 +349,15 @@ def sample_neighborhood(
     in-neighbours through the reverse index first, then out-neighbours.
     When a node has more than per_hop distinct neighbors a uniform subset
     of neighbors is drawn, but every parallel edge of a selected pair is
-    kept so the multi-edge aggregation always sees complete groups.
+    kept so the multi-edge aggregation always sees complete groups. An
+    edge seed keeps its pair and seeds both endpoints.
+
+    per_hop=None takes every neighbour and draws nothing, so the result is
+    the exact receptive field of a hops-layer model (BatchSample). When
+    that walk reaches every node, it stops and returns full_view(g, supp,
+    rev), whose hop_nodes are the walk's, padded with empty hops.
     """
-    if per_hop < 1 or hops < 0:
+    if (per_hop is not None and per_hop < 1) or hops < 0:
         raise ConfigError("per_hop must be at least 1 and hops at least 0")
     n = g.num_nodes
     seed_nodes, seed_edges = (np.asarray([] if s is None else s, dtype=np.int64)
@@ -321,17 +372,25 @@ def sample_neighborhood(
     pairs = [_mark_new(supp.edge_to_supp[seed_edges], kept)]
     hop_nodes = [_mark_new(np.append(seed_nodes, g.edges[seed_edges]), seen)]
     for _ in range(hops):
+        if per_hop is None and seen.all():
+            break
         pos, _, pair, u = neighbor_pairs((rev, supp), hop_nodes[-1])
-        key = pos * n + u
-        distinct = np.unique(key)   # each node's distinct neighbours, sorted
-        counts = np.bincount(distinct // n, minlength=hop_nodes[-1].size)
-        over = np.flatnonzero(counts > per_hop)
-        starts = (np.cumsum(counts) - counts)[over]
-        drawn = [rng.choice(distinct[lo:lo + c], size=per_hop, replace=False)
-                 for lo, c in zip(starts.tolist(), counts[over].tolist())]
-        take = (counts[pos] <= per_hop) | np.isin(key, drawn)
-        pairs.append(_mark_new(pair[take], kept))
-        hop_nodes.append(_mark_new(u[take], seen))
+        if per_hop is not None:
+            key = pos * n + u
+            distinct = np.unique(key)   # each node's distinct neighbours, sorted
+            counts = np.bincount(distinct // n, minlength=hop_nodes[-1].size)
+            over = np.flatnonzero(counts > per_hop)
+            starts = (np.cumsum(counts) - counts)[over]
+            drawn = [rng.choice(distinct[lo:lo + c], size=per_hop, replace=False)
+                     for lo, c in zip(starts.tolist(), counts[over].tolist())]
+            take = (counts[pos] <= per_hop) | np.isin(key, drawn)
+            pair, u = pair[take], u[take]
+        pairs.append(_mark_new(pair, kept))
+        hop_nodes.append(_mark_new(u, seen))
+    if per_hop is None and seen.all():
+        empty = np.empty(0, dtype=np.int64)
+        return full_view(g, supp, rev,
+                         hop_nodes + [empty] * (hops + 1 - len(hop_nodes)))
 
     edge_ids = np.sort(group_items(supp.by_pair, np.concatenate(pairs))[1])
     node_map = np.concatenate(hop_nodes)

@@ -1,14 +1,17 @@
 """Training and evaluation driver for node- and edge-level tasks.
 
 Desk-scale trainer: the whole graph fits in memory and mini-batches
-partition the labeled items (nodes or edges). Every step runs message
-passing over the whole graph but asks the model for the batch's logits
-alone, so an edge readout runs on the batch's edges only; the loss reads
-those logits and its gradient goes to backward as is. Validation and test
-forwards likewise ask for their split's items. Model selection keeps the
-parameters with the best validation minority-class F1. A full-graph
-forward has no ego node to mark, so training and evaluation refuse an
-ego_ids model (ConfigError) until training samples per-seed subgraphs.
+partition the labeled items (nodes or edges). Every forward runs on the
+exact receptive field of the items whose logits it returns: a view from
+data.sample_neighborhood with hops = num_layers and every neighbour
+taken, or the whole graph when that walk reaches every node. Each train
+step builds its batch's view; validation and test build theirs once per
+run. Eval logits through a view are the whole graph's, and so are a
+train step's when dropout is 0 (its masks are drawn over the view's
+rows). The loss reads the batch's logits and its gradient goes to
+backward as is. Model selection keeps the parameters with the best
+validation minority-class F1. Training and evaluation refuse an empty
+split and, since no ego node is marked, an ego_ids model (ConfigError).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import ConfigError
+from .data import ConfigError, sample_neighborhood
 from .graph import Multigraph, build_reverse_index, build_support_index
 from .heap import trimmed_heap
 from .metrics import evaluate_scores
@@ -110,11 +113,14 @@ def train_model(task: TaskData, model_config: ModelConfig,
     """Train one model; returns (model, ExperimentRecord).
 
     The model's readout must match the task type (ModelError otherwise);
-    an ego_ids model and a train_config.dropout other than the model's
-    raise ConfigError. The heap is trimmed when the run starts and when it
-    ends (heap.trimmed_heap), so the run holds only what it keeps alive.
+    an empty split, an ego_ids model and a train_config.dropout other than
+    the model's raise ConfigError. The heap is trimmed when the run starts
+    and when it ends (heap.trimmed_heap), so the run holds only what it
+    keeps alive.
     """
     _check_model(model_config, task, "train on")
+    for split in ("train", "val", "test"):
+        _split_items(task, split)
     if train_config.dropout != model_config.dropout:
         raise ConfigError(f"TrainConfig.dropout {train_config.dropout} is "
                           f"not the model's dropout {model_config.dropout}")
@@ -122,6 +128,8 @@ def train_model(task: TaskData, model_config: ModelConfig,
     g = task.graph
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)       # the model decides if it reads it
+    hops = model_config.num_layers
+    val_view, val_rows = _view(task, task.val_idx, supp, rev, hops)
 
     model = Model(model_config, g.node_features.shape[1],
                   g.edge_features.shape[1], seed=seed)
@@ -145,9 +153,10 @@ def train_model(task: TaskData, model_config: ModelConfig,
         epoch_losses = []
         for lo in range(0, order.size, train_config.batch_size):
             batch = task.train_idx[order[lo:lo + train_config.batch_size]]
-            items = task.items[batch]
-            logits, cache = model.forward(g, supp, rev, train_mode=True,
-                                          seed=seed * 7919 + step, rows=items)
+            v, rows = _view(task, batch, supp, rev, hops)
+            logits, cache = model.forward(v.graph, v.supp, v.rev,
+                                          train_mode=True,
+                                          seed=seed * 7919 + step, rows=rows)
             step += 1
             if not np.isfinite(logits).all():
                 raise TrainingError(f"non-finite logits at epoch {epoch}")
@@ -161,8 +170,8 @@ def train_model(task: TaskData, model_config: ModelConfig,
             epoch_losses.append(loss)
         record.train_losses.append(float(np.mean(epoch_losses)))
 
-        val_logits, _ = model.forward(g, supp, rev,
-                                      rows=task.items[task.val_idx])
+        val_logits, _ = model.forward(val_view.graph, val_view.supp,
+                                      val_view.rev, rows=val_rows)
         if not np.isfinite(val_logits).all():
             raise TrainingError(f"non-finite logits at epoch {epoch}")
         val_loss, _ = weighted_bce_loss(val_logits, task.labels[task.val_idx],
@@ -181,8 +190,9 @@ def train_model(task: TaskData, model_config: ModelConfig,
                 break
 
     model.params[...] = best_params
-    test_logits, _ = model.forward(g, supp, rev,
-                                   rows=task.items[task.test_idx])
+    del val_view
+    v, rows = _view(task, task.test_idx, supp, rev, hops)
+    test_logits, _ = model.forward(v.graph, v.supp, v.rev, rows=rows)
     record.final_metrics = evaluate_scores(test_logits,
                                            task.labels[task.test_idx])
     record.wall_clock = time.perf_counter() - start
@@ -194,21 +204,41 @@ def _check_model(config: ModelConfig, task: TaskData, verb: str) -> None:
         raise ModelError(f"a {config.readout}-readout model cannot "
                          f"{verb} a {task.task_type} task")
     if config.ego_ids:
-        raise ConfigError("ego_ids waits for sampled training: a full-graph "
-                          "forward has no ego node to mark")
+        raise ConfigError("ego_ids waits for sampled training: no forward "
+                          "here marks an ego node")
 
 
-def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
-    """Metrics of model on one split ("train", "val" or "test") of task,
-    whose type must match the model's readout (ModelError otherwise); an
-    ego_ids model or an unknown split raises ConfigError."""
-    _check_model(model.config, task, "evaluate")
+def _split_items(task: TaskData, split: str) -> np.ndarray:
+    """The indices into task.items of one split; ConfigError for an unknown
+    or empty split."""
     idx = {"train": task.train_idx, "val": task.val_idx,
            "test": task.test_idx}.get(split)
     if idx is None:
         raise ConfigError(f"split {split!r} is not train, val or test")
-    g = task.graph
-    supp = build_support_index(g)
-    rev = build_reverse_index(g, supp)
-    logits, _ = model.forward(g, supp, rev, rows=task.items[idx])
+    if len(idx) == 0:
+        raise ConfigError(f"the {split} split of the task is empty")
+    return idx
+
+
+def _view(task: TaskData, idx, supp, rev, hops: int):
+    """(view, rows): the exact receptive field of task.items[idx] for a
+    hops-layer model, and those items' rows in it."""
+    items = task.items[idx]
+    seeds = "seed_edges" if task.task_type == "edge" else "seed_nodes"
+    v = sample_neighborhood(task.graph, supp, rev, hops=hops, per_hop=None,
+                            **{seeds: items})
+    return v, v.local(items, task.task_type)
+
+
+def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
+    """Metrics of model on one split ("train", "val" or "test") of task,
+    computed on the split's receptive field (as in train_model). The task
+    type must match the model's readout (ModelError otherwise); an ego_ids
+    model or an unknown or empty split raises ConfigError."""
+    _check_model(model.config, task, "evaluate")
+    idx = _split_items(task, split)
+    supp = build_support_index(task.graph)
+    v, rows = _view(task, idx, supp, build_reverse_index(task.graph, supp),
+                    model.config.num_layers)
+    logits, _ = model.forward(v.graph, v.supp, v.rev, rows=rows)
     return evaluate_scores(logits, task.labels[idx])

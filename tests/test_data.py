@@ -243,6 +243,23 @@ def test_sampler_large_cap_is_full_neighborhood():
     assert is_weakly_connected(s.graph)
 
 
+def test_sampler_drops_pairs_between_last_hop_nodes():
+    """A view keeps the pairs leaving nodes within hops - 1 hops, not the
+    subgraph induced by every node it reaches: 1 -> 2 joins two nodes first
+    reached at hop 1, so a 1-hop view leaves it out."""
+    g = Multigraph(4, np.ones((4, 1)), [(0, 1), (0, 2), (1, 2)],
+                   np.arange(3.0)[:, None])
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    for per_hop in (100, None):       # node 3 keeps the walk from every node
+        s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=1,
+                                per_hop=per_hop)
+        assert s.node_map.tolist() == [0, 1, 2]
+        assert s.edge_map.tolist() == [0, 1]
+    s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=2, per_hop=None)
+    assert s.edge_map.tolist() == [0, 1, 2]
+
+
 def test_sampler_lists_in_neighbours_first():
     # node 0 sends to 1 and 3 and receives from 2 and 4
     g = Multigraph(5, np.ones((5, 1)), [(0, 3), (2, 0), (0, 1), (4, 0), (2, 0)],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from meganet import heap
+from meganet import train as train_module
 from meganet.agg import AggSpec
 from meganet.data import ConfigError, generate_planted_task
 from meganet.graph import build_support_index, random_connected_multigraph
@@ -139,8 +140,8 @@ def test_train_model_rejects_readout_of_other_task_type(monkeypatch, task_fn,
 @pytest.mark.parametrize("task_fn", [small_task, edge_task],
                          ids=["node-task", "edge-task"])
 def test_full_graph_runs_refuse_ego_ids(monkeypatch, task_fn):
-    """A full-graph forward has no ego nodes: training and evaluation of an
-    ego_ids model raise ConfigError before any forward runs."""
+    """No forward marks ego nodes: training and evaluation of an ego_ids
+    model raise ConfigError before any forward runs."""
     task = task_fn()
     mc, tc = fast_configs()
     mc = replace(mc, readout=task.task_type, ego_ids=True)
@@ -169,6 +170,18 @@ def test_evaluate_model_names_the_splits(split):
     mc, _ = fast_configs()
     with pytest.raises(ConfigError, match="is not train, val or test"):
         evaluate_model(Model(mc, 2, 2), task, split)
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_empty_split_is_refused(split):
+    """An empty split is a configuration error, not NaN losses and an F1
+    of 0: training refuses it, and so does evaluating on it."""
+    task = replace(small_task(), **{f"{split}_idx": np.array([], dtype=int)})
+    mc, tc = fast_configs()
+    with pytest.raises(ConfigError, match=f"the {split} split .* is empty"):
+        train_model(task, mc, tc, seed=0)
+    with pytest.raises(ConfigError, match=f"the {split} split .* is empty"):
+        evaluate_model(Model(mc, 1, 1), task, split)
 
 
 def test_two_stage_learns_planted_task():
@@ -256,15 +269,25 @@ def test_trimmed_heap_nests_and_trims_on_error(trims):
 def test_train_model_asks_each_forward_for_its_items(monkeypatch, task_fn,
                                                      readout):
     """Train steps ask for their batch's logits; validation and test
-    forwards for their split's."""
-    calls = []
-    real = Model.forward
+    forwards for their split's. Rows are local to each forward's view and
+    map back to the items through its node or edge map."""
+    calls, views = [], {}
+    real, sample = Model.forward, train_module.sample_neighborhood
 
-    def spy(self, *args, **kwargs):
-        calls.append((kwargs.get("train_mode", False), kwargs.get("rows")))
-        return real(self, *args, **kwargs)
+    def spy(self, g, *args, **kwargs):
+        v = views[id(g)]
+        parent = v.edge_map if readout == "edge" else v.node_map
+        calls.append((kwargs.get("train_mode", False),
+                      parent[kwargs.get("rows")]))
+        return real(self, g, *args, **kwargs)
+
+    def record_view(*args, **kwargs):
+        v = sample(*args, **kwargs)
+        views[id(v.graph)] = v
+        return v
 
     monkeypatch.setattr(Model, "forward", spy)
+    monkeypatch.setattr(train_module, "sample_neighborhood", record_view)
     task = task_fn()
     mc, tc = fast_configs()
     train_model(task, replace(mc, readout=readout),
