@@ -95,7 +95,8 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
 
     Accounts are renumbered densely in first-seen order (account_names
     keeps the CSV value of each id) and categorical columns are
-    dictionary-encoded. Timestamps and amounts must be finite numbers,
+    dictionary-encoded. A row must fill every column the schema reads and
+    name both accounts. Timestamps and amounts must be finite numbers,
     timestamps within the int64 range, and edge labels 0 or 1. Errors carry
     1-based data row numbers.
     """
@@ -110,6 +111,9 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
         missing = [c for c in needed if c not in reader.fieldnames]
         if missing:
             raise IngestionError(f"{path}: missing column(s) {missing}")
+        # a short row lacks a suffix of the header's columns: test the last
+        # column the schema reads
+        last = max(needed, key=reader.fieldnames.index)
 
         accounts: dict[str, int] = {}
         cat_dicts: list[dict[str, int]] = [{} for _ in schema.categorical]
@@ -131,8 +135,15 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
                         "a finite number")
                 return x
 
-            src.append(intern(accounts, row[schema.src]))
-            dst.append(intern(accounts, row[schema.dst]))
+            if row[last] is None:
+                raise IngestionError(
+                    f"{path} row {rownum}: fewer fields than the header")
+            s, d = row[schema.src], row[schema.dst]
+            if not (s and d):
+                raise IngestionError(f"{path} row {rownum}: "
+                                     f"{schema.dst if s else schema.src} is empty")
+            src.append(intern(accounts, s))
+            dst.append(intern(accounts, d))
             t = int(number(schema.timestamp, "timestamp"))
             if not _INT64_MIN <= t <= _INT64_MAX:
                 raise IngestionError(
@@ -296,8 +307,6 @@ class BatchSample:
     graph: Multigraph
     node_map: np.ndarray    # local node i -> parent node id
     edge_map: np.ndarray    # local edge k -> parent edge id, ascending
-    roots_local: np.ndarray
-    hop_nodes: list[np.ndarray]
 
     @cached_property
     def supp(self) -> SupportIndex:
@@ -320,15 +329,12 @@ class BatchSample:
         return order[pos]
 
 
-def full_view(g: Multigraph, supp: SupportIndex, rev: SupportIndex,
-              hop_nodes=None) -> BatchSample:
+def full_view(g: Multigraph, supp: SupportIndex,
+              rev: SupportIndex) -> BatchSample:
     """g as a view: identity maps and the given indices, nothing copied or
-    built. hop_nodes is the walk that reached every node, if any; its
-    first hop are the roots."""
-    hop_nodes = hop_nodes or [np.empty(0, dtype=np.int64)]
+    built."""
     view = BatchSample(graph=g, node_map=np.arange(g.num_nodes),
-                       edge_map=np.arange(g.num_edges),
-                       roots_local=hop_nodes[0], hop_nodes=hop_nodes)
+                       edge_map=np.arange(g.num_edges))
     vars(view).update(supp=supp, rev=rev)
     return view
 
@@ -354,8 +360,7 @@ def sample_neighborhood(
 
     per_hop=None takes every neighbour and draws nothing, so the result is
     the exact receptive field of a hops-layer model (BatchSample). When
-    that walk reaches every node, it stops and returns full_view(g, supp,
-    rev), whose hop_nodes are the walk's, padded with empty hops.
+    that walk reaches every node, it stops and returns full_view(g, supp, rev).
     """
     if (per_hop is not None and per_hop < 1) or hops < 0:
         raise ConfigError("per_hop must be at least 1 and hops at least 0")
@@ -388,9 +393,7 @@ def sample_neighborhood(
         pairs.append(_mark_new(pair, kept))
         hop_nodes.append(_mark_new(u, seen))
     if per_hop is None and seen.all():
-        empty = np.empty(0, dtype=np.int64)
-        return full_view(g, supp, rev,
-                         hop_nodes + [empty] * (hops + 1 - len(hop_nodes)))
+        return full_view(g, supp, rev)
 
     edge_ids = np.sort(group_items(supp.by_pair, np.concatenate(pairs))[1])
     node_map = np.concatenate(hop_nodes)
@@ -402,9 +405,7 @@ def sample_neighborhood(
         edges=local[g.edges[edge_ids]],
         edge_features=g.edge_features[edge_ids],
     )
-    return BatchSample(graph=sub, node_map=node_map, edge_map=edge_ids,
-                       roots_local=np.arange(hop_nodes[0].size),
-                       hop_nodes=hop_nodes)
+    return BatchSample(graph=sub, node_map=node_map, edge_map=edge_ids)
 
 
 def _mark_new(items: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -600,12 +601,9 @@ def write_transactions_csv(path, g: Multigraph, edge_labels=None) -> int:
     return g.num_edges
 
 
-def write_node_labels_csv(path, labels) -> int:
+def write_node_labels_csv(path, labels) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "label"])
-        count = 0
         for v, lab in enumerate(labels):
             writer.writerow([v, int(lab)])
-            count += 1
-    return count

@@ -263,13 +263,6 @@ class GraphPermutation:
             if p.size and not np.array_equal(np.sort(p), np.arange(p.size)):
                 raise GraphError(f"{name} is not a bijection")
 
-    def inverse(self) -> "GraphPermutation":
-        inv_n = np.empty_like(self.node_perm)
-        inv_n[self.node_perm] = np.arange(self.node_perm.size)
-        inv_e = np.empty_like(self.edge_perm)
-        inv_e[self.edge_perm] = np.arange(self.edge_perm.size)
-        return GraphPermutation(inv_n, inv_e)
-
 
 def apply_permutation(g: Multigraph, p: GraphPermutation) -> Multigraph:
     """Return the isomorphic graph with relabeled nodes and reordered edges."""

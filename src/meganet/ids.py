@@ -178,14 +178,10 @@ def _port_embeddings(g: Multigraph, supp: SupportIndex, rev: SupportIndex,
 
 @dataclass(frozen=True)
 class WitnessReport:
-    found: bool
-    n: int
-    node: int | None
-    base_seed: int
-    other_seed: int | None
-    embedding_base: tuple[int, ...] | None
-    embedding_other: tuple[int, ...] | None
-    trials_used: int
+    node: int
+    other_seed: int
+    embedding_base: tuple[int, ...]
+    embedding_other: tuple[int, ...]
 
 
 def make_star_graph(n: int) -> Multigraph:
@@ -218,11 +214,8 @@ def nonequivariance_witness(n: int, trials: int = 10,
         for v in range(n):
             if emb_base[v] != emb_other[v]:
                 return WitnessReport(
-                    found=True, n=n, node=v, base_seed=base_seed,
-                    other_seed=base_seed + t,
-                    embedding_base=emb_base[v], embedding_other=emb_other[v],
-                    trials_used=t,
-                )
+                    node=v, other_seed=base_seed + t,
+                    embedding_base=emb_base[v], embedding_other=emb_other[v])
     raise RuntimeError(
         f"no witness found for n={n} after {trials} trials; "
         "the port assignment degrees of freedom should make this impossible")

@@ -39,9 +39,9 @@ def pr_auc(scores, labels) -> float:
     return float(np.trapezoid(precision, recall))
 
 
-def evaluate_scores(scores, labels, threshold: float = 0.0) -> dict:
-    """Threshold logits at `threshold` and report the full metric set."""
-    pred = np.asarray(scores) > threshold
+def evaluate_scores(scores, labels) -> dict:
+    """Threshold logits at 0 and report the full metric set."""
+    pred = np.asarray(scores) > 0.0
     out = binary_metrics(pred, labels)
     out["pr_auc"] = pr_auc(scores, labels)
     return out

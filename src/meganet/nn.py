@@ -366,9 +366,6 @@ def adam_step(
     grads: np.ndarray,
     state: AdamState,
     learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> np.ndarray:
     """Standard Adam update of a flat parameter vector, in place.
 
@@ -376,6 +373,7 @@ def adam_step(
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise NnError("params, grads and state must be shape-congruent")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     state.m = beta1 * state.m + (1 - beta1) * grads
     state.v = beta2 * state.v + (1 - beta2) * grads * grads

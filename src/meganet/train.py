@@ -5,13 +5,14 @@ partition the labeled items (nodes or edges). Every forward runs on the
 exact receptive field of the items whose logits it returns: a view from
 data.sample_neighborhood with hops = num_layers and every neighbour
 taken, or the whole graph when that walk reaches every node. Each train
-step builds its batch's view; validation and test build theirs once per
-run. Eval logits through a view are the whole graph's, and so are a
-train step's when dropout is 0 (its masks are drawn over the view's
-rows). The loss reads the batch's logits and its gradient goes to
-backward as is. Model selection keeps the parameters with the best
-validation minority-class F1. Training and evaluation refuse an empty
-split and, since no ego node is marked, an ego_ids model (ConfigError).
+step builds its batch's view, except that a batch holding the whole train
+split builds it once; validation and test build theirs once per run. Eval
+logits through a view are the whole graph's, and so are a train step's
+when dropout is 0 (its masks are drawn over the view's rows). The loss
+reads the batch's logits and its gradient goes to backward as is. Model
+selection keeps the parameters with the best validation minority-class
+F1. Training and evaluation refuse an empty split and, since no ego node
+is marked, an ego_ids model (ConfigError).
 """
 
 from __future__ import annotations
@@ -92,12 +93,10 @@ class TaskData:
     test_idx: np.ndarray
 
 
-def random_item_split(num_items: int, seed: int,
-                      fractions=(0.6, 0.2, 0.2)):
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(num_items)
-    n1 = int(num_items * fractions[0])
-    n2 = int(num_items * (fractions[0] + fractions[1]))
+def random_item_split(num_items: int, seed: int):
+    """A random 60/20/20 train/val/test split of range(num_items)."""
+    order = np.random.default_rng(seed).permutation(num_items)
+    n1, n2 = int(num_items * 0.6), int(num_items * 0.8)
     return order[:n1], order[n1:n2], order[n2:]
 
 
@@ -129,7 +128,8 @@ def train_model(task: TaskData, model_config: ModelConfig,
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)       # the model decides if it reads it
     hops = model_config.num_layers
-    val_view, val_rows = _view(task, task.val_idx, supp, rev, hops)
+    val_view = _view(task, task.val_idx, supp, rev, hops)
+    val_rows = val_view.local(task.items[task.val_idx], task.task_type)
 
     model = Model(model_config, g.node_features.shape[1],
                   g.edge_features.shape[1], seed=seed)
@@ -145,15 +145,18 @@ def train_model(task: TaskData, model_config: ModelConfig,
     )
     best_f1 = -1.0
     best_params = model.params.copy()
-    stale = 0
     step = 0
+    v = None
 
     for epoch in range(train_config.epochs):
         order = rng.permutation(task.train_idx.size)
         epoch_losses = []
         for lo in range(0, order.size, train_config.batch_size):
             batch = task.train_idx[order[lo:lo + train_config.batch_size]]
-            v, rows = _view(task, batch, supp, rev, hops)
+            # a batch of the whole split holds the same items every step
+            if v is None or batch.size < order.size:
+                v = _view(task, batch, supp, rev, hops)
+            rows = v.local(task.items[batch], task.task_type)
             logits, cache = model.forward(v.graph, v.supp, v.rev,
                                           train_mode=True,
                                           seed=seed * 7919 + step, rows=rows)
@@ -183,18 +186,12 @@ def train_model(task: TaskData, model_config: ModelConfig,
             best_f1 = val_metrics["f1"]
             best_params = model.params.copy()
             record.best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale > train_config.patience:
-                break
+        elif epoch - record.best_epoch > train_config.patience:
+            break
 
     model.params[...] = best_params
-    del val_view
-    v, rows = _view(task, task.test_idx, supp, rev, hops)
-    test_logits, _ = model.forward(v.graph, v.supp, v.rev, rows=rows)
-    record.final_metrics = evaluate_scores(test_logits,
-                                           task.labels[task.test_idx])
+    del val_view, v
+    record.final_metrics = _evaluate(model, task, task.test_idx, supp, rev)
     record.wall_clock = time.perf_counter() - start
     return model, record
 
@@ -221,13 +218,19 @@ def _split_items(task: TaskData, split: str) -> np.ndarray:
 
 
 def _view(task: TaskData, idx, supp, rev, hops: int):
-    """(view, rows): the exact receptive field of task.items[idx] for a
-    hops-layer model, and those items' rows in it."""
-    items = task.items[idx]
+    """The exact receptive field of task.items[idx], hops layers deep."""
     seeds = "seed_edges" if task.task_type == "edge" else "seed_nodes"
-    v = sample_neighborhood(task.graph, supp, rev, hops=hops, per_hop=None,
-                            **{seeds: items})
-    return v, v.local(items, task.task_type)
+    return sample_neighborhood(task.graph, supp, rev, hops=hops, per_hop=None,
+                               **{seeds: task.items[idx]})
+
+
+def _evaluate(model: Model, task: TaskData, idx, supp, rev) -> dict:
+    """Metrics of model on task.items[idx], from an eval forward on their
+    receptive field."""
+    v = _view(task, idx, supp, rev, model.config.num_layers)
+    logits, _ = model.forward(v.graph, v.supp, v.rev,
+                              rows=v.local(task.items[idx], task.task_type))
+    return evaluate_scores(logits, task.labels[idx])
 
 
 def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
@@ -238,7 +241,5 @@ def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
     _check_model(model.config, task, "evaluate")
     idx = _split_items(task, split)
     supp = build_support_index(task.graph)
-    v, rows = _view(task, idx, supp, build_reverse_index(task.graph, supp),
-                    model.config.num_layers)
-    logits, _ = model.forward(v.graph, v.supp, v.rev, rows=rows)
-    return evaluate_scores(logits, task.labels[idx])
+    return _evaluate(model, task, idx, supp,
+                     build_reverse_index(task.graph, supp))

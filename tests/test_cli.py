@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from meganet import checks
 from meganet.cli import (
     DEFAULTS,
     _configs,
@@ -310,13 +311,36 @@ def test_labelless_schema_without_sidecar_exit_2(dataset, tmp_path, capsys):
 def test_check_subcommand_report(tmp_path, capsys):
     report = tmp_path / "rep.json"
     rc = run(["check", "--suite", "expressivity", "--suite", "port-witness",
-              "--out", report])
+              "--suite", "connectivity", "--out", report])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "[PASS] expressivity" in out
+    assert "[PASS] expressivity" in out and "[PASS] connectivity" in out
     payload = json.loads(report.read_text())
     assert payload["passed"] is True
-    assert len(payload["suites"]) == 2
+    assert [s["suite"] for s in payload["suites"]] == [
+        "expressivity", "port-witness", "connectivity"]
+
+
+def test_check_suite_selection_and_exit_code(monkeypatch, capsys):
+    """By default check runs every suite but the slow planted-separation;
+    'all' runs that too, and a failed suite makes the exit code 1."""
+    ran, passes = [], {"fast": True, "planted-separation": True}
+
+    def fake(name):
+        def suite():
+            ran.append(name)
+            return {"suite": name, "passed": passes[name], "seconds": 0.0}
+        return suite
+
+    monkeypatch.setattr(checks, "SUITES", {n: fake(n) for n in passes})
+    assert run(["check"]) == 0 and ran == ["fast"]
+    ran.clear()
+    assert run(["check", "--suite", "all"]) == 0
+    assert ran == ["fast", "planted-separation"]
+    passes["planted-separation"] = False
+    assert run(["check"]) == 0
+    assert run(["check", "--suite", "all"]) == 1
+    assert "[FAIL] planted-separation" in capsys.readouterr().out
 
 
 def test_check_unknown_suite_exit_2(capsys):
@@ -447,13 +471,18 @@ def test_gen_out_neighbor_count_needs_median_degree_2(tmp_path, capsys):
     ("timestamp", "inf", "timestamp 'inf' is not a finite number"),
     ("label", "2", "label '2' must be 0 or 1"),
     ("timestamp", "1e300", "timestamp '1e300' is outside the int64 range"),
-], ids=["nan-amount", "inf-timestamp", "label-2", "huge-timestamp"])
+    ("src", "", "src is empty"),
+    ("amount", None, "fewer fields than the header"),
+], ids=["nan-amount", "inf-timestamp", "label-2", "huge-timestamp",
+        "empty-src", "short-row"])
 def test_malformed_transaction_row_exit_2(tmp_path, capsys, column, value,
                                           message):
     header = ["src", "dst", "timestamp", "amount", "label"]
     rows = [[str(k % 3), str((k + 1) % 3), str(k), "1.5", str(k % 2)]
             for k in range(10)]
     rows[6][header.index(column)] = value
+    if value is None:                       # the row ends before column
+        del rows[6][header.index(column):]
     tx = tmp_path / "tx.csv"
     tx.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
     rc = run(["train", "--data", tx, "--out-dir", tmp_path / "o",

@@ -2,6 +2,7 @@
 them (a batch's exact receptive field gives the whole graph's logits and
 gradients), and train_model, which runs every forward on one."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -51,7 +52,7 @@ def same_array(a, b):
 def test_unbounded_walk_equals_a_cap_no_node_reaches(make_graph, seed_kind):
     """per_hop=None takes what a cap above every degree takes, bit for bit,
     without a draw. Where that walk reaches every node it returns the full
-    view instead, with the same hops and every node."""
+    view instead."""
     reached = []
     for seed in range(4):
         g = make_graph(seed)
@@ -65,15 +66,12 @@ def test_unbounded_walk_equals_a_cap_no_node_reaches(make_graph, seed_kind):
                                     **seeds)
             b = sample_neighborhood(g, supp, rev, hops=hops, per_hop=10**9,
                                     **seeds)
-            assert len(a.hop_nodes) == len(b.hop_nodes) == hops + 1
-            for ha, hb in zip(a.hop_nodes, b.hop_nodes):
-                assert same_array(ha, hb)
             reached.append(a.graph is g)
             if a.graph is g:
                 assert a.supp is supp and a.rev is rev
                 assert np.unique(b.node_map).size == g.num_nodes
                 continue
-            for name in ("node_map", "edge_map", "roots_local"):
+            for name in ("node_map", "edge_map"):
                 assert same_array(getattr(a, name), getattr(b, name))
             assert a.graph.num_nodes == b.graph.num_nodes
             for name in ("edges", "node_features", "edge_features"):
@@ -93,7 +91,6 @@ def test_full_view_maps_ids_to_themselves():
     assert v.graph is g and v.supp is supp and v.rev is rev
     assert v.local([4, 0, 4], "node").tolist() == [4, 0, 4]
     assert v.local([9, 2], "edge").tolist() == [9, 2]
-    assert v.roots_local.size == 0
 
 
 def test_view_local_rows_map_back_and_reject_outsiders():
@@ -181,6 +178,14 @@ def record_views(monkeypatch):
     return views
 
 
+def view_builds(task, tc):
+    """Views a full run of train_model builds: validation, one per train
+    step (one in all for a lone batch, whose items never change) and
+    test."""
+    batches = -(-task.train_idx.size // tc.batch_size)
+    return 1 + (tc.epochs * batches if batches > 1 else 1) + 1
+
+
 def stars_task(seed=0):
     """max_of_sums: disjoint stars, one receiver and its senders each."""
     g, labels = generate_planted_task(60, 2, 2, "max_of_sums", seed)
@@ -204,10 +209,22 @@ def test_stars_train_on_strict_subsets(monkeypatch):
     task = stars_task()
     mc, tc = configs()
     train_model(task, mc, tc, seed=0)
-    batches = -(-task.train_idx.size // tc.batch_size)
-    assert len(views) == 1 + tc.epochs * batches + 1
+    assert len(views) == view_builds(task, tc)
     for v in views:
         assert v.graph is not task.graph
+        assert v.graph.num_edges < task.graph.num_edges
+
+
+def test_lone_batch_builds_its_view_once(monkeypatch):
+    """A batch of the whole train split holds the same items every epoch,
+    so its view is built once: validation, train and test build three."""
+    views = record_views(monkeypatch)
+    task = stars_task()
+    mc, tc = configs()
+    tc = dataclasses.replace(tc, batch_size=task.train_idx.size)
+    train_model(task, mc, tc, seed=0)
+    assert len(views) == view_builds(task, tc) == 3
+    for v in views:
         assert v.graph.num_edges < task.graph.num_edges
 
 
@@ -223,8 +240,7 @@ def test_walk_reaching_every_node_trains_on_the_graph(monkeypatch, readout):
                     **node_split(width, 0))
     mc, tc = configs(readout=readout)
     train_model(task, mc, tc, seed=0)
-    batches = -(-task.train_idx.size // tc.batch_size)
-    assert len(views) == 1 + tc.epochs * batches + 1
+    assert len(views) == view_builds(task, tc)
     for v in views:
         assert v.graph is task.graph and v.supp is views[0].supp
 

@@ -53,17 +53,13 @@ def reference_sample(g, supp, rev, seed_nodes=None, seed_edges=None, hops=2,
         _, order, offsets = supp.by_pair
         edge_set.update(order[offsets[s]:offsets[s + 1]].tolist())
 
-    roots = []
     for v in seed_nodes:
         add_node(int(v))
-        roots.append(int(v))
     for k in seed_edges:
         add_group(int(supp.edge_to_supp[k]))
         for v in (int(g.src[k]), int(g.dst[k])):
             add_node(v)
-            roots.append(v)
     frontier = list(node_order)
-    hop_nodes = [np.array(node_order, dtype=np.int64)]
     for _ in range(hops):
         next_frontier = []
         for v in frontier:
@@ -79,7 +75,6 @@ def reference_sample(g, supp, rev, seed_nodes=None, seed_edges=None, hops=2,
                         add_node(u)
                         next_frontier.append(u)
         frontier = next_frontier
-        hop_nodes.append(np.array(next_frontier, dtype=np.int64))
     edge_ids = np.array(sorted(edge_set), dtype=np.int64)
     for k in edge_ids:
         add_node(int(g.src[k]))
@@ -88,8 +83,7 @@ def reference_sample(g, supp, rev, seed_nodes=None, seed_edges=None, hops=2,
     local_of = {int(v): i for i, v in enumerate(node_map)}
     local_edges = np.array([[local_of[int(g.src[k])], local_of[int(g.dst[k])]]
                             for k in edge_ids], dtype=np.int64).reshape(-1, 2)
-    roots_local = np.array(sorted({local_of[r] for r in roots}), dtype=np.int64)
-    return node_map, edge_ids, local_edges, roots_local, hop_nodes
+    return node_map, edge_ids, local_edges
 
 
 def reference_id_rounds(n, root, directions, digits):
@@ -141,8 +135,8 @@ def reference_witness(n, trials=10, base_seed=0):
         emb_other = embed(base_seed + t)
         for v in range(n):
             if emb_base[v] != emb_other[v]:
-                return WitnessReport(True, n, v, base_seed, base_seed + t,
-                                     emb_base[v], emb_other[v], t)
+                return WitnessReport(v, base_seed + t, emb_base[v],
+                                     emb_other[v])
     return None
 
 
@@ -186,15 +180,11 @@ def test_sampler_matches_reference(hops, per_hop):
             s = sample_neighborhood(g, supp, rev, seed_nodes=nodes,
                                     seed_edges=edges, hops=hops,
                                     per_hop=per_hop, rng_seed=gi)
-            node_map, edge_ids, local_edges, roots_local, hop_nodes = \
+            node_map, edge_ids, local_edges = \
                 reference_sample(g, supp, rev, nodes, edges, hops, per_hop, gi)
             assert np.array_equal(s.node_map, node_map)
             assert np.array_equal(s.edge_map, edge_ids)
             assert np.array_equal(s.graph.edges, local_edges)
-            assert np.array_equal(s.roots_local, roots_local)
-            assert len(s.hop_nodes) == len(hop_nodes)
-            for a, b in zip(s.hop_nodes, hop_nodes):
-                assert np.array_equal(a, b) and a.dtype == b.dtype
             assert np.array_equal(s.graph.node_features, g.node_features[node_map])
             assert np.array_equal(s.graph.edge_features, g.edge_features[edge_ids])
             assert s.node_map.dtype == s.edge_map.dtype == np.int64
@@ -206,9 +196,8 @@ def test_sampler_isolated_seed_node():
     s = sample_neighborhood(g, supp, build_reverse_index(g, supp),
                             seed_nodes=[3, 0], hops=2, per_hop=1)
     assert s.node_map.tolist() == [3, 0, 1]
-    assert [h.tolist() for h in s.hop_nodes] == [[3, 0], [1], []]
     assert s.edge_map.tolist() == [0, 1]
-    assert s.roots_local.tolist() == [0, 1]
+    assert s.local([3, 0], "node").tolist() == [0, 1]
 
 
 def test_id_rounds_match_reference():
