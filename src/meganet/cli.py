@@ -77,8 +77,12 @@ def _coerce(key: str, raw: str):
 
 def read_config_file(path) -> dict:
     """key=value lines; blank lines and # comments are ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -323,7 +327,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (AggError, ConfigError, IngestionError, ModelError, NnError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

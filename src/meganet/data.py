@@ -90,76 +90,81 @@ class TransactionTable:
         return self.src.size
 
 
+def _csv_rows(path, columns):
+    """Yield (row number, fields of columns) for the data rows of a headered
+    UTF-8 CSV, numbered from 1 and skipping blank lines. IngestionError for
+    an empty file, a column the header lacks or names twice, a row whose
+    field count differs from the header's, or text that is not UTF-8 CSV."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: file is empty")
+            bad = [c for c in columns if header.count(c) != 1]
+            if bad:
+                raise IngestionError(f"{path}: the header must name column(s) "
+                                     f"{bad} once")
+            at = [header.index(c) for c in columns]
+            for rownum, fields in enumerate(filter(None, reader), start=1):
+                if len(fields) != len(header):
+                    more = "more" if len(fields) > len(header) else "fewer"
+                    raise IngestionError(
+                        f"{path} row {rownum}: {more} fields than the header")
+                yield rownum, [fields[i] for i in at]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise IngestionError(f"{path}: not UTF-8 CSV text: {exc}") from None
+
+
+def _number(path, rownum: int, text: str, role: str) -> float:
+    """text as a finite float, else IngestionError naming the row."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise IngestionError(
+            f"{path} row {rownum}: {role} {text!r} is not a finite number")
+    return x
+
+
 def load_transactions(path, schema: Schema) -> TransactionTable:
     """Read a headered CSV into a transaction table.
 
     Accounts are renumbered densely in first-seen order (account_names
     keeps the CSV value of each id) and categorical columns are
-    dictionary-encoded. A row must fill every column the schema reads and
+    dictionary-encoded. A row must have as many fields as the header and
     name both accounts. Timestamps and amounts must be finite numbers,
     timestamps within the int64 range, and edge labels 0 or 1. Errors carry
     1-based data row numbers.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestionError(f"{path}: file is empty")
-        needed = [schema.src, schema.dst, schema.timestamp, schema.amount,
-                  *schema.categorical]
+    columns = [schema.src, schema.dst, schema.timestamp, schema.amount,
+               *schema.categorical]
+    if schema.label is not None:
+        columns.append(schema.label)
+    accounts: dict[str, int] = {}
+    cat_dicts: list[dict[str, int]] = [{} for _ in schema.categorical]
+    src, dst, ts, amt, cats, labels = [], [], [], [], [], []
+    for rownum, (s, d, t_text, a_text, *rest) in _csv_rows(path, columns):
+        if not (s and d):
+            raise IngestionError(f"{path} row {rownum}: "
+                                 f"{schema.dst if s else schema.src} is empty")
+        src.append(accounts.setdefault(s, len(accounts)))
+        dst.append(accounts.setdefault(d, len(accounts)))
+        t = int(_number(path, rownum, t_text, "timestamp"))
+        if not _INT64_MIN <= t <= _INT64_MAX:
+            raise IngestionError(f"{path} row {rownum}: timestamp {t_text!r} "
+                                 "is outside the int64 range")
+        ts.append(t)
+        amt.append(_number(path, rownum, a_text, "amount"))
+        # zip stops at the categoricals, before a trailing label
+        cats.append([c.setdefault(v, len(c)) for c, v in zip(cat_dicts, rest)])
         if schema.label is not None:
-            needed.append(schema.label)
-        missing = [c for c in needed if c not in reader.fieldnames]
-        if missing:
-            raise IngestionError(f"{path}: missing column(s) {missing}")
-        # a short row lacks a suffix of the header's columns: test the last
-        # column the schema reads
-        last = max(needed, key=reader.fieldnames.index)
-
-        accounts: dict[str, int] = {}
-        cat_dicts: list[dict[str, int]] = [{} for _ in schema.categorical]
-        src, dst, ts, amt, cats, labels = [], [], [], [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            def intern(table: dict, key: str) -> int:
-                if key not in table:
-                    table[key] = len(table)
-                return table[key]
-
-            def number(column: str, role: str) -> float:
-                try:
-                    x = float(row[column])
-                except ValueError:
-                    x = math.nan
-                if not math.isfinite(x):
-                    raise IngestionError(
-                        f"{path} row {rownum}: {role} {row[column]!r} is not "
-                        "a finite number")
-                return x
-
-            if row[last] is None:
+            label = _number(path, rownum, rest[-1], "label")
+            if label not in (0.0, 1.0):
                 raise IngestionError(
-                    f"{path} row {rownum}: fewer fields than the header")
-            s, d = row[schema.src], row[schema.dst]
-            if not (s and d):
-                raise IngestionError(f"{path} row {rownum}: "
-                                     f"{schema.dst if s else schema.src} is empty")
-            src.append(intern(accounts, s))
-            dst.append(intern(accounts, d))
-            t = int(number(schema.timestamp, "timestamp"))
-            if not _INT64_MIN <= t <= _INT64_MAX:
-                raise IngestionError(
-                    f"{path} row {rownum}: timestamp {row[schema.timestamp]!r} "
-                    "is outside the int64 range")
-            ts.append(t)
-            amt.append(number(schema.amount, "amount"))
-            cats.append([intern(d, row[c])
-                         for d, c in zip(cat_dicts, schema.categorical)])
-            if schema.label is not None:
-                label = number(schema.label, "label")
-                if label not in (0.0, 1.0):
-                    raise IngestionError(
-                        f"{path} row {rownum}: label {row[schema.label]!r} "
-                        "must be 0 or 1")
-                labels.append(int(label))
+                    f"{path} row {rownum}: label {rest[-1]!r} must be 0 or 1")
+            labels.append(int(label))
     if not src:
         raise IngestionError(f"{path}: no data rows")
     n_cat = len(schema.categorical)
@@ -189,28 +194,23 @@ def load_node_labels(path, account_names) -> np.ndarray:
     ids = {name: i for i, name in enumerate(account_names)}
     labels = np.full(len(ids), -1, dtype=np.int64)
     listed = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"node", "label"} <= set(reader.fieldnames):
-            raise IngestionError(f"{path}: expected 'node,label' columns")
-        for rownum, row in enumerate(reader, start=1):
-            node = row["node"]
-            if node in listed:
-                raise IngestionError(
-                    f"{path} row {rownum}: node {node!r} is listed twice")
-            listed.add(node)
-            try:
-                label = int(row["label"])
-            except (ValueError, TypeError):
-                raise IngestionError(f"{path} row {rownum}: bad node label row") from None
-            if label not in (-1, 0, 1):
-                raise IngestionError(
-                    f"{path} row {rownum}: label {label} must be in {{-1, 0, 1}}")
-            if node in ids:
-                labels[ids[node]] = label
-            elif label != -1:
-                raise IngestionError(
-                    f"{path} row {rownum}: node {node!r} appears in no transaction")
+    for rownum, (node, text) in _csv_rows(path, ["node", "label"]):
+        if node in listed:
+            raise IngestionError(
+                f"{path} row {rownum}: node {node!r} is listed twice")
+        listed.add(node)
+        try:
+            label = int(text)
+        except ValueError:
+            raise IngestionError(f"{path} row {rownum}: bad node label row") from None
+        if label not in (-1, 0, 1):
+            raise IngestionError(
+                f"{path} row {rownum}: label {label} must be in {{-1, 0, 1}}")
+        if node in ids:
+            labels[ids[node]] = label
+        elif label != -1:
+            raise IngestionError(
+                f"{path} row {rownum}: node {node!r} appears in no transaction")
     return labels
 
 
@@ -256,11 +256,18 @@ def compute_feature_spec(t: TransactionTable, train_idx=None) -> FeatureSpec:
     idx = np.arange(t.num_rows) if train_idx is None else np.asarray(train_idx)
     ts = t.timestamp[idx].astype(np.float64)
     amt = t.amount[idx]
+    # finite amounts can sum or square past float64's range; int64
+    # timestamps cannot
+    with np.errstate(over="ignore", invalid="ignore"):
+        amount_mean, amount_std = float(amt.mean()), float(amt.std())
+    if not (math.isfinite(amount_mean) and math.isfinite(amount_std)):
+        raise IngestionError("amount: the training rows' mean or standard "
+                             "deviation overflows float64")
     return FeatureSpec(
         ts_mean=float(ts.mean()),
         ts_std=float(ts.std()) or 1.0,
-        amount_mean=float(amt.mean()),
-        amount_std=float(amt.std()) or 1.0,
+        amount_mean=amount_mean,
+        amount_std=amount_std or 1.0,
     )
 
 

@@ -534,7 +534,7 @@ def load_checkpoint(path) -> Model:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelError(f"checkpoint is not JSON: {exc}") from None
     try:
         if payload.get("format_version") != CHECKPOINT_VERSION:

@@ -498,3 +498,83 @@ def test_config_file_values_take_the_type_of_their_default(tmp_path):
     parsed = read_config_file(cfg)
     assert parsed == DEFAULTS
     assert all(type(parsed[k]) is type(v) for k, v in DEFAULTS.items())
+
+
+def ten_row_csv(path, header=b"src,dst,timestamp,amount,label", rows=None):
+    """A generated-schema transaction CSV; rows replaces data rows by their
+    1-based number."""
+    lines = [f"{k % 3},{(k + 1) % 3},{k},1.5,{k % 2}".encode()
+             for k in range(10)]
+    for rownum, line in (rows or {}).items():
+        lines[rownum - 1] = line
+    path.write_bytes(b"\n".join([header, *lines, b""]))
+    return path
+
+
+@pytest.mark.parametrize("header,rows,message", [
+    (b"src,dst,timestamp,amount,label", {7: b"0,1,6,1.5,0,7"},
+     "tx.csv row 7: more fields than the header"),
+    (b"src,dst,timestamp,amount,amount,label", {},
+     "tx.csv: the header must name column(s) ['amount'] once"),
+    (b"src,dst,timestamp,amount,label", {7: b"\xff,1,6,1.5,0"},
+     "tx.csv: not UTF-8 CSV text"),
+], ids=["more-fields", "column-twice", "not-utf8"])
+def test_malformed_transaction_file_exit_2(tmp_path, capsys, header, rows,
+                                           message):
+    tx = ten_row_csv(tmp_path / "tx.csv", header, rows)
+    rc = run(["train", "--data", tx, "--out-dir", tmp_path / "o",
+              "--epochs", 1])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sidecar,message", [
+    (b"node,label\n0,-1\n1,-1,junk\n",
+     "bad.labels.csv row 2: more fields than the header"),
+    (b"node,label\n0,-1\n\xe9,0\n", "bad.labels.csv: not UTF-8 CSV text"),
+], ids=["more-fields", "not-utf8"])
+def test_malformed_sidecar_file_exit_2(dataset, tmp_path, capsys, sidecar,
+                                       message):
+    tx, _ = dataset
+    bad = tmp_path / "bad.labels.csv"
+    bad.write_bytes(sidecar)
+    assert run(train_args(tx, bad, tmp_path / "o")) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_amounts_whose_mean_overflows_exit_2(tmp_path, capsys):
+    """Standardising finite amounts whose sum overflows float64 is a data
+    error naming the column; tier-1 turns a numpy warning into a failure."""
+    tx = ten_row_csv(tmp_path / "tx.csv", rows={
+        1: b"0,1,0,1e308,0", 2: b"1,2,1,1.5e308,1", 3: b"2,0,2,1.7e308,0"})
+    rc = run(["train", "--data", tx, "--out-dir", tmp_path / "o",
+              "--epochs", 1])
+    assert rc == 2
+    assert "amount: the training rows' mean or standard deviation " \
+        "overflows float64" in capsys.readouterr().err
+
+
+def test_checkpoint_that_is_not_utf8_exit_2(dataset, tmp_path, capsys):
+    tx, labels = dataset
+    ckpt = tmp_path / "model.json"
+    ckpt.write_bytes(b'{"format_version": "\xff"}')
+    rc = run(["eval", "--checkpoint", ckpt, "--data", tx,
+              "--node-labels", labels])
+    assert rc == 2
+    assert "checkpoint is not JSON" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exit_2(dataset, tmp_path, capsys):
+    tx, labels = dataset
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"epochs=1\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="not UTF-8 text"):
+        read_config_file(cfg)
+    assert run(train_args(tx, labels, tmp_path / "o", "--config", cfg)) == 2
+    assert "c.cfg: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_data_path_naming_a_directory_exit_2(tmp_path, capsys):
+    rc = run(["train", "--data", tmp_path, "--out-dir", tmp_path / "o"])
+    assert rc == 2
+    assert "Is a directory" in capsys.readouterr().err

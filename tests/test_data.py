@@ -136,6 +136,79 @@ def test_node_labels_reject_out_of_range_rows(tmp_path, row):
         load_node_labels(p, ACCOUNTS)
 
 
+def _load_rows(kind, p):
+    """The loaded values of a two-row transaction or node-label file."""
+    if kind == "node-labels":
+        return load_node_labels(p, ["a,1", "b"]).tolist()
+    t = load_transactions(p, GENERATED_SCHEMA)
+    return [t.account_names, t.src.tolist(), t.dst.tolist(),
+            t.timestamp.tolist(), t.amount.tolist(), t.labels.tolist()]
+
+
+FORMAT_CASES = {
+    "transactions": (["src,dst,timestamp,amount,label",
+                      '"a,1",b,1,2.5,1', "", 'b,"a,1",3,"4.0",0'],
+                     "b,b,5,oops,0",
+                     [["a,1", "b"], [0, 1], [1, 0], [1, 3], [2.5, 4.0],
+                      [1, 0]]),
+    "node-labels": (["node,label", '"a,1",1', "", "b,0"], "b,7", [1, 0]),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("kind", FORMAT_CASES)
+def test_loaders_keep_the_csv_row_format(tmp_path, kind, newline):
+    """Quoted fields may hold commas, CRLF ends a line as LF does, and a
+    blank line is skipped and not counted in a later error's row number."""
+    lines, bad_row, expected = FORMAT_CASES[kind]
+    p = tmp_path / "f.csv"
+    p.write_bytes(newline.join(lines + [""]).encode())
+    assert _load_rows(kind, p) == expected
+    p.write_bytes(newline.join(lines + [bad_row, ""]).encode())
+    with pytest.raises(IngestionError, match="row 3:"):
+        _load_rows(kind, p)
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    ("transactions", "src,dst,timestamp,amount,label\n"
+     "1,2,2,1.0,1\n3,1,5,2.0,0,7\n", "row 2: more fields than the header"),
+    ("node-labels", "node,label\nb,0\n1,1,junk\n",
+     "row 2: more fields than the header"),
+    ("transactions", "src,dst,timestamp,amount,amount,label\n"
+     "a,b,1,1.0,2.0,0\n", "the header must name column(s) ['amount'] once"),
+    ("node-labels", "label,node,label\n0,b,1\n",
+     "the header must name column(s) ['label'] once"),
+], ids=["tx-more-fields", "labels-more-fields", "tx-column-twice",
+        "labels-column-twice"])
+def test_loaders_reject_extra_fields_and_read_columns_named_twice(
+        tmp_path, kind, text, message):
+    p = write(tmp_path, "f.csv", text)
+    with pytest.raises(IngestionError) as excinfo:
+        _load_rows(kind, p)
+    assert message in str(excinfo.value)
+
+
+def test_a_column_no_schema_reads_may_repeat(tmp_path):
+    p = write(tmp_path, "t.csv", "src,dst,note,timestamp,amount,label,note\n"
+              "a,b,x,1,1.0,0,y\nb,a,,2,3.0,1,\n")
+    assert _load_rows("transactions", p) == [
+        ["a", "b"], [0, 1], [1, 0], [1, 2], [1.0, 3.0], [0, 1]]
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("transactions", b"src,dst,timestamp,amount,label\na,b,1,1.0,1\n"
+                     b"\xff,b,2,1.0,0\n"),
+    ("node-labels", b"node,label\nb,1\n\xe9,0\n"),
+    ("transactions", b"src,dst,timestamp,amount,label\n"
+                     + b"a" * 200_000 + b",b,1,1.0,1\n"),
+], ids=["tx-not-utf8", "labels-not-utf8", "field-over-csv-limit"])
+def test_loaders_reject_text_that_is_not_utf8_csv(tmp_path, kind, data):
+    p = tmp_path / "f.csv"
+    p.write_bytes(data)
+    with pytest.raises(IngestionError, match="not UTF-8 CSV text"):
+        _load_rows(kind, p)
+
+
 def test_split_spec_validation():
     with pytest.raises(ConfigError):
         SplitSpec(0.5, 0.5, 0.5)
@@ -181,6 +254,15 @@ def test_feature_spec_train_only_and_constant_amounts():
     # constant amounts z-score to an all-zero column
     assert not g.edge_features[:, 1].any()
     assert spec.ts_mean == pytest.approx(t.timestamp[:30].mean())
+
+
+def test_feature_spec_rejects_amounts_whose_statistics_overflow():
+    """Finite amounts that sum past float64's range would standardise to
+    NaN features; numpy's overflow warnings must not escape either."""
+    t = make_table(10)
+    t.amount[:3] = [1e308, 1.5e308, 1.7e308]
+    with pytest.raises(IngestionError, match="amount: .* overflows float64"):
+        compute_feature_spec(t)
 
 
 def test_to_multigraph_shapes(tmp_path):
