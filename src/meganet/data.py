@@ -276,12 +276,22 @@ def to_multigraph(t: TransactionTable, feature_spec: FeatureSpec):
 
     Edge features: z-scored timestamp and amount plus one-hot categoricals.
     Nodes carry a constant column (the datasets have no node attributes).
-    Returns (graph, edge_labels or None, node_labels or None).
+    Returns (graph, edge_labels or None, node_labels or None). A row whose
+    z-score is not finite in float64 raises IngestionError naming its
+    column and its 1-based data row.
     """
-    cols = [
-        (t.timestamp - feature_spec.ts_mean) / feature_spec.ts_std,
-        (t.amount - feature_spec.amount_mean) / feature_spec.amount_std,
-    ]
+    # a row outside the training split can lie too far from its mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = [
+            (t.timestamp - feature_spec.ts_mean) / feature_spec.ts_std,
+            (t.amount - feature_spec.amount_mean) / feature_spec.amount_std,
+        ]
+    for name, z in zip(("timestamp", "amount"), cols):
+        bad = np.flatnonzero(~np.isfinite(z))
+        if bad.size:
+            raise IngestionError(
+                f"{name}: row {bad[0] + 1} ({getattr(t, name)[bad[0]]:g}) lies "
+                f"too far from the training rows' mean to standardise in float64")
     for c, size in enumerate(t.categorical_sizes):
         hot = np.zeros((t.num_rows, size))
         hot[np.arange(t.num_rows), t.categorical[:, c]] = 1.0

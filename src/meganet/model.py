@@ -44,9 +44,13 @@ input is gathered and no gradient scattered back through a group order.
 
 A train-mode forward records caches; Model.backward replays them in
 reverse for exact gradients, including through max/min (lowest-index
-tie-break), mean, std and the log-degree-scaled aggregator. An eval-mode
-forward drops each MLP's cache as soon as the MLP returns and returns only
-the final node and edge states; it trims the heap before it runs, and
+tie-break), mean, std and the log-degree-scaled aggregator. Backward
+consumes its cache as it goes: it takes the readout's cache, then each
+layer's and each direction's, out before their backward, and
+mlp_backward frees an MLP's inputs as it runs, so what backward holds
+shrinks as it sweeps; a consumed cache is refused. An eval-mode forward
+drops each MLP's cache as soon as the MLP returns and returns only the
+final node and edge states; it trims the heap before it runs, and
 train_model before and after a whole run (heap.trimmed_heap).
 """
 
@@ -286,7 +290,11 @@ def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
 
 def layer_bwd(cache, gx1, ges1):
     """ges1 holds the e gradients of the directions whose edge update ran,
-    which come first."""
+    which come first.
+
+    Spends cache as it runs: mlp_backward consumes each MLP's cache, and
+    each direction's cache is taken out before its backward.
+    """
     lp, dir_caches, gv_cache, eu_caches, x_shape = cache
     gx0 = np.zeros(x_shape, dtype=gx1.dtype)
     eu_grads = [edge_update_bwd(c, ge1, gx0)
@@ -294,8 +302,8 @@ def layer_bwd(cache, gx1, ges1):
     eu_grads += [(None, None)] * (len(dir_caches) - len(eu_grads))
     (gx_nu, *gas), _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
     gx0 += gx_nu
-    return gx0, [direction_bwd(c, ga, gx0, gh, ge0)
-                 for c, ga, (ge0, gh) in zip(dir_caches, gas, eu_grads)]
+    return gx0, [direction_bwd(dir_caches.pop(0), ga, gx0, gh, ge0)
+                 for ga, (ge0, gh) in zip(gas, eu_grads)]
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +462,19 @@ class Model:
     def backward(self, cache, logit_grads) -> np.ndarray:
         """Exact reverse-mode gradients, written into and returned as self.grads.
 
-        The returned array is overwritten by the next call. Logit gradients
-        below the dtype's resolution of the largest one (eps * max |g|) are
-        taken as 0: they change no gradient at that resolution, and in
-        float32 they would carry subnormals, which slow every matmul they
-        reach several times over.
+        Consumes cache: each stage's cache is taken out of it and freed once
+        its backward has run, so a second backward on the same cache raises
+        ModelError. The returned array is overwritten by the next call.
+        Logit gradients below the dtype's resolution of the largest one
+        (eps * max |g|) are taken as 0: they change no gradient at that
+        resolution, and in float32 they would carry subnormals, which slow
+        every matmul they reach several times over.
         """
         if "stages" not in cache:
             raise ModelError("backward needs the cache of a train-mode "
                              "forward")
+        if "readout" not in cache:
+            raise ModelError("cache already consumed by backward")
         self.grads[...] = 0.0
         gl = np.array(logit_grads, dtype=self.params.dtype).reshape(-1, 1)
         picked, num_nodes = cache["picked"]
@@ -472,15 +484,16 @@ class Model:
         mag = np.abs(gl)
         gl[mag < np.finfo(gl.dtype).eps * mag.max(initial=0.0)] = 0.0
 
-        gro_in, _ = mlp_backward(self.readout_net, cache["readout"], gl)
+        gro_in, _ = mlp_backward(self.readout_net, cache.pop("readout"), gl)
         if self.config.readout == "node":
             gx, ges = gro_in, []
         else:
             gx_src, ge, gx_dst = gro_in
             gx, ges = gx_src + gx_dst, [ge]
 
-        for c in reversed(cache["stages"]):
-            gx, ges = layer_bwd(c, gx, ges)
+        stages = cache["stages"]
+        while stages:
+            gx, ges = layer_bwd(stages.pop(), gx, ges)
 
         c_nenc, c_eenc = cache["enc"]
         mlp_backward(self.node_encoder, c_nenc, gx)

@@ -292,19 +292,28 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
     GatheredConcat is a list with one gradient per part, shaped like the
     part: rows its index selects more than once get the sum. The parameter
     gradients are added into m.grads, which must be set.
+
+    Consumes the cache: it takes the layer inputs out of it and frees a
+    relu layer's hidden input once its gate is read. A consumed cache
+    raises NnError.
     """
     if cache.get("mlp") is not m:
         raise NnError("cache does not belong to this mlp")
     grads = m.grads
     if grads is None:
         raise NnError("mlp has no gradient arrays; build it with init_mlp")
+    if "inputs" not in cache:
+        raise NnError("cache already consumed by backward")
+    inputs = cache.pop("inputs")
     g = np.asarray(upstream, dtype=m.weights[0].dtype)
     last = len(m.weights) - 1
     for i in range(last, -1, -1):
         if i < last:
             if m.activation == "relu":
-                # the realized gate: open where the next input is positive
-                g = g * (cache["inputs"][i + 1] > 0)
+                # the realized gate: open where the next input is positive;
+                # nothing reads that input after it
+                g = g * (inputs[i + 1] > 0)
+                inputs[i + 1] = None
                 if cache["scale"] is not None:
                     g *= cache["scale"]
             elif m.activation == "gelu":
@@ -313,9 +322,9 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
                 g = g * (0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * dinner)
         grads.biases[i] += g.sum(axis=0)
         if i:
-            grads.weights[i] += cache["inputs"][i].T @ g
+            grads.weights[i] += inputs[i].T @ g
             g = g @ m.weights[i].T
-    gparts = _first_layer_backward(cache["inputs"][0], m.weights[0],
+    gparts = _first_layer_backward(inputs[0], m.weights[0],
                                    grads.weights[0], g)
     return (gparts[0] if cache["built"] else gparts), grads
 

@@ -9,7 +9,9 @@ step builds its batch's view, except that a batch holding the whole train
 split builds it once; validation and test build theirs once per run. Eval
 logits through a view are the whole graph's, and so are a train step's
 when dropout is 0 (its masks are drawn over the view's rows). The loss
-reads the batch's logits and its gradient goes to backward as is. Model
+reads the batch's logits and its gradient goes to backward as is, which
+consumes the step's cache; a step drops its logits, and the last batch's
+view before it builds its own, so a step holds one cache and one view. Model
 selection keeps the parameters with the best validation minority-class
 F1. Training and evaluation refuse an empty split and, since no ego node
 is marked, an ego_ids model (ConfigError).
@@ -155,6 +157,7 @@ def train_model(task: TaskData, model_config: ModelConfig,
             batch = task.train_idx[order[lo:lo + train_config.batch_size]]
             # a batch of the whole split holds the same items every step
             if v is None or batch.size < order.size:
+                v = None              # free the last batch's view first
                 v = _view(task, batch, supp, rev, hops)
             rows = v.local(task.items[batch], task.task_type)
             logits, cache = model.forward(v.graph, v.supp, v.rev,
@@ -168,6 +171,7 @@ def train_model(task: TaskData, model_config: ModelConfig,
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             model.backward(cache, dlogits)
+            del logits, cache     # the next forward runs without them
             adam_step(model.params, model.grads, adam,
                       train_config.learning_rate)
             epoch_losses.append(loss)

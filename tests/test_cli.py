@@ -554,6 +554,21 @@ def test_amounts_whose_mean_overflows_exit_2(tmp_path, capsys):
         "overflows float64" in capsys.readouterr().err
 
 
+def test_amount_too_far_from_the_training_mean_exit_2(tmp_path, capsys):
+    """A later row whose z-score overflows float64 is a data error naming
+    its column and row, though the training statistics are finite."""
+    rows = {k: f"{k % 3},{(k + 1) % 3},{k - 1},-1e307,0".encode()
+            for k in range(1, 8)}
+    rows.update({8: b"1,2,7,1.79e308,1", 9: b"2,0,8,1e308,0",
+                 10: b"0,1,9,1e308,1"})
+    tx = ten_row_csv(tmp_path / "tx.csv", rows=rows)
+    rc = run(["train", "--data", tx, "--out-dir", tmp_path / "o",
+              "--epochs", 1])
+    assert rc == 2
+    assert "amount: row 8 (1.79e+308) lies too far from the training rows' " \
+        "mean to standardise in float64" in capsys.readouterr().err
+
+
 def test_checkpoint_that_is_not_utf8_exit_2(dataset, tmp_path, capsys):
     tx, labels = dataset
     ckpt = tmp_path / "model.json"

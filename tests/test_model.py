@@ -455,6 +455,66 @@ def test_eval_cache_keeps_only_final_state():
     assert "final" not in train           # backward does not read it
 
 
+def test_backward_refuses_a_consumed_cache():
+    g = random_connected_multigraph(8, 20, seed=2)
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5),
+                  2, 2, seed=3)
+    logits, cache = model.forward(g, supp, rev, train_mode=True)
+    grads = model.backward(cache, np.ones_like(logits)).copy()
+    with pytest.raises(ModelError, match="cache already consumed by backward"):
+        model.backward(cache, np.ones_like(logits))
+    assert np.array_equal(model.grads, grads)     # the refusal wrote nothing
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(readout="edge"),
+    ModelConfig(edge_agg=AggSpec("pna"), node_agg=AggSpec("pna")),
+], ids=["sum-edge", "pna-node"])
+def test_backward_frees_each_stage_before_the_encoders(monkeypatch, cfg):
+    """Backward consumes its cache: once the encoder backward starts, no
+    array the last layer's forward made (an MLP output or hidden
+    activation, which a PNA reduction's VJP also keeps) is alive."""
+    import weakref
+
+    import meganet.model as model_module
+
+    made = []                  # weak references, one list per layer forward
+    real_layer = model_module.layer_fwd
+    real_fwd = model_module.mlp_forward
+    real_bwd = model_module.mlp_backward
+
+    def layer(*args, **kwargs):
+        made.append([])
+        return real_layer(*args, **kwargs)
+
+    def forward(net, x, train_mode=False, dropout_mask_seed=0):
+        out, cache = real_fwd(net, x, train_mode, dropout_mask_seed)
+        if made and net is not model.readout_net:
+            made[-1].extend(weakref.ref(h) for h in [out, *cache["inputs"][1:]])
+        return out, cache
+
+    def backward(net, cache, upstream):
+        if net is model.node_encoder:
+            assert made[-1] and all(ref() is None for ref in made[-1])
+            checked.append(net)
+        return real_bwd(net, cache, upstream)
+
+    monkeypatch.setattr(model_module, "layer_fwd", layer)
+    monkeypatch.setattr(model_module, "mlp_forward", forward)
+    monkeypatch.setattr(model_module, "mlp_backward", backward)
+    g = pna_graph()
+    supp = build_support_index(g)
+    model = Model(replace(cfg, hidden_node=4, hidden_edge=4, mlp_hidden=5),
+                  2, 2, seed=3)
+    checked = []
+    logits, cache = model.forward(g, supp, build_reverse_index(g, supp),
+                                  train_mode=True, seed=1)
+    model.backward(cache, np.ones_like(logits))
+    assert len(made) == 2 and checked == [model.node_encoder]
+
+
 def test_eval_forward_frees_each_layer_cache():
     """Peak eval-forward memory does not grow with the layer count."""
     import tracemalloc

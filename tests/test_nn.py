@@ -115,6 +115,20 @@ def test_backward_rejects_foreign_cache():
         mlp_backward(m2, cache, out)
 
 
+def test_backward_consumes_its_cache():
+    """Backward frees a relu layer's hidden input once its gate is read and
+    refuses the cache a second time."""
+    import weakref
+
+    m = init_mlp([3, 4, 2], np.random.default_rng(0))
+    out, cache = mlp_forward(m, np.random.default_rng(1).normal(size=(5, 3)))
+    hidden = weakref.ref(cache["inputs"][1])
+    mlp_backward(m, cache, np.ones_like(out))
+    assert hidden() is None
+    with pytest.raises(NnError, match="cache already consumed by backward"):
+        mlp_backward(m, cache, np.ones_like(out))
+
+
 @pytest.mark.parametrize("activation", ["relu", "gelu", "identity"])
 def test_backward_matches_finite_differences(activation):
     rng = np.random.default_rng(3)

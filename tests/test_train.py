@@ -266,6 +266,41 @@ def test_trimmed_heap_nests_and_trims_on_error(trims):
 
 @pytest.mark.parametrize("task_fn,readout", [(edge_task, "edge"),
                                              (small_task, "node")])
+def test_train_step_holds_only_its_own_cache(monkeypatch, task_fn, readout):
+    """When a train or validation forward starts, nothing of an earlier
+    train step is alive: not its logits, nor a hidden activation its cache
+    held."""
+    import weakref
+
+    import meganet.model as model_module
+
+    held, real_forward, real_mlp = [], Model.forward, model_module.mlp_forward
+
+    def forward(self, *args, **kwargs):
+        assert all(ref() is None for ref in held)
+        logits, cache = real_forward(self, *args, **kwargs)
+        if kwargs.get("train_mode"):
+            held.append(weakref.ref(logits))
+        return logits, cache
+
+    def mlp_forward(net, x, train_mode=False, dropout_mask_seed=0):
+        out, cache = real_mlp(net, x, train_mode, dropout_mask_seed)
+        if train_mode:
+            held.extend(weakref.ref(h) for h in cache["inputs"][1:])
+        return out, cache
+
+    monkeypatch.setattr(Model, "forward", forward)
+    monkeypatch.setattr(model_module, "mlp_forward", mlp_forward)
+    task = task_fn()
+    mc, tc = fast_configs()
+    train_model(task, replace(mc, readout=readout, num_layers=2),
+                replace(tc, batch_size=16, epochs=2, patience=2), seed=0)
+    # two epochs of at least two steps each, every one recorded
+    assert task.train_idx.size > 16 and len(held) >= 4 * 5
+
+
+@pytest.mark.parametrize("task_fn,readout", [(edge_task, "edge"),
+                                             (small_task, "node")])
 def test_train_model_asks_each_forward_for_its_items(monkeypatch, task_fn,
                                                      readout):
     """Train steps ask for their batch's logits; validation and test
