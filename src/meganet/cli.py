@@ -76,7 +76,8 @@ def _coerce(key: str, raw: str):
 
 
 def read_config_file(path) -> dict:
-    """key=value lines; blank lines and # comments are ignored."""
+    """key=value lines; blank lines and # comments are ignored. A key set
+    twice is a ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -92,6 +93,9 @@ def read_config_file(path) -> dict:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path} line {lineno}: key {key!r} is set "
+                              "twice")
         out[key] = _coerce(key, raw)
     return out
 

@@ -21,17 +21,23 @@ def binary_metrics(pred, labels) -> dict:
 
 
 def pr_auc(scores, labels) -> float:
-    """Area under the precision-recall curve, trapezoidal over thresholds."""
+    """Area under the precision-recall curve, trapezoidal over thresholds.
+
+    Each distinct score is one threshold: items with equal scores are
+    taken together, so their order does not change the area.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     positives = int(labels.sum())
     if positives == 0:
         return 0.0
     order = np.argsort(-scores, kind="stable")
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels)
-    fp = np.cumsum(~sorted_labels)
-    precision = tp / (tp + fp)
+    sorted_scores = scores[order]
+    # the last item of each run of equal scores
+    last = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1],
+                                    True))
+    tp = np.cumsum(labels[order])[last]
+    precision = tp / (last + 1)
     recall = tp / positives
     # start the curve at recall 0 with the first observed precision
     recall = np.concatenate([[0.0], recall])

@@ -50,8 +50,7 @@ layer's and each direction's, out before their backward, and
 mlp_backward frees an MLP's inputs as it runs, so what backward holds
 shrinks as it sweeps; a consumed cache is refused. An eval-mode forward
 drops each MLP's cache as soon as the MLP returns and returns only the
-final node and edge states; it trims the heap before it runs, and
-train_model before and after a whole run (heap.trimmed_heap).
+final node and edge states.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from .agg import (
     segment_reduce_with_vjp,
 )
 from .graph import Groups, Multigraph, SupportIndex, build_groups
-from .heap import trimmed_heap
 from .nn import GatheredConcat, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
 
 
@@ -88,7 +86,6 @@ class ModelConfig:
 
     num_layers: int = 2
     bidirectional: bool = True
-    ego_ids: bool = False
     edge_agg: AggSpec = AggSpec("sum")
     node_agg: AggSpec = AggSpec("sum")
     readout: str = "node"          # "node" or "edge"
@@ -116,6 +113,11 @@ class ModelConfig:
         if not d.pop("post_agg_mlp", True):
             raise ModelError("post_agg_mlp=false is not supported: the "
                              "post-aggregation MLP is part of every layer")
+        # ... and ego_ids; only its "off" value loads, since no forward here
+        # marks an ego node
+        if d.pop("ego_ids", False):
+            raise ModelError("ego_ids=true is not supported: no forward "
+                             "marks an ego node")
         d["edge_agg"] = _agg_from_dict(d["edge_agg"])
         d["node_agg"] = _agg_from_dict(d["node_agg"])
         # checkpoints written before the dtype switch ran in float64
@@ -152,17 +154,6 @@ class LayerParams:
     node_update_net: Mlp               # updates x from [x || a_0 (|| a_1)]
     agg_edge: AggSpec
     agg_node: AggSpec
-
-
-def add_ego_ids(node_features: np.ndarray, roots) -> np.ndarray:
-    """Append a binary root-marker column."""
-    roots = np.asarray(roots, dtype=np.int64)
-    col = np.zeros((node_features.shape[0], 1), dtype=node_features.dtype)
-    if roots.size:
-        if roots.min() < 0 or roots.max() >= node_features.shape[0]:
-            raise ModelError("root index out of range")
-        col[roots] = 1.0
-    return np.concatenate([node_features, col], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +319,7 @@ class Model:
                     for li in range(config.num_layers)]
 
         # layer widths of every MLP by checkpoint name, in parameter order
-        specs = {"node_encoder": [d_node_in + int(config.ego_ids), dn],
+        specs = {"node_encoder": [d_node_in, dn],
                  "edge_encoder": [d_edge_in, de]}
         eu_in = dn + 2 * de if config.two_stage else 2 * dn + de
         for li, layer_prefixes in enumerate(prefixes):
@@ -383,8 +374,8 @@ class Model:
 
         rev is build_reverse_index(g, supp); a bidirectional model reads
         it (ModelError when it is None), and the single-stage baseline
-        reads each index's per_edge sites. roots lists the nodes an ego_ids
-        model marks (default: none). rows lists the nodes or edges whose
+        reads each index's per_edge sites. roots is accepted and ignored: no
+        model marks ego nodes. rows lists the nodes or edges whose
         logits are returned, in that order (default: all); an index outside
         the graph raises ModelError. Under an edge readout, the last layer's
         forward edge update and the readout run on rows alone, and a
@@ -396,15 +387,7 @@ class Model:
         eval-mode cache is {"final": (x, es)}: the last node states and
         each direction's latest edge latents, which under an edge readout
         given rows are the forward direction's latents of those edges.
-        An eval forward outside train_model trims the heap before it runs
-        (heap.trimmed_heap).
         """
-        if train_mode:
-            return self._forward(g, supp, rev, roots, True, seed, rows)
-        with trimmed_heap(on_exit=False):
-            return self._forward(g, supp, rev, roots, False, seed, rows)
-
-    def _forward(self, g, supp, rev, roots, train_mode, seed, rows):
         cfg = self.config
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
@@ -421,10 +404,9 @@ class Model:
             supports = [s.per_edge for s in supports]
 
         seq = _SeedSequence(seed)
-        feats = g.node_features.astype(cfg.dtype, copy=False)
-        if cfg.ego_ids:
-            feats = add_ego_ids(feats, [] if roots is None else roots)
-        x, c_nenc = _mlp(self.node_encoder, feats, train_mode, seq())
+        x, c_nenc = _mlp(self.node_encoder,
+                         g.node_features.astype(cfg.dtype, copy=False),
+                         train_mode, seq())
         e, c_eenc = _mlp(self.edge_encoder,
                          g.edge_features.astype(cfg.dtype, copy=False),
                          train_mode, seq())

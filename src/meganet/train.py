@@ -13,8 +13,7 @@ reads the batch's logits and its gradient goes to backward as is, which
 consumes the step's cache; a step drops its logits, and the last batch's
 view before it builds its own, so a step holds one cache and one view. Model
 selection keeps the parameters with the best validation minority-class
-F1. Training and evaluation refuse an empty split and, since no ego node
-is marked, an ego_ids model (ConfigError).
+F1. Training and evaluation refuse an empty split (ConfigError).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 
 from .data import ConfigError, sample_neighborhood
 from .graph import Multigraph, build_reverse_index, build_support_index
-from .heap import trimmed_heap
 from .metrics import evaluate_scores
 from .model import Model, ModelConfig, ModelError
 from .nn import AdamState, NnError, adam_step, weighted_bce_loss
@@ -108,16 +106,13 @@ def node_split(num_items: int, seed: int) -> dict:
     return dict(train_idx=tr, val_idx=va, test_idx=te)
 
 
-@trimmed_heap()
 def train_model(task: TaskData, model_config: ModelConfig,
                 train_config: TrainConfig, seed: int):
     """Train one model; returns (model, ExperimentRecord).
 
     The model's readout must match the task type (ModelError otherwise);
-    an empty split, an ego_ids model and a train_config.dropout other than
-    the model's raise ConfigError. The heap is trimmed when the run starts
-    and when it ends (heap.trimmed_heap), so the run holds only what it
-    keeps alive.
+    an empty split and a train_config.dropout other than the model's raise
+    ConfigError.
     """
     _check_model(model_config, task, "train on")
     for split in ("train", "val", "test"):
@@ -204,9 +199,6 @@ def _check_model(config: ModelConfig, task: TaskData, verb: str) -> None:
     if config.readout != task.task_type:
         raise ModelError(f"a {config.readout}-readout model cannot "
                          f"{verb} a {task.task_type} task")
-    if config.ego_ids:
-        raise ConfigError("ego_ids waits for sampled training: no forward "
-                          "here marks an ego node")
 
 
 def _split_items(task: TaskData, split: str) -> np.ndarray:
@@ -240,8 +232,8 @@ def _evaluate(model: Model, task: TaskData, idx, supp, rev) -> dict:
 def evaluate_model(model: Model, task: TaskData, split: str = "test") -> dict:
     """Metrics of model on one split ("train", "val" or "test") of task,
     computed on the split's receptive field (as in train_model). The task
-    type must match the model's readout (ModelError otherwise); an ego_ids
-    model or an unknown or empty split raises ConfigError."""
+    type must match the model's readout (ModelError otherwise); an unknown
+    or empty split raises ConfigError."""
     _check_model(model.config, task, "evaluate")
     idx = _split_items(task, split)
     supp = build_support_index(task.graph)

@@ -268,6 +268,8 @@ def test_node_listed_twice_in_sidecar_exit_2(dataset, tmp_path, capsys):
     (["--config", "model=gcn"], "unknown model 'gcn'"),
     (["--model", "gcn"], "unknown model 'gcn'"),
     (["--config", "ego_ids=true"], "unknown key 'ego_ids'"),
+    (["--config", "epochs=3\n# later\nepochs=4"],
+     "line 3: key 'epochs' is set twice"),
     (["--learning-rate", "inf"], "learning_rate must be positive and finite"),
     (["--class-weight-1", "inf"], "class weights must be positive and finite"),
     (["--class-weight-0", "nan"], "class weights must be positive and finite"),
@@ -275,8 +277,8 @@ def test_node_listed_twice_in_sidecar_exit_2(dataset, tmp_path, capsys):
         "batch-negative", "epochs-0", "patience-negative", "hidden-0",
         "mlp-hidden-0", "unknown-agg-flag", "unparseable-epochs",
         "unparseable-epochs-flag", "unknown-model", "unknown-model-flag",
-        "ego-ids-file", "learning-rate-inf", "class-weight-1-inf",
-        "class-weight-0-nan"])
+        "ego-ids-file", "repeated-key-file", "learning-rate-inf",
+        "class-weight-1-inf", "class-weight-0-nan"])
 def test_malformed_configuration_exit_2(dataset, tmp_path, capsys, extra,
                                         message):
     tx, labels = dataset
@@ -398,8 +400,9 @@ def test_unknown_dtype_checkpoint_exit_2(dataset, tmp_path, capsys):
     # weights under a config that says two
     ({"two_stage": False, "bidirectional": False}, {"bidirectional": True},
      "does not match model structure at 'layer0.rev_msg_net'"),
-    # trained on an ego column that marked every labeled node
-    ({"ego_ids": True}, {}, "ego_ids waits for sampled training"),
+    # trained on an ego column that marked every labeled node; refused as
+    # its config is read, before the weights are matched
+    ({}, {"ego_ids": True}, "ego_ids=true is not supported"),
 ], ids=["single-stage-bidirectional", "ego-ids"])
 def test_checkpoint_of_an_unhonoured_switch_exit_2(dataset, tmp_path, capsys,
                                                    saved, echoed, message):

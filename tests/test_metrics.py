@@ -46,3 +46,22 @@ def test_evaluate_scores_thresholds_logits_at_zero():
     out = evaluate_scores(scores, labels)
     assert out["f1"] == 1.0
     assert "pr_auc" in out
+
+
+def test_pr_auc_tied_scores_form_one_threshold():
+    """Items with equal scores are one threshold, whatever their order."""
+    assert pr_auc(np.zeros(4), [1, 0, 0, 0]) == pytest.approx(0.25)
+    assert pr_auc(np.zeros(4), [0, 0, 0, 1]) == pytest.approx(0.25)
+    assert pr_auc([1, 1, 0, 0], [1, 0, 1, 0]) == pytest.approx(0.5)
+    assert pr_auc([1, 1, 0, 0], [0, 1, 0, 1]) == pytest.approx(0.5)
+
+
+def test_pr_auc_invariant_under_permutations_within_ties():
+    # a few distinct float32 logits, as a saturated model gives
+    rng = np.random.default_rng(0)
+    scores = rng.choice(np.float32([-3.5, 0.25, 7.0]), 300)
+    labels = rng.random(300) < 0.2
+    want = pr_auc(scores, labels)
+    for _ in range(10):
+        perm = rng.permutation(300)
+        assert pr_auc(scores[perm], labels[perm]) == want

@@ -19,7 +19,6 @@ from meganet.model import (
     Model,
     ModelConfig,
     ModelError,
-    add_ego_ids,
     direction_fwd,
     edge_update_fwd,
     layer_fwd,
@@ -92,7 +91,7 @@ def test_config_validation():
 
 
 def test_config_dict_roundtrip():
-    cfg = ModelConfig(num_layers=3, bidirectional=False, ego_ids=True,
+    cfg = ModelConfig(num_layers=3, bidirectional=False,
                       edge_agg=AggSpec("pna", mean_log_degree=0.8),
                       node_agg=AggSpec("max"), readout="edge",
                       two_stage=False, hidden_node=7)
@@ -103,7 +102,7 @@ def test_checkpoint_config_json_bytes_pinned(tmp_path):
     """The checkpoint's config is asdict(ModelConfig) in field order."""
     from meganet.model import save_checkpoint
 
-    cfg = ModelConfig(num_layers=1, bidirectional=False, ego_ids=True,
+    cfg = ModelConfig(num_layers=1, bidirectional=False,
                       edge_agg=AggSpec("pna", mean_log_degree=0.5),
                       node_agg=AggSpec("max"), readout="edge", hidden_node=2,
                       hidden_edge=3, mlp_hidden=2, dropout=0.0)
@@ -112,7 +111,7 @@ def test_checkpoint_config_json_bytes_pinned(tmp_path):
     text = path.read_text()
     assert text[:text.index(', "d_node_in"')] == (
         '{"format_version": 1, "config": {"num_layers": 1, '
-        '"bidirectional": false, "ego_ids": true, "edge_agg": {"kind": "pna", '
+        '"bidirectional": false, "edge_agg": {"kind": "pna", '
         '"mean_log_degree": 0.5}, "node_agg": {"kind": "max", '
         '"mean_log_degree": 1.0}, "readout": "edge", "two_stage": true, '
         '"hidden_node": 2, "hidden_edge": 3, "mlp_hidden": 2, "dropout": 0.0, '
@@ -338,17 +337,6 @@ def test_baseline_reads_out_neighbours_only_when_bidirectional(bidirectional):
         logits.append(model.forward(g, supp,
                                     build_reverse_index(g, supp))[0][0])
     assert (logits[0] != logits[1]) == bidirectional
-
-
-def test_add_ego_ids():
-    feats = np.ones((4, 2))
-    out = add_ego_ids(feats, [])
-    assert out.shape == (4, 3)
-    assert not out[:, 2].any()
-    out = add_ego_ids(feats, [0, 1, 2, 3])
-    assert out[:, 2].tolist() == [1, 1, 1, 1]
-    with pytest.raises(ModelError):
-        add_ego_ids(feats, [7])
 
 
 def test_forward_shapes_and_readouts():
@@ -797,15 +785,16 @@ def test_checkpoint_rejects_version_mismatch(tmp_path):
         load_checkpoint(path)
 
 
-def test_ego_id_roots_change_output():
+def test_forward_accepts_and_ignores_roots():
+    """Callers may still pass roots; no model marks ego nodes."""
     g = random_connected_multigraph(5, 9, seed=2)
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    cfg = ModelConfig(ego_ids=True, hidden_node=4, hidden_edge=4, mlp_hidden=5)
+    cfg = ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5)
     model = Model(cfg, 2, 2, seed=3)
-    a, _ = model.forward(g, supp, rev, roots=[0])
+    a, _ = model.forward(g, supp, rev)
     b, _ = model.forward(g, supp, rev, roots=[1])
-    assert not np.array_equal(a, b)
+    assert np.array_equal(a, b)
 
 
 def test_config_rejects_unknown_dtype():
@@ -856,8 +845,8 @@ def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
 # edge and node aggregations, readouts and layer types the dtype must reach
 DTYPE_CONFIGS = {
     "edge-sum-sum": ModelConfig(readout="edge"),
-    "node-max-std-ego": ModelConfig(edge_agg=AggSpec("max"),
-                                    node_agg=AggSpec("std"), ego_ids=True),
+    "node-max-std": ModelConfig(edge_agg=AggSpec("max"),
+                                node_agg=AggSpec("std")),
     "edge-std-pna-unidir": ModelConfig(readout="edge", bidirectional=False,
                                        edge_agg=AggSpec("std"),
                                        node_agg=AggSpec("pna")),
@@ -921,11 +910,9 @@ def test_float32_reaches_every_array(monkeypatch, cfg):
     rev = build_reverse_index(g, supp)
     model = dtype_model(cfg, "float32")
     f32 = np.dtype(np.float32)
-    roots = [0, 2] if cfg.ego_ids else None
-    logits, _ = model.forward(g, supp, rev, roots=roots)
+    logits, _ = model.forward(g, supp, rev)
     assert logits.dtype == f32
-    logits, cache = model.forward(g, supp, rev, roots=roots, train_mode=True,
-                                  seed=3)
+    logits, cache = model.forward(g, supp, rev, train_mode=True, seed=3)
     assert logits.dtype == f32
     assert reachable_float_dtypes(cache) == {f32}
     _, dl = weighted_bce_loss(logits, np.arange(logits.size) % 2)
@@ -944,14 +931,12 @@ def test_float32_matches_float64_on_the_same_weights(cfg):
     rev = build_reverse_index(g, supp)
     m32, m64 = dtype_model(cfg, "float32"), dtype_model(cfg, "float64")
     m64.params[...] = m32.params              # the rounded float64 init
-    roots = [0, 2] if cfg.ego_ids else None
     labels = np.arange(g.num_edges if cfg.readout == "edge"
                        else g.num_nodes) % 2
     got = {}
     for m in (m32, m64):
-        eval_logits, _ = m.forward(g, supp, rev, roots=roots)
-        train_logits, cache = m.forward(g, supp, rev, roots=roots,
-                                        train_mode=True, seed=3)
+        eval_logits, _ = m.forward(g, supp, rev)
+        train_logits, cache = m.forward(g, supp, rev, train_mode=True, seed=3)
         _, dl = weighted_bce_loss(train_logits, labels)
         got[m.params.dtype] = (eval_logits, train_logits,
                                m.backward(cache, dl).copy())

@@ -1,11 +1,9 @@
 import json
-import platform
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from meganet import heap
 from meganet import train as train_module
 from meganet.agg import AggSpec
 from meganet.data import ConfigError, generate_planted_task
@@ -139,21 +137,21 @@ def test_train_model_rejects_readout_of_other_task_type(monkeypatch, task_fn,
 
 @pytest.mark.parametrize("task_fn", [small_task, edge_task],
                          ids=["node-task", "edge-task"])
-def test_full_graph_runs_refuse_ego_ids(monkeypatch, task_fn):
-    """No forward marks ego nodes: training and evaluation of an ego_ids
-    model raise ConfigError before any forward runs."""
+def test_full_graph_runs_refuse_ego_ids(task_fn):
+    """No forward marks ego nodes, so no ego_ids model reaches training or
+    evaluation: ModelConfig has no such field, and a config dict that turns
+    it on (a version-1 checkpoint's) is refused as it is read. One that
+    turns it off reads as the same model without the key."""
     task = task_fn()
     mc, tc = fast_configs()
-    mc = replace(mc, readout=task.task_type, ego_ids=True)
-    model = Model(mc, 2, 2)
-    forwards = []
-    monkeypatch.setattr(Model, "forward",
-                        lambda *args, **kwargs: forwards.append(args))
-    with pytest.raises(ConfigError, match="ego_ids waits for sampled"):
-        train_model(task, mc, tc, seed=0)
-    with pytest.raises(ConfigError, match="ego_ids waits for sampled"):
-        evaluate_model(model, task)
-    assert forwards == []
+    mc = replace(mc, readout=task.task_type)
+    with pytest.raises(TypeError, match="ego_ids"):
+        ModelConfig(ego_ids=True)
+    with pytest.raises(ModelError, match="ego_ids=true is not supported"):
+        ModelConfig.from_dict({**asdict(mc), "ego_ids": True})
+    assert ModelConfig.from_dict({**asdict(mc), "ego_ids": False}) == mc
+    _, record = train_model(task, mc, replace(tc, epochs=1), seed=0)
+    assert "ego_ids" not in record.config["model"]
 
 
 def test_train_model_refuses_a_second_dropout():
@@ -217,51 +215,6 @@ def test_train_config_validation():
     assert cfg.batch_size == 8192
     assert cfg.dropout == 0.1
     assert cfg.class_weights == (1.0, 6.27)
-
-
-@pytest.fixture
-def trims(monkeypatch):
-    """The pad argument of every heap trim, in call order."""
-    calls = []
-    monkeypatch.setattr(heap, "_malloc_trim", calls.append)
-    return calls
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
-def test_heap_trim_found_on_glibc():
-    assert heap._malloc_trim is not None
-
-
-def test_train_model_trims_heap_before_and_after_only(trims):
-    # its per-epoch validation forwards and the test forward are nested
-    task = small_task()
-    mc, tc = fast_configs()
-    train_model(task, mc, tc, seed=0)
-    assert trims == [0, 0]
-
-
-def test_eval_forward_trims_heap_before_it_runs(trims):
-    task = small_task()
-    mc, _ = fast_configs()
-    g = task.graph
-    model = Model(mc, g.node_features.shape[1], g.edge_features.shape[1], seed=0)
-    supp = build_support_index(g)
-    model.forward(g, supp)
-    assert trims == [0]
-    model.forward(g, supp, train_mode=True)
-    assert trims == [0]
-
-
-def test_trimmed_heap_nests_and_trims_on_error(trims):
-    with pytest.raises(RuntimeError):
-        with heap.trimmed_heap():
-            with heap.trimmed_heap():
-                assert trims == [0]
-            raise RuntimeError
-    assert trims == [0, 0]
-    with heap.trimmed_heap(on_exit=False):
-        pass
-    assert trims == [0, 0, 0]
 
 
 @pytest.mark.parametrize("task_fn,readout", [(edge_task, "edge"),
