@@ -140,8 +140,10 @@ def _configs(cfg: dict, readout: str) -> tuple[ModelConfig, TrainConfig]:
     return model, train
 
 
-def _load_task(args, seed: int) -> TaskData:
-    """Build TaskData from a transaction CSV (edge or node labels)."""
+def _load_task(args, seed: int, spec=None):
+    """(TaskData, spec) of a transaction CSV (edge or node labels), encoded
+    with spec, or without one with the spec fitted here: on the training
+    prefix of an edge task, on all rows of a node task."""
     schema = SCHEMAS[args.schema]
     if args.node_labels:
         # labels come from the sidecar, not from a transaction column
@@ -150,22 +152,23 @@ def _load_task(args, seed: int) -> TaskData:
     if args.node_labels:
         table.node_labels = load_node_labels(args.node_labels,
                                              table.account_names)
-        spec = compute_feature_spec(table)
-        g, _, node_labels = to_multigraph(table, spec)
-        items = np.flatnonzero(node_labels >= 0)
-        if items.size < 5:
-            raise ConfigError("too few labeled nodes to split")
-        return TaskData(graph=g, labels=node_labels[items], items=items,
-                        task_type="node", **node_split(items.size, seed))
-    if table.labels is None:
+        tr = None
+    elif table.labels is None:
         raise ConfigError(
             f"schema {args.schema!r} has no label column; pass --node-labels")
-    tr, va, te = temporal_split(table, SplitSpec())
-    spec = compute_feature_spec(table, tr)
-    g, edge_labels, _ = to_multigraph(table, spec)
-    return TaskData(graph=g, labels=edge_labels,
-                    items=np.arange(g.num_edges), task_type="edge",
-                    train_idx=tr, val_idx=va, test_idx=te)
+    else:
+        tr, va, te = temporal_split(table, SplitSpec())
+    if spec is None:
+        spec = compute_feature_spec(table, tr)
+    g, edge_labels, node_labels = to_multigraph(table, spec)
+    if not args.node_labels:
+        return TaskData(g, edge_labels, np.arange(g.num_edges), "edge",
+                        tr, va, te), spec
+    items = np.flatnonzero(node_labels >= 0)
+    if items.size < 5:
+        raise ConfigError("too few labeled nodes to split")
+    return TaskData(graph=g, labels=node_labels[items], items=items,
+                    task_type="node", **node_split(items.size, seed)), spec
 
 
 def cmd_gen(args) -> int:
@@ -194,7 +197,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # the CSV is read once; only a node task's split depends on the seed
-    task = _load_task(args, seeds[0])
+    task, spec = _load_task(args, seeds[0])
     records = []
     first_model = None
     for seed in seeds:
@@ -223,15 +226,18 @@ def cmd_train(args) -> int:
     print(f"mean test F1 {summary['f1_mean']:.4f} "
           f"+- {summary['f1_std']:.4f} over {len(seeds)} seed(s)")
     if args.checkpoint:
-        save_checkpoint(first_model, args.checkpoint)
+        save_checkpoint(first_model, args.checkpoint, spec)
         print(f"saved checkpoint to {args.checkpoint}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    metrics = evaluate_model(model, _load_task(args, seed=args.seed),
-                             args.split)
+    model, spec = load_checkpoint(args.checkpoint)
+    if spec is None:
+        raise ModelError(f"checkpoint {args.checkpoint} carries no input "
+                         "encoding; retrain to write one")
+    task, _ = _load_task(args, model.seed, spec)
+    metrics = evaluate_model(model, task, args.split)
     print(json.dumps({"split": args.split, "metrics": metrics}, indent=2,
                      sort_keys=True))
     return 0
@@ -312,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--seed", type=int, default=0,
-                   help="split seed for node-label tasks")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check", help="run the property suites")

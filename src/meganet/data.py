@@ -79,7 +79,7 @@ class TransactionTable:
     timestamp: np.ndarray
     amount: np.ndarray
     categorical: np.ndarray            # [rows, n_cat] dictionary codes
-    categorical_sizes: tuple[int, ...]
+    categories: dict[str, list[str]]   # column -> its values in code order
     labels: np.ndarray | None = None   # per-row binary labels
     node_labels: np.ndarray | None = None  # per-account labels (sidecar)
     # CSV value of each account id; load_node_labels maps sidecars through it
@@ -176,7 +176,7 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
         amount=np.array(amt, dtype=np.float64),
         categorical=(np.array(cats, dtype=np.int64)
                      if n_cat else np.zeros((len(src), 0), dtype=np.int64)),
-        categorical_sizes=tuple(len(d) for d in cat_dicts),
+        categories={c: list(d) for c, d in zip(schema.categorical, cat_dicts)},
         labels=np.array(labels, dtype=np.int64) if schema.label else None,
         account_names=list(accounts),
     )
@@ -244,15 +244,31 @@ def temporal_split(t: TransactionTable, s: SplitSpec):
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Normalization statistics, computed on the training split only."""
+    """The input encoding a model is trained with: the training split's
+    timestamp and amount statistics and each categorical column's values in
+    one-hot column order. IngestionError unless the means are finite, the
+    stds positive and finite and each column's values distinct strings."""
 
     ts_mean: float
     ts_std: float
     amount_mean: float
     amount_std: float
+    categories: dict[str, list[str]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        stats = (self.ts_mean, self.ts_std, self.amount_mean, self.amount_std)
+        if not (all(map(math.isfinite, stats))
+                and min(self.ts_std, self.amount_std) > 0
+                and all(isinstance(v, list) and len(set(v)) == len(v)
+                        and all(isinstance(x, str) for x in v)
+                        for v in self.categories.values())):
+            raise IngestionError("feature spec: means must be finite, stds "
+                                 "positive and finite, values distinct strings")
 
 
 def compute_feature_spec(t: TransactionTable, train_idx=None) -> FeatureSpec:
+    """The encoding of t: statistics of the train_idx rows (default all),
+    and every row's categorical values (no label statistic) in t's codes."""
     idx = np.arange(t.num_rows) if train_idx is None else np.asarray(train_idx)
     ts = t.timestamp[idx].astype(np.float64)
     amt = t.amount[idx]
@@ -268,18 +284,24 @@ def compute_feature_spec(t: TransactionTable, train_idx=None) -> FeatureSpec:
         ts_std=float(ts.std()) or 1.0,
         amount_mean=amount_mean,
         amount_std=amount_std or 1.0,
+        categories=dict(t.categories),
     )
 
 
 def to_multigraph(t: TransactionTable, feature_spec: FeatureSpec):
     """Build the transaction multigraph.
 
-    Edge features: z-scored timestamp and amount plus one-hot categoricals.
-    Nodes carry a constant column (the datasets have no node attributes).
-    Returns (graph, edge_labels or None, node_labels or None). A row whose
-    z-score is not finite in float64 raises IngestionError naming its
-    column and its 1-based data row.
+    Edge features: z-scored timestamp and amount plus one-hot categoricals,
+    each value at its column in feature_spec, matched by name. Nodes carry
+    a constant column (the datasets have no node attributes). Returns
+    (graph, edge_labels or None, node_labels or None). IngestionError when
+    the table's categorical columns are not the spec's, and for a row whose
+    z-score is not finite in float64 or whose value the spec lacks, naming
+    its column and its 1-based data row.
     """
+    if list(t.categories) != list(feature_spec.categories):
+        raise IngestionError(f"categorical columns {list(t.categories)} are "
+                             f"not the encoding's {list(feature_spec.categories)}")
     # a row outside the training split can lie too far from its mean
     with np.errstate(over="ignore", invalid="ignore"):
         cols = [
@@ -292,9 +314,17 @@ def to_multigraph(t: TransactionTable, feature_spec: FeatureSpec):
             raise IngestionError(
                 f"{name}: row {bad[0] + 1} ({getattr(t, name)[bad[0]]:g}) lies "
                 f"too far from the training rows' mean to standardise in float64")
-    for c, size in enumerate(t.categorical_sizes):
-        hot = np.zeros((t.num_rows, size))
-        hot[np.arange(t.num_rows), t.categorical[:, c]] = 1.0
+    for c, (name, values) in enumerate(feature_spec.categories.items()):
+        index = {v: i for i, v in enumerate(values)}
+        codes = np.array([index.get(v, -1) for v in t.categories[name]],
+                         dtype=np.int64)[t.categorical[:, c]]
+        bad = np.flatnonzero(codes < 0)
+        if bad.size:
+            value = t.categories[name][t.categorical[bad[0], c]]
+            raise IngestionError(f"{name}: row {bad[0] + 1} holds {value!r}, "
+                                 "a value the encoding does not know")
+        hot = np.zeros((t.num_rows, len(values)))
+        hot[np.arange(t.num_rows), codes] = 1.0
         cols.append(hot)
     edges = np.column_stack([t.src, t.dst])
     g = Multigraph(

@@ -68,6 +68,7 @@ from .agg import (
     reduce_or_default_with_vjp,
     segment_reduce_with_vjp,
 )
+from .data import FeatureSpec
 from .graph import Groups, Multigraph, SupportIndex, build_groups
 from .nn import GatheredConcat, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
 
@@ -495,11 +496,11 @@ class _SeedSequence:
         return (self.base * 1000003 + self.counter) % (2 ** 63)
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def save_checkpoint(model: Model, path) -> None:
-    """JSON checkpoint: config echo plus per-MLP dims and row-major arrays."""
+def save_checkpoint(model: Model, path, feature_spec=None) -> None:
+    """JSON checkpoint: config echo, feature spec, per-MLP dims and arrays."""
     import json
 
     payload = {
@@ -508,6 +509,7 @@ def save_checkpoint(model: Model, path) -> None:
         "d_node_in": model.d_node_in,
         "d_edge_in": model.d_edge_in,
         "seed": model.seed,
+        "feature_spec": None if feature_spec is None else asdict(feature_spec),
         "mlps": [
             {
                 "name": name,
@@ -522,8 +524,9 @@ def save_checkpoint(model: Model, path) -> None:
         json.dump(payload, fh)
 
 
-def load_checkpoint(path) -> Model:
-    """Model saved by save_checkpoint; malformed content raises ModelError."""
+def load_checkpoint(path) -> tuple[Model, FeatureSpec | None]:
+    """(model, feature spec) saved by save_checkpoint, the spec None if none
+    was saved (version 1); malformed content raises ModelError."""
     import json
 
     with open(path, encoding="utf-8") as fh:
@@ -532,7 +535,7 @@ def load_checkpoint(path) -> Model:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelError(f"checkpoint is not JSON: {exc}") from None
     try:
-        if payload.get("format_version") != CHECKPOINT_VERSION:
+        if payload.get("format_version") not in (1, CHECKPOINT_VERSION):
             raise ModelError(f"unsupported checkpoint version "
                              f"{payload.get('format_version')!r}")
         config = ModelConfig.from_dict(payload["config"])
@@ -550,10 +553,12 @@ def load_checkpoint(path) -> Model:
                 w[...] = np.asarray(flat, dtype=w.dtype).reshape(w.shape)
             for b, vals in zip(m.biases, entry["biases"]):
                 b[...] = np.asarray(vals, dtype=b.dtype).reshape(b.shape)
+        spec = payload.get("feature_spec")
+        spec = spec if spec is None else FeatureSpec(**spec)
     except ModelError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed checkpoint: {exc!r}") from None
     if not np.isfinite(model.params).all():
         raise ModelError("checkpoint holds non-finite weights")
-    return model
+    return model, spec

@@ -176,18 +176,160 @@ def test_train_reads_the_csv_once_for_all_seeds(dataset, tmp_path,
         assert a == b
 
 
-def test_train_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
+@pytest.mark.parametrize("task", ["node", "edge"])
+def test_train_eval_checkpoint_roundtrip(dataset, tmp_path, capsys, task):
+    """eval on the training CSV scores the test split as training did."""
     tx, labels = dataset
     ckpt = tmp_path / "model.json"
-    run(train_args(tx, labels, tmp_path / "run", "--seeds", "0",
-                   "--checkpoint", ckpt))
+    train = train_args(tx, labels, tmp_path / "run", "--seeds", "0",
+                       "--checkpoint", ckpt)
+    data = ["--data", tx, "--node-labels", labels]
+    if task == "edge":
+        edge_tx = with_edge_labels(tx, tmp_path / "edges.csv")
+        train = [edge_tx if a == tx else a for a in train
+                 if a not in ("--node-labels", labels)]
+        data = ["--data", edge_tx]
+    assert run(train) == 0
     rec = json.loads((tmp_path / "run" / "record_seed0.json").read_text())
+    assert rec["config"]["task_type"] == task
     capsys.readouterr()
-    rc = run(["eval", "--checkpoint", ckpt, "--data", tx,
-              "--node-labels", labels, "--split", "test", "--seed", 0])
+    rc = run(["eval", "--checkpoint", ckpt, *data, "--split", "test"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["metrics"]["f1"] == rec["final_metrics"]["f1"]
+    for key in ("f1", "pr_auc"):
+        assert out["metrics"][key] == rec["final_metrics"][key]
+
+
+def test_eval_splits_a_node_task_with_the_checkpoints_seed(dataset, tmp_path,
+                                                           capsys):
+    """A checkpoint trained with seed 3 scores the test nodes that seed's
+    split held out, not those of seed 0."""
+    tx, labels = dataset
+    ckpt = tmp_path / "model.json"
+    assert run(train_args(tx, labels, tmp_path / "run", "--seeds", 3,
+                          "--checkpoint", ckpt)) == 0
+    rec = json.loads((tmp_path / "run" / "record_seed3.json").read_text())
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", ckpt, "--data", tx,
+                "--node-labels", labels]) == 0
+    assert json.loads(capsys.readouterr().out)["metrics"] == \
+        rec["final_metrics"]
+
+
+def test_eval_has_no_seed_option(dataset, tmp_path, capsys):
+    tx, labels = dataset
+    with pytest.raises(SystemExit) as excinfo:
+        run(["eval", "--checkpoint", tmp_path / "model.json", "--data", tx,
+             "--node-labels", labels, "--seed", 0])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+AML_HEADER = ("src_account,dst_account,timestamp,amount_received,currency,"
+              "payment_format,is_laundering")
+
+
+def write_aml(path, rows):
+    path.write_text("\n".join([AML_HEADER, *(",".join(map(str, r))
+                                            for r in rows)]) + "\n")
+    return path
+
+
+@pytest.fixture
+def aml(tmp_path):
+    """A 300-row AML-schema CSV with distinct timestamps, and an edge-task
+    checkpoint trained on it."""
+    rng = np.random.default_rng(4)
+    stamps = rng.permutation(300) * 60 + 1_000_000
+    rows = [(f"acct{rng.integers(40)}", f"acct{rng.integers(40)}", t,
+             round(float(rng.lognormal(4, 1)), 2),
+             ("USD", "EUR", "GBP", "CHF")[rng.integers(4)],
+             ("wire", "card", "cash")[rng.integers(3)],
+             int(rng.random() < 0.2)) for t in stamps]
+    tx = write_aml(tmp_path / "aml.csv", rows)
+    ckpt = tmp_path / "aml-model.json"
+    assert run(["train", "--schema", "aml", "--data", tx, "--out-dir",
+                tmp_path / "aml-run", "--epochs", 3, "--hidden", 8,
+                "--mlp-hidden", 8, "--num-layers", 2, "--checkpoint",
+                ckpt]) == 0
+    return tx, rows, ckpt
+
+
+def eval_logits(tx, ckpt):
+    """The logits meganet eval scores, one per transaction, in timestamp
+    order."""
+    import meganet.cli as cli_module
+    from meganet.graph import build_reverse_index, build_support_index
+    from meganet.model import load_checkpoint
+
+    model, spec = load_checkpoint(ckpt)
+    args = build_parser().parse_args(["eval", "--schema", "aml", "--data",
+                                      str(tx), "--checkpoint", str(ckpt)])
+    task, _ = cli_module._load_task(args, model.seed, spec)
+    supp = build_support_index(task.graph)
+    logits, _ = model.forward(task.graph, supp,
+                              build_reverse_index(task.graph, supp))
+    stamps = [int(row.split(",")[2])
+              for row in tx.read_text().splitlines()[1:]]
+    return logits[np.argsort(stamps)]
+
+
+def test_eval_scores_a_row_shuffled_csv_alike(aml, tmp_path, capsys):
+    """Categories are numbered in first-seen order as a CSV is read; eval
+    maps them through the checkpoint's encoding by name, so a reordered CSV
+    scores every transaction as the original does. Only float32 rounding
+    differs, as sums run in another edge order; it is relative to the
+    summands, so the bound is 1e-5 of the largest logit (a mis-mapped
+    one-hot column moves logits by whole units)."""
+    tx, rows, ckpt = aml
+    order = np.random.default_rng(0).permutation(len(rows))
+    shuffled = write_aml(tmp_path / "shuffled.csv", [rows[i] for i in order])
+    want, got = eval_logits(tx, ckpt), eval_logits(shuffled, ckpt)
+    assert np.allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+    capsys.readouterr()
+    assert run(["eval", "--schema", "aml", "--data", shuffled,
+                "--checkpoint", ckpt]) == 0
+
+
+def test_eval_csv_with_a_category_unseen_in_training_exit_2(aml, tmp_path,
+                                                            capsys):
+    tx, rows, ckpt = aml
+    renamed = [r[:4] + ("SEK" if r[4] == "GBP" else r[4],) + r[5:]
+               for r in rows]
+    first = next(i for i, r in enumerate(renamed) if r[4] == "SEK") + 1
+    capsys.readouterr()
+    assert run(["eval", "--schema", "aml", "--data",
+                write_aml(tmp_path / "sek.csv", renamed),
+                "--checkpoint", ckpt]) == 2
+    assert (f"currency: row {first} holds 'SEK', a value the encoding "
+            "does not know") in capsys.readouterr().err
+
+
+def test_eval_csv_with_other_categorical_columns_exit_2(aml, tmp_path,
+                                                        capsys):
+    """The generated schema reads no categorical column of the same rows."""
+    tx, rows, ckpt = aml
+    both = tmp_path / "both.csv"
+    both.write_text("\n".join(
+        [AML_HEADER + ",src,dst,amount,label"]
+        + [",".join(map(str, r + (r[0], r[1], r[3], r[6]))) for r in rows])
+        + "\n")
+    capsys.readouterr()
+    assert run(["eval", "--data", both, "--checkpoint", ckpt]) == 2
+    assert ("categorical columns [] are not the encoding's ['currency', "
+            "'payment_format']") in capsys.readouterr().err
+
+
+def test_version_1_checkpoint_in_eval_exit_2(dataset, capsys):
+    """A version-1 checkpoint loads, but carries no input encoding to score
+    a CSV with; eval refuses it rather than fit one on the CSV."""
+    from pathlib import Path
+
+    tx, labels = dataset
+    ckpt = Path(__file__).parent / "data" / "node_checkpoint_v1.json"
+    assert run(["eval", "--checkpoint", ckpt, "--data", tx,
+                "--node-labels", labels]) == 2
+    assert "carries no input encoding; retrain" in capsys.readouterr().err
 
 
 def with_edge_labels(tx, out):
@@ -357,20 +499,38 @@ def _corrupt_truncate(p):
     p["mlps"][1]["weights"][0] = p["mlps"][1]["weights"][0][:-1]
 
 
+def _corrupt_spec(**entries):
+    return lambda p: p["feature_spec"].update(entries)
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_nan,
-    lambda p: p.update(format_version=2),
+    lambda p: p.update(format_version=3),
     lambda p: "{not json",
     _corrupt_truncate,
     lambda p: p.pop("d_edge_in"),
-], ids=["nan-weight", "format-version-2", "not-json", "truncated-weights",
-        "missing-key"])
+    lambda p: p["feature_spec"].pop("ts_std"),
+    _corrupt_spec(amount_mean=float("nan")),
+    _corrupt_spec(ts_mean=float("inf")),
+    _corrupt_spec(ts_std=0.0),
+    _corrupt_spec(amount_std=float("inf")),
+    _corrupt_spec(categories={"currency": "USD"}),
+    _corrupt_spec(categories={"currency": ["USD", 1]}),
+    _corrupt_spec(categories=["currency"]),
+], ids=["nan-weight", "format-version-3", "not-json", "truncated-weights",
+        "missing-key", "spec-missing-key", "spec-nan-mean", "spec-inf-mean",
+        "spec-zero-std", "spec-inf-std", "spec-categories-a-string",
+        "spec-category-not-a-string", "spec-categories-a-list"])
 def test_malformed_checkpoint_exit_2(dataset, tmp_path, capsys, corrupt):
+    from meganet.data import FeatureSpec
     from meganet.model import Model, ModelConfig, save_checkpoint
 
     tx, labels = dataset
     ckpt = tmp_path / "model.json"
-    save_checkpoint(Model(ModelConfig(), 1, 1), ckpt)
+    # uncorrupted, a checkpoint that scores this dataset
+    save_checkpoint(Model(ModelConfig(), 1, 2), ckpt,
+                    FeatureSpec(ts_mean=0.0, ts_std=1.0, amount_mean=0.0,
+                                amount_std=1.0))
     payload = json.loads(ckpt.read_text())
     text = corrupt(payload)
     ckpt.write_text(text if isinstance(text, str) else json.dumps(payload))

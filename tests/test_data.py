@@ -6,6 +6,7 @@ import pytest
 from meganet.data import (
     AML_SCHEMA,
     ConfigError,
+    FeatureSpec,
     GENERATED_SCHEMA,
     IngestionError,
     Schema,
@@ -106,7 +107,8 @@ def test_categoricals_dictionary_encoded(tmp_path):
               "b,c,2,6.0,EUR,wire,1\n"
               "c,a,3,7.0,USD,card,0\n")
     t = load_transactions(p, AML_SCHEMA)
-    assert t.categorical_sizes == (2, 2)
+    assert t.categories == {"currency": ["USD", "EUR"],
+                            "payment_format": ["wire", "card"]}
     assert t.categorical[:, 0].tolist() == [0, 1, 0]
     assert t.labels.tolist() == [0, 1, 0]
 
@@ -226,7 +228,7 @@ def make_table(n_rows, seed=0):
         timestamp=rng.integers(0, 1000, n_rows),
         amount=rng.uniform(1, 100, n_rows),
         categorical=np.zeros((n_rows, 0), dtype=np.int64),
-        categorical_sizes=(),
+        categories={},
     )
 
 
@@ -273,6 +275,73 @@ def test_to_multigraph_shapes(tmp_path):
     g, edge_labels, node_labels = to_multigraph(t, compute_feature_spec(t))
     assert g.num_nodes == 2 and g.num_edges == 3
     assert edge_labels is None and node_labels is None
+
+
+AML_ROWS = ["a,b,1,5.0,USD,wire,0", "b,c,2,6.0,EUR,wire,1",
+            "c,a,3,7.0,USD,card,0", "a,c,4,8.0,GBP,card,0"]
+
+
+def aml_table(tmp_path, name, rows):
+    return load_transactions(write(tmp_path, name, "\n".join(
+        ["src_account,dst_account,timestamp,amount_received,currency,"
+         "payment_format,is_laundering", *rows]) + "\n"), AML_SCHEMA)
+
+
+def test_feature_spec_holds_every_rows_categories_in_first_seen_order(
+        tmp_path):
+    """Statistics come from the training rows; category values, which say
+    nothing of a label, from all rows, so training rows keep their codes."""
+    t = aml_table(tmp_path, "t.csv", AML_ROWS)
+    spec = compute_feature_spec(t, [0, 1])
+    assert spec.categories == {"currency": ["USD", "EUR", "GBP"],
+                               "payment_format": ["wire", "card"]}
+    assert spec.amount_mean == 5.5
+    g, _, _ = to_multigraph(t, spec)
+    assert g.edge_features[:, 2:].tolist() == [
+        [1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [1, 0, 0, 0, 1], [0, 0, 1, 0, 1]]
+
+
+def test_to_multigraph_maps_categories_by_name(tmp_path):
+    """A reordered table numbers its categories otherwise; each row still
+    gets the spec's one-hot columns, and the spec's statistics."""
+    t = aml_table(tmp_path, "t.csv", AML_ROWS)
+    spec = compute_feature_spec(t, [0, 1])
+    back = aml_table(tmp_path, "back.csv", AML_ROWS[::-1])
+    assert back.categories["currency"] == ["GBP", "USD", "EUR"]
+    want, _, _ = to_multigraph(t, spec)
+    got, _, _ = to_multigraph(back, spec)
+    assert np.array_equal(got.edge_features[::-1], want.edge_features)
+
+
+def test_to_multigraph_refuses_a_value_the_spec_lacks(tmp_path):
+    spec = compute_feature_spec(aml_table(tmp_path, "t.csv", AML_ROWS[:3]))
+    with pytest.raises(IngestionError,
+                       match="currency: row 4 holds 'GBP', a value the "
+                             "encoding does not know"):
+        to_multigraph(aml_table(tmp_path, "u.csv", AML_ROWS), spec)
+
+
+def test_to_multigraph_refuses_other_categorical_columns(tmp_path):
+    spec = compute_feature_spec(aml_table(tmp_path, "t.csv", AML_ROWS))
+    t = make_table(5)
+    with pytest.raises(IngestionError, match=r"categorical columns \[\] are "
+                       r"not the encoding's \['currency', 'payment_format'\]"):
+        to_multigraph(t, spec)
+
+
+@pytest.mark.parametrize("entries", [
+    dict(ts_mean=float("nan")), dict(amount_mean=float("inf")),
+    dict(ts_std=0.0), dict(amount_std=-1.0), dict(ts_std=float("inf")),
+    dict(categories={"currency": ("USD",)}),
+    dict(categories={"currency": ["USD", "USD"]}),
+    dict(categories={"currency": [None]}),
+], ids=["nan-mean", "inf-mean", "zero-std", "negative-std", "inf-std",
+        "tuple", "repeated-value", "not-a-string"])
+def test_feature_spec_rejects_what_cannot_encode(entries):
+    fields = dict(ts_mean=0.0, ts_std=1.0, amount_mean=0.0, amount_std=1.0)
+    FeatureSpec(**fields)
+    with pytest.raises(IngestionError, match="feature spec"):
+        FeatureSpec(**{**fields, **entries})
 
 
 def test_roundtrip_through_csv(tmp_path):

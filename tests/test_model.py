@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from meganet.agg import AggSpec
+from meganet.data import FeatureSpec
 from meganet.graph import (
     Multigraph,
     apply_permutation,
@@ -110,7 +111,7 @@ def test_checkpoint_config_json_bytes_pinned(tmp_path):
     save_checkpoint(Model(cfg, 1, 1, seed=0), path)
     text = path.read_text()
     assert text[:text.index(', "d_node_in"')] == (
-        '{"format_version": 1, "config": {"num_layers": 1, '
+        '{"format_version": 2, "config": {"num_layers": 1, '
         '"bidirectional": false, "edge_agg": {"kind": "pna", '
         '"mean_log_degree": 0.5}, "node_agg": {"kind": "max", '
         '"mean_log_degree": 1.0}, "readout": "edge", "two_stage": true, '
@@ -698,12 +699,15 @@ def test_checkpoint_roundtrip(tmp_path):
     model = Model(cfg, 2, 2, seed=8)
     want, _ = model.forward(g, supp, rev)
 
+    spec = FeatureSpec(ts_mean=5.5, ts_std=2.0, amount_mean=-1.0,
+                       amount_std=0.25, categories={"currency": ["EUR", "USD"]})
     path = tmp_path / "ckpt.json"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
+    save_checkpoint(model, path, spec)
+    loaded, loaded_spec = load_checkpoint(path)
     got, _ = loaded.forward(g, supp, rev)
     assert np.array_equal(want, got)
     assert loaded.config == cfg
+    assert loaded_spec == spec
 
 
 DATA = Path(__file__).parent / "data"
@@ -730,7 +734,8 @@ def test_checkpoint_listing_full_pna_sets_loads(tmp_path, reverse):
             spec["pna_scalers"].reverse()
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(payload))
-    model = load_checkpoint(path)
+    model, spec = load_checkpoint(path)
+    assert spec is None                  # version 1 saved no encoding
     assert model.config.edge_agg == AggSpec("pna", mean_log_degree=0.9)
     g = random_connected_multigraph(5, 9, seed=2)
     supp = build_support_index(g)
@@ -748,7 +753,8 @@ def test_node_readout_checkpoint_with_last_layer_edge_updates_loads():
 
     payload = json.loads((DATA / "node_checkpoint_v1.json").read_text())
     saved = {entry["name"] for entry in payload["mlps"]}
-    model = load_checkpoint(DATA / "node_checkpoint_v1.json")
+    model, spec = load_checkpoint(DATA / "node_checkpoint_v1.json")
+    assert spec is None
     built = {name for name, _ in model.named_mlps()}
     assert saved - built == {"layer1.edge_update_net",
                              "layer1.rev_edge_update_net"}
@@ -814,7 +820,7 @@ def test_checkpoint_roundtrip_keeps_dtype(tmp_path, dtype):
     want, _ = model.forward(g, supp, rev)
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
+    loaded, _ = load_checkpoint(path)
     got, _ = loaded.forward(g, supp, rev)
     assert loaded.config == cfg
     assert loaded.params.dtype == want.dtype == got.dtype == np.dtype(dtype)
@@ -836,7 +842,7 @@ def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
     payload = json.loads(path.read_text())
     del payload["config"]["dtype"]
     path.write_text(json.dumps(payload))
-    loaded = load_checkpoint(path)
+    loaded, _ = load_checkpoint(path)
     got, _ = loaded.forward(g, supp, rev)
     assert loaded.config.dtype == "float64"
     assert np.array_equal(want, got)
