@@ -12,13 +12,17 @@ reads [x || a_0 (|| a_1)]; each direction with an edge-update net updates
 its own copy of the edge latents. Every layer but the last has one per
 direction; the last has only those whose latents the readout reads: none
 for a node readout, the forward direction's for an edge readout. A forward
-given the rows whose logits it returns computes, under an edge readout,
-that last edge update and the readout on those edges alone; a node
-readout computes every node's logit and returns the rows'. The
-single-stage baseline (every edge aggregated at its node in one go) is the
-same engine, in the same one or two directions, over each support index's
-per-edge sites (SupportIndex.per_edge): each edge is its own site, there is
-no multi-edge stage (edge_agg_mlp is None, so h is e), and the edge update
+given the rows whose logits it returns first plans, walking back from the
+readout, which node states and edge latents each layer must compute
+(GraphSAGE's minibatch forward, per layer and per direction); each
+direction then runs on its support index restricted to its whole pairs,
+with groups filtered from the index's own, so every reduction sums in the
+same order as over the whole graph; a layer that reads nearly every node
+computes them all. The single-stage baseline (every edge aggregated at
+its node in one go) is the same engine, in the same one or two
+directions, over each support index's per-edge sites
+(SupportIndex.per_edge): each edge is its own site, there is no
+multi-edge stage (edge_agg_mlp is None, so h is e), and the edge update
 reads [x_src || e || x_dst].
 
 Every MLP weight and bias is a view into Model.params and its gradient a
@@ -31,12 +35,13 @@ MLP inputs that concatenate gathered rows ([x_src || h], [x_src || e || h],
 [x || a_0 (|| a_1)], the edge readout's [x_src || e || x_dst]) are passed
 as nn.GatheredConcat: nothing of per-edge width is built or cached, and
 each backward returns the gradients already summed into x, e and h rows;
-a gathered part carries the support index's Groups for its row index, so
-the backward scatter groups nothing again. A reduction's result enters
-its MLP (the post-aggregation MLP, the node update) as one part with the
-reduction's scale columns: under PNA the 4·d statistics weighed by the
-three degree scalers stand for the 12·d block the MLP's weights are laid
-out for, which is never built or cached; every other kind has no scale.
+a gathered part carries the support index's Groups (or the restricted
+ones) for its row index, so the backward scatter groups nothing again. A
+reduction's result enters its MLP (the post-aggregation MLP, the node
+update) as one part with the reduction's scale columns: under PNA the
+4·d statistics weighed by the three degree scalers stand for the 12·d
+block the MLP's weights are laid out for, which is never built or cached;
+every other kind has no scale.
 Reductions read their rows where they lie: edge latents e with the support
 index's by_pair groups, messages with its by_dst groups (agg.GroupedFeatures),
 and their VJPs return gradients in the same row order, so no reduction
@@ -55,6 +60,7 @@ final node and edge states.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -66,6 +72,7 @@ from .agg import (
     AggSpec,
     GroupedFeatures,
     reduce_or_default_with_vjp,
+    scatter_add,
     segment_reduce_with_vjp,
 )
 from .data import FeatureSpec
@@ -158,6 +165,123 @@ class LayerParams:
 
 
 # ---------------------------------------------------------------------------
+# the rows a forward computes
+# ---------------------------------------------------------------------------
+
+# A row set is a proper subset of range(total) that a stage computes, held
+# as the int array of each row's number among the members in order, -1 for
+# a row outside; None stands for the whole range.
+
+def _rows(mask: np.ndarray) -> np.ndarray | None:
+    """The row set of a boolean mask."""
+    return None if mask.all() else np.where(mask, np.cumsum(mask) - 1, -1)
+
+
+def _node_rows(mask: np.ndarray) -> np.ndarray | None:
+    """The row set of a node mask, taken whole when it holds nine nodes in
+    ten or more: trimming a layer by a few rows saves little, and its arrays,
+    a few rows short of the whole graph's, fragment the heap that the next
+    step's whole-graph arrays reuse (aml-edge-sum reads 96% of its nodes;
+    trimmed, its peak RSS rose about 10 MB)."""
+    return None if mask.mean() >= 0.9 else _rows(mask)
+
+
+def _size(rows, total: int) -> int:
+    return total if rows is None else int(rows.max()) + 1
+
+
+def _restrict(groups: Groups, items, keys) -> Groups:
+    """groups over the row set items, keyed by their group's number within
+    the row set keys. order is filtered, not sorted again, so each group
+    keeps its items in order and a reduction sums them as over groups."""
+    if items is None and keys is None:
+        return groups
+    key, order, _ = groups
+    if items is not None:
+        key, order = key[items >= 0], items[order]
+        order = order[order >= 0]
+    num = _size(keys, groups.num_groups)
+    key = key if keys is None else keys[key]
+    return Groups(key, order,
+                  np.append(0, np.cumsum(np.bincount(key, minlength=num))))
+
+
+def _within(inner, outer) -> Groups | None:
+    """The members of row set inner, which outer holds, as groups over the
+    members of outer; None when they are the same rows."""
+    if inner is None or _size(inner, 0) == _size(outer, inner.size):
+        return None
+    every = np.arange(inner.size + 1)
+    return _restrict(Groups(every[:-1], every[:-1], every), inner, outer)
+
+
+def _read(rows, ids: np.ndarray, total: int) -> Groups:
+    """ids, read in order, as groups over the members of the row set rows."""
+    return build_groups(ids if rows is None else rows[ids], _size(rows, total))
+
+
+def _encoder_input(features: np.ndarray, rows, dtype) -> np.ndarray:
+    return (features if rows is None else features[rows >= 0]).astype(
+        dtype, copy=False)
+
+
+def _update_parts(supp: SupportIndex, nets: DirectionNets,
+                  nodes_in=None, pairs=None, edges=None, updated=None):
+    """The indices of an edge update's parts (x_src, e, then h or x_dst)
+    over the row set updated, into the rows of the row sets nodes_in, edges
+    and pairs."""
+    third = (_restrict(supp.edges_by_dst, updated, nodes_in)
+             if nets.edge_agg_mlp is None
+             else _restrict(supp.by_pair, updated, pairs))
+    return (_restrict(supp.edges_by_src, updated, nodes_in),
+            _within(updated, edges), third)
+
+
+def plan_layers(layers: list[LayerParams], supports, nodes, updated):
+    """Each layer's groupings, restricted to the rows it computes, for a
+    readout that reads the last states of the row set nodes and the forward
+    direction's last latents of the row set updated.
+
+    Walked back from the readout, a layer updates the nodes that the next
+    layer or the readout reads. In each direction it reduces the whole
+    pairs whose destination is among them, and updates the edges of the
+    pairs the next layer reduces there (the readout's, in the last layer),
+    which its own pairs carry. It reads the nodes it updates and its pairs'
+    sources. Returns the row sets of the nodes and, per direction, of the
+    edges layer 0 reads, and per layer, layer 0 first, a (kept, supports,
+    updates) triple: the nodes it updates among those it reads as groups
+    (None: the same rows), per direction its support index over its pairs
+    (by_src into the nodes it reads, by_dst into those it updates), and per
+    direction its edge update's part indices (None: it has no update).
+    """
+    indices, k = [], len(supports)
+    updated = [updated] + [None] * (k - 1)
+    for lp in reversed(layers):
+        nodes_in, pairs, edges = None, [None] * k, [None] * k
+        if nodes is not None:
+            into = [nodes[s.supp_dst] >= 0 for s in supports]
+            reads = nodes >= 0
+            for s, m in zip(supports, into):
+                reads[s.supp_src[m]] = True
+            nodes_in = _node_rows(reads)
+            pairs = [_rows(m) for m in into]
+            edges = [_rows(m[s.edge_to_supp]) for s, m in zip(supports, into)]
+        indices.append((
+            _within(nodes, nodes_in),
+            [SupportIndex(_size(nodes_in, s.num_nodes),
+                          _restrict(s.by_pair, e, p),
+                          by_dst=_restrict(s.by_dst, p, nodes),
+                          by_src=_restrict(s.by_src, p, nodes_in))
+             for s, p, e in zip(supports, pairs, edges)],
+            [None if n.edge_update_net is None
+             else _update_parts(s, n, nodes_in, p, e, u)
+             for s, n, p, e, u in zip(supports, lp.directions, pairs, edges,
+                                      updated)]))
+        nodes, updated = nodes_in, edges
+    return nodes, updated, indices[::-1]
+
+
+# ---------------------------------------------------------------------------
 # direction step and edge update (forward + cached backward)
 # ---------------------------------------------------------------------------
 
@@ -174,10 +298,10 @@ def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
     """Multi-edge reduce, post-aggregation MLP, message MLP and node reduce.
 
     Returns (h, a, cache): h holds one latent per support pair, a the
-    (statistics, scale) pair of the node reduce, one row per node (zeros
-    where no pair arrives). Without an edge_agg_mlp the pairs are edges
-    and h is e: neither the reduce nor the MLP runs. seq draws the dropout
-    seed of each MLP that runs.
+    (statistics, scale) pair of the node reduce, one row per node that
+    supp.by_dst groups into (zeros where no pair arrives). Without an
+    edge_agg_mlp the pairs are edges and h is e: neither the reduce nor the
+    MLP runs. seq draws the dropout seed of each MLP that runs.
     """
     h, edge_vjp, agg_cache = e, None, None
     if nets.edge_agg_mlp is not None:
@@ -211,28 +335,18 @@ def direction_bwd(cache, ga, gx, gh, ge):
     return gh if ge is None else ge + gh
 
 
-def _at(groups: Groups, rows) -> Groups:
-    """The groups of the items in rows, in that order: a gathered part's
-    index restricted to those rows. groups itself when rows is None."""
-    if rows is None:
-        return groups
-    return build_groups(groups.key[rows], groups.num_groups)
-
-
 def edge_update_fwd(x, e, h, supp: SupportIndex, nets: DirectionNets,
-                    train=False, seed=0, rows=None):
+                    train=False, seed=0, parts=None):
     """Per-edge update from pre-update node features: [x_src || e || h],
     or [x_src || e || x_dst] where the direction has no multi-edge stage.
 
-    rows lists the edges whose latents are computed, in that order
-    (default: every edge). Each gathered part's product is taken over the
-    whole part and then gathered, so a listed edge's first layer is the
-    same as in the update of every edge.
+    parts holds the indices of the three parts into x, e and h (from
+    _update_parts), which pick the edges it updates; by default every edge,
+    in order.
     """
-    third = ((x, _at(supp.edges_by_dst, rows)) if nets.edge_agg_mlp is None
-             else (h, _at(supp.by_pair, rows)))
-    own = None if rows is None else build_groups(rows, e.shape[0])
-    inp = GatheredConcat((x, _at(supp.edges_by_src, rows)), (e, own), third)
+    src, own, third = parts or _update_parts(supp, nets)
+    inp = GatheredConcat((x, src), (e, own),
+                         (x if nets.edge_agg_mlp is None else h, third))
     out, net_cache = _mlp(nets.edge_update_net, inp, train, seed)
     return out, (nets, net_cache)
 
@@ -254,15 +368,19 @@ def edge_update_bwd(cache, gout, gx):
 # ---------------------------------------------------------------------------
 
 def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
-              rows=None):
+              index=None):
     """One layer over len(supports) directions; es holds their edge latents.
 
-    A direction with an edge-update net computes the latents of the edges
-    in rows, in that order (default: every edge); one without returns its
-    latents unchanged and draws no dropout seed for them.
+    index (from plan_layers; default: every row) gives the rows it computes:
+    x and es hold those it reads, and it returns the node states it updates
+    and, per direction with an edge-update net, the latents it updates. A
+    direction without one returns its latents unchanged and draws no
+    dropout seed for them.
     """
-    hs, parts, dir_caches = [], [(x, None)], []
-    for supp, nets, e in zip(supports, lp.directions, es):
+    kept, restricted, updates = (
+        index or plan_layers([lp], supports, None, None)[2][0])
+    hs, parts, dir_caches = [], [(x, kept)], []
+    for supp, nets, e in zip(restricted, lp.directions, es):
         h, (a, scale), c = direction_fwd(x, e, supp, nets, lp.agg_edge,
                                          lp.agg_node, train, seq)
         hs.append(h)
@@ -271,11 +389,11 @@ def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
     x1, gv_cache = _mlp(lp.node_update_net, GatheredConcat(*parts), train,
                         seq())
     es1, eu_caches = list(es), []
-    for d, (supp, nets, e, h) in enumerate(zip(supports, lp.directions, es,
-                                               hs)):
-        if nets.edge_update_net is not None:
+    for d, (supp, nets, e, h, parts) in enumerate(zip(
+            restricted, lp.directions, es, hs, updates)):
+        if parts is not None:
             es1[d], c = edge_update_fwd(x, e, h, supp, nets, train, seq(),
-                                        rows)
+                                        parts)
             eu_caches.append(c)
     return x1, es1, (lp, dir_caches, gv_cache, eu_caches, x.shape)
 
@@ -378,16 +496,15 @@ class Model:
         reads each index's per_edge sites. roots is accepted and ignored: no
         model marks ego nodes. rows lists the nodes or edges whose
         logits are returned, in that order (default: all); an index outside
-        the graph raises ModelError. Under an edge readout, the last layer's
-        forward edge update and the readout run on rows alone, and a
-        train-mode forward draws their dropout masks over those rows only; a
-        node readout computes every node's logit and returns the rows'.
-        Backward takes one logit gradient per row.
+        the graph raises ModelError. Given rows, each layer computes only
+        the node states and edge latents that later layers and the readout
+        read (plan_layers), and a train-mode forward draws its dropout masks
+        over those rows only. Backward takes one logit gradient per row.
 
         A train-mode cache holds what backward reads and nothing else. An
-        eval-mode cache is {"final": (x, es)}: the last node states and
-        each direction's latest edge latents, which under an edge readout
-        given rows are the forward direction's latents of those edges.
+        eval-mode cache is {"final": (x, es)}: the last states of the nodes
+        the readout reads and each direction's latest latents, of every row
+        without rows, in id order.
         """
         cfg = self.config
         if rows is not None:
@@ -404,41 +521,52 @@ class Model:
         if not cfg.two_stage:
             supports = [s.per_edge for s in supports]
 
+        nodes = updated = None      # what the readout reads: every row
+        ro_index = ([None] if cfg.readout == "node" else
+                    [supp.edges_by_src, None, supp.edges_by_dst])
+        if rows is not None:
+            # the rows' node states, or their endpoints' states and the
+            # forward direction's latents of the rows
+            ends = ([rows] if cfg.readout == "node"
+                    else [g.src[rows], g.dst[rows]])
+            nodes = _node_rows(np.bincount(np.concatenate(ends),
+                                           minlength=g.num_nodes) > 0)
+            ro_index = [_read(nodes, i, g.num_nodes) for i in ends]
+            if cfg.readout == "edge":
+                updated = _rows(np.bincount(rows, minlength=g.num_edges) > 0)
+                ro_index.insert(1, _read(updated, rows, g.num_edges))
+        nodes_in, first, plan = plan_layers(self.layers, supports, nodes,
+                                            updated)
+        # the directions share the encoded latents of the edges any of
+        # them reads, and one that reads fewer gathers its own
+        union = (None if any(r is None for r in first) else
+                 _rows(np.logical_or.reduce([r >= 0 for r in first])))
+        picks = [_within(r, union) for r in first]
+
         seq = _SeedSequence(seed)
-        x, c_nenc = _mlp(self.node_encoder,
-                         g.node_features.astype(cfg.dtype, copy=False),
-                         train_mode, seq())
-        e, c_eenc = _mlp(self.edge_encoder,
-                         g.edge_features.astype(cfg.dtype, copy=False),
-                         train_mode, seq())
-        es = [e] * len(supports)
+        x, c_nenc = _mlp(self.node_encoder, _encoder_input(
+            g.node_features, nodes_in, cfg.dtype), train_mode, seq())
+        e, c_eenc = _mlp(self.edge_encoder, _encoder_input(
+            g.edge_features, union, cfg.dtype), train_mode, seq())
+        es = [e if i is None else e[i.key] for i in picks]
 
         stages = []
-        for li, lp in enumerate(self.layers):
-            # an edge readout reads the last layer's latents at its rows
-            to_readout = li == len(self.layers) - 1 and cfg.readout == "edge"
-            x, es, c = layer_fwd(lp, x, es, supports, train_mode, seq,
-                                 rows if to_readout else None)
+        for lp, index in zip(self.layers, plan):
+            x, es, c = layer_fwd(lp, x, es, supports, train_mode, seq, index)
             if train_mode:
                 stages.append(c)
             del c                 # eval: free it before the next layer runs
 
-        if cfg.readout == "node":
-            ro_in = x
-        else:
-            ro_in = GatheredConcat((x, _at(supp.edges_by_src, rows)),
-                                   (es[0], None),
-                                   (x, _at(supp.edges_by_dst, rows)))
+        ro_in = GatheredConcat(*zip([x] if cfg.readout == "node"
+                                    else [x, es[0], x], ro_index))
         logits2d, c_ro = _mlp(self.readout_net, ro_in, train_mode, seq())
         logits = logits2d[:, 0]
-        # a node readout's rows pick logits it computed for every node
-        picked = rows if cfg.readout == "node" else None
-        if picked is not None:
-            logits = logits[picked]
         if not train_mode:
+            if rows is None:
+                trim_heap()        # a whole-graph pass, done
             return logits, {"final": (x, es)}
-        return logits, {"enc": (c_nenc, c_eenc), "stages": stages,
-                        "readout": c_ro, "picked": (picked, len(x))}
+        return logits, {"enc": (c_nenc, c_eenc, picks), "stages": stages,
+                        "readout": c_ro}
 
     # -- backward -----------------------------------------------------------
 
@@ -460,16 +588,12 @@ class Model:
             raise ModelError("cache already consumed by backward")
         self.grads[...] = 0.0
         gl = np.array(logit_grads, dtype=self.params.dtype).reshape(-1, 1)
-        picked, num_nodes = cache["picked"]
-        if picked is not None:
-            gl, gl_picked = np.zeros((num_nodes, 1), gl.dtype), gl
-            np.add.at(gl, picked, gl_picked)
         mag = np.abs(gl)
         gl[mag < np.finfo(gl.dtype).eps * mag.max(initial=0.0)] = 0.0
 
         gro_in, _ = mlp_backward(self.readout_net, cache.pop("readout"), gl)
         if self.config.readout == "node":
-            gx, ges = gro_in, []
+            (gx,), ges = gro_in, []
         else:
             gx_src, ge, gx_dst = gro_in
             gx, ges = gx_src + gx_dst, [ge]
@@ -478,10 +602,26 @@ class Model:
         while stages:
             gx, ges = layer_bwd(stages.pop(), gx, ges)
 
-        c_nenc, c_eenc = cache["enc"]
+        c_nenc, c_eenc, picks = cache["enc"]
         mlp_backward(self.node_encoder, c_nenc, gx)
-        mlp_backward(self.edge_encoder, c_eenc, sum(ges[1:], ges[0]))
+        mlp_backward(self.edge_encoder, c_eenc,
+                     sum(ge if i is None else scatter_add(ge, i)
+                         for ge, i in zip(ges, picks)))
         return self.grads
+
+
+def trim_heap() -> None:
+    """Give free heap pages back to the system (glibc's malloc_trim; a no-op
+    elsewhere). numpy keeps freed buffers under 1 KB for reuse, and those
+    made mid-step can sit above most of a pass's freed working set, so the
+    heap cannot shrink and that set would stay resident under whatever
+    allocates next. train_model calls it when it returns, and an eval
+    forward over every row when it does; a forward given rows runs inside
+    training, where each step would refault what it gave back."""
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError):
+        pass
 
 
 class _SeedSequence:

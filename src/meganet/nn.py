@@ -13,17 +13,18 @@ built by init_mlp owns gradient arrays that mlp_backward adds into.
 
 An MLP input is a matrix or a GatheredConcat: the column concatenation of
 row-gathered parts, such as [x[src] || e || h[edge_to_pair]], left unbuilt.
-The first layer multiplies each part by its block of weight rows before
-gathering, so a part of n rows costs n rows of matmul however many rows
-its index selects; the backward pass scatters the upstream gradient into
-each part's rows once (agg.scatter_add) and returns one gradient per part.
-A part's row index is the key of a graph.Groups, which the scatter adds
-through, so nothing is grouped again. A part may also carry a [rows, k]
-scale matrix s: it then stands for the k column blocks p * s[:, j] side by
-side, as PNA's statistics under its degree scalers do. The first layer
-sums s[:, j] * (p @ W_j) over the part's k weight blocks and the backward
-weighs the gradient by each column in turn, so the k-fold wide block is
-never built.
+The first layer multiplies each part by its block of weight rows, over
+whichever is fewer: the part's own rows, gathering the product, or the
+rows its index selects, gathered first. The backward pass mirrors that
+choice, scattering the upstream gradient into the part's rows before its
+matmuls or the gathered rows' gradient after them (agg.scatter_add), and
+returns one gradient per part. A part's row index is the key of a
+graph.Groups, which the scatter adds through, so nothing is grouped
+again. A part may also carry a [rows, k] scale matrix s: it then stands
+for the k column blocks p * s[:, j] side by side, as PNA's statistics
+under its degree scalers do. The first layer sums s[:, j] * (p @ W_j) over
+the part's k weight blocks and the backward weighs the gradient by each
+column in turn, so the k-fold wide block is never built.
 """
 
 from __future__ import annotations
@@ -173,19 +174,19 @@ def _side_by_side(w: np.ndarray, k: int) -> np.ndarray:
 
 
 def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b as a sum of per-part products, each gathered after the
-    matmul; a scaled part's product is its blocks' products weighed by its
-    scale columns."""
+    """x @ w + b as a sum of per-part products; a scaled part's product is
+    its blocks' products weighed by its scale columns."""
     z = None
     lo = 0
     for p, i, s in x.parts:
         k = 1 if s is None else s.shape[1]
         hi = lo + k * p.shape[1]
+        p, s, first = _gathered_first(p, i, s)
         zp = p @ _side_by_side(w[lo:hi], k)
         if s is not None:
             zp = np.einsum("rk,rko->ro", s,
                            zp.reshape(len(p), k, w.shape[1]))
-        if i is not None:
+        if i is not None and not first:
             zp = zp[i.key]
         if z is None:
             z = zp
@@ -194,6 +195,14 @@ def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         lo = hi
     z += b
     return z
+
+
+def _gathered_first(p: np.ndarray, i: Groups | None, s):
+    """(p, s, True) gathered through i where i selects fewer rows than p
+    has, so the matmul runs on those rows alone; else (p, s, False)."""
+    if i is None or i.key.size >= len(p):
+        return p, s, False
+    return p[i.key], None if s is None else s[i.key], True
 
 
 def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
@@ -205,14 +214,16 @@ def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
     for p, i, s in x.parts:
         k = 1 if s is None else s.shape[1]
         hi = lo + k * p.shape[1]
-        gp = g if i is None else scatter_add(g, i)
+        p, s, first = _gathered_first(p, i, s)
+        gp = g if i is None or first else scatter_add(g, i)
         if s is not None:
             # the gradient of each block side by side: [rows, k * out]
             gp = np.einsum("rk,ro->rko", s, gp).reshape(len(p),
                                                          k * w.shape[1])
         gw_blocks = gw[lo:hi].reshape(k, p.shape[1], -1)       # a view
         gw_blocks += (p.T @ gp).reshape(p.shape[1], k, -1).transpose(1, 0, 2)
-        gparts.append(gp @ _side_by_side(w[lo:hi], k).T)
+        gp = gp @ _side_by_side(w[lo:hi], k).T
+        gparts.append(scatter_add(gp, i) if first else gp)
         lo = hi
     return gparts
 

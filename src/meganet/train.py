@@ -7,13 +7,16 @@ data.sample_neighborhood with hops = num_layers and every neighbour
 taken, or the whole graph when that walk reaches every node. Each train
 step builds its batch's view, except that a batch holding the whole train
 split builds it once; validation and test build theirs once per run. Eval
-logits through a view are the whole graph's, and so are a train step's
-when dropout is 0 (its masks are drawn over the view's rows). The loss
+logits through a view are those of a whole-graph forward asked for the
+same items, and so are a train step's when dropout is 0: both compute the
+same rows of each layer (Model.forward), and draw masks over those. The loss
 reads the batch's logits and its gradient goes to backward as is, which
 consumes the step's cache; a step drops its logits, and the last batch's
 view before it builds its own, so a step holds one cache and one view. Model
-selection keeps the parameters with the best validation minority-class
-F1. Training and evaluation refuse an empty split (ConfigError).
+selection keeps the parameters of the epoch with the best validation
+minority-class F1 and, among epochs of equal F1, the lowest validation
+loss; patience counts epochs since that epoch. Training and evaluation
+refuse an empty split (ConfigError).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .data import ConfigError, sample_neighborhood
 from .graph import Multigraph, build_reverse_index, build_support_index
 from .metrics import evaluate_scores
-from .model import Model, ModelConfig, ModelError
+from .model import Model, ModelConfig, ModelError, trim_heap
 from .nn import AdamState, NnError, adam_step, weighted_bce_loss
 
 
@@ -140,7 +143,7 @@ def train_model(task: TaskData, model_config: ModelConfig,
                 "task_type": task.task_type},
         seed=seed,
     )
-    best_f1 = -1.0
+    best = (-1.0, -np.inf)
     best_params = model.params.copy()
     step = 0
     v = None
@@ -181,8 +184,9 @@ def train_model(task: TaskData, model_config: ModelConfig,
         val_metrics = evaluate_scores(val_logits, task.labels[task.val_idx])
         record.val_losses.append(float(val_loss))
         record.val_f1s.append(val_metrics["f1"])
-        if val_metrics["f1"] > best_f1:
-            best_f1 = val_metrics["f1"]
+        # the best validation F1, ties broken by the lower validation loss
+        if (val_metrics["f1"], -val_loss) > best:
+            best = (val_metrics["f1"], -val_loss)
             best_params = model.params.copy()
             record.best_epoch = epoch
         elif epoch - record.best_epoch > train_config.patience:
@@ -192,6 +196,7 @@ def train_model(task: TaskData, model_config: ModelConfig,
     del val_view, v
     record.final_metrics = _evaluate(model, task, task.test_idx, supp, rev)
     record.wall_clock = time.perf_counter() - start
+    trim_heap()
     return model, record
 
 

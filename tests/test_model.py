@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meganet.agg import AggSpec
-from meganet.data import FeatureSpec
+from meganet.data import FeatureSpec, generate_planted_task
 from meganet.graph import (
     Multigraph,
     apply_permutation,
@@ -1109,20 +1109,23 @@ def test_pna_train_cache_holds_no_block_of_every_scaler():
 
 ROWS_CONFIGS = {
     f"{readout}-{'bi' if bi else 'uni'}-{'two' if two else 'single'}-stage-"
-    f"{layers}-layer": ModelConfig(
+    f"{layers}-layer{'' if agg == 'mean' else '-' + agg}": ModelConfig(
         num_layers=layers, bidirectional=bi, two_stage=two, readout=readout,
-        edge_agg=AggSpec("mean"), node_agg=AggSpec("sum"), hidden_node=4,
-        hidden_edge=3, mlp_hidden=5, dropout=0.0, dtype="float64")
+        edge_agg=AggSpec(agg), node_agg=AggSpec("sum" if agg == "mean" else agg),
+        hidden_node=4, hidden_edge=3, mlp_hidden=5, dropout=0.0,
+        dtype="float64")
     for readout in ("edge", "node") for bi in (True, False)
-    for two in (True, False) for layers in (1, 2)}
+    for two in (True, False) for layers in (1, 2, 3)
+    for agg in ("mean", "pna", "max")}
 
 
 @pytest.mark.parametrize("cfg", ROWS_CONFIGS.values(), ids=ROWS_CONFIGS)
 def test_rows_forward_matches_full_forward(cfg):
     """A forward asked for some rows gives the full forward's logits at
     those rows and, backward, its gradients for a gradient that is zero
-    elsewhere: to 1e-12 under an edge readout, bit for bit under a node
-    readout, which computes every logit and picks the rows'."""
+    elsewhere, to 1e-12: each layer computes only the rows that later
+    layers and the readout read, in other row counts, so matmuls may round
+    otherwise."""
     g = pna_graph()
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
@@ -1140,14 +1143,52 @@ def test_rows_forward_matches_full_forward(cfg):
                                       rows=rows)
     got = model.backward(cache, dl)
     eval_logits, _ = model.forward(g, supp, rev, rows=rows)
-    if cfg.readout == "node":
-        assert np.array_equal(got_logits, full[rows])
-        assert np.array_equal(eval_logits, full[rows])
-        assert np.array_equal(got, want)
-    else:
-        for a, b in ((got_logits, full[rows]), (eval_logits, full[rows]),
-                     (got, want)):
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    for a, b in ((got_logits, full[rows]), (eval_logits, full[rows]),
+                 (got, want)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_rows_forward_computes_only_what_is_read(monkeypatch):
+    """On a planted max_of_sums graph asked for its receivers' logits, the
+    last layer's reverse direction reduces no pair (receivers send nothing),
+    its node update runs on the rows alone, and layer 0's reverse edge
+    update, which only that direction would read, runs on no edge. Counted
+    by rebinding the reductions and mlp_forward, as complexity_suite does."""
+    import meganet.model as model_module
+
+    calls = []
+
+    def counted(name, real):
+        def wrapper(first, second, *args, **kwargs):
+            rows = (second.values if name != "mlp" else second).shape[0]
+            calls.append((name, first, rows))
+            return real(first, second, *args, **kwargs)
+        return wrapper
+
+    for name, attr in (("edge", "segment_reduce_with_vjp"),
+                       ("node", "reduce_or_default_with_vjp"),
+                       ("mlp", "mlp_forward")):
+        monkeypatch.setattr(model_module, attr,
+                            counted(name, getattr(model_module, attr)))
+    g, labels = generate_planted_task(12, 3, 2, "max_of_sums", 0)
+    rows = np.flatnonzero(labels >= 0)
+    supp = build_support_index(g)
+    model = Model(ModelConfig(edge_agg=AggSpec("pna"), node_agg=AggSpec("pna"),
+                              hidden_node=4, hidden_edge=4, mlp_hidden=5),
+                  1, 1, seed=0)
+    model.forward(g, supp, build_reverse_index(g, supp), train_mode=True,
+                  rows=rows)
+
+    reductions = [c for c in calls if c[0] != "mlp"]
+    # per layer and direction, an edge reduce then a node reduce
+    assert [c[0] for c in reductions] == ["edge", "node"] * 4
+    assert [c[2] for c in reductions[6:]] == [0, 0]
+    assert reductions[4][2] == g.num_edges       # forward: every pair
+    mlp_rows = {id(net): n for name, net, n in calls if name == "mlp"}
+    first, last = model.layers
+    assert mlp_rows[id(last.node_update_net)] == len(rows)
+    assert mlp_rows[id(first.directions[1].edge_update_net)] == 0
+    assert mlp_rows[id(first.directions[0].edge_update_net)] == g.num_edges
 
 
 @pytest.mark.parametrize("readout", ["edge", "node"])

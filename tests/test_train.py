@@ -101,6 +101,21 @@ def test_record_json_bytes_pinned(tmp_path):
         '    1.0\n  ],\n  "val_losses": [\n    0.5\n  ],\n  "wall_clock": 1.5\n}')
 
 
+def test_model_selection_breaks_f1_ties_by_validation_loss():
+    """With no positive label, validation F1 reads 0 in every epoch while
+    the validation loss falls; the epoch kept is the one of lowest
+    validation loss, not the first."""
+    g = random_connected_multigraph(40, 120, seed=0)
+    task = TaskData(graph=g, labels=np.zeros(40, dtype=np.int64),
+                    items=np.arange(40), task_type="node",
+                    **train_module.node_split(40, 0))
+    mc, tc = fast_configs()
+    _, rec = train_model(task, mc, replace(tc, epochs=6), seed=0)
+    assert set(rec.val_f1s) == {0.0}
+    assert rec.val_losses[-1] < rec.val_losses[0]
+    assert rec.best_epoch == int(np.argmin(rec.val_losses)) != 0
+
+
 def test_evaluate_model_matches_record():
     task = small_task()
     mc, tc = fast_configs()
