@@ -17,13 +17,15 @@ achieves the extreme. scatter_add, nn's row scatter, is the same block
 sum. Every output and VJP is in the dtype of the values (float32 or
 float64).
 
-A reduction returns its statistics together with per-group scale columns,
-None except under PNA. PNA returns its four statistics side by side and
-the three degree scalers read off the group sizes as a [G, 3] matrix; it
-never multiplies them out. The consuming MLP takes the pair as one scaled
-nn.GatheredConcat part, which stands for the 12·d-wide block of every
-statistic under every scaler, and its first-layer backward applies the
-scalers to the gradient, so the VJP here starts from the statistics.
+A reduction returns its statistics together with a scale, None except
+under PNA. PNA returns its four statistics side by side and a DegreeScale:
+its size buckets, each with the scaler row (1, amplification, attenuation)
+that every group of that size shares; it never multiplies them out. An
+empty group lies in no bucket, since its statistics are zeros. The
+consuming MLP takes the pair as one scaled nn.GatheredConcat part, which
+stands for the 12·d-wide block of every statistic under every scaler: it
+folds each bucket's scalers into its weights, so the VJP here starts from
+the gradient of the statistics.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .graph import Groups
 
 # PNA's statistics, in column order, and its degree scalers, in the order
-# of its scale columns
+# of a DegreeScale's scaler row
 PNA_STATS = ("mean", "max", "min", "std")
 PNA_SCALERS = ("identity", "amplification", "attenuation")
 
@@ -57,12 +59,13 @@ class AggSpec:
     """Choice of reduction statistic.
 
     For kind="pna" a reduction returns the PNA_STATS (mean, max, min, std)
-    side by side, 4·d wide, and one scale column per PNA_SCALERS entry
-    (identity, amplification, attenuation). out_width is the nominal width
-    of the block the pair stands for, each statistic under each scaler
-    (scaler-major), which the consuming MLP's weight rows are laid out
-    for; that block is never built. The log-degree scalers are normalized
-    by mean_log_degree, which callers compute over their training split.
+    side by side, 4·d wide, and a DegreeScale with one scaler per
+    PNA_SCALERS entry (identity, amplification, attenuation). out_width is
+    the nominal width of the block the pair stands for, each statistic
+    under each scaler (scaler-major), which the consuming MLP's weight rows
+    are laid out for; that block is never built. The log-degree scalers
+    are normalized by mean_log_degree, which callers compute over their
+    training split.
     """
 
     kind: str
@@ -111,6 +114,21 @@ class GroupedFeatures:
     @property
     def counts(self) -> np.ndarray:
         return self.groups.counts
+
+
+@dataclass(frozen=True)
+class DegreeScale:
+    """Scaler rows shared by the groups of each size.
+
+    buckets holds one (group ids, u) pair per distinct non-empty group
+    size, the ids ascending: u is the width-long scaler row of each of
+    those groups. It stands for the [num_groups, width] matrix with row u
+    for each of a bucket's groups and zeros for a group in no bucket.
+    """
+
+    num_groups: int
+    width: int
+    buckets: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def pna_scalers(degree, mean_log_degree: float, dtype=np.float64):
@@ -194,10 +212,10 @@ def _route_extremes(v: np.ndarray, buckets, extremes, gv: np.ndarray) -> None:
 
 
 def _stats_into(stacked: np.ndarray, stats: tuple[str, ...],
-                gf: GroupedFeatures):
-    """Writes each statistic of gf's groups into its d columns of stacked,
-    zeros for an empty group; returns the VJP from the gradient of stacked
-    into the values.
+                gf: GroupedFeatures, buckets):
+    """Writes each statistic of gf's groups, bucketed by _size_buckets, into
+    its d columns of stacked, zeros for an empty group; returns the VJP from
+    the gradient of stacked into the values.
     """
     v = gf.values
     key = gf.groups.key
@@ -206,7 +224,6 @@ def _stats_into(stacked: np.ndarray, stats: tuple[str, ...],
     # an empty group's sums are 0, and so are its mean and std over 1
     stacked[gf.counts == 0] = 0.0
     counts = np.maximum(gf.counts, 1).astype(v.dtype)[:, None]
-    buckets = _size_buckets(gf.groups)
 
     sums = col.get("sum", col.get("mean"))
     if sums is None and "std" in col:
@@ -268,10 +285,10 @@ def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     """Reduce each group to one row; also return the VJP into the values.
 
     Returns ((stats, scale), vjp). stats holds each group's statistics;
-    scale is None, or under PNA the [G, 3] degree scaler columns by which
-    the consumer weighs stats. vjp maps a gradient of stats, scalers
-    already applied, to the values. Groups must be non-empty here; callers
-    with possibly-empty targets use reduce_or_default_with_vjp.
+    scale is None, or under PNA the DegreeScale by which the consumer
+    weighs stats. vjp maps a gradient of stats, scalers already applied,
+    to the values. Groups must be non-empty here; callers with
+    possibly-empty targets use reduce_or_default_with_vjp.
     """
     if np.any(gf.counts == 0):
         raise AggError("segment_reduce requires non-empty groups")
@@ -279,7 +296,7 @@ def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
 
 
 def segment_reduce(spec: AggSpec, gf: GroupedFeatures) -> np.ndarray:
-    """Each group's statistics, without PNA's scale columns or the VJP."""
+    """Each group's statistics, without PNA's scale or the VJP."""
     (stats, _), _ = segment_reduce_with_vjp(spec, gf)
     return stats
 
@@ -287,16 +304,19 @@ def segment_reduce(spec: AggSpec, gf: GroupedFeatures) -> np.ndarray:
 def reduce_or_default_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     """segment_reduce_with_vjp that gives each empty group a row of zeros.
 
-    No gradient flows out of an empty group. Its PNA scale row is that of
-    a group of one: it weighs zeros, so its value changes nothing.
+    No gradient flows out of an empty group, and under PNA it lies in no
+    bucket of the scale.
     """
     stats = PNA_STATS if spec.kind == "pna" else (spec.kind,)
     d = gf.values.shape[1]
     stacked = np.empty((gf.num_groups, len(stats) * d), dtype=gf.values.dtype)
-    vjp = _stats_into(stacked, stats, gf)
+    buckets = _size_buckets(gf.groups)
+    vjp = _stats_into(stacked, stats, gf, buckets)
     scale = None
     if spec.kind == "pna":
-        amp, att = pna_scalers(np.maximum(gf.counts, 1), spec.mean_log_degree,
-                               stacked.dtype)
-        scale = np.stack([np.ones_like(amp), amp, att], axis=1)
+        amp, att = pna_scalers([rows.shape[0] for _, rows in buckets],
+                               spec.mean_log_degree, stacked.dtype)
+        scalers = np.stack([np.ones_like(amp), amp, att], axis=1)
+        scale = DegreeScale(gf.num_groups, len(PNA_SCALERS),
+                            tuple(zip((gids for gids, _ in buckets), scalers)))
     return (stacked, scale), vjp

@@ -38,10 +38,14 @@ each backward returns the gradients already summed into x, e and h rows;
 a gathered part carries the support index's Groups (or the restricted
 ones) for its row index, so the backward scatter groups nothing again. A
 reduction's result enters its MLP (the post-aggregation MLP, the node
-update) as one part with the reduction's scale columns: under PNA the
-4·d statistics weighed by the three degree scalers stand for the 12·d
-block the MLP's weights are laid out for, which is never built or cached;
-every other kind has no scale.
+update) as one part with the reduction's scale. Under PNA that is the
+4·d statistics with an agg.DegreeScale: the size buckets the reduction
+already formed, each with its three degree scalers. The pair stands for
+the 12·d block the MLP's weights are laid out for. The MLP's first layer
+folds each bucket's scalers into its weights, one product per group size,
+and multiplies the rows of empty groups, whose statistics are zeros, by
+nothing; the 12·d block is never built or cached. Every other kind has
+no scale.
 Reductions read their rows where they lie: edge latents e with the support
 index's by_pair groups, messages with its by_dst groups (agg.GroupedFeatures),
 and their VJPs return gradients in the same row order, so no reduction

@@ -20,11 +20,21 @@ choice, scattering the upstream gradient into the part's rows before its
 matmuls or the gathered rows' gradient after them (agg.scatter_add), and
 returns one gradient per part. A part's row index is the key of a
 graph.Groups, which the scatter adds through, so nothing is grouped
-again. A part may also carry a [rows, k] scale matrix s: it then stands
-for the k column blocks p * s[:, j] side by side, as PNA's statistics
-under its degree scalers do. The first layer sums s[:, j] * (p @ W_j) over
-the part's k weight blocks and the backward weighs the gradient by each
-column in turn, so the k-fold wide block is never built.
+again. A one-column part is multiplied as p * w[lo], a broadcast, equal
+to the matmul bit for bit, which numpy runs in a slow loop when the inner
+dimension is 1.
+
+A part may also carry an agg.DegreeScale s of width k: it then stands for
+the k column blocks p * u_j side by side, u the scaler row of each row's
+bucket, as PNA's statistics under its degree scalers do. The first layer
+multiplies each bucket's rows of p once by the folded weights
+W_d = Σ_j u_j W_j, and the backward adds u_j (p_d.T @ g_d) into weight
+block j and returns g_d @ W_d.T, so the k-fold wide block, and a k-fold
+wide product, are never built. A scaled part is multiplied over its own
+rows, then gathered. A bucket that covers every row multiplies p whole;
+rows in no bucket (empty groups, whose statistics are zeros) are
+multiplied by nothing. Folding reorders the sums of the wide product, so
+a scaled part agrees with the built block to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .agg import as_float_array, scatter_add
+from .agg import DegreeScale, as_float_array, scatter_add
 from .graph import Groups
 
 _ACTIVATIONS = ("relu", "gelu", "identity")
@@ -134,10 +144,10 @@ class GatheredConcat:
 
     Each part is (p, i) or (p, i, s). p is a 2-d array. i is None, which
     takes every row in order, or a graph.Groups over p's rows, whose key
-    is the row index. s is None, or a [p rows, k] scale matrix, for which
-    expand(p, s) is the k blocks p * s[:, j] side by side; without one,
-    expand(p, None) is p. All parts must give the same number of rows.
-    shape is that of the concatenation.
+    is the row index. s is None, or an agg.DegreeScale over p's rows, for
+    which expand(p, s) is the s.width blocks p * S[:, j] side by side, S
+    the matrix s stands for; expand(p, None) is p. All parts must give the
+    same number of rows. shape is that of the concatenation.
     """
 
     def __init__(self, *parts):
@@ -148,44 +158,40 @@ class GatheredConcat:
         if any(i is not None and i.num_groups != p.shape[0]
                for p, i, _ in self.parts):
             raise NnError("a part's groups must cover its rows")
-        if any(s is not None and (s.ndim != 2 or s.shape[0] != p.shape[0])
+        if any(s is not None and (not isinstance(s, DegreeScale)
+                                  or s.num_groups != p.shape[0])
                for p, _, s in self.parts):
-            raise NnError("a part's scale must be a matrix with a row per row")
+            raise NnError("a part's scale must be a DegreeScale over its rows")
         rows = {p.shape[0] if i is None else i.key.size
                 for p, i, _ in self.parts}
         if len(rows) != 1:
             raise NnError(f"parts give different row counts {sorted(rows)}")
-        self.shape = (rows.pop(),
-                      sum(p.shape[1] * (1 if s is None else s.shape[1])
-                          for p, _, s in self.parts))
+        self.shape = (rows.pop(), sum(_width(p, s) for p, _, s in self.parts))
 
 
 def _part(p, i, s=None):
-    """A part as (p, i, s), its scale in p's dtype."""
-    p = as_float_array(p)
-    return p, i, None if s is None else np.asarray(s, dtype=p.dtype)
+    """A part as (p, i, s), p a float array."""
+    return as_float_array(p), i, s
 
 
-def _side_by_side(w: np.ndarray, k: int) -> np.ndarray:
-    """The [k * c, out] weight rows of a part with k scale columns as
-    [c, k * out]: the weight block of each scale column side by side."""
-    c = w.shape[0] // k
-    return w.reshape(k, c, -1).transpose(1, 0, 2).reshape(c, -1)
+def _width(p: np.ndarray, s: DegreeScale | None) -> int:
+    """The part's width in the concatenation: its weight rows."""
+    return p.shape[1] * (1 if s is None else s.width)
 
 
 def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b as a sum of per-part products; a scaled part's product is
-    its blocks' products weighed by its scale columns."""
+    each bucket's rows times its folded weights."""
     z = None
     lo = 0
     for p, i, s in x.parts:
-        k = 1 if s is None else s.shape[1]
-        hi = lo + k * p.shape[1]
-        p, s, first = _gathered_first(p, i, s)
-        zp = p @ _side_by_side(w[lo:hi], k)
+        hi = lo + _width(p, s)
+        first = False
         if s is not None:
-            zp = np.einsum("rk,rko->ro", s,
-                           zp.reshape(len(p), k, w.shape[1]))
+            zp = _scaled_product(p, s, w[lo:hi])
+        else:
+            p, first = _gathered_first(p, i)
+            zp = p * w[lo] if p.shape[1] == 1 else p @ w[lo:hi]
         if i is not None and not first:
             zp = zp[i.key]
         if z is None:
@@ -197,12 +203,53 @@ def _first_layer(x: GatheredConcat, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _gathered_first(p: np.ndarray, i: Groups | None, s):
-    """(p, s, True) gathered through i where i selects fewer rows than p
-    has, so the matmul runs on those rows alone; else (p, s, False)."""
+def _gathered_first(p: np.ndarray, i: Groups | None):
+    """(p, True) gathered through i where i selects fewer rows than p has,
+    so the matmul runs on those rows alone; else (p, False)."""
     if i is None or i.key.size >= len(p):
-        return p, s, False
-    return p[i.key], None if s is None else s[i.key], True
+        return p, False
+    return p[i.key], True
+
+
+def _folded(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Σ_j u[j] * w_j over the len(u) blocks w_j of w's rows, in w's dtype."""
+    return np.tensordot(u.astype(w.dtype, copy=False),
+                        w.reshape(len(u), -1, w.shape[1]), 1)
+
+
+def _whole(p: np.ndarray, s: DegreeScale) -> bool:
+    """Whether s's one bucket covers every row of p, so its ids run in
+    order and p needs no gather."""
+    return len(s.buckets) == 1 and s.buckets[0][0].size == len(p)
+
+
+def _scaled_product(p: np.ndarray, s: DegreeScale, w: np.ndarray):
+    """The product of a scaled part over p's rows: zeros on rows in no
+    bucket."""
+    if _whole(p, s):
+        return p @ _folded(w, s.buckets[0][1])
+    zp = np.zeros((len(p), w.shape[1]), dtype=np.result_type(p, w))
+    for gids, u in s.buckets:
+        zp[gids] = p[gids] @ _folded(w, u)
+    return zp
+
+
+def _scaled_backward(p: np.ndarray, s: DegreeScale, w: np.ndarray,
+                     gw: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adds a scaled part's weight gradient into gw, given the gradient g of
+    its product over p's rows; returns the gradient of p."""
+    gw_blocks = gw.reshape(s.width, p.shape[1], -1)       # a view
+    whole = _whole(p, s)
+    gp = None if whole else np.zeros_like(p)
+    for gids, u in s.buckets:
+        pd, gd = (p, g) if whole else (p[gids], g[gids])
+        gw_blocks += u.astype(gw.dtype)[:, None, None] * (pd.T @ gd)
+        gpd = gd @ _folded(w, u).T
+        if whole:
+            gp = gpd
+        else:
+            gp[gids] = gpd
+    return gp
 
 
 def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
@@ -212,18 +259,16 @@ def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
     gparts = []
     lo = 0
     for p, i, s in x.parts:
-        k = 1 if s is None else s.shape[1]
-        hi = lo + k * p.shape[1]
-        p, s, first = _gathered_first(p, i, s)
-        gp = g if i is None or first else scatter_add(g, i)
+        hi = lo + _width(p, s)
         if s is not None:
-            # the gradient of each block side by side: [rows, k * out]
-            gp = np.einsum("rk,ro->rko", s, gp).reshape(len(p),
-                                                         k * w.shape[1])
-        gw_blocks = gw[lo:hi].reshape(k, p.shape[1], -1)       # a view
-        gw_blocks += (p.T @ gp).reshape(p.shape[1], k, -1).transpose(1, 0, 2)
-        gp = gp @ _side_by_side(w[lo:hi], k).T
-        gparts.append(scatter_add(gp, i) if first else gp)
+            gp = g if i is None else scatter_add(g, i)
+            gparts.append(_scaled_backward(p, s, w[lo:hi], gw[lo:hi], gp))
+        else:
+            p, first = _gathered_first(p, i)
+            gp = g if i is None or first else scatter_add(g, i)
+            gw[lo:hi] += p.T @ gp
+            gp = gp @ w[lo:hi].T
+            gparts.append(scatter_add(gp, i) if first else gp)
         lo = hi
     return gparts
 

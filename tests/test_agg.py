@@ -28,20 +28,31 @@ def grouped(rows, offsets):
                            build_groups(keys, sizes.size))
 
 
+def dense(scale, dtype=np.float64):
+    """The [G, width] matrix a DegreeScale stands for: each bucket's scaler
+    row on its groups, zeros on a group in no bucket."""
+    out = np.zeros((scale.num_groups, scale.width), dtype=dtype)
+    for gids, u in scale.buckets:
+        out[gids] = u
+    return out
+
+
 def expand(stats, scale):
     """The nominal block a reduction's (stats, scale) stands for: stats, or
     under PNA every statistic under every degree scaler, scaler-major."""
     if scale is None:
         return stats
-    return (stats[:, None, :] * scale[:, :, None]).reshape(len(stats), -1)
+    s = dense(scale, stats.dtype)
+    return (stats[:, None, :] * s[:, :, None]).reshape(len(stats), -1)
 
 
 def fold(gblock, scale):
     """The gradient of stats from the gradient of expand(stats, scale)."""
     if scale is None:
         return gblock
-    per_scaler = gblock.reshape(*scale.shape, -1)
-    return (per_scaler * scale[:, :, None]).sum(axis=1)
+    s = dense(scale, gblock.dtype)
+    per_scaler = gblock.reshape(*s.shape, -1)
+    return (per_scaler * s[:, :, None]).sum(axis=1)
 
 
 def reduce_or_default(spec, gf):
@@ -152,7 +163,7 @@ def test_pna_full_block_against_manual():
     (stats, scale), _ = segment_reduce_with_vjp(spec, gf)
     assert stats.tolist() == [[2.0, 3.0, 1.0, 1.0]]
     amp = np.log(3.0) / np.log(3.0)
-    assert np.allclose(scale, [[1.0, amp, 1.0 / amp]])
+    assert np.allclose(dense(scale), [[1.0, amp, 1.0 / amp]])
     expected = np.concatenate([stats[0], stats[0] * amp, stats[0] / amp])
     assert np.allclose(expand(stats, scale)[0], expected)
 
@@ -161,8 +172,8 @@ def test_pna_scales_by_group_size():
     gf = grouped([[1], [3], [2], [2], [2], [2], [2]], [0, 7])
     spec = AggSpec("pna", mean_log_degree=np.log(2.0))
     (stats, scale), _ = segment_reduce_with_vjp(spec, gf)
-    assert stats.shape == (1, 4) and scale.shape == (1, 3)
-    assert scale[0, 1] == pytest.approx(np.log(8.0) / np.log(2.0))
+    assert stats.shape == (1, 4) and dense(scale).shape == (1, 3)
+    assert dense(scale)[0, 1] == pytest.approx(np.log(8.0) / np.log(2.0))
     # the amplified block's mean column
     assert (expand(stats, scale)[0, 4]
             == pytest.approx(2.0 * np.log(8.0) / np.log(2.0)))
@@ -232,7 +243,7 @@ def test_within_group_shuffle_invariance(data):
 
 def fd_vjp_check(spec, gf, eps=1e-6):
     """Compare the reduction VJP against finite differences of a probe of
-    the statistics (PNA's scale columns read only the group sizes)."""
+    the statistics (PNA's scale reads only the group sizes)."""
     (out, _), vjp = reduce_or_default_with_vjp(spec, gf)
     rng = np.random.default_rng(0)
     gout = rng.normal(size=out.shape)
@@ -512,6 +523,18 @@ def test_reduce_or_default_mixed():
     assert out.tolist() == [[4, 6], [0, 0]]
     out = reduce_or_default(AggSpec("max"), gf)
     assert out.tolist() == [[3, 5], [0, 0]]
+
+
+def test_pna_scale_buckets_groups_by_size_and_skips_empty_ones():
+    # group sizes 2, 0, 1, 2, 0
+    gf = grouped([[1], [2], [3], [4], [5]], [0, 2, 2, 3, 5, 5])
+    (_, scale), _ = reduce_or_default_with_vjp(
+        AggSpec("pna", mean_log_degree=np.log(2.0)), gf)
+    assert (scale.num_groups, scale.width) == (5, 3)
+    assert [gids.tolist() for gids, _ in scale.buckets] == [[2], [0, 3]]
+    for (_, u), size in zip(scale.buckets, (1, 2)):
+        amp = np.log(size + 1.0) / np.log(2.0)
+        assert np.allclose(u, [1.0, amp, 1.0 / amp])
 
 
 def test_composition_separation():

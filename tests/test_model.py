@@ -1016,9 +1016,13 @@ def built_pna(reduce):
     weights: the test-side reference."""
 
     def wrapper(spec, gf):
-        (stats, scale), vjp = reduce(spec, gf)
-        if scale is None:
+        (stats, degree_scale), vjp = reduce(spec, gf)
+        if degree_scale is None:
             return (stats, None), vjp
+        # the [G, 3] scaler rows: zeros for an empty group, in no bucket
+        scale = np.zeros((len(stats), degree_scale.width), dtype=stats.dtype)
+        for gids, u in degree_scale.buckets:
+            scale[gids] = u
         block = (stats[:, None, :] * scale[:, :, None]).reshape(len(stats), -1)
         assert block.shape[1] == spec.out_width(gf.values.shape[1])
 
@@ -1094,7 +1098,7 @@ def array_widths(root) -> set:
 
 
 def test_pna_train_cache_holds_no_block_of_every_scaler():
-    """The train cache keeps PNA's statistics and scale columns, never the
+    """The train cache keeps PNA's statistics and degree scale, never the
     out_width-wide block they stand for."""
     cfg = PNA_CONFIGS["pna-pna-bi-edge"]
     g = pna_graph()

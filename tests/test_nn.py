@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from meganet.agg import (
+    AggSpec,
+    DegreeScale,
+    GroupedFeatures,
+    reduce_or_default_with_vjp,
+    scatter_add,
+)
 from meganet.graph import build_groups
 from meganet.nn import (
     AdamState,
@@ -259,21 +266,51 @@ def test_gathered_concat_backward_matches_finite_differences(activation):
         assert np.allclose(got, fd, rtol=1e-4, atol=1e-7)
 
 
+def degree_scale(bucket_of, width, rng):
+    """A DegreeScale in which row r lies in bucket bucket_of[r] (-1: in
+    none); each bucket's scaler row is drawn positive and negative."""
+    bucket_of = np.asarray(bucket_of)
+    return DegreeScale(bucket_of.size, width, tuple(
+        (np.flatnonzero(bucket_of == b), rng.normal(size=width))
+        for b in np.unique(bucket_of[bucket_of >= 0])))
+
+
+def dense(scale, dtype=np.float64):
+    """The [rows, width] matrix a DegreeScale stands for."""
+    out = np.zeros((scale.num_groups, scale.width), dtype=dtype)
+    for gids, u in scale.buckets:
+        out[gids] = u
+    return out
+
+
 def scaled_parts(rng):
     """A scaled part with a Groups index, a plain part and a scaled part
-    without an index, 6 rows each; scales are positive and negative."""
+    without an index, 6 rows each. Each scaled part has several buckets
+    and a row in no bucket: row 1 of the first, which its index selects
+    twice, and row 3 of the last."""
     return [(rng.normal(size=(4, 3)), build_groups([3, 0, 0, 1, 3, 1], 4),
-             rng.normal(size=(4, 3))),
+             degree_scale([0, -1, 1, 0], 3, rng)),
             (rng.normal(size=(6, 2)), None),
-            (rng.normal(size=(6, 2)), None, rng.normal(size=(6, 2)))]
+            (rng.normal(size=(6, 2)), None,
+             degree_scale([0, 1, 0, -1, 2, 1], 2, rng))]
+
+
+def expand(p, scale):
+    """The blocks p * S[:, j] side by side, S the matrix scale stands for."""
+    s = dense(scale, p.dtype)
+    return (p[:, None, :] * s[:, :, None]).reshape(len(p), -1)
+
+
+def fold(gblock, scale):
+    """The gradient of p from the gradient of expand(p, scale)."""
+    s = dense(scale, gblock.dtype)
+    return (gblock.reshape(*s.shape, -1) * s[:, :, None]).sum(1)
 
 
 def expanded(parts):
-    """Each scaled part as the plain part of its blocks p * s[:, j]."""
-    return [(part[0] if len(part) == 2 else
-             (part[0][:, None, :] * part[2][:, :, None]).reshape(
-                 len(part[0]), -1), part[1])
-            for part in parts]
+    """Each scaled part as the plain part of its blocks."""
+    return [(part[0] if len(part) == 2 else expand(part[0], part[2]),
+             part[1]) for part in parts]
 
 
 @pytest.mark.parametrize("activation", ["relu", "gelu"])
@@ -306,9 +343,74 @@ def test_scaled_part_equals_built_blocks(activation):
         close(a, b)
     for part, a, b in zip(parts, scaled[2], built_[2]):
         if len(part) == 3:
-            b = (b.reshape(*part[2].shape, -1) * part[2][:, :, None]).sum(1)
+            b = fold(b, part[2])
         assert a.shape == part[0].shape
         close(a, b)
+
+
+# group sizes of a PNA reduction: one size, so one bucket that covers
+# every row; several sizes; and empty groups, which lie in no bucket
+DEGREE_LAYOUTS = {"one-degree": [3] * 6,
+                  "several-degrees": [1, 4, 2, 1, 3, 2, 4, 1],
+                  "empty-groups": [0, 2, 0, 0, 1, 2, 0, 3]}
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
+                                        (np.float32, 1e-5)])
+@pytest.mark.parametrize("layout", DEGREE_LAYOUTS)
+def test_folded_degree_scalers_equal_built_block(layout, dtype, rtol):
+    """A PNA reduction's (statistics, scale) part, folded per degree, gives
+    the outputs and gradients of its explicitly built 12·d block."""
+    rng = np.random.default_rng(14)
+    sizes = np.array(DEGREE_LAYOUTS[layout])
+    d = 2
+    gf = GroupedFeatures(rng.normal(size=(sizes.sum(), d)).astype(dtype),
+                         build_groups(np.repeat(np.arange(sizes.size), sizes),
+                                      sizes.size))
+    (stats, scale), _ = reduce_or_default_with_vjp(
+        AggSpec("pna", mean_log_degree=1.1), gf)
+    in_bucket = sum(gids.size for gids, _ in scale.buckets)
+    assert len(scale.buckets) == len(set(sizes) - {0})
+    assert in_bucket == np.count_nonzero(sizes)
+    dims = [12 * d, 6, 3]
+    gout = rng.normal(size=(sizes.size, 3)).astype(dtype)
+    got = {}
+    for name, x in (("folded", GatheredConcat((stats, None, scale))),
+                    ("built", expand(stats, scale))):
+        size = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
+        m = init_mlp(dims, np.random.default_rng(15), "relu", 0.3,
+                     arena=(np.empty(size, dtype), np.zeros(size, dtype)))
+        out, cache = mlp_forward(m, x, True, 5)
+        gx, grads = mlp_backward(m, cache, gout)
+        eval_out, _ = mlp_forward(m, x, False)
+        gx = gx[0] if name == "folded" else fold(gx, scale)
+        got[name] = [out, eval_out, gx] + grads.weights + grads.biases
+    for a, b in zip(got["folded"], got["built"]):
+        assert a.dtype == dtype and a.shape == b.shape
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grouped", [False, True])
+def test_one_column_part_equals_matmul(dtype, grouped):
+    """A one-column part is multiplied by broadcast; its output and
+    gradients equal those of the matmul p @ w bit for bit."""
+    rng = np.random.default_rng(16)
+    p = rng.normal(size=(5, 1)).astype(dtype)
+    i = build_groups([4, 0, 0, 2, 4, 1, 3], 5) if grouped else None
+    m = init_mlp([1, 8], rng, "identity",
+                 arena=(np.empty(16, dtype), np.zeros(16, dtype)))
+    m.biases[0][...] = rng.normal(size=8)
+    w, b = m.weights[0], m.biases[0]
+    out, cache = mlp_forward(m, GatheredConcat((p, i)))
+    want = p @ w if i is None else (p @ w)[i.key]
+    want += b
+    assert out.dtype == dtype and np.array_equal(out, want)
+    g = rng.normal(size=out.shape).astype(dtype)
+    (gp,), grads = mlp_backward(m, cache, g)
+    gs = g if i is None else scatter_add(g, i)
+    assert np.array_equal(grads.weights[0], p.T @ gs)
+    assert np.array_equal(gp, gs @ w.T)
 
 
 def test_scaled_part_backward_matches_finite_differences():
@@ -324,6 +426,7 @@ def test_scaled_part_backward_matches_finite_differences():
     _, cache = mlp_forward(m, GatheredConcat(*parts), True, 5)
     gparts, grads = mlp_backward(m, cache, gout)
     assert not gparts[0][2].any()                 # row 2 is never selected
+    assert not gparts[0][1].any() and not gparts[2][3].any()   # no bucket
     probes = ([(part[0], g) for part, g in zip(parts, gparts)]
               + list(zip(m.weights, grads.weights))
               + list(zip(m.biases, grads.biases)))
@@ -349,10 +452,11 @@ def test_gathered_concat_rejects_bad_parts():
 
 
 def test_gathered_concat_rejects_bad_scales():
-    with pytest.raises(NnError, match="scale"):         # a scale per row
-        GatheredConcat((np.ones((5, 2)), None, np.ones((4, 3))))
-    with pytest.raises(NnError, match="scale"):
-        GatheredConcat((np.ones((5, 2)), None, np.ones(5)))
+    rng = np.random.default_rng(0)
+    with pytest.raises(NnError, match="scale"):         # over other rows
+        GatheredConcat((np.ones((5, 2)), None, degree_scale([0] * 4, 3, rng)))
+    with pytest.raises(NnError, match="scale"):         # a per-row matrix
+        GatheredConcat((np.ones((5, 2)), None, np.ones((5, 3))))
 
 
 def test_bce_loss_values():
