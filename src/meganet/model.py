@@ -64,7 +64,6 @@ final node and edge states.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -183,11 +182,12 @@ def _rows(mask: np.ndarray) -> np.ndarray | None:
 
 def _node_rows(mask: np.ndarray) -> np.ndarray | None:
     """The row set of a node mask, taken whole when it holds nine nodes in
-    ten or more: trimming a layer by a few rows saves little, and its arrays,
-    a few rows short of the whole graph's, fragment the heap that the next
-    step's whole-graph arrays reuse (aml-edge-sum reads 96% of its nodes;
-    trimmed, its peak RSS rose about 10 MB)."""
-    return None if mask.mean() >= 0.9 else _rows(mask)
+    ten or more, or when the graph has no node: trimming a layer by a few
+    rows saves little, and its arrays, a few rows short of the whole
+    graph's, fragment the heap that the next step's whole-graph arrays reuse
+    (aml-edge-sum reads 96% of its nodes; trimmed, its peak RSS rose about
+    10 MB, and graph-structure's from 114.2 to 124.5 MB)."""
+    return None if not mask.size or mask.mean() >= 0.9 else _rows(mask)
 
 
 def _size(rows, total: int) -> int:
@@ -566,8 +566,6 @@ class Model:
         logits2d, c_ro = _mlp(self.readout_net, ro_in, train_mode, seq())
         logits = logits2d[:, 0]
         if not train_mode:
-            if rows is None:
-                trim_heap()        # a whole-graph pass, done
             return logits, {"final": (x, es)}
         return logits, {"enc": (c_nenc, c_eenc, picks), "stages": stages,
                         "readout": c_ro}
@@ -612,20 +610,6 @@ class Model:
                      sum(ge if i is None else scatter_add(ge, i)
                          for ge, i in zip(ges, picks)))
         return self.grads
-
-
-def trim_heap() -> None:
-    """Give free heap pages back to the system (glibc's malloc_trim; a no-op
-    elsewhere). numpy keeps freed buffers under 1 KB for reuse, and those
-    made mid-step can sit above most of a pass's freed working set, so the
-    heap cannot shrink and that set would stay resident under whatever
-    allocates next. train_model calls it when it returns, and an eval
-    forward over every row when it does; a forward given rows runs inside
-    training, where each step would refault what it gave back."""
-    try:
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError):
-        pass
 
 
 class _SeedSequence:

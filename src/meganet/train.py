@@ -30,7 +30,7 @@ import numpy as np
 from .data import ConfigError, sample_neighborhood
 from .graph import Multigraph, build_reverse_index, build_support_index
 from .metrics import evaluate_scores
-from .model import Model, ModelConfig, ModelError, trim_heap
+from .model import Model, ModelConfig, ModelError
 from .nn import AdamState, NnError, adam_step, weighted_bce_loss
 
 
@@ -196,7 +196,6 @@ def train_model(task: TaskData, model_config: ModelConfig,
     del val_view, v
     record.final_metrics = _evaluate(model, task, task.test_idx, supp, rev)
     record.wall_clock = time.perf_counter() - start
-    trim_heap()
     return model, record
 
 

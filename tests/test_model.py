@@ -1212,19 +1212,25 @@ def test_rows_outside_the_graph_raise(readout, rows):
 @pytest.mark.parametrize("readout", ["node", "edge"])
 @pytest.mark.parametrize("kind", ["sum", "mean", "max", "min", "std", "pna"])
 def test_edgeless_graph_runs_forward_and_backward(kind, readout):
-    """A graph with no edges (as a sampled batch of edgeless seeds would be)
-    gives finite logits and gradients under every edge aggregation, PNA's
-    zero-row scaled parts included."""
-    g = make_graph([], np.zeros((0, 2)), n=3)
-    supp = build_support_index(g)
-    rev = build_reverse_index(g, supp)
+    """A graph with no edges (as a sampled batch of edgeless seeds would be),
+    with or without nodes, gives finite logits and gradients under every
+    edge aggregation, PNA's zero-row scaled parts included, and so does a
+    forward given no rows."""
     model = Model(ModelConfig(edge_agg=AggSpec(kind), node_agg=AggSpec(kind),
                               readout=readout, hidden_node=3, hidden_edge=3,
                               mlp_hidden=4), 1, 2)
-    width = g.num_nodes if readout == "node" else 0
-    logits, _ = model.forward(g, supp, rev)
-    assert logits.shape == (width,) and np.isfinite(logits).all()
-    logits, cache = model.forward(g, supp, rev, train_mode=True, seed=1)
-    assert logits.shape == (width,)
-    grads = model.backward(cache, np.ones_like(logits))
-    assert np.isfinite(grads).all()
+    for n in (3, 0):
+        g = make_graph([], np.zeros((0, 2)), n=n)
+        supp = build_support_index(g)
+        rev = build_reverse_index(g, supp)
+        width = g.num_nodes if readout == "node" else 0
+        logits, _ = model.forward(g, supp, rev)
+        assert logits.shape == (width,) and np.isfinite(logits).all()
+        logits, cache = model.forward(g, supp, rev, train_mode=True, seed=1)
+        assert logits.shape == (width,)
+        grads = model.backward(cache, np.ones_like(logits))
+        assert np.isfinite(grads).all()
+        for train_mode in (False, True):
+            logits, _ = model.forward(g, supp, rev, train_mode=train_mode,
+                                      rows=[])
+            assert logits.shape == (0,)
