@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -90,42 +93,114 @@ class TransactionTable:
         return self.src.size
 
 
-def _csv_rows(path, columns):
-    """Yield (row number, fields of columns) for the data rows of a headered
-    UTF-8 CSV, numbered from 1 and skipping blank lines. IngestionError for
-    an empty file, a column the header lacks or names twice, a row whose
-    field count differs from the header's, or text that is not UTF-8 CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
+# rows csv.reader tokenizes before their columns are converted: large
+# enough that each column's conversion runs in C, small enough that a
+# block's Python strings add little to the output arrays' memory
+_BLOCK_ROWS = 4096
+
+
+def _csv_blocks(path, columns):
+    """Yield (number of its first row, one list of field texts per column)
+    for each block of up to _BLOCK_ROWS data rows of a headered UTF-8 CSV.
+    Rows are numbered from 1, skipping blank lines; a leading byte-order
+    mark is dropped. IngestionError for an empty file, a column the header
+    lacks or names twice, a row whose field count differs from the
+    header's, or text that is not UTF-8 CSV. The rows ahead of such a row
+    are yielded first, so a caller that checks each block raises for the
+    first bad row in file order."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         try:
-            reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None:
-                raise IngestionError(f"{path}: file is empty")
-            bad = [c for c in columns if header.count(c) != 1]
-            if bad:
-                raise IngestionError(f"{path}: the header must name column(s) "
-                                     f"{bad} once")
-            at = [header.index(c) for c in columns]
-            for rownum, fields in enumerate(filter(None, reader), start=1):
-                if len(fields) != len(header):
-                    more = "more" if len(fields) > len(header) else "fewer"
-                    raise IngestionError(
-                        f"{path} row {rownum}: {more} fields than the header")
-                yield rownum, [fields[i] for i in at]
         except (UnicodeDecodeError, csv.Error) as exc:
             raise IngestionError(f"{path}: not UTF-8 CSV text: {exc}") from None
+        if header is None:
+            raise IngestionError(f"{path}: file is empty")
+        bad = [c for c in columns if header.count(c) != 1]
+        if bad:
+            raise IngestionError(f"{path}: the header must name column(s) "
+                                 f"{bad} once")
+        at = [header.index(c) for c in columns]
+        rows = filter(None, reader)
+        first = 1
+        while True:
+            block, error = [], None
+            try:
+                # list.extend keeps the rows read before a decode or
+                # tokenizer error, so they are checked before it is raised
+                block.extend(islice(rows, _BLOCK_ROWS))
+            except (UnicodeDecodeError, csv.Error) as exc:
+                error = IngestionError(f"{path}: not UTF-8 CSV text: {exc}")
+            widths = np.fromiter(map(len, block), np.int64, len(block))
+            wrong = _first(widths != len(header))
+            if wrong < len(block):
+                more = "more" if widths[wrong] > len(header) else "fewer"
+                error = IngestionError(f"{path} row {first + wrong}: {more} "
+                                       "fields than the header")
+                del block[wrong:]
+            if block:
+                yield first, [list(map(itemgetter(i), block)) for i in at]
+            if error is not None:
+                raise error
+            if len(block) < _BLOCK_ROWS:
+                return
+            first += _BLOCK_ROWS
 
 
-def _number(path, rownum: int, text: str, role: str) -> float:
-    """text as a finite float, else IngestionError naming the row."""
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or its length when none is."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
+
+
+def _float(text: str) -> float:
+    """text as a float, NaN when it is not a number."""
     try:
-        x = float(text)
+        return float(text)
     except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise IngestionError(
-            f"{path} row {rownum}: {role} {text!r} is not a finite number")
-    return x
+        return math.nan
+
+
+def _floats(texts: list[str]) -> np.ndarray:
+    """texts as float64, NaN where one is not a number."""
+    try:
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return np.fromiter(map(_float, texts), np.float64, len(texts))
+
+
+def _timestamp(text: str) -> int | None:
+    """Integer text exactly, other text truncated from a finite float; None
+    when that is not finite or lies outside the int64 range."""
+    try:
+        t = int(text)
+    except ValueError:
+        x = _float(text)
+        if not math.isfinite(x):
+            return None
+        t = int(x)
+    return t if _INT64_MIN <= t <= _INT64_MAX else None
+
+
+def _timestamps(texts: list[str]) -> tuple[np.ndarray | None, int]:
+    """(texts as int64 timestamps, len(texts)), or (None, the index of the
+    first text that is no timestamp)."""
+    try:
+        return np.fromiter(map(int, texts), np.int64, len(texts)), len(texts)
+    except (ValueError, OverflowError):
+        values = list(map(_timestamp, texts))
+    if None in values:
+        return None, values.index(None)
+    return np.array(values, dtype=np.int64), len(texts)
+
+
+def _problem(role: str, text: str) -> str:
+    """What is wrong with a timestamp, amount or label text that failed."""
+    if not math.isfinite(_float(text)):
+        return f"{role} {text!r} is not a finite number"
+    if role == "timestamp":
+        return f"timestamp {text!r} is outside the int64 range"
+    return f"label {text!r} must be 0 or 1"
 
 
 def load_transactions(path, schema: Schema) -> TransactionTable:
@@ -135,49 +210,62 @@ def load_transactions(path, schema: Schema) -> TransactionTable:
     keeps the CSV value of each id) and categorical columns are
     dictionary-encoded. A row must have as many fields as the header and
     name both accounts. Timestamps and amounts must be finite numbers,
-    timestamps within the int64 range, and edge labels 0 or 1. Errors carry
-    1-based data row numbers.
+    timestamps within the int64 range (integer text is read exactly, other
+    text truncated), and edge labels 0 or 1. Errors carry 1-based data row
+    numbers; the first bad row in the file raises, and within a row the
+    accounts are checked first, then the timestamp, amount and label.
+    Rows are read and converted a block at a time, column by column.
     """
     columns = [schema.src, schema.dst, schema.timestamp, schema.amount,
                *schema.categorical]
     if schema.label is not None:
         columns.append(schema.label)
-    accounts: dict[str, int] = {}
-    cat_dicts: list[dict[str, int]] = [{} for _ in schema.categorical]
-    src, dst, ts, amt, cats, labels = [], [], [], [], [], []
-    for rownum, (s, d, t_text, a_text, *rest) in _csv_rows(path, columns):
-        if not (s and d):
-            raise IngestionError(f"{path} row {rownum}: "
-                                 f"{schema.dst if s else schema.src} is empty")
-        src.append(accounts.setdefault(s, len(accounts)))
-        dst.append(accounts.setdefault(d, len(accounts)))
-        t = int(_number(path, rownum, t_text, "timestamp"))
-        if not _INT64_MIN <= t <= _INT64_MAX:
-            raise IngestionError(f"{path} row {rownum}: timestamp {t_text!r} "
-                                 "is outside the int64 range")
-        ts.append(t)
-        amt.append(_number(path, rownum, a_text, "amount"))
-        # zip stops at the categoricals, before a trailing label
-        cats.append([c.setdefault(v, len(c)) for c, v in zip(cat_dicts, rest)])
+    # each gives a text it lacks the next code, so codes are first-seen order
+    accounts = defaultdict(count().__next__)
+    cat_dicts = [defaultdict(count().__next__) for _ in schema.categorical]
+    parts: list[tuple[np.ndarray, ...]] = []
+    for first, (s, d, t_text, a_text, *rest) in _csv_blocks(path, columns):
+        n = len(s)
+        ends = [""] * (2 * n)             # src before dst within a row
+        ends[::2], ends[1::2] = s, d
+        ts, t_bad = _timestamps(t_text)
+        amt = _floats(a_text)
+        # (first bad row, role, its texts) in the order a row is checked
+        checks = [
+            (min(s.index("") if "" in s else n, d.index("") if "" in d else n),
+             "", None),
+            (t_bad, "timestamp", t_text),
+            (_first(~np.isfinite(amt)), "amount", a_text)]
         if schema.label is not None:
-            label = _number(path, rownum, rest[-1], "label")
-            if label not in (0.0, 1.0):
-                raise IngestionError(
-                    f"{path} row {rownum}: label {rest[-1]!r} must be 0 or 1")
-            labels.append(int(label))
-    if not src:
+            label = _floats(rest[-1])
+            checks.append((_first((label != 0) & (label != 1)), "label",
+                           rest[-1]))
+        k, role, texts = min(checks, key=itemgetter(0))
+        if k < n:
+            why = (_problem(role, texts[k]) if role else
+                   f"{schema.dst if s[k] else schema.src} is empty")
+            raise IngestionError(f"{path} row {first + k}: {why}")
+        ids = np.fromiter(map(accounts.__getitem__, ends), np.int64, 2 * n)
+        # zip stops at the categoricals, before a trailing label
+        cats = [np.fromiter(map(c.__getitem__, v), np.int64, n)
+                for c, v in zip(cat_dicts, rest)]
+        parts.append((
+            ids[::2], ids[1::2], ts, amt,
+            np.stack(cats, axis=1) if cats else np.zeros((n, 0), np.int64),
+            label.astype(np.int64) if schema.label is not None
+            else np.zeros(0, np.int64)))
+    if not parts:
         raise IngestionError(f"{path}: no data rows")
-    n_cat = len(schema.categorical)
+    src, dst, ts, amt, cats, labels = map(np.concatenate, zip(*parts))
     return TransactionTable(
         num_accounts=len(accounts),
-        src=np.array(src, dtype=np.int64),
-        dst=np.array(dst, dtype=np.int64),
-        timestamp=np.array(ts, dtype=np.int64),
-        amount=np.array(amt, dtype=np.float64),
-        categorical=(np.array(cats, dtype=np.int64)
-                     if n_cat else np.zeros((len(src), 0), dtype=np.int64)),
+        src=src,
+        dst=dst,
+        timestamp=ts,
+        amount=amt,
+        categorical=cats,
         categories={c: list(d) for c, d in zip(schema.categorical, cat_dicts)},
-        labels=np.array(labels, dtype=np.int64) if schema.label else None,
+        labels=labels if schema.label is not None else None,
         account_names=list(accounts),
     )
 
@@ -194,23 +282,25 @@ def load_node_labels(path, account_names) -> np.ndarray:
     ids = {name: i for i, name in enumerate(account_names)}
     labels = np.full(len(ids), -1, dtype=np.int64)
     listed = set()
-    for rownum, (node, text) in _csv_rows(path, ["node", "label"]):
-        if node in listed:
-            raise IngestionError(
-                f"{path} row {rownum}: node {node!r} is listed twice")
-        listed.add(node)
-        try:
-            label = int(text)
-        except ValueError:
-            raise IngestionError(f"{path} row {rownum}: bad node label row") from None
-        if label not in (-1, 0, 1):
-            raise IngestionError(
-                f"{path} row {rownum}: label {label} must be in {{-1, 0, 1}}")
-        if node in ids:
-            labels[ids[node]] = label
-        elif label != -1:
-            raise IngestionError(
-                f"{path} row {rownum}: node {node!r} appears in no transaction")
+    for first, (nodes, texts) in _csv_blocks(path, ["node", "label"]):
+        for rownum, node, text in zip(count(first), nodes, texts):
+            if node in listed:
+                raise IngestionError(
+                    f"{path} row {rownum}: node {node!r} is listed twice")
+            listed.add(node)
+            try:
+                label = int(text)
+            except ValueError:
+                raise IngestionError(
+                    f"{path} row {rownum}: bad node label row") from None
+            if label not in (-1, 0, 1):
+                raise IngestionError(
+                    f"{path} row {rownum}: label {label} must be in {{-1, 0, 1}}")
+            if node in ids:
+                labels[ids[node]] = label
+            elif label != -1:
+                raise IngestionError(
+                    f"{path} row {rownum}: node {node!r} appears in no transaction")
     return labels
 
 

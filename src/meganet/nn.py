@@ -434,15 +434,28 @@ def adam_step(
 ) -> np.ndarray:
     """Standard Adam update of a flat parameter vector, in place.
 
-    Mutates params and state; returns params.
+    Mutates params, state.m and state.v in place; returns params.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise NnError("params, grads and state must be shape-congruent")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m, v = state.m, state.v
     state.t += 1
-    state.m = beta1 * state.m + (1 - beta1) * grads
-    state.v = beta2 * state.v + (1 - beta2) * grads * grads
-    mhat = state.m / (1 - beta1 ** state.t)
-    vhat = state.v / (1 - beta2 ** state.t)
-    params -= learning_rate * mhat / (np.sqrt(vhat) + eps)
+    # in place, in two temporaries, rounding as m = beta1 * m + (1 - beta1)
+    # * grads, v = beta2 * v + (1 - beta2) * grads * grads and params -= lr
+    # * mhat / (sqrt(vhat) + eps) would
+    tmp = (1 - beta1) * grads
+    m *= beta1
+    m += tmp
+    np.multiply(grads, 1 - beta2, out=tmp)
+    tmp *= grads
+    v *= beta2
+    v += tmp
+    np.divide(m, 1 - beta1 ** state.t, out=tmp)      # mhat
+    tmp *= learning_rate
+    den = v / (1 - beta2 ** state.t)                 # vhat
+    np.sqrt(den, out=den)
+    den += eps
+    tmp /= den
+    params -= tmp
     return params

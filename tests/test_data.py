@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from meganet.data import (
+    _BLOCK_ROWS,
     AML_SCHEMA,
     ConfigError,
+    ETH_SCHEMA,
     FeatureSpec,
     GENERATED_SCHEMA,
     IngestionError,
@@ -209,6 +211,116 @@ def test_loaders_reject_text_that_is_not_utf8_csv(tmp_path, kind, data):
     p.write_bytes(data)
     with pytest.raises(IngestionError, match="not UTF-8 CSV text"):
         _load_rows(kind, p)
+
+
+@pytest.mark.parametrize("kind", FORMAT_CASES)
+def test_loaders_accept_a_byte_order_mark(tmp_path, kind):
+    """Excel's "CSV UTF-8" export starts the file with a BOM."""
+    lines, _, expected = FORMAT_CASES[kind]
+    p = tmp_path / "f.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines + [""]).encode())
+    assert _load_rows(kind, p) == expected
+
+
+def test_integer_timestamps_load_exactly(tmp_path):
+    """Integer text is read as an integer, so nanosecond times past
+    float64's exact range stay distinct and int64's ends load; other text
+    is truncated from its float, in the same column."""
+    stamps = ["1700000000123456789", "1700000000123456790",
+              "9223372036854775807", "-9223372036854775808", "1.5e9", "-2.7"]
+    p = write(tmp_path, "t.csv", "src,dst,timestamp,amount\n" + "".join(
+        f"a,b,{t},1.0\n" for t in stamps))
+    t = load_transactions(p, ETH_SCHEMA)
+    assert t.timestamp.tolist() == [
+        1700000000123456789, 1700000000123456790, 2 ** 63 - 1, -2 ** 63,
+        1500000000, -2]
+    for text in ["9223372036854775808", "-9223372036854775809"]:
+        p = write(tmp_path, "t.csv", "src,dst,timestamp,amount\n"
+                  f"a,b,1,1.0\na,b,{text},1.0\n")
+        with pytest.raises(IngestionError, match=f"row 2: timestamp '{text}' "
+                           "is outside the int64 range"):
+            load_transactions(p, ETH_SCHEMA)
+
+
+B = _BLOCK_ROWS
+# rows over three blocks, with blank lines before these row indices: a
+# block's first and last rows, and one inside the second block
+LONG_ROWS = 2 * B + 37
+LONG_BLANKS = {1, B - 1, B, B + 7, 2 * B}
+AML_HEADER = ("src_account,dst_account,timestamp,amount_received,currency,"
+              "payment_format,is_laundering")
+
+
+def _long_rows():
+    """AML-schema rows whose accounts and currencies are first seen in
+    every block, and whose timestamps lie past float64's exact integers."""
+    return [[f"a{i % 1013}", f"a{(7 * i + 500) % 2003}", str(2 ** 60 + 3 * i),
+             f"{i % 1000}.5", "CHF" if i >= 2 * B else ("USD", "EUR")[i % 2],
+             ("ACH", "Wire", "Cash")[i % 3], str(i % 2)]
+            for i in range(LONG_ROWS)]
+
+
+def _write_long(tmp_path, rows):
+    p = tmp_path / "long.csv"
+    p.write_text("\n".join([AML_HEADER] + [
+        ("\n" if i in LONG_BLANKS else "") + ",".join(r)
+        for i, r in enumerate(rows)]) + "\n")
+    return p
+
+
+def test_load_transactions_across_blocks(tmp_path):
+    rows = _long_rows()
+    t = load_transactions(_write_long(tmp_path, rows), AML_SCHEMA)
+    ids, currencies, formats = {}, {}, {}
+    ends = [[ids.setdefault(r[0], len(ids)), ids.setdefault(r[1], len(ids))]
+            for r in rows]
+    codes = [[currencies.setdefault(r[4], len(currencies)),
+              formats.setdefault(r[5], len(formats))] for r in rows]
+    assert t.account_names == list(ids) and t.num_accounts == len(ids)
+    assert t.src.tolist() == [e[0] for e in ends]
+    assert t.dst.tolist() == [e[1] for e in ends]
+    assert t.timestamp.tolist() == [int(r[2]) for r in rows]
+    assert t.amount.tolist() == [float(r[3]) for r in rows]
+    assert t.categories == {"currency": ["USD", "EUR", "CHF"],
+                            "payment_format": ["ACH", "Wire", "Cash"]}
+    assert t.categorical.tolist() == codes
+    assert t.labels.tolist() == [int(r[6]) for r in rows]
+
+
+@pytest.mark.parametrize("edits,message", [
+    ({(B + 10, 3): "oops", (2 * B + 5, 2): "inf"},
+     f"row {B + 11}: amount 'oops' is not a finite number"),
+    ({(B + 10, 3): "oops", (B + 10, 2): "1e300", (B + 10, 6): "2"},
+     f"row {B + 11}: timestamp '1e300' is outside the int64 range"),
+    ({(B + 12, 6): "0.5", (B + 12, 3): "nan", (B + 12, 0): ""},
+     f"row {B + 13}: src_account is empty"),
+    ({(2 * B + 3, 6): "0.5", (2 * B + 30, 1): ""},
+     f"row {2 * B + 4}: label '0.5' must be 0 or 1"),
+    ({B + 7: ["a", "b"], B + 9: ["a"] * 8, (B + 8, 3): "inf"},
+     f"row {B + 8}: fewer fields than the header"),
+    ({(B + 6, 3): "-inf", B + 7: ["a", "b"]},
+     f"row {B + 7}: amount '-inf' is not a finite number"),
+    ({(B + 6, 3): "-inf", B + 7: ["a" * 200_000] * 7},
+     f"row {B + 7}: amount '-inf' is not a finite number"),
+    ({B + 7: ["a" * 200_000] * 7}, "not UTF-8 CSV text"),
+], ids=["amount-then-later-timestamp", "timestamp-before-amount-in-a-row",
+        "account-first-in-a-row", "label-then-later-account",
+        "short-row-after-a-blank-line", "amount-then-short-row",
+        "amount-then-csv-error", "csv-error"])
+def test_load_transactions_reports_the_first_bad_row_across_blocks(
+        tmp_path, edits, message):
+    """Row numbers count data rows across blocks, skipping blank lines; the
+    first bad row raises, and within a row the accounts, timestamp, amount
+    and label are checked in that order."""
+    rows = _long_rows()
+    for at, value in edits.items():
+        if isinstance(at, int):
+            rows[at] = value
+        else:
+            rows[at[0]][at[1]] = value
+    with pytest.raises(IngestionError) as excinfo:
+        load_transactions(_write_long(tmp_path, rows), AML_SCHEMA)
+    assert message in str(excinfo.value)
 
 
 def test_split_spec_validation():

@@ -517,6 +517,32 @@ def test_adam_converges_on_quadratic():
     assert np.abs(params).max() < 1e-2
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_updates_in_place_as_the_formula_rounds(dtype):
+    """adam_step writes params, m and v in place, and each equals, bit for
+    bit, the out-of-place formula it rounds like."""
+    def formula(params, grads, state, lr):
+        state.t += 1
+        state.m = 0.9 * state.m + (1 - 0.9) * grads
+        state.v = 0.999 * state.v + (1 - 0.999) * grads * grads
+        mhat = state.m / (1 - 0.9 ** state.t)
+        vhat = state.v / (1 - 0.999 ** state.t)
+        return params - lr * mhat / (np.sqrt(vhat) + 1e-8)
+
+    rng = np.random.default_rng(0)
+    params = rng.standard_normal(1000).astype(dtype)
+    expected, ref = params.copy(), AdamState.zeros(1000, dtype)
+    state = AdamState.zeros(1000, dtype)
+    m, v = state.m, state.v
+    for _ in range(5):
+        grads = rng.standard_normal(1000).astype(dtype)
+        expected = formula(expected, grads, ref, 0.003)
+        assert adam_step(params, grads, state, 0.003) is params
+    assert state.m is m and state.v is v and state.t == 5
+    for got, want in [(params, expected), (m, ref.m), (v, ref.v)]:
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
 def test_directional_derivative_helper():
     fn = lambda v: float(v @ v)
     x = np.array([1.0, 2.0])
