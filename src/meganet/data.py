@@ -9,12 +9,13 @@ on edges (illicit-transaction style) or on nodes (phishing-account style).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, islice
+from itertools import chain, count, islice
 from operator import itemgetter
 
 import numpy as np
@@ -102,14 +103,18 @@ _BLOCK_ROWS = 4096
 def _csv_blocks(path, columns):
     """Yield (number of its first row, one list of field texts per column)
     for each block of up to _BLOCK_ROWS data rows of a headered UTF-8 CSV.
-    Rows are numbered from 1, skipping blank lines; a leading byte-order
-    mark is dropped. IngestionError for an empty file, a column the header
-    lacks or names twice, a row whose field count differs from the
-    header's, or text that is not UTF-8 CSV. The rows ahead of such a row
-    are yielded first, so a caller that checks each block raises for the
-    first bad row in file order."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    Rows are numbered from 1, skipping blank lines; lines end in LF or
+    CRLF, and a leading byte-order mark is dropped. IngestionError for an
+    empty file, a column the header lacks or names twice, a row whose field
+    count differs from the header's, or text that is not UTF-8 CSV. The
+    rows ahead of such a row are yielded first, so a caller that checks
+    each block raises for the first bad row in file order."""
+    with open(path, "rb") as fh:
+        # each line is decoded as csv.reader pulls it, so a decode error
+        # surfaces at its own line, after the rows ahead of it
+        head = fh.readline().removeprefix(codecs.BOM_UTF8)
+        reader = csv.reader(map(bytes.decode,
+                                chain([head] if head else [], fh)))
         try:
             header = next(reader, None)
         except (UnicodeDecodeError, csv.Error) as exc:

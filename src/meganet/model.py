@@ -64,14 +64,12 @@ final node and edge states.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .agg import (
-    PNA_SCALERS,
-    PNA_STATS,
     AggSpec,
     GroupedFeatures,
     reduce_or_default_with_vjp,
@@ -119,32 +117,28 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The inverse of asdict: d holds exactly the fields, and each
+        aggregation exactly AggSpec's; ModelError names a key missing or
+        unknown."""
         d = dict(d)
-        # version-1 checkpoints may carry the switch; only its "on" value exists
-        if not d.pop("post_agg_mlp", True):
-            raise ModelError("post_agg_mlp=false is not supported: the "
-                             "post-aggregation MLP is part of every layer")
-        # ... and ego_ids; only its "off" value loads, since no forward here
-        # marks an ego node
-        if d.pop("ego_ids", False):
-            raise ModelError("ego_ids=true is not supported: no forward "
-                             "marks an ego node")
-        d["edge_agg"] = _agg_from_dict(d["edge_agg"])
-        d["node_agg"] = _agg_from_dict(d["node_agg"])
-        # checkpoints written before the dtype switch ran in float64
-        d.setdefault("dtype", "float64")
+        _check_names("checkpoint config", sorted(d),
+                     sorted(f.name for f in fields(cls)))
+        for key in ("edge_agg", "node_agg"):
+            _check_names(f"checkpoint {key}", sorted(d[key]),
+                         sorted(f.name for f in fields(AggSpec)))
+            d[key] = AggSpec(**d[key])
         return cls(**d)
 
 
-def _agg_from_dict(d: dict) -> AggSpec:
-    # version-1 checkpoints list PNA's statistics and scalers; only the full
-    # sets, which the command line always wrote, still load
-    for key, full in (("pna_stats", PNA_STATS), ("pna_scalers", PNA_SCALERS)):
-        if sorted(d.get(key, full)) != sorted(full):
-            raise ModelError(f"{key}={d[key]} is not supported: pna uses "
-                             f"all of {', '.join(full)}")
-    return AggSpec(kind=d["kind"],
-                   mean_log_degree=float(d.get("mean_log_degree", 1.0)))
+def _check_names(what: str, got: list, want: list) -> None:
+    """ModelError unless got is want, naming the names of want that got
+    lacks and those it holds beyond them, or else got's order."""
+    if got != want:
+        wrong = {"missing": [k for k in want if k not in got],
+                 "unknown": [k for k in got if k not in want]}
+        raise ModelError(f"{what}: " + (", ".join(
+            f"{kind} {names}" for kind, names in wrong.items() if names)
+            or f"{got} is not in the order {want}"))
 
 
 class DirectionNets(NamedTuple):
@@ -229,8 +223,8 @@ def _encoder_input(features: np.ndarray, rows, dtype) -> np.ndarray:
         dtype, copy=False)
 
 
-def _update_parts(supp: SupportIndex, nets: DirectionNets,
-                  nodes_in=None, pairs=None, edges=None, updated=None):
+def _update_parts(supp: SupportIndex, nets: DirectionNets, nodes_in, pairs,
+                  edges, updated):
     """The indices of an edge update's parts (x_src, e, then h or x_dst)
     over the row set updated, into the rows of the row sets nodes_in, edges
     and pairs."""
@@ -339,16 +333,15 @@ def direction_bwd(cache, ga, gx, gh, ge):
     return gh if ge is None else ge + gh
 
 
-def edge_update_fwd(x, e, h, supp: SupportIndex, nets: DirectionNets,
-                    train=False, seed=0, parts=None):
+def edge_update_fwd(x, e, h, nets: DirectionNets, parts, train=False,
+                    seed=0):
     """Per-edge update from pre-update node features: [x_src || e || h],
     or [x_src || e || x_dst] where the direction has no multi-edge stage.
 
     parts holds the indices of the three parts into x, e and h (from
-    _update_parts), which pick the edges it updates; by default every edge,
-    in order.
+    plan_layers), which pick the edges it updates.
     """
-    src, own, third = parts or _update_parts(supp, nets)
+    src, own, third = parts
     inp = GatheredConcat((x, src), (e, own),
                          (x if nets.edge_agg_mlp is None else h, third))
     out, net_cache = _mlp(nets.edge_update_net, inp, train, seed)
@@ -371,18 +364,16 @@ def edge_update_bwd(cache, gout, gx):
 # layers
 # ---------------------------------------------------------------------------
 
-def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
-              index=None):
-    """One layer over len(supports) directions; es holds their edge latents.
+def layer_fwd(lp: LayerParams, x, es, index, train=False, seq=lambda: 0):
+    """One layer over its directions; es holds their edge latents.
 
-    index (from plan_layers; default: every row) gives the rows it computes:
-    x and es hold those it reads, and it returns the node states it updates
-    and, per direction with an edge-update net, the latents it updates. A
-    direction without one returns its latents unchanged and draws no
-    dropout seed for them.
+    index (from plan_layers) gives the rows it computes and the support
+    indices it runs on: x and es hold the rows it reads, and it returns the
+    node states it updates and, per direction with an edge-update net, the
+    latents it updates. A direction without one returns its latents
+    unchanged and draws no dropout seed for them.
     """
-    kept, restricted, updates = (
-        index or plan_layers([lp], supports, None, None)[2][0])
+    kept, restricted, updates = index
     hs, parts, dir_caches = [], [(x, kept)], []
     for supp, nets, e in zip(restricted, lp.directions, es):
         h, (a, scale), c = direction_fwd(x, e, supp, nets, lp.agg_edge,
@@ -393,11 +384,10 @@ def layer_fwd(lp: LayerParams, x, es, supports, train=False, seq=lambda: 0,
     x1, gv_cache = _mlp(lp.node_update_net, GatheredConcat(*parts), train,
                         seq())
     es1, eu_caches = list(es), []
-    for d, (supp, nets, e, h, parts) in enumerate(zip(
-            restricted, lp.directions, es, hs, updates)):
+    for d, (nets, e, h, parts) in enumerate(zip(lp.directions, es, hs,
+                                                updates)):
         if parts is not None:
-            es1[d], c = edge_update_fwd(x, e, h, supp, nets, train, seq(),
-                                        parts)
+            es1[d], c = edge_update_fwd(x, e, h, nets, parts, train, seq())
             eu_caches.append(c)
     return x1, es1, (lp, dir_caches, gv_cache, eu_caches, x.shape)
 
@@ -556,7 +546,7 @@ class Model:
 
         stages = []
         for lp, index in zip(self.layers, plan):
-            x, es, c = layer_fwd(lp, x, es, supports, train_mode, seq, index)
+            x, es, c = layer_fwd(lp, x, es, index, train_mode, seq)
             if train_mode:
                 stages.append(c)
             del c                 # eval: free it before the next layer runs
@@ -654,7 +644,9 @@ def save_checkpoint(model: Model, path, feature_spec=None) -> None:
 
 def load_checkpoint(path) -> tuple[Model, FeatureSpec | None]:
     """(model, feature spec) saved by save_checkpoint, the spec None if none
-    was saved (version 1); malformed content raises ModelError."""
+    was saved. The inverse of save_checkpoint: ModelError for any other
+    format version, a config key missing or unknown, MLP names other than
+    the model's in its parameter order, and any other malformed content."""
     import json
 
     with open(path, encoding="utf-8") as fh:
@@ -663,16 +655,18 @@ def load_checkpoint(path) -> tuple[Model, FeatureSpec | None]:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelError(f"checkpoint is not JSON: {exc}") from None
     try:
-        if payload.get("format_version") not in (1, CHECKPOINT_VERSION):
+        if payload.get("format_version") != CHECKPOINT_VERSION:
             raise ModelError(f"unsupported checkpoint version "
-                             f"{payload.get('format_version')!r}")
+                             f"{payload.get('format_version')!r}: only "
+                             f"version {CHECKPOINT_VERSION} loads")
         config = ModelConfig.from_dict(payload["config"])
         model = Model(config, payload["d_node_in"], payload["d_edge_in"],
-                      seed=payload.get("seed", 0))
-        by_name = {entry["name"]: entry for entry in payload["mlps"]}
-        for name, m in model.named_mlps():
-            entry = by_name.get(name)
-            if (entry is None or entry["layer_dims"] != m.layer_dims
+                      seed=payload["seed"])
+        _check_names("checkpoint MLPs",
+                     [entry["name"] for entry in payload["mlps"]],
+                     [name for name, _ in model.named_mlps()])
+        for entry, (name, m) in zip(payload["mlps"], model.named_mlps()):
+            if (entry["layer_dims"] != m.layer_dims
                     or len(entry["weights"]) != len(m.weights)
                     or len(entry["biases"]) != len(m.biases)):
                 raise ModelError(f"checkpoint does not match model structure "
@@ -681,7 +675,7 @@ def load_checkpoint(path) -> tuple[Model, FeatureSpec | None]:
                 w[...] = np.asarray(flat, dtype=w.dtype).reshape(w.shape)
             for b, vals in zip(m.biases, entry["biases"]):
                 b[...] = np.asarray(vals, dtype=b.dtype).reshape(b.shape)
-        spec = payload.get("feature_spec")
+        spec = payload["feature_spec"]
         spec = spec if spec is None else FeatureSpec(**spec)
     except ModelError:
         raise

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from meganet.data import ConfigError
 from meganet.model import ModelConfig
 from meganet.train import TrainConfig
 
+DATA = Path(__file__).parent / "data"
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -320,13 +322,26 @@ def test_eval_csv_with_other_categorical_columns_exit_2(aml, tmp_path,
             "'payment_format']") in capsys.readouterr().err
 
 
-def test_version_1_checkpoint_in_eval_exit_2(dataset, capsys):
-    """A version-1 checkpoint loads, but carries no input encoding to score
-    a CSV with; eval refuses it rather than fit one on the CSV."""
-    from pathlib import Path
-
+def test_version_1_checkpoint_in_eval_exit_2(dataset, tmp_path, capsys):
+    """Version 2 is the only checkpoint format; eval names the version of
+    a file in another."""
     tx, labels = dataset
-    ckpt = Path(__file__).parent / "data" / "node_checkpoint_v1.json"
+    ckpt = tmp_path / "model.json"
+    payload = json.loads((DATA / "node_checkpoint_v1.json").read_text())
+    payload["format_version"] = 1
+    ckpt.write_text(json.dumps(payload))
+    assert run(["eval", "--checkpoint", ckpt, "--data", tx,
+                "--node-labels", labels]) == 2
+    assert ("unsupported checkpoint version 1: only version 2 loads"
+            in capsys.readouterr().err)
+
+
+def test_checkpoint_without_an_encoding_in_eval_exit_2(dataset, capsys):
+    """A checkpoint saved through the API with no feature spec loads, but
+    carries no input encoding to score a CSV with; eval refuses it rather
+    than fit one on the CSV."""
+    tx, labels = dataset
+    ckpt = DATA / "node_checkpoint_v1.json"
     assert run(["eval", "--checkpoint", ckpt, "--data", tx,
                 "--node-labels", labels]) == 2
     assert "carries no input encoding; retrain" in capsys.readouterr().err
@@ -559,10 +574,11 @@ def test_unknown_dtype_checkpoint_exit_2(dataset, tmp_path, capsys):
     # written before the baseline ran both directions: one direction's
     # weights under a config that says two
     ({"two_stage": False, "bidirectional": False}, {"bidirectional": True},
-     "does not match model structure at 'layer0.rev_msg_net'"),
+     "checkpoint MLPs: missing ['layer0.rev_msg_net', "
+     "'layer0.rev_edge_update_net', 'layer1.rev_msg_net']"),
     # trained on an ego column that marked every labeled node; refused as
     # its config is read, before the weights are matched
-    ({}, {"ego_ids": True}, "ego_ids=true is not supported"),
+    ({}, {"ego_ids": True}, "checkpoint config: unknown ['ego_ids']"),
 ], ids=["single-stage-bidirectional", "ego-ids"])
 def test_checkpoint_of_an_unhonoured_switch_exit_2(dataset, tmp_path, capsys,
                                                    saved, echoed, message):
@@ -596,7 +612,8 @@ def test_pna_subset_checkpoint_exit_2(dataset, tmp_path, capsys):
     rc = run(["eval", "--checkpoint", ckpt, "--data", tx,
               "--node-labels", labels])
     assert rc == 2
-    assert "pna_stats=['mean', 'max'] is not supported" in capsys.readouterr().err
+    assert ("checkpoint edge_agg: unknown ['pna_stats']"
+            in capsys.readouterr().err)
 
 
 def test_infinite_mean_log_degree_checkpoint_exit_2(dataset, tmp_path, capsys):

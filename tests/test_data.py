@@ -213,6 +213,30 @@ def test_loaders_reject_text_that_is_not_utf8_csv(tmp_path, kind, data):
         _load_rows(kind, p)
 
 
+def test_a_bad_row_before_a_decode_error_is_reported_first(tmp_path):
+    """Each line is decoded as it is read, so a row ahead of text that is
+    not UTF-8 is checked first, even within one read of the file."""
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"src,dst,timestamp,amount\na,b,1,1.0\na,b,2,oops\n"
+                  b"a,\xff,3,1.0\n")
+    with pytest.raises(IngestionError,
+                       match="row 2: amount 'oops' is not a finite number"):
+        load_transactions(p, ETH_SCHEMA)
+    p.write_bytes(b"src,dst,timestamp,amount\na,b,1,1.0\na,\xff,3,1.0\n")
+    with pytest.raises(IngestionError, match="not UTF-8 CSV text"):
+        load_transactions(p, ETH_SCHEMA)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_quoted_fields_may_hold_line_ends(tmp_path, newline):
+    p = tmp_path / "t.csv"
+    p.write_bytes(newline.join(["src,dst,timestamp,amount", '"a\nx",b,1,1.0',
+                                'b,"a\r\nx",2,2.0', ""]).encode())
+    t = load_transactions(p, ETH_SCHEMA)
+    assert t.account_names == ["a\nx", "b", "a\r\nx"]
+    assert t.timestamp.tolist() == [1, 2]
+
+
 @pytest.mark.parametrize("kind", FORMAT_CASES)
 def test_loaders_accept_a_byte_order_mark(tmp_path, kind):
     """Excel's "CSV UTF-8" export starts the file with a BOM."""

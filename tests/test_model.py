@@ -24,6 +24,7 @@ from meganet.model import (
     edge_update_fwd,
     layer_fwd,
     load_checkpoint,
+    plan_layers,
     save_checkpoint,
 )
 from meganet.nn import Mlp, weighted_bce_loss
@@ -78,9 +79,16 @@ def direction(x, e, supp, params, d=0):
     return h, a
 
 
+def whole(params, supports):
+    """The plan of one layer that computes every row, as Model.forward
+    builds it without rows."""
+    return plan_layers([params], supports, None, None)[2][0]
+
+
 def edge_update(x, e, supp, params):
     h, _ = direction(x, e, supp, params)
-    e_next, _ = edge_update_fwd(x, e, h, supp, params.directions[0])
+    parts = whole(params, [supp])[2][0]
+    e_next, _ = edge_update_fwd(x, e, h, params.directions[0], parts)
     return e_next
 
 
@@ -120,11 +128,13 @@ def test_checkpoint_config_json_bytes_pinned(tmp_path):
 
 
 def test_config_from_dict_post_agg_mlp_switch():
-    """Version-1 checkpoints carry post_agg_mlp; only true is loadable."""
+    """The post-aggregation MLP is part of every layer, so the retired
+    post_agg_mlp switch is an unknown key, whatever its value."""
     cfg = ModelConfig(hidden_node=7)
-    assert ModelConfig.from_dict({**asdict(cfg), "post_agg_mlp": True}) == cfg
-    with pytest.raises(ModelError, match="post_agg_mlp"):
-        ModelConfig.from_dict({**asdict(cfg), "post_agg_mlp": False})
+    for value in (True, False):
+        with pytest.raises(ModelError,
+                           match=r"config: unknown \['post_agg_mlp'\]$"):
+            ModelConfig.from_dict({**asdict(cfg), "post_agg_mlp": value})
 
 
 def test_edge_stage_sum_of_parallel_pair():
@@ -155,7 +165,8 @@ def test_node_stage_empty_in_neighbors_gets_zero():
     params.node_update_net = slice_mlp(dn + dn, dn, 2 * dn)
     x = np.array([[4.0], [9.0]])
     _, a = direction(x, g.edge_features, supp, params)
-    x_next, _, _ = layer_fwd(params, x, [g.edge_features], [supp])
+    x_next, _, _ = layer_fwd(params, x, [g.edge_features],
+                             whole(params, [supp]))
     assert a[0].tolist() == [0.0]        # node 0 has no in-neighbors
     assert x_next[0].tolist() == [0.0]
 
@@ -211,7 +222,7 @@ def test_bidirectional_single_edge_structure():
     # x_next echoes [a || a_rev]
     params.node_update_net = slice_mlp(dn + 2 * dn, dn, 3 * dn)
     x_next, _, _ = layer_fwd(params, np.zeros((2, 1)),
-                             [g.edge_features] * 2, [supp, rev])
+                             [g.edge_features] * 2, whole(params, [supp, rev]))
     # node 0: no in-neighbors (a=0), one out-neighbor (a_rev=1); node 1 flipped
     assert x_next.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
@@ -225,7 +236,7 @@ def test_bidirectional_out_degree_recoverable():
                        msg_net=constant_mlp(2, 1, 1.0))
     params.node_update_net = slice_mlp(3, 2, 3)  # echo a_rev
     x_next, _, _ = layer_fwd(params, np.zeros((4, 1)),
-                             [g.edge_features] * 2, [supp, rev])
+                             [g.edge_features] * 2, whole(params, [supp, rev]))
     assert x_next[0, 0] == 3.0
     assert x_next[1:, 0].tolist() == [0.0, 0.0, 0.0]
 
@@ -240,9 +251,9 @@ def test_single_stage_collapse_on_simple_graph():
                        msg_net=slice_mlp(2, 1, 2))  # message = edge latent
     params.node_update_net = slice_mlp(2, 1, 2)     # echo the aggregate
     x, e = np.ones((3, 1)), g.edge_features
-    x_two, _, _ = layer_fwd(params, x, [e], [supp])
+    x_two, _, _ = layer_fwd(params, x, [e], whole(params, [supp]))
     with_nets(params, edge_agg_mlp=None)
-    x_single, _, _ = layer_fwd(params, x, [e], [supp.per_edge])
+    x_single, _, _ = layer_fwd(params, x, [e], whole(params, [supp.per_edge]))
     assert np.allclose(x_two, x_single)
 
 
@@ -713,11 +724,10 @@ def test_checkpoint_roundtrip(tmp_path):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["as-saved", "reversed"])
-def test_checkpoint_listing_full_pna_sets_loads(tmp_path, reverse):
-    """A checkpoint written while AggSpec still listed PNA's statistics and
-    scalers (both aggregations pna, float32, edge readout) loads in either
-    order and reproduces the logits it was saved with.
+def test_pna_checkpoint_reproduces_its_saved_logits():
+    """A checkpoint of an earlier version of the model (both aggregations
+    pna, float32, edge readout) loads and reproduces the logits it was
+    saved with.
 
     The saved logits came from multiplying out PNA's 12·d block; the model
     now sums the scalers' weight blocks one by one, which reorders float32
@@ -725,17 +735,8 @@ def test_checkpoint_listing_full_pna_sets_loads(tmp_path, reverse):
     """
     import json
 
-    payload = json.loads((DATA / "pna_checkpoint_v1.json").read_text())
-    for agg in ("edge_agg", "node_agg"):
-        spec = payload["config"][agg]
-        assert spec["pna_stats"] == ["mean", "max", "min", "std"]
-        if reverse:
-            spec["pna_stats"].reverse()
-            spec["pna_scalers"].reverse()
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps(payload))
-    model, spec = load_checkpoint(path)
-    assert spec is None                  # version 1 saved no encoding
+    model, spec = load_checkpoint(DATA / "pna_checkpoint_v1.json")
+    assert spec is None                  # saved without an input encoding
     assert model.config.edge_agg == AggSpec("pna", mean_log_degree=0.9)
     g = random_connected_multigraph(5, 9, seed=2)
     supp = build_support_index(g)
@@ -745,20 +746,14 @@ def test_checkpoint_listing_full_pna_sets_loads(tmp_path, reverse):
                        atol=0.0)
 
 
-def test_node_readout_checkpoint_with_last_layer_edge_updates_loads():
-    """A checkpoint written while the last layer still carried edge-update
-    nets (float32, bidirectional, node readout, max/mean) loads, ignores
-    those nets and reproduces the logits it was saved with exactly."""
+def test_node_readout_checkpoint_reproduces_its_saved_logits():
+    """A checkpoint of an earlier version of the model (float32,
+    bidirectional, node readout, max/mean) loads and reproduces the logits
+    it was saved with exactly."""
     import json
 
-    payload = json.loads((DATA / "node_checkpoint_v1.json").read_text())
-    saved = {entry["name"] for entry in payload["mlps"]}
     model, spec = load_checkpoint(DATA / "node_checkpoint_v1.json")
     assert spec is None
-    built = {name for name, _ in model.named_mlps()}
-    assert saved - built == {"layer1.edge_update_net",
-                             "layer1.rev_edge_update_net"}
-    assert built <= saved
     g = random_connected_multigraph(5, 9, seed=2)
     supp = build_support_index(g)
     logits, _ = model.forward(g, supp, build_reverse_index(g, supp))
@@ -767,28 +762,85 @@ def test_node_readout_checkpoint_with_last_layer_edge_updates_loads():
     assert np.array_equal(logits, np.array(want, dtype=np.float32))
 
 
+def saved_payload(tmp_path):
+    """The JSON payload of a small saved model, and the file it is in."""
+    import json
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(Model(ModelConfig(hidden_node=4, hidden_edge=4,
+                                      mlp_hidden=5), 2, 2, seed=8), path)
+    return json.loads(path.read_text()), path
+
+
+def refused(payload, path, message):
+    """load_checkpoint of payload raises ModelError matching message."""
+    import json
+
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=message):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("key,subset", [
     ("pna_stats", ["mean", "max", "min"]),
     ("pna_stats", ["mean", "max", "min", "std", "std"]),
     ("pna_scalers", ["identity"]),
 ], ids=["three-stats", "repeated-stat", "identity-only"])
 def test_config_from_dict_rejects_pna_subsets(key, subset):
+    """PNA's statistics and scalers are fixed, so an aggregation that lists
+    any of them has an unknown key."""
     d = asdict(ModelConfig(node_agg=AggSpec("pna")))
     d["node_agg"][key] = subset
-    with pytest.raises(ModelError, match=f"{key}=.* is not supported"):
+    with pytest.raises(ModelError,
+                       match=rf"node_agg: unknown \['{key}'\]$"):
         ModelConfig.from_dict(d)
 
 
+def test_config_from_dict_names_missing_and_unknown_keys():
+    d = asdict(ModelConfig())
+    del d["readout"], d["edge_agg"]["kind"]
+    with pytest.raises(ModelError, match=r"config: missing \['readout'\]$"):
+        ModelConfig.from_dict(d)
+    d["readout"], d["extra"] = "node", 1
+    with pytest.raises(ModelError, match=r"config: unknown \['extra'\]$"):
+        ModelConfig.from_dict(d)
+    del d["extra"]
+    with pytest.raises(ModelError, match=r"edge_agg: missing \['kind'\]$"):
+        ModelConfig.from_dict(d)
+
+
+def _extra(mlps):
+    mlps.insert(3, dict(mlps[-1], name="layer1.extra_net"))
+
+
+def _swap_encoders(mlps):
+    mlps[0], mlps[1] = mlps[1], mlps[0]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_extra, r"MLPs: unknown \['layer1.extra_net'\]$"),
+    (lambda mlps: mlps.pop(2), r"MLPs: missing \['layer0.edge_agg_mlp'\]$"),
+    (_swap_encoders, r"MLPs: \['edge_encoder', 'node_encoder', .*\] is not "
+                     r"in the order \['node_encoder', 'edge_encoder'"),
+    (lambda mlps: mlps.append(mlps[-1]),
+     r"MLPs: \[.*'readout', 'readout'\] is not in the order"),
+], ids=["extra", "missing", "reordered", "repeated"])
+def test_checkpoint_mlps_other_than_the_models_are_refused(tmp_path, edit,
+                                                           message):
+    """A checkpoint holds exactly the model's MLPs in parameter order; an
+    entry the model does not build is refused by name, not skipped."""
+    payload, path = saved_payload(tmp_path)
+    edit(payload["mlps"])
+    refused(payload, path, message)
+
+
 def test_checkpoint_rejects_version_mismatch(tmp_path):
-    import json
-    model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5), 2, 2)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(model, path)
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 999
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ModelError):
-        load_checkpoint(path)
+    """Version 2 is the only format; the message names the version read."""
+    payload, path = saved_payload(tmp_path)
+    for version in (1, 3, 999, "2", None):
+        payload["format_version"] = version
+        refused(payload, path, f"unsupported checkpoint version {version!r}: "
+                               "only version 2 loads")
 
 
 def test_forward_accepts_and_ignores_roots():
@@ -827,25 +879,12 @@ def test_checkpoint_roundtrip_keeps_dtype(tmp_path, dtype):
     assert np.array_equal(want, got)
 
 
-def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
-    """Checkpoints written before the dtype switch reproduce their logits."""
-    import json
-
-    g = random_connected_multigraph(5, 9, seed=2)
-    supp = build_support_index(g)
-    rev = build_reverse_index(g, supp)
-    model = Model(ModelConfig(hidden_node=4, hidden_edge=4, mlp_hidden=5,
-                              dtype="float64"), 2, 2, seed=8)
-    want, _ = model.forward(g, supp, rev)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(model, path)
-    payload = json.loads(path.read_text())
+def test_checkpoint_without_dtype_is_refused(tmp_path):
+    """A config echoes every ModelConfig field: one without dtype is
+    refused, not loaded in a default dtype."""
+    payload, path = saved_payload(tmp_path)
     del payload["config"]["dtype"]
-    path.write_text(json.dumps(payload))
-    loaded, _ = load_checkpoint(path)
-    got, _ = loaded.forward(g, supp, rev)
-    assert loaded.config.dtype == "float64"
-    assert np.array_equal(want, got)
+    refused(payload, path, r"config: missing \['dtype'\]$")
 
 
 # edge and node aggregations, readouts and layer types the dtype must reach

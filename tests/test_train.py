@@ -154,17 +154,16 @@ def test_train_model_rejects_readout_of_other_task_type(monkeypatch, task_fn,
                          ids=["node-task", "edge-task"])
 def test_full_graph_runs_refuse_ego_ids(task_fn):
     """No forward marks ego nodes, so no ego_ids model reaches training or
-    evaluation: ModelConfig has no such field, and a config dict that turns
-    it on (a version-1 checkpoint's) is refused as it is read. One that
-    turns it off reads as the same model without the key."""
+    evaluation: ModelConfig has no such field, and a config dict that names
+    it, on or off, is refused as it is read."""
     task = task_fn()
     mc, tc = fast_configs()
     mc = replace(mc, readout=task.task_type)
     with pytest.raises(TypeError, match="ego_ids"):
         ModelConfig(ego_ids=True)
-    with pytest.raises(ModelError, match="ego_ids=true is not supported"):
-        ModelConfig.from_dict({**asdict(mc), "ego_ids": True})
-    assert ModelConfig.from_dict({**asdict(mc), "ego_ids": False}) == mc
+    for value in (True, False):
+        with pytest.raises(ModelError, match=r"unknown \['ego_ids'\]$"):
+            ModelConfig.from_dict({**asdict(mc), "ego_ids": value})
     _, record = train_model(task, mc, replace(tc, epochs=1), seed=0)
     assert "ego_ids" not in record.config["model"]
 
