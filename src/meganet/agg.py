@@ -30,6 +30,7 @@ the gradient of the statistics.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,10 @@ class AggSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise AggError(f"unknown aggregation kind {self.kind!r}")
+        if (isinstance(self.mean_log_degree, bool)
+                or not isinstance(self.mean_log_degree, numbers.Real)):
+            raise AggError("mean_log_degree must be a real number, not "
+                           f"{self.mean_log_degree!r}")
         if self.kind == "pna" and not 0 < self.mean_log_degree < np.inf:
             raise AggError("mean_log_degree must be positive and finite")
 

@@ -433,17 +433,16 @@ def to_multigraph(t: TransactionTable, feature_spec: FeatureSpec):
 
 @dataclass
 class BatchSample:
-    """A view of a multigraph: a seeded neighbourhood, or the whole graph.
+    """A view of a multigraph: a seed's receptive field, or the whole graph.
 
-    sample_neighborhood keeps, whole, the seed edges' (src, dst) pairs, the
-    pairs it takes leaving nodes within hops - 1 hops of the seeds in
-    either direction (every one when per_hop is None), and the nodes they
-    reach. A pair between two nodes first reached at the last hop is not
-    kept, so this is not the induced subgraph: with every pair taken it is
-    the receptive field of a hops-layer model at the seeds, whose logits
-    through the view are the whole graph's. full_view is the graph itself,
-    with identity maps and its own indices. supp and rev are the view's
-    support and reverse indices, built on first use.
+    sample_neighborhood keeps, whole, the seed edges' (src, dst) pairs,
+    every pair leaving a node within hops - 1 hops of the seeds in either
+    direction, and the nodes they reach. A pair between two nodes first
+    reached at the last hop is not kept, so this is not the induced
+    subgraph: it is the receptive field of a hops-layer model at the seeds,
+    whose logits through the view are the whole graph's. full_view is the
+    graph itself, with identity maps and its own indices. supp and rev are
+    the view's support and reverse indices, built on first use.
     """
 
     graph: Multigraph
@@ -488,24 +487,19 @@ def sample_neighborhood(
     seed_nodes=None,
     seed_edges=None,
     hops: int = 2,
-    per_hop: int | None = 100,
-    rng_seed: int = 0,
 ) -> BatchSample:
-    """Breadth-limited bidirectional expansion with whole-group inclusion.
+    """The exact receptive field of a hops-layer model at the seeds.
 
-    A node's neighbours are listed by graph.neighbor_pairs over (rev, supp):
-    in-neighbours through the reverse index first, then out-neighbours.
-    When a node has more than per_hop distinct neighbors a uniform subset
-    of neighbors is drawn, but every parallel edge of a selected pair is
-    kept so the multi-edge aggregation always sees complete groups. An
-    edge seed keeps its pair and seeds both endpoints.
-
-    per_hop=None takes every neighbour and draws nothing, so the result is
-    the exact receptive field of a hops-layer model (BatchSample). When
-    that walk reaches every node, it stops and returns full_view(g, supp, rev).
+    A bidirectional walk from the seeds that takes every neighbour, and
+    every parallel edge of each pair it takes, so the multi-edge
+    aggregation always sees complete groups. A node's neighbours are
+    listed by graph.neighbor_pairs over (rev, supp): in-neighbours through
+    the reverse index first, then out-neighbours. An edge seed keeps its
+    pair and seeds both endpoints. When the walk reaches every node, it
+    stops and returns full_view(g, supp, rev).
     """
-    if (per_hop is not None and per_hop < 1) or hops < 0:
-        raise ConfigError("per_hop must be at least 1 and hops at least 0")
+    if hops < 0:
+        raise ConfigError("hops must be at least 0")
     n = g.num_nodes
     seed_nodes, seed_edges = (np.asarray([] if s is None else s, dtype=np.int64)
                               for s in (seed_nodes, seed_edges))
@@ -513,28 +507,17 @@ def sample_neighborhood(
         raise GraphError("seed node out of range")
     if np.any((seed_edges < 0) | (seed_edges >= g.num_edges)):
         raise GraphError("seed edge out of range")
-    rng = np.random.default_rng(rng_seed)
     seen = np.zeros(n, dtype=bool)
     kept = np.zeros(supp.num_pairs, dtype=bool)
     pairs = [_mark_new(supp.edge_to_supp[seed_edges], kept)]
     hop_nodes = [_mark_new(np.append(seed_nodes, g.edges[seed_edges]), seen)]
     for _ in range(hops):
-        if per_hop is None and seen.all():
+        if seen.all():
             break
-        pos, _, pair, u = neighbor_pairs((rev, supp), hop_nodes[-1])
-        if per_hop is not None:
-            key = pos * n + u
-            distinct = np.unique(key)   # each node's distinct neighbours, sorted
-            counts = np.bincount(distinct // n, minlength=hop_nodes[-1].size)
-            over = np.flatnonzero(counts > per_hop)
-            starts = (np.cumsum(counts) - counts)[over]
-            drawn = [rng.choice(distinct[lo:lo + c], size=per_hop, replace=False)
-                     for lo, c in zip(starts.tolist(), counts[over].tolist())]
-            take = (counts[pos] <= per_hop) | np.isin(key, drawn)
-            pair, u = pair[take], u[take]
+        _, _, pair, u = neighbor_pairs((rev, supp), hop_nodes[-1])
         pairs.append(_mark_new(pair, kept))
         hop_nodes.append(_mark_new(u, seen))
-    if per_hop is None and seen.all():
+    if seen.all():
         return full_view(g, supp, rev)
 
     edge_ids = np.sort(group_items(supp.by_pair, np.concatenate(pairs))[1])

@@ -85,6 +85,12 @@ class ModelError(ValueError):
     pass
 
 
+# what a ModelConfig field of each declared type takes; a bool is an int to
+# isinstance, so only a bool field takes one
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
+                "AggSpec": AggSpec}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture switches and latent widths.
@@ -106,6 +112,11 @@ class ModelConfig:
     dtype: str = "float32"         # or "float64"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or isinstance(value, bool) != (f.type == "bool")):
+                raise ModelError(f"{f.name}: expected {f.type}, got {value!r}")
         if self.num_layers < 1:
             raise ModelError("num_layers must be at least 1")
         if min(self.hidden_node, self.hidden_edge, self.mlp_hidden) < 1:
@@ -291,8 +302,7 @@ def _mlp(net: Mlp, x, train: bool, seed: int):
 
 
 def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
-                  agg_edge: AggSpec, agg_node: AggSpec, train=False,
-                  seq=lambda: 0):
+                  agg_edge: AggSpec, agg_node: AggSpec, train: bool, seq):
     """Multi-edge reduce, post-aggregation MLP, message MLP and node reduce.
 
     Returns (h, a, cache): h holds one latent per support pair, a the
@@ -333,8 +343,8 @@ def direction_bwd(cache, ga, gx, gh, ge):
     return gh if ge is None else ge + gh
 
 
-def edge_update_fwd(x, e, h, nets: DirectionNets, parts, train=False,
-                    seed=0):
+def edge_update_fwd(x, e, h, nets: DirectionNets, parts, train: bool,
+                    seed: int):
     """Per-edge update from pre-update node features: [x_src || e || h],
     or [x_src || e || x_dst] where the direction has no multi-edge stage.
 
@@ -364,7 +374,7 @@ def edge_update_bwd(cache, gout, gx):
 # layers
 # ---------------------------------------------------------------------------
 
-def layer_fwd(lp: LayerParams, x, es, index, train=False, seq=lambda: 0):
+def layer_fwd(lp: LayerParams, x, es, index, train: bool, seq):
     """One layer over its directions; es holds their edge latents.
 
     index (from plan_layers) gives the rows it computes and the support

@@ -3,10 +3,10 @@
 Desk-scale trainer: the whole graph fits in memory and mini-batches
 partition the labeled items (nodes or edges). Every forward runs on the
 exact receptive field of the items whose logits it returns: a view from
-data.sample_neighborhood with hops = num_layers and every neighbour
-taken, or the whole graph when that walk reaches every node. Each train
-step builds its batch's view, except that a batch holding the whole train
-split builds it once; validation and test build theirs once per run. Eval
+data.sample_neighborhood with hops = num_layers, or the whole graph when
+that walk reaches every node. Each train step builds its batch's view,
+except that a batch holding the whole train split builds it once;
+validation and test build theirs once per run. Eval
 logits through a view are those of a whole-graph forward asked for the
 same items, and so are a train step's when dropout is 0: both compute the
 same rows of each layer (Model.forward), and draw masks over those. The loss
@@ -220,7 +220,7 @@ def _split_items(task: TaskData, split: str) -> np.ndarray:
 def _view(task: TaskData, idx, supp, rev, hops: int):
     """The exact receptive field of task.items[idx], hops layers deep."""
     seeds = "seed_edges" if task.task_type == "edge" else "seed_nodes"
-    return sample_neighborhood(task.graph, supp, rev, hops=hops, per_hop=None,
+    return sample_neighborhood(task.graph, supp, rev, hops=hops,
                                **{seeds: task.items[idx]})
 
 

@@ -526,8 +526,7 @@ def test_sampler_large_cap_is_full_neighborhood():
     g, _ = generate_planted_task(10, 2, 2, "max_of_sums", seed=0)
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=3,
-                            per_hop=10_000)
+    s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=3)
     # receiver 0's whole component: itself plus its private senders
     assert s.graph.num_edges == int(np.sum(g.dst == 0))
     assert is_weakly_connected(s.graph)
@@ -541,24 +540,39 @@ def test_sampler_drops_pairs_between_last_hop_nodes():
                    np.arange(3.0)[:, None])
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    for per_hop in (100, None):       # node 3 keeps the walk from every node
-        s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=1,
-                                per_hop=per_hop)
-        assert s.node_map.tolist() == [0, 1, 2]
-        assert s.edge_map.tolist() == [0, 1]
-    s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=2, per_hop=None)
+    # node 3 keeps the walk from every node
+    s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=1)
+    assert s.node_map.tolist() == [0, 1, 2]
+    assert s.edge_map.tolist() == [0, 1]
+    s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=2)
     assert s.edge_map.tolist() == [0, 1, 2]
 
 
 def test_sampler_lists_in_neighbours_first():
-    # node 0 sends to 1 and 3 and receives from 2 and 4
-    g = Multigraph(5, np.ones((5, 1)), [(0, 3), (2, 0), (0, 1), (4, 0), (2, 0)],
+    # node 0 sends to 1 and 3 and receives from 2 and 4; node 5 is isolated
+    g = Multigraph(6, np.ones((6, 1)), [(0, 3), (2, 0), (0, 1), (4, 0), (2, 0)],
                    np.arange(5.0)[:, None])
     supp = build_support_index(g)
     s = sample_neighborhood(g, supp, build_reverse_index(g, supp),
                             seed_nodes=[0], hops=1)
     assert s.node_map.tolist() == [0, 2, 4, 3, 1]
     assert s.edge_map.tolist() == [0, 1, 2, 3, 4]
+
+
+def test_sampler_keeps_every_neighbour_of_a_hub():
+    """A view takes every distinct neighbour, however many: a hub's 150
+    in-neighbours, each with two parallel edges, all stay in its 1-hop view."""
+    senders = np.repeat(np.arange(1, 151), 2)
+    g = Multigraph(152, np.ones((152, 1)),
+                   np.column_stack([senders, np.zeros_like(senders)]),
+                   np.ones((300, 1)))
+    supp = build_support_index(g)
+    s = sample_neighborhood(g, supp, build_reverse_index(g, supp),
+                            seed_nodes=[0], hops=1)
+    assert s.graph is not g           # node 151 is never reached
+    assert s.node_map.tolist() == list(range(151))
+    assert s.edge_map.tolist() == list(range(300))
+    assert build_support_index(s.graph).num_pairs == 150
 
 
 @pytest.mark.parametrize("seeds", [dict(seed_nodes=[-1]), dict(seed_nodes=[3]),
@@ -572,22 +586,20 @@ def test_sampler_rejects_seeds_out_of_range(seeds):
         sample_neighborhood(g, supp, build_reverse_index(g, supp), **seeds)
 
 
-@pytest.mark.parametrize("bad", [dict(hops=-3), dict(per_hop=0)],
-                         ids=["hops-3", "per-hop-0"])
-def test_sampler_rejects_negative_hops_and_zero_per_hop(bad):
+def test_sampler_rejects_negative_hops():
     g = Multigraph(3, np.ones((3, 1)), [(0, 1), (1, 2)], np.ones((2, 1)))
     supp = build_support_index(g)
-    with pytest.raises(ConfigError, match="hops at least 0"):
+    with pytest.raises(ConfigError, match="hops must be at least 0"):
         sample_neighborhood(g, supp, build_reverse_index(g, supp),
-                            seed_nodes=[0], **bad)
+                            seed_nodes=[0], hops=-3)
 
 
 def test_sampler_keeps_parallel_groups_whole():
     g, _ = generate_planted_task(30, 3, 4, "max_of_sums", seed=2)
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=2, per_hop=1,
-                            rng_seed=7)
+    s = sample_neighborhood(g, supp, rev, seed_nodes=[0], hops=2)
+    assert s.graph is not g
     kept = set(s.edge_map.tolist())
     _, order, offsets = supp.by_pair
     for k in kept:

@@ -1,10 +1,11 @@
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from meganet.agg import AggSpec
+from meganet.agg import AggError, AggSpec
 from meganet.data import FeatureSpec, generate_planted_task
 from meganet.graph import (
     Multigraph,
@@ -75,7 +76,8 @@ def with_nets(params, d=0, **nets):
 def direction(x, e, supp, params, d=0):
     """(h, a) of direction d in evaluation mode."""
     h, (a, _), _ = direction_fwd(x, e, supp, params.directions[d],
-                                 params.agg_edge, params.agg_node)
+                                 params.agg_edge, params.agg_node, False,
+                                 lambda: 0)
     return h, a
 
 
@@ -88,7 +90,7 @@ def whole(params, supports):
 def edge_update(x, e, supp, params):
     h, _ = direction(x, e, supp, params)
     parts = whole(params, [supp])[2][0]
-    e_next, _ = edge_update_fwd(x, e, h, params.directions[0], parts)
+    e_next, _ = edge_update_fwd(x, e, h, params.directions[0], parts, False, 0)
     return e_next
 
 
@@ -97,6 +99,30 @@ def test_config_validation():
         ModelConfig(num_layers=0)
     with pytest.raises(ModelError):
         ModelConfig(readout="graph")
+    # a float field takes an int, and mean_log_degree any real number
+    assert ModelConfig(dropout=0).dropout == 0
+    assert AggSpec("pna", mean_log_degree=np.float32(0.5)).mean_log_degree == 0.5
+
+
+@pytest.mark.parametrize("key,value", [
+    ("bidirectional", "no"), ("two_stage", 0), ("num_layers", True),
+    ("num_layers", 2.0), ("dropout", "0.1"), ("hidden_node", "64"),
+    ("dropout", False), ("readout", 1)])
+def test_config_from_dict_refuses_a_field_of_the_wrong_type(key, value):
+    """A field takes its declared type: a bool field a bool, an int field an
+    int but not a bool, a float field an int or a float but not a bool."""
+    d = {**asdict(ModelConfig()), key: value}
+    with pytest.raises(ModelError, match=rf"^{key}: expected \w+, got "
+                                         rf"{re.escape(repr(value))}$"):
+        ModelConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("value", ["1.0", None, True])
+def test_agg_spec_mean_log_degree_is_a_real_number(value):
+    d = asdict(ModelConfig())
+    d["node_agg"]["mean_log_degree"] = value
+    with pytest.raises(AggError, match="mean_log_degree must be a real number"):
+        ModelConfig.from_dict(d)
 
 
 def test_config_dict_roundtrip():
@@ -166,7 +192,7 @@ def test_node_stage_empty_in_neighbors_gets_zero():
     x = np.array([[4.0], [9.0]])
     _, a = direction(x, g.edge_features, supp, params)
     x_next, _, _ = layer_fwd(params, x, [g.edge_features],
-                             whole(params, [supp]))
+                             whole(params, [supp]), False, lambda: 0)
     assert a[0].tolist() == [0.0]        # node 0 has no in-neighbors
     assert x_next[0].tolist() == [0.0]
 
@@ -222,7 +248,8 @@ def test_bidirectional_single_edge_structure():
     # x_next echoes [a || a_rev]
     params.node_update_net = slice_mlp(dn + 2 * dn, dn, 3 * dn)
     x_next, _, _ = layer_fwd(params, np.zeros((2, 1)),
-                             [g.edge_features] * 2, whole(params, [supp, rev]))
+                             [g.edge_features] * 2, whole(params, [supp, rev]),
+                             False, lambda: 0)
     # node 0: no in-neighbors (a=0), one out-neighbor (a_rev=1); node 1 flipped
     assert x_next.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
@@ -236,7 +263,8 @@ def test_bidirectional_out_degree_recoverable():
                        msg_net=constant_mlp(2, 1, 1.0))
     params.node_update_net = slice_mlp(3, 2, 3)  # echo a_rev
     x_next, _, _ = layer_fwd(params, np.zeros((4, 1)),
-                             [g.edge_features] * 2, whole(params, [supp, rev]))
+                             [g.edge_features] * 2, whole(params, [supp, rev]),
+                             False, lambda: 0)
     assert x_next[0, 0] == 3.0
     assert x_next[1:, 0].tolist() == [0.0, 0.0, 0.0]
 
@@ -251,9 +279,11 @@ def test_single_stage_collapse_on_simple_graph():
                        msg_net=slice_mlp(2, 1, 2))  # message = edge latent
     params.node_update_net = slice_mlp(2, 1, 2)     # echo the aggregate
     x, e = np.ones((3, 1)), g.edge_features
-    x_two, _, _ = layer_fwd(params, x, [e], whole(params, [supp]))
+    x_two, _, _ = layer_fwd(params, x, [e], whole(params, [supp]), False,
+                            lambda: 0)
     with_nets(params, edge_agg_mlp=None)
-    x_single, _, _ = layer_fwd(params, x, [e], whole(params, [supp.per_edge]))
+    x_single, _, _ = layer_fwd(params, x, [e], whole(params, [supp.per_edge]),
+                               False, lambda: 0)
     assert np.allclose(x_two, x_single)
 
 

@@ -1,4 +1,4 @@
-"""Views: the unbounded sampler walk and the full view, forwards through
+"""Views: the sampler walk and the full view, forwards through
 them (a batch's exact receptive field gives the whole graph's logits and
 gradients), and train_model, which runs every forward on one."""
 
@@ -49,10 +49,10 @@ def same_array(a, b):
     several_components,
     lambda seed: random_connected_multigraph(12, 30, seed=seed)],
     ids=["several-components", "connected"])
-def test_unbounded_walk_equals_a_cap_no_node_reaches(make_graph, seed_kind):
-    """per_hop=None takes what a cap above every degree takes, bit for bit,
-    without a draw. Where that walk reaches every node it returns the full
-    view instead."""
+def test_walk_returns_the_full_view_exactly_when_it_reaches_every_node(
+        make_graph, seed_kind):
+    """Where the walk reaches every node it returns the graph itself, with
+    its own indices; elsewhere a view of fewer nodes."""
     reached = []
     for seed in range(4):
         g = make_graph(seed)
@@ -62,21 +62,15 @@ def test_unbounded_walk_equals_a_cap_no_node_reaches(make_graph, seed_kind):
         for hops in range(4):
             width = g.num_nodes if seed_kind == "seed_nodes" else g.num_edges
             seeds = {seed_kind: rng.choice(width, 3, replace=False)}
-            a = sample_neighborhood(g, supp, rev, hops=hops, per_hop=None,
-                                    **seeds)
-            b = sample_neighborhood(g, supp, rev, hops=hops, per_hop=10**9,
-                                    **seeds)
-            reached.append(a.graph is g)
-            if a.graph is g:
-                assert a.supp is supp and a.rev is rev
-                assert np.unique(b.node_map).size == g.num_nodes
-                continue
-            for name in ("node_map", "edge_map"):
-                assert same_array(getattr(a, name), getattr(b, name))
-            assert a.graph.num_nodes == b.graph.num_nodes
-            for name in ("edges", "node_features", "edge_features"):
-                assert same_array(getattr(a.graph, name),
-                                  getattr(b.graph, name))
+            v = sample_neighborhood(g, supp, rev, hops=hops, **seeds)
+            reached.append(v.graph is g)
+            if v.graph is g:
+                assert v.supp is supp and v.rev is rev
+                assert same_array(v.node_map, np.arange(g.num_nodes))
+                assert same_array(v.edge_map, np.arange(g.num_edges))
+            else:
+                assert v.graph.num_nodes == np.unique(v.node_map).size
+                assert v.graph.num_nodes < g.num_nodes
     # both outcomes occur: no 0-hop walk reaches every node, and only the
     # connected graphs are ever reached whole
     assert any(reached) == (make_graph is not several_components)
@@ -97,8 +91,7 @@ def test_view_local_rows_map_back_and_reject_outsiders():
     g = random_connected_multigraph(30, 45, seed=2)
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    s = sample_neighborhood(g, supp, rev, seed_edges=[3, 7], hops=1,
-                            per_hop=None)
+    s = sample_neighborhood(g, supp, rev, seed_edges=[3, 7], hops=1)
     assert s.graph is not g
     assert s.edge_map[s.local([7, 3], "edge")].tolist() == [7, 3]
     nodes = s.node_map[::-1]
@@ -126,7 +119,7 @@ def models_and_views(two_stage, readout, bidirectional, dtypes):
                           hidden_edge=8, mlp_hidden=8, dropout=0.0,
                           dtype=dtype)
         seeds = "seed_nodes" if readout == "node" else "seed_edges"
-        v = sample_neighborhood(g, supp, rev, hops=layers, per_hop=None,
+        v = sample_neighborhood(g, supp, rev, hops=layers,
                                 **{seeds: ITEMS[readout]})
         assert v.graph.num_edges < g.num_edges
         yield Model(cfg, 2, 3, seed=seed), g, supp, rev, v
