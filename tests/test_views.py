@@ -49,10 +49,11 @@ def same_array(a, b):
     several_components,
     lambda seed: random_connected_multigraph(12, 30, seed=seed)],
     ids=["several-components", "connected"])
-def test_walk_returns_the_full_view_exactly_when_it_reaches_every_node(
-        make_graph, seed_kind):
-    """Where the walk reaches every node it returns the graph itself, with
-    its own indices; elsewhere a view of fewer nodes."""
+def test_unbounded_walk_equals_a_cap_no_node_reaches(make_graph, seed_kind):
+    """The walk draws no neighbours: it takes what a cap above every degree
+    took, every edge at each node it reached within hops - 1. Where it
+    reaches every node it returns the graph itself, with its own indices;
+    elsewhere a view of fewer nodes."""
     reached = []
     for seed in range(4):
         g = make_graph(seed)
@@ -64,6 +65,11 @@ def test_walk_returns_the_full_view_exactly_when_it_reaches_every_node(
             seeds = {seed_kind: rng.choice(width, 3, replace=False)}
             v = sample_neighborhood(g, supp, rev, hops=hops, **seeds)
             reached.append(v.graph is g)
+            if hops:
+                inner = sample_neighborhood(g, supp, rev, hops=hops - 1,
+                                            **seeds).node_map
+                at_inner = np.isin(g.src, inner) | np.isin(g.dst, inner)
+                assert np.isin(np.flatnonzero(at_inner), v.edge_map).all()
             if v.graph is g:
                 assert v.supp is supp and v.rev is rev
                 assert same_array(v.node_map, np.arange(g.num_nodes))

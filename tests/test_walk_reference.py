@@ -161,15 +161,20 @@ def test_neighbor_pairs_follows_the_per_node_walk():
         assert got == expected
 
 
-@pytest.mark.parametrize("hops", range(4))
-def test_sampler_matches_reference(hops):
+@pytest.mark.parametrize("hops,max_seeds", [(0, 100), (1, 1), (2, 1), (2, 2),
+                                            (3, 3), (2, 100)])
+def test_sampler_matches_reference(hops, max_seeds):
+    """Up to max_seeds seed nodes and as many seed edges per graph, drawn
+    with repeats: a hundred repeat seeds and often cover the graph."""
     whole = []
     for gi, g in enumerate(GRAPHS):
         supp = build_support_index(g)
         rev = build_reverse_index(g, supp)
         rng = np.random.default_rng(gi)
-        seed_nodes = rng.integers(0, g.num_nodes, int(rng.integers(0, 4)))
-        seed_edges = (rng.integers(0, g.num_edges, int(rng.integers(0, 3)))
+        seed_nodes = rng.integers(0, g.num_nodes,
+                                  int(rng.integers(0, max_seeds + 1)))
+        seed_edges = (rng.integers(0, g.num_edges,
+                                   int(rng.integers(0, max_seeds + 1)))
                       if g.num_edges else [])
         for nodes, edges in [(None, None), (seed_nodes, None),
                              (None, seed_edges), (seed_nodes, seed_edges)]:
