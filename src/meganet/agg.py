@@ -112,14 +112,6 @@ class GroupedFeatures:
         if np.any(np.diff(offsets) < 0):
             raise AggError("group offsets must be non-decreasing")
 
-    @property
-    def num_groups(self) -> int:
-        return self.groups.num_groups
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.groups.counts
-
 
 @dataclass(frozen=True)
 class DegreeScale:
@@ -227,8 +219,8 @@ def _stats_into(stacked: np.ndarray, stats: tuple[str, ...],
     d = v.shape[1]
     col = {stat: stacked[:, i * d:(i + 1) * d] for i, stat in enumerate(stats)}
     # an empty group's sums are 0, and so are its mean and std over 1
-    stacked[gf.counts == 0] = 0.0
-    counts = np.maximum(gf.counts, 1).astype(v.dtype)[:, None]
+    stacked[gf.groups.counts == 0] = 0.0
+    counts = np.maximum(gf.groups.counts, 1).astype(v.dtype)[:, None]
 
     sums = col.get("sum", col.get("mean"))
     if sums is None and "std" in col:
@@ -295,7 +287,7 @@ def segment_reduce_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     to the values. Groups must be non-empty here; callers with
     possibly-empty targets use reduce_or_default_with_vjp.
     """
-    if np.any(gf.counts == 0):
+    if np.any(gf.groups.counts == 0):
         raise AggError("segment_reduce requires non-empty groups")
     return reduce_or_default_with_vjp(spec, gf)
 
@@ -314,7 +306,8 @@ def reduce_or_default_with_vjp(spec: AggSpec, gf: GroupedFeatures):
     """
     stats = PNA_STATS if spec.kind == "pna" else (spec.kind,)
     d = gf.values.shape[1]
-    stacked = np.empty((gf.num_groups, len(stats) * d), dtype=gf.values.dtype)
+    stacked = np.empty((gf.groups.num_groups, len(stats) * d),
+                       dtype=gf.values.dtype)
     buckets = _size_buckets(gf.groups)
     vjp = _stats_into(stacked, stats, gf, buckets)
     scale = None
@@ -322,6 +315,6 @@ def reduce_or_default_with_vjp(spec: AggSpec, gf: GroupedFeatures):
         amp, att = pna_scalers([rows.shape[0] for _, rows in buckets],
                                spec.mean_log_degree, stacked.dtype)
         scalers = np.stack([np.ones_like(amp), amp, att], axis=1)
-        scale = DegreeScale(gf.num_groups, len(PNA_SCALERS),
+        scale = DegreeScale(gf.groups.num_groups, len(PNA_SCALERS),
                             tuple(zip((gids for gids, _ in buckets), scalers)))
     return (stacked, scale), vjp

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model as model_mod
 from .agg import AggSpec, GroupedFeatures, segment_reduce
-from .data import brute_force_planted_labels, generate_planted_task
+from .data import generate_planted_task
 from .graph import (
     apply_permutation,
     build_groups,
@@ -161,7 +161,7 @@ def expressivity_suite() -> dict:
 
     def max_of_sums(gf):
         sums = segment_reduce(AggSpec("sum"), gf)
-        outer = GroupedFeatures(sums, build_groups([0] * gf.num_groups, 1))
+        outer = GroupedFeatures(sums, build_groups([0] * sums.shape[0], 1))
         return float(segment_reduce(AggSpec("max"), outer)[0, 0])
 
     two_stage_1 = max_of_sums(g1)
@@ -317,8 +317,6 @@ def connectivity_suite(num_graphs: int = 1000, seed: int = 0) -> dict:
 def _planted_task_data(task: str, num_nodes: int, seed: int) -> TaskData:
     g, labels = generate_planted_task(num_nodes, 2, 2, task, seed)
     items = np.flatnonzero(labels >= 0)
-    oracle = brute_force_planted_labels(g, labels >= 0, task)
-    assert np.array_equal(oracle, labels[items])
     return TaskData(graph=g, labels=labels[items], items=items,
                     task_type="node", **node_split(items.size, seed))
 

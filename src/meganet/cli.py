@@ -21,6 +21,7 @@ from . import checks
 from .data import (
     ConfigError,
     IngestionError,
+    PLANTED_TASKS,
     SCHEMAS,
     SplitSpec,
     compute_feature_spec,
@@ -76,10 +77,10 @@ def _coerce(key: str, raw: str):
 
 
 def read_config_file(path) -> dict:
-    """key=value lines; blank lines and # comments are ignored. A key set
-    twice is a ConfigError."""
+    """key=value lines; blank lines and # comments are ignored, and so is
+    a leading byte-order mark. A key set twice is a ConfigError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     out = {}
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic planted dataset")
     p.add_argument("--task", required=True,
-                   choices=("max_of_sums", "out_neighbor_count"))
+                   choices=tuple(PLANTED_TASKS))
     p.add_argument("--num-nodes", type=int, default=500)
     p.add_argument("--senders", type=int, default=2,
                    help="senders per labeled node (or median out-degree)")

@@ -509,7 +509,7 @@ def sample_neighborhood(
         raise GraphError("seed edge out of range")
     seen = np.zeros(n, dtype=bool)
     kept = np.zeros(supp.num_pairs, dtype=bool)
-    pairs = [_mark_new(supp.edge_to_supp[seed_edges], kept)]
+    pairs = [_mark_new(supp.by_pair.key[seed_edges], kept)]
     hop_nodes = [_mark_new(np.append(seed_nodes, g.edges[seed_edges]), seen)]
     for _ in range(hops):
         if seen.all():
@@ -586,13 +586,13 @@ def generate_planted_task(
     """
     if num_nodes < 1 or num_senders_per_node < 1 or payments_per_sender < 1:
         raise ConfigError("counts must be at least 1")
-    if task == "max_of_sums":
-        return _generate_max_of_sums(num_nodes, num_senders_per_node,
-                                     payments_per_sender, seed)
-    if task == "out_neighbor_count":
-        return _generate_out_neighbor_count(num_nodes, num_senders_per_node,
-                                            payments_per_sender, seed)
-    raise ConfigError(f"unknown planted task {task!r}")
+    generate, oracle = _planted_task(task)
+    g, labels = generate(num_nodes, num_senders_per_node,
+                         payments_per_sender, seed)
+    labeled = np.flatnonzero(labels >= 0)
+    assert np.array_equal(oracle(g, labeled), labels[labeled]), \
+        "generator produced a label its own oracle disagrees with"
+    return g, labels
 
 
 def _generate_max_of_sums(num_receivers, k, p, seed):
@@ -606,7 +606,6 @@ def _generate_max_of_sums(num_receivers, k, p, seed):
     edges, amounts = [], []
     total_nodes = num_receivers * (1 + k)
     labels = np.full(total_nodes, -1, dtype=np.int64)
-    ts = []
     for r in range(num_receivers):
         label = int(rng.random() < _POSITIVE_RATE)
         labels[r] = label
@@ -628,16 +627,12 @@ def _generate_max_of_sums(num_receivers, k, p, seed):
                 noisy = (v + rng.uniform(-_NOISE, _NOISE)) * scale
                 edges.append((s, r))
                 amounts.append(noisy)
-                ts.append(len(ts))
     g = Multigraph(
         num_nodes=total_nodes,
         node_features=np.ones((total_nodes, 1)),
         edges=np.array(edges, dtype=np.int64),
         edge_features=np.array(amounts)[:, None],
     )
-    check = brute_force_planted_labels(g, labels >= 0, "max_of_sums")
-    assert np.array_equal(check, labels[labels >= 0]), \
-        "generator produced a label its own oracle disagrees with"
     return g, labels
 
 
@@ -670,8 +665,6 @@ def _generate_out_neighbor_count(num_subjects, median_degree, p, seed):
         edges=np.array(edges, dtype=np.int64),
         edge_features=np.array(amounts)[:, None],
     )
-    check = brute_force_planted_labels(g, labels >= 0, "out_neighbor_count")
-    assert np.array_equal(check, labels[labels >= 0])
     return g, labels
 
 
@@ -684,29 +677,48 @@ def _incident_edges(endpoint: np.ndarray, nodes: np.ndarray) -> list[np.ndarray]
     return [order[a:b] for a, b in zip(lo, hi)]
 
 
+def _max_of_sums_labels(g: Multigraph, labeled: np.ndarray) -> np.ndarray:
+    out = np.zeros(labeled.size, dtype=np.int64)
+    for i, incoming in enumerate(_incident_edges(g.dst, labeled)):
+        senders = g.src[incoming]
+        amounts = g.edge_features[incoming, 0]
+        totals: dict[int, float] = {}
+        maxima: dict[int, float] = {}
+        for s, amt in zip(senders, amounts):
+            s = int(s)
+            totals[s] = totals.get(s, 0.0) + amt
+            maxima[s] = max(maxima.get(s, -np.inf), amt)
+        top_total = max(totals, key=lambda s: totals[s])
+        top_single = max(maxima, key=lambda s: maxima[s])
+        out[i] = int(top_total != top_single)
+    return out
+
+
+def _out_neighbor_count_labels(g: Multigraph, labeled: np.ndarray) -> np.ndarray:
+    counts = np.array([np.unique(g.dst[outgoing]).size
+                       for outgoing in _incident_edges(g.src, labeled)])
+    return (counts > np.median(counts)).astype(np.int64)
+
+
+# the one list of planted tasks: name -> (generator, brute-force oracle of
+# the labels of the given labeled nodes)
+PLANTED_TASKS = {
+    "max_of_sums": (_generate_max_of_sums, _max_of_sums_labels),
+    "out_neighbor_count": (_generate_out_neighbor_count,
+                           _out_neighbor_count_labels),
+}
+
+
+def _planted_task(task: str):
+    if task not in PLANTED_TASKS:
+        raise ConfigError(f"unknown planted task {task!r}")
+    return PLANTED_TASKS[task]
+
+
 def brute_force_planted_labels(g: Multigraph, labeled_mask, task: str) -> np.ndarray:
     """Independent re-derivation of planted labels straight from the graph."""
-    labeled = np.flatnonzero(np.asarray(labeled_mask))
-    out = np.zeros(labeled.size, dtype=np.int64)
-    if task == "max_of_sums":
-        for i, incoming in enumerate(_incident_edges(g.dst, labeled)):
-            senders = g.src[incoming]
-            amounts = g.edge_features[incoming, 0]
-            totals: dict[int, float] = {}
-            maxima: dict[int, float] = {}
-            for s, amt in zip(senders, amounts):
-                s = int(s)
-                totals[s] = totals.get(s, 0.0) + amt
-                maxima[s] = max(maxima.get(s, -np.inf), amt)
-            top_total = max(totals, key=lambda s: totals[s])
-            top_single = max(maxima, key=lambda s: maxima[s])
-            out[i] = int(top_total != top_single)
-        return out
-    if task == "out_neighbor_count":
-        counts = np.array([np.unique(g.dst[outgoing]).size
-                           for outgoing in _incident_edges(g.src, labeled)])
-        return (counts > np.median(counts)).astype(np.int64)
-    raise ConfigError(f"unknown planted task {task!r}")
+    oracle = _planted_task(task)[1]
+    return oracle(g, np.flatnonzero(np.asarray(labeled_mask)))
 
 
 def write_transactions_csv(path, g: Multigraph, edge_labels=None) -> int:

@@ -137,28 +137,16 @@ class SupportIndex:
         return self.by_pair.num_groups
 
     @property
-    def edge_to_supp(self) -> np.ndarray:
-        return self.by_pair.key
-
-    @property
     def multiplicity(self) -> np.ndarray:
         return self.by_pair.counts
 
-    @property
-    def supp_src(self) -> np.ndarray:
-        return self.by_src.key
-
-    @property
-    def supp_dst(self) -> np.ndarray:
-        return self.by_dst.key
-
     @cached_property
     def edges_by_src(self) -> Groups:
-        return build_groups(self.supp_src[self.edge_to_supp], self.num_nodes)
+        return build_groups(self.by_src.key[self.by_pair.key], self.num_nodes)
 
     @cached_property
     def edges_by_dst(self) -> Groups:
-        return build_groups(self.supp_dst[self.edge_to_supp], self.num_nodes)
+        return build_groups(self.by_dst.key[self.by_pair.key], self.num_nodes)
 
     @cached_property
     def per_edge(self) -> "SupportIndex":
@@ -168,7 +156,7 @@ class SupportIndex:
         edges_by_src / edges_by_dst, which are also the per-edge index's own
         edges-by-node groupings, so no grouping is built.
         """
-        ident = np.arange(self.edge_to_supp.shape[0], dtype=np.int64)
+        ident = np.arange(self.by_pair.key.size, dtype=np.int64)
         src, dst = self.edges_by_src, self.edges_by_dst
         sites = SupportIndex(self.num_nodes,
                              Groups(ident, ident, np.arange(ident.size + 1)),
@@ -207,7 +195,7 @@ def build_reverse_index(g: Multigraph, s: SupportIndex) -> SupportIndex:
     (v, u) at the same first occurrence, so by_pair stays as it is and only
     the pairs-by-destination and pairs-by-source groupings swap roles.
     """
-    if s.num_nodes != g.num_nodes or s.edge_to_supp.shape[0] != g.num_edges:
+    if s.num_nodes != g.num_nodes or s.by_pair.key.size != g.num_edges:
         raise GraphError("support index does not match graph")
     return SupportIndex(s.num_nodes, s.by_pair, by_dst=s.by_src, by_src=s.by_dst)
 
@@ -239,7 +227,7 @@ def neighbor_pairs(directions, nodes: np.ndarray):
     walk = position.argsort(kind="stable")
     direction = np.arange(len(found)).repeat([p.size for p, _ in found])
     pair = np.concatenate([s for _, s in found])
-    neighbour = np.concatenate([d.supp_dst[s]
+    neighbour = np.concatenate([d.by_dst.key[s]
                                 for d, (_, s) in zip(directions, found)])
     return position[walk], direction[walk], pair[walk], neighbour[walk]
 

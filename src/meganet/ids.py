@@ -170,7 +170,7 @@ def _port_embeddings(g: Multigraph, supp: SupportIndex, rev: SupportIndex,
     m = g.num_edges
     directions = [supp, rev]
     digits = [[offset + ports[v][u]
-               for v, u in zip(d.supp_src.tolist(), d.supp_dst.tolist())]
+               for v, u in zip(d.by_src.key.tolist(), d.by_dst.key.tolist())]
               for d, offset in zip(directions, (0, m))]
     ids, _ = _id_rounds(g.num_nodes, root, directions, np.array(digits))
     return [i if i is not None else () for i in ids]

@@ -268,13 +268,13 @@ def plan_layers(layers: list[LayerParams], supports, nodes, updated):
     for lp in reversed(layers):
         nodes_in, pairs, edges = None, [None] * k, [None] * k
         if nodes is not None:
-            into = [nodes[s.supp_dst] >= 0 for s in supports]
+            into = [nodes[s.by_dst.key] >= 0 for s in supports]
             reads = nodes >= 0
             for s, m in zip(supports, into):
-                reads[s.supp_src[m]] = True
+                reads[s.by_src.key[m]] = True
             nodes_in = _node_rows(reads)
             pairs = [_rows(m) for m in into]
-            edges = [_rows(m[s.edge_to_supp]) for s, m in zip(supports, into)]
+            edges = [_rows(m[s.by_pair.key]) for s, m in zip(supports, into)]
         indices.append((
             _within(nodes, nodes_in),
             [SupportIndex(_size(nodes_in, s.num_nodes),

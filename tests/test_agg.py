@@ -65,7 +65,7 @@ def naive_reduce(kind, gf):
     """Per-group python loop over rows selected by key, the independent
     oracle; an empty group gives zeros."""
     out = []
-    for g in range(gf.num_groups):
+    for g in range(gf.groups.num_groups):
         block = gf.values[gf.groups.key == g]
         if block.shape[0] == 0:
             out.append(np.zeros(gf.values.shape[1]))
@@ -196,7 +196,7 @@ def test_oracle_equivalence(data):
 
 def naive_pna(spec, gf):
     """PNA block from the naive statistics and each group's size."""
-    size = np.bincount(gf.groups.key, minlength=gf.num_groups).astype(float)
+    size = np.bincount(gf.groups.key, minlength=gf.groups.num_groups).astype(float)
     stacked = np.concatenate([naive_reduce(s, gf) for s in PNA_STATS], axis=1)
     amp = np.log(np.maximum(size, 1) + 1.0) / spec.mean_log_degree
     return np.concatenate([stacked * s[:, None]
@@ -317,8 +317,8 @@ def reference_scatter_add(values, index, num_rows):
 def reference_stat(stat, gf):
     v = gf.values
     key, order, offsets = gf.groups
-    num_groups = gf.num_groups
-    counts = gf.counts.astype(np.float64)
+    num_groups = gf.groups.num_groups
+    counts = gf.groups.counts.astype(np.float64)
     if stat == "sum":
         return reference_scatter_add(v, key, num_groups), lambda g: g[key]
     if stat == "mean":
@@ -354,8 +354,8 @@ def reference_segment_reduce(spec, gf):
         return reference_stat(spec.kind, gf)
     blocks, vjps = zip(*(reference_stat(s, gf) for s in PNA_STATS))
     stacked = np.concatenate(blocks, axis=1)
-    amp, att = pna_scalers(gf.counts, spec.mean_log_degree)
-    scalers = [np.ones(gf.num_groups), amp, att]
+    amp, att = pna_scalers(gf.groups.counts, spec.mean_log_degree)
+    scalers = [np.ones(gf.groups.num_groups), amp, att]
     out = np.concatenate([stacked * s[:, None] for s in scalers], axis=1)
     d, width = gf.values.shape[1], stacked.shape[1]
 
@@ -374,13 +374,13 @@ def reference_segment_reduce(spec, gf):
 def reference_reduce_or_default(spec, gf):
     """The non-empty groups renumbered and reduced; empty ones get zeros."""
     key, order, offsets = gf.groups
-    counts = gf.counts
+    counts = gf.groups.counts
     full = np.flatnonzero(counts)
     rank = np.cumsum(counts > 0) - 1
     sub = Groups(rank[key], order, np.append(offsets[full], offsets[-1]))
     reduced, sub_vjp = reference_segment_reduce(
         spec, GroupedFeatures(gf.values, sub))
-    out = np.zeros((gf.num_groups, reduced.shape[1]))
+    out = np.zeros((gf.groups.num_groups, reduced.shape[1]))
     out[full] = reduced
     return out, lambda g: sub_vjp(g[full])
 
@@ -436,7 +436,7 @@ def test_matches_reference_kernel(layout, d):
         gout = rng.normal(size=want.shape)
         got, ref = vjp(fold(gout, scale)), want_vjp(gout)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (spec, "vjp")
-        if gf.counts.all():
+        if gf.groups.counts.all():
             seg, _ = segment_reduce_with_vjp(spec, gf)
             assert np.array_equal(expand(*seg), want)
 

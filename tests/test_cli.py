@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from meganet.cli import (
     main,
     read_config_file,
 )
-from meganet.data import ConfigError
+from meganet.data import PLANTED_TASKS, ConfigError
 from meganet.model import ModelConfig
 from meganet.train import TrainConfig
 
@@ -45,6 +46,14 @@ def test_gen_invalid_task_usage_error(tmp_path, capsys):
     assert excinfo.value.code == 2
 
 
+def test_gen_task_choices_are_the_planted_tasks():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    task = next(a for a in commands.choices["gen"]._actions
+                if a.dest == "task")
+    assert tuple(task.choices) == tuple(PLANTED_TASKS)
+
+
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "cfg"
     p.write_text("# comment\nlearning_rate = 0.02\nbidirectional=false\n\n")
@@ -64,6 +73,16 @@ def test_config_file_bad_value(tmp_path):
     p.write_text("epochs=soon\n")
     with pytest.raises(ConfigError):
         read_config_file(p)
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # Notepad saves UTF-8 text with a leading byte-order mark
+    p = tmp_path / "cfg"
+    p.write_text("epochs=5\nlearning_rate=0.02\n", encoding="utf-8-sig")
+    assert read_config_file(p) == {"epochs": 5, "learning_rate": 0.02}
+    args = build_parser().parse_args(["train", "--data", "x", "--out-dir",
+                                      "y", "--config", str(p)])
+    assert effective_config(args)["epochs"] == 5
 
 
 def test_precedence_flag_beats_file_beats_default(tmp_path):

@@ -11,6 +11,7 @@ from meganet.data import (
     FeatureSpec,
     GENERATED_SCHEMA,
     IngestionError,
+    PLANTED_TASKS,
     Schema,
     SplitSpec,
     brute_force_planted_labels,
@@ -516,7 +517,7 @@ def test_sampler_hops_zero_is_seed_closure():
     rev = build_reverse_index(g, supp)
     s = sample_neighborhood(g, supp, rev, seed_edges=[0], hops=0)
     # seed edge group plus both endpoints
-    k = supp.edge_to_supp[0]
+    k = supp.by_pair.key[0]
     _, order, offsets = supp.by_pair
     group = order[offsets[k]:offsets[k + 1]]
     assert sorted(s.edge_map.tolist()) == sorted(group.tolist())
@@ -603,7 +604,7 @@ def test_sampler_keeps_parallel_groups_whole():
     kept = set(s.edge_map.tolist())
     _, order, offsets = supp.by_pair
     for k in kept:
-        s_k = supp.edge_to_supp[k]
+        s_k = supp.by_pair.key[k]
         group = order[offsets[s_k]:offsets[s_k + 1]]
         assert set(group.tolist()) <= kept
 
@@ -639,12 +640,38 @@ def test_sampler_subgraph_features_match_parent():
 
 
 def test_planted_config_errors():
-    with pytest.raises(ConfigError):
+    # an unknown name is the same error from the generator and the oracle
+    g, labels = generate_planted_task(10, 2, 2, "max_of_sums", seed=0)
+    with pytest.raises(ConfigError, match="unknown planted task 'nonsense'"):
         generate_planted_task(10, 2, 2, "nonsense", seed=0)
+    with pytest.raises(ConfigError, match="unknown planted task 'nonsense'"):
+        brute_force_planted_labels(g, labels >= 0, "nonsense")
     with pytest.raises(ConfigError):
         generate_planted_task(10, 1, 2, "max_of_sums", seed=0)
     with pytest.raises(ConfigError):
         generate_planted_task(10, 2, 1, "max_of_sums", seed=0)
+
+
+@pytest.mark.parametrize("task", sorted(PLANTED_TASKS))
+def test_planted_task_runs_its_oracle_once(monkeypatch, task):
+    generate, oracle = PLANTED_TASKS[task]
+    calls = []
+
+    def counted(g, labeled):
+        calls.append(labeled)
+        return oracle(g, labeled)
+
+    monkeypatch.setitem(PLANTED_TASKS, task, (generate, counted))
+    g, labels = generate_planted_task(40, 3, 2, task, seed=1)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.flatnonzero(labels >= 0))
+
+    def flipped(g, labeled):
+        return 1 - oracle(g, labeled)
+
+    monkeypatch.setitem(PLANTED_TASKS, task, (generate, flipped))
+    with pytest.raises(AssertionError, match="oracle disagrees"):
+        generate_planted_task(40, 3, 2, task, seed=1)
 
 
 def test_max_of_sums_structure():

@@ -64,8 +64,8 @@ def test_support_index_basic_grouping():
     g = make_graph([(0, 1), (0, 1), (2, 1)])
     supp = build_support_index(g)
     assert supp.num_pairs == 2
-    assert supp.supp_src.tolist() == [0, 2]
-    assert supp.supp_dst.tolist() == [1, 1]
+    assert supp.by_src.key.tolist() == [0, 2]
+    assert supp.by_dst.key.tolist() == [1, 1]
     assert supp.multiplicity.tolist() == [2, 1]
     _, o, off = supp.by_pair
     groups = [sorted(o[off[s]:off[s + 1]].tolist())
@@ -86,8 +86,8 @@ def test_support_index_empty_graph():
 def test_support_index_self_loop():
     g = make_graph([(0, 0)], n=2)
     supp = build_support_index(g)
-    assert supp.supp_src.tolist() == [0]
-    assert supp.supp_dst.tolist() == [0]
+    assert supp.by_src.key.tolist() == [0]
+    assert supp.by_dst.key.tolist() == [0]
     _, in_order, in_offsets = supp.by_dst
     _, out_order, out_offsets = supp.by_src
     assert 0 in in_order[in_offsets[0]:in_offsets[1]]
@@ -97,7 +97,7 @@ def test_support_index_self_loop():
 def test_support_first_occurrence_order():
     g = make_graph([(2, 0), (1, 0), (2, 0)])
     supp = build_support_index(g)
-    assert list(zip(supp.supp_src, supp.supp_dst)) == [(2, 0), (1, 0)]
+    assert list(zip(supp.by_src.key, supp.by_dst.key)) == [(2, 0), (1, 0)]
 
 
 def test_multiplicities_sum_to_edge_count():
@@ -114,11 +114,11 @@ def test_reverse_index_swaps_pairs():
     g = make_graph([(0, 1), (0, 1)])
     supp = build_support_index(g)
     rev = build_reverse_index(g, supp)
-    assert rev.supp_src.tolist() == [1]
-    assert rev.supp_dst.tolist() == [0]
+    assert rev.by_src.key.tolist() == [1]
+    assert rev.by_dst.key.tolist() == [0]
     assert rev.multiplicity.tolist() == [2]
     # reverse edge k is edge k
-    assert rev.edge_to_supp.tolist() == [0, 0]
+    assert rev.by_pair.key.tolist() == [0, 0]
     assert rev.by_pair.order.tolist() == [0, 1]
 
 
@@ -148,8 +148,8 @@ def test_reverse_of_reverse_recovers_pair_multiset():
     as_graph = Multigraph(g.num_nodes, g.node_features,
                           np.column_stack([g.dst, g.src]), g.edge_features)
     rev2 = build_reverse_index(as_graph, build_support_index(as_graph))
-    fwd_pairs = sorted(zip(supp.supp_src, supp.supp_dst))
-    back_pairs = sorted(zip(rev2.supp_src, rev2.supp_dst))
+    fwd_pairs = sorted(zip(supp.by_src.key, supp.by_dst.key))
+    back_pairs = sorted(zip(rev2.by_src.key, rev2.by_dst.key))
     assert fwd_pairs == back_pairs
 
 

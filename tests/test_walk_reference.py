@@ -33,7 +33,7 @@ def neighbor_walk(directions, v):
     for i, d in enumerate(directions):
         _, order, offsets = d.by_src
         pairs = order[offsets[v]:offsets[v + 1]]
-        for s, u in zip(pairs.tolist(), d.supp_dst[pairs].tolist()):
+        for s, u in zip(pairs.tolist(), d.by_dst.key[pairs].tolist()):
             yield i, s, u
 
 
@@ -56,7 +56,7 @@ def reference_sample(g, supp, rev, seed_nodes=None, seed_edges=None, hops=2):
     for v in seed_nodes:
         add_node(int(v))
     for k in seed_edges:
-        add_group(int(supp.edge_to_supp[k]))
+        add_group(int(supp.by_pair.key[k]))
         for v in (int(g.src[k]), int(g.dst[k])):
             add_node(v)
     frontier = list(node_order)
@@ -113,7 +113,7 @@ def reference_ports(g, supp, order_seed):
 def reference_port_digits(g, supp, neighbor_ports):
     directions = [supp, build_reverse_index(g, supp)]
     return directions, [[offset + neighbor_ports[v][u]
-                         for v, u in zip(d.supp_src.tolist(), d.supp_dst.tolist())]
+                         for v, u in zip(d.by_src.key.tolist(), d.by_dst.key.tolist())]
                         for d, offset in zip(directions, (0, g.num_edges))]
 
 
