@@ -53,18 +53,28 @@ input is gathered and no gradient scattered back through a group order.
 
 A train-mode forward records caches; Model.backward replays them in
 reverse for exact gradients, including through max/min (lowest-index
-tie-break), mean, std and the log-degree-scaled aggregator. Backward
-consumes its cache as it goes: it takes the readout's cache, then each
-layer's and each direction's, out before their backward, and
-mlp_backward frees an MLP's inputs as it runs, so what backward holds
-shrinks as it sweeps; a consumed cache is refused. An eval-mode forward
-drops each MLP's cache as soon as the MLP returns and returns only the
-final node and edge states.
+tie-break), mean, std and the log-degree-scaled aggregator. A cache holds
+no direction's post-aggregation latent h: the backward of each MLP that
+read h (the message MLP, the edge update) computes it again, bit for bit,
+from the post-aggregation MLP's cached hidden activation (nn.mlp_output)
+when it reaches h's input part, and drops it once that part's gradient is
+formed. Where the direction's edge update caches e, a cache holds no
+multi-edge reduction h_raw either: the post-aggregation MLP's backward
+reduces e again for it (segment_reduce_with_vjp), and that run's VJP
+carries the gradient on to e. PNA's statistics stay cached: reducing
+them again costs four statistics and the max/min routing. Backward
+consumes its cache as it goes: it takes the
+readout's cache, then each layer's and each direction's, out before their
+backward, and mlp_backward frees an MLP's inputs as it runs, so what
+backward holds shrinks as it sweeps; a consumed cache is refused. An
+eval-mode forward drops each MLP's cache as soon as the MLP returns and
+returns only the final node and edge states.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +88,15 @@ from .agg import (
 )
 from .data import FeatureSpec
 from .graph import Groups, Multigraph, SupportIndex, build_groups
-from .nn import GatheredConcat, Mlp, init_mlp, mlp_backward, mlp_forward, mlp_size
+from .nn import (
+    GatheredConcat,
+    Mlp,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+    mlp_output,
+    mlp_size,
+)
 
 
 class ModelError(ValueError):
@@ -302,28 +320,70 @@ def _mlp(net: Mlp, x, train: bool, seed: int):
 
 
 def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
-                  agg_edge: AggSpec, agg_node: AggSpec, train: bool, seq):
+                  agg_edge: AggSpec, agg_node: AggSpec, train: bool, seq,
+                  held=None):
     """Multi-edge reduce, post-aggregation MLP, message MLP and node reduce.
 
-    Returns (h, a, cache): h holds one latent per support pair, a the
-    (statistics, scale) pair of the node reduce, one row per node that
-    supp.by_dst groups into (zeros where no pair arrives). Without an
-    edge_agg_mlp the pairs are edges and h is e: neither the reduce nor the
-    MLP runs. seq draws the dropout seed of each MLP that runs.
+    Returns ((h, rebuild_h), a, cache): h holds one latent per support
+    pair and rebuild_h computes it again (None where h is e, and in eval
+    mode); a is the (statistics, scale) pair of the node reduce, one row
+    per node that supp.by_dst groups into (zeros where no pair arrives).
+    Without an edge_agg_mlp the pairs are edges and h is e: neither the
+    reduce nor the MLP runs. seq draws the dropout seed of each MLP that
+    runs.
+
+    The cache holds no h: the message MLP's and the edge update's inputs
+    release it with rebuild_h, which reads the edge_agg_mlp's cached
+    hidden activation (nn.mlp_output), so each of their backwards computes
+    h again when it reaches that part and drops it after. Where the
+    direction's edge update caches e and the reduce returns no scale
+    (every kind but PNA), the cache holds no h_raw and no reduce VJP
+    either: the edge_agg_mlp's input releases h_raw with a _Reduction,
+    whose VJP direction_bwd then applies. Elsewhere h_raw stays,
+    since the cache would hold e, up to the pairs' multiplicity times
+    larger, for it alone. held, where given, gets what the cache released,
+    so that the caller decides when it is freed.
     """
-    h, edge_vjp, agg_cache = e, None, None
+    h, edge, rebuild_h = e, None, None
     if nets.edge_agg_mlp is not None:
-        (h_raw, scale), edge_vjp = segment_reduce_with_vjp(
-            agg_edge, GroupedFeatures(e, supp.by_pair))
-        h, agg_cache = _mlp(nets.edge_agg_mlp,
-                            GatheredConcat((h_raw, None, scale)), train, seq())
-    msg, msg_cache = _mlp(nets.msg_net,
-                          GatheredConcat((x, supp.by_src), (h, None)),
-                          train, seq())
+        gf = GroupedFeatures(e, supp.by_pair)
+        (h_raw, scale), edge_vjp = segment_reduce_with_vjp(agg_edge, gf)
+        agg_in = GatheredConcat((h_raw, None, scale))
+        h, agg_cache = _mlp(nets.edge_agg_mlp, agg_in, train, seq())
+        if train:
+            rebuild_h = partial(mlp_output, nets.edge_agg_mlp, agg_cache)
+            if scale is None and nets.edge_update_net is not None:
+                again = _Reduction(agg_edge, gf)
+                agg_in.release(0, again)
+                edge_vjp = again.vjp
+                if held is not None:
+                    held.append(h_raw)
+        edge = (agg_cache, edge_vjp)
+    msg_in = GatheredConcat((x, supp.by_src), (h, None))
+    msg, msg_cache = _mlp(nets.msg_net, msg_in, train, seq())
+    if rebuild_h is not None:
+        msg_in.release(1, rebuild_h)
+        if held is not None:
+            held.append(h)
     a, node_vjp = reduce_or_default_with_vjp(
         agg_node, GroupedFeatures(msg, supp.by_dst))
-    cache = (nets, edge_vjp, agg_cache, msg_cache, node_vjp) if train else None
-    return h, a, cache
+    cache = (nets, edge, msg_cache, node_vjp) if train else None
+    return (h, rebuild_h), a, cache
+
+
+class _Reduction:
+    """A multi-edge reduce run again in backward: called, it returns h_raw
+    through segment_reduce_with_vjp; vjp applies that run's VJP."""
+
+    def __init__(self, spec: AggSpec, gf: GroupedFeatures):
+        self.spec, self.gf, self._vjp = spec, gf, None
+
+    def __call__(self) -> np.ndarray:
+        (h_raw, _), self._vjp = segment_reduce_with_vjp(self.spec, self.gf)
+        return h_raw
+
+    def vjp(self, g: np.ndarray) -> np.ndarray:
+        return self._vjp(g)
 
 
 def direction_bwd(cache, ga, gx, gh, ge):
@@ -333,14 +393,21 @@ def direction_bwd(cache, ga, gx, gh, ge):
     None when it did not run; the x gradient is added into gx. Returns the
     e gradient.
     """
-    nets, edge_vjp, agg_cache, msg_cache, node_vjp = cache
+    nets, edge, msg_cache, node_vjp = cache
     (gx_msg, gh_msg), _ = mlp_backward(nets.msg_net, msg_cache, node_vjp(ga))
     gx += gx_msg
-    gh = gh_msg if gh is None else gh + gh_msg
-    if nets.edge_agg_mlp is not None:
+    if gh is None:
+        gh = gh_msg
+    else:
+        gh += gh_msg
+    if edge is not None:
+        agg_cache, edge_vjp = edge
         (gh_raw,), _ = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
         gh = edge_vjp(gh_raw)
-    return gh if ge is None else ge + gh
+    if ge is None:
+        return gh
+    ge += gh
+    return ge
 
 
 def edge_update_fwd(x, e, h, nets: DirectionNets, parts, train: bool,
@@ -348,13 +415,17 @@ def edge_update_fwd(x, e, h, nets: DirectionNets, parts, train: bool,
     """Per-edge update from pre-update node features: [x_src || e || h],
     or [x_src || e || x_dst] where the direction has no multi-edge stage.
 
-    parts holds the indices of the three parts into x, e and h (from
-    plan_layers), which pick the edges it updates.
+    h is direction_fwd's (h, rebuild_h). parts holds the indices of the
+    three parts into x, e and h (from plan_layers), which pick the edges it
+    updates. The cache holds no h, which the backward rebuilds.
     """
     src, own, third = parts
+    h, rebuild_h = h
     inp = GatheredConcat((x, src), (e, own),
                          (x if nets.edge_agg_mlp is None else h, third))
     out, net_cache = _mlp(nets.edge_update_net, inp, train, seed)
+    if rebuild_h is not None:
+        inp.release(2, rebuild_h)
     return out, (nets, net_cache)
 
 
@@ -374,20 +445,21 @@ def edge_update_bwd(cache, gout, gx):
 # layers
 # ---------------------------------------------------------------------------
 
-def layer_fwd(lp: LayerParams, x, es, index, train: bool, seq):
+def layer_fwd(lp: LayerParams, x, es, index, train: bool, seq, held=None):
     """One layer over its directions; es holds their edge latents.
 
     index (from plan_layers) gives the rows it computes and the support
     indices it runs on: x and es hold the rows it reads, and it returns the
     node states it updates and, per direction with an edge-update net, the
     latents it updates. A direction without one returns its latents
-    unchanged and draws no dropout seed for them.
+    unchanged and draws no dropout seed for them. held goes to
+    direction_fwd.
     """
     kept, restricted, updates = index
     hs, parts, dir_caches = [], [(x, kept)], []
     for supp, nets, e in zip(restricted, lp.directions, es):
         h, (a, scale), c = direction_fwd(x, e, supp, nets, lp.agg_edge,
-                                         lp.agg_node, train, seq)
+                                         lp.agg_node, train, seq, held)
         hs.append(h)
         parts.append((a, None, scale))
         dir_caches.append(c)
@@ -407,7 +479,10 @@ def layer_bwd(cache, gx1, ges1):
     which come first.
 
     Spends cache as it runs: mlp_backward consumes each MLP's cache, and
-    each direction's cache is taken out before its backward.
+    each direction's cache is taken out before its backward. A direction's
+    h, which no cache holds, is computed again by each MLP backward that
+    reads it, the edge update's and the message MLP's, when it reaches
+    that input part, and dropped once the part's gradient is formed.
     """
     lp, dir_caches, gv_cache, eu_caches, x_shape = cache
     gx0 = np.zeros(x_shape, dtype=gx1.dtype)
@@ -554,12 +629,20 @@ class Model:
             g.edge_features, union, cfg.dtype), train_mode, seq())
         es = [e if i is None else e[i.key] for i in picks]
 
-        stages = []
-        for lp, index in zip(self.layers, plan):
-            x, es, c = layer_fwd(lp, x, es, index, train_mode, seq)
+        # What the caches of every layer but the last release (h_raw and
+        # h, which backward rebuilds) is freed only once the last layer has
+        # run. Freed a layer at a time, its blocks were split by the next
+        # layer's smaller arrays, and small allocations that outlive the
+        # step took the pieces: in 3 of 10 graph-structure seeds that
+        # raised the peak of what ran after training by 8-12 MB.
+        stages, held = [], []
+        for li, (lp, index) in enumerate(zip(self.layers, plan)):
+            x, es, c = layer_fwd(lp, x, es, index, train_mode, seq,
+                                 held if li < len(plan) - 1 else None)
             if train_mode:
                 stages.append(c)
             del c                 # eval: free it before the next layer runs
+        del held
 
         ro_in = GatheredConcat(*zip([x] if cfg.readout == "node"
                                     else [x, es[0], x], ro_index))

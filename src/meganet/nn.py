@@ -8,8 +8,10 @@ keep * 2^32, a test that reads no float, so the two dtypes drop the same
 units. Dropout masks are seeded, so a training
 step can be replayed bit-for-bit. The forward cache keeps only the layer inputs
 (and gelu's terms): backward reads a hidden layer's ReLU-and-dropout gate
-off the next layer's input, so train-mode dropout needs ReLU. Every MLP
-built by init_mlp owns gradient arrays that mlp_backward adds into.
+off the next layer's input, so train-mode dropout needs ReLU. mlp_output
+computes the output again from the last layer's cached input, bit for bit,
+so a caller need not keep it. Every MLP built by init_mlp owns gradient
+arrays that mlp_backward adds into.
 
 An MLP input is a matrix or a GatheredConcat: the column concatenation of
 row-gathered parts, such as [x[src] || e || h[edge_to_pair]], left unbuilt.
@@ -20,9 +22,12 @@ choice, scattering the upstream gradient into the part's rows before its
 matmuls or the gathered rows' gradient after them (agg.scatter_add), and
 returns one gradient per part. A part's row index is the key of a
 graph.Groups, which the scatter adds through, so nothing is grouped
-again. A one-column part is multiplied as p * w[lo], a broadcast, equal
-to the matmul bit for bit, which numpy runs in a slow loop when the inner
-dimension is 1.
+again. A caller that can rebuild a part releases its array after the
+forward with a function that rebuilds it (GatheredConcat.release), so the
+cache does not hold it; the backward calls that function when it reaches
+the part. A one-column part is multiplied as p * w[lo], a broadcast,
+equal to the matmul bit for bit, which numpy runs in a slow loop when the
+inner dimension is 1.
 
 A part may also carry an agg.DegreeScale s of width k: it then stands for
 the k column blocks p * u_j side by side, u the scaler row of each row's
@@ -167,6 +172,24 @@ class GatheredConcat:
         if len(rows) != 1:
             raise NnError(f"parts give different row counts {sorted(rows)}")
         self.shape = (rows.pop(), sum(_width(p, s) for p, _, s in self.parts))
+        self._rebuilds = {}             # part number -> (shape, dtype, fn)
+
+    def release(self, k: int, rebuild) -> None:
+        """Drops part k's array and keeps its index and scale, so a cache
+        that holds this input no longer holds the array. The backward calls
+        rebuild() for an equal array when it reaches the part and drops it
+        once the part's gradient is formed."""
+        p, i, s = self.parts[k]
+        self._rebuilds[k] = (p.shape, p.dtype, rebuild)
+        self.parts = self.parts[:k] + ((None, i, s),) + self.parts[k + 1:]
+
+    def _rebuilt(self, k: int) -> np.ndarray:
+        shape, dtype, rebuild = self._rebuilds[k]
+        p = rebuild()
+        if (p.shape, p.dtype) != (shape, dtype):
+            raise NnError(f"part {k} was rebuilt as a {p.dtype} array of "
+                          f"shape {p.shape}, not {dtype} {shape}")
+        return p
 
 
 def _part(p, i, s=None):
@@ -258,7 +281,9 @@ def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
     shaped like the part's p."""
     gparts = []
     lo = 0
-    for p, i, s in x.parts:
+    for k, (p, i, s) in enumerate(x.parts):
+        if p is None:                   # released
+            p = x._rebuilt(k)
         hi = lo + _width(p, s)
         if s is not None:
             gp = g if i is None else scatter_add(g, i)
@@ -323,11 +348,7 @@ def mlp_forward(
     last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         inputs.append(h)
-        if i == 0:
-            z = _first_layer(h, w, b)
-        else:
-            z = h @ w
-            z += b
+        z = _affine(i, h, w, b)
         if i < last:
             h, aux = _act_forward(m.activation, z)
             act_auxes.append(aux)
@@ -339,6 +360,27 @@ def mlp_forward(
     cache = {"mlp": m, "inputs": inputs, "act_auxes": act_auxes,
              "scale": 1.0 / keep if use_dropout else None, "built": built}
     return h, cache
+
+
+def _affine(i: int, x, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Layer i's x @ w + b, x a GatheredConcat for the first layer."""
+    if i == 0:
+        return _first_layer(x, w, b)
+    z = x @ w
+    z += b
+    return z
+
+
+def mlp_output(m: Mlp, cache) -> np.ndarray:
+    """The output of the mlp_forward that made cache, computed again from
+    the last layer's cached input by the same operations, so equal to it
+    bit for bit. The cache must not be consumed."""
+    if cache.get("mlp") is not m:
+        raise NnError("cache does not belong to this mlp")
+    if "inputs" not in cache:
+        raise NnError("cache already consumed by backward")
+    last = len(m.weights) - 1
+    return _affine(last, cache["inputs"][last], m.weights[last], m.biases[last])
 
 
 def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
@@ -367,8 +409,9 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
         if i < last:
             if m.activation == "relu":
                 # the realized gate: open where the next input is positive;
-                # nothing reads that input after it
-                g = g * (inputs[i + 1] > 0)
+                # nothing reads that input after it. g is layer i + 1's
+                # fresh product, never upstream, so it is gated in place
+                g *= inputs[i + 1] > 0
                 inputs[i + 1] = None
                 if cache["scale"] is not None:
                     g *= cache["scale"]

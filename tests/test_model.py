@@ -75,9 +75,9 @@ def with_nets(params, d=0, **nets):
 
 def direction(x, e, supp, params, d=0):
     """(h, a) of direction d in evaluation mode."""
-    h, (a, _), _ = direction_fwd(x, e, supp, params.directions[d],
-                                 params.agg_edge, params.agg_node, False,
-                                 lambda: 0)
+    (h, _), (a, _), _ = direction_fwd(x, e, supp, params.directions[d],
+                                      params.agg_edge, params.agg_node,
+                                      False, lambda: 0)
     return h, a
 
 
@@ -90,7 +90,8 @@ def whole(params, supports):
 def edge_update(x, e, supp, params):
     h, _ = direction(x, e, supp, params)
     parts = whole(params, [supp])[2][0]
-    e_next, _ = edge_update_fwd(x, e, h, params.directions[0], parts, False, 0)
+    e_next, _ = edge_update_fwd(x, e, (h, None), params.directions[0], parts,
+                                False, 0)
     return e_next
 
 
@@ -543,6 +544,70 @@ def test_backward_frees_each_stage_before_the_encoders(monkeypatch, cfg):
                                   train_mode=True, seed=1)
     model.backward(cache, np.ones_like(logits))
     assert len(made) == 2 and checked == [model.node_encoder]
+
+
+@pytest.mark.parametrize("readout", ["edge", "node"])
+@pytest.mark.parametrize("agg", ["sum", "pna"])
+def test_train_cache_holds_no_rebuildable_direction_array(monkeypatch, agg,
+                                                          readout):
+    """A train-mode cache holds no direction's h, which backward rebuilds
+    from the post-aggregation MLP's hidden activation, nor a multi-edge
+    reduction's result h_raw where the edge update's cache holds e, which
+    backward reduces again; PNA's statistics stay, and so does h_raw where
+    no edge update holds e. Backward then gives the same gradients."""
+    import gc
+    import weakref
+
+    import meganet.model as model_module
+
+    raw, hs = [], []
+    real_reduce = model_module.segment_reduce_with_vjp
+    real_fwd = model_module.mlp_forward
+
+    def reduce(spec, gf):
+        (stats, scale), vjp = real_reduce(spec, gf)
+        raw.append(weakref.ref(stats))
+        return (stats, scale), vjp
+
+    def forward(net, x, train_mode=False, dropout_mask_seed=0):
+        out, cache = real_fwd(net, x, train_mode, dropout_mask_seed)
+        if any(net is d.edge_agg_mlp for d in directions):
+            hs.append(weakref.ref(out))
+        return out, cache
+
+    g = pna_graph()
+    supp = build_support_index(g)
+    rev = build_reverse_index(g, supp)
+    model = Model(ModelConfig(readout=readout, edge_agg=AggSpec(agg),
+                              node_agg=AggSpec(agg), hidden_node=4,
+                              hidden_edge=4, mlp_hidden=5), 2, 2, seed=3)
+    directions = [d for lp in model.layers for d in lp.directions]
+    logits, cache = model.forward(g, supp, rev, train_mode=True, seed=1)
+    want = model.backward(cache, np.ones_like(logits)).copy()
+    monkeypatch.setattr(model_module, "segment_reduce_with_vjp", reduce)
+    monkeypatch.setattr(model_module, "mlp_forward", forward)
+    logits, cache = model.forward(g, supp, rev, train_mode=True, seed=1)
+    gc.collect()
+    assert len(raw) == len(hs) == len(directions) == 4
+    assert all(ref() is None for ref in hs)
+    assert [ref() is not None for ref in raw] == [
+        agg == "pna" or d.edge_update_net is None for d in directions]
+    assert np.array_equal(model.backward(cache, np.ones_like(logits)), want)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_backward_leaves_logit_grads_unwritten(dtype):
+    g = pna_graph()
+    supp = build_support_index(g)
+    model = Model(ModelConfig(readout="edge", dtype=dtype, hidden_node=4,
+                              hidden_edge=4, mlp_hidden=5), 2, 2, seed=3)
+    logits, cache = model.forward(g, supp, build_reverse_index(g, supp),
+                                  train_mode=True, seed=1)
+    logit_grads = np.linspace(-1, 1, logits.size, dtype=dtype)
+    logit_grads[0] = 1e-30               # backward zeroes it in its copy
+    before = logit_grads.copy()
+    model.backward(cache, logit_grads)
+    assert np.array_equal(logit_grads, before)
 
 
 def test_eval_forward_frees_each_layer_cache():

@@ -18,6 +18,7 @@ from meganet.nn import (
     init_mlp,
     mlp_backward,
     mlp_forward,
+    mlp_output,
     weighted_bce_loss,
 )
 
@@ -212,6 +213,67 @@ def test_dropout_backward_exact_for_realized_mask():
             w[i, j] = orig
             fd[i, j] = (fp.sum() - fm.sum()) / (2 * eps)
     assert np.allclose(grads.weights[0], fd, rtol=1e-4, atol=1e-7)
+
+
+@pytest.mark.parametrize("dims", [[3, 2], [3, 4, 2], [3, 4, 5, 2]])
+def test_backward_leaves_upstream_unwritten(dims):
+    """The hidden gates run in place on backward's own products, never on
+    the upstream gradient passed in."""
+    rng = np.random.default_rng(0)
+    m = init_mlp(dims, rng, dropout=0.3)
+    out, cache = mlp_forward(m, rng.normal(size=(6, 3)), True, 4)
+    upstream = rng.normal(size=out.shape)
+    before = upstream.copy()
+    mlp_backward(m, cache, upstream)
+    assert np.array_equal(upstream, before)
+
+
+@pytest.mark.parametrize("dims", [[3, 2], [3, 4, 2], [3, 4, 5, 2]])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_output_rebuilds_the_forward_output(dims, dtype):
+    rng = np.random.default_rng(1)
+    size = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
+    m = init_mlp(dims, rng, dropout=0.3,
+                 arena=(np.empty(size, dtype), np.zeros(size, dtype)))
+    x = rng.normal(size=(9, 3)).astype(dtype)
+    for train in (False, True):
+        out, cache = mlp_forward(m, x, train, 7)
+        again = mlp_output(m, cache)
+        assert again is not out and again.dtype == dtype
+        assert np.array_equal(again, out)
+    mlp_backward(m, cache, out)
+    with pytest.raises(NnError, match="consumed"):
+        mlp_output(m, cache)
+
+
+def test_part_released_with_rebuild_is_rebuilt_by_backward():
+    """A part released with a rebuild leaves the cache; backward calls the
+    rebuild once, when it reaches the part, checks what it returns and
+    gives the unreleased gradients."""
+    import weakref
+
+    rng = np.random.default_rng(3)
+    m = init_mlp([7, 6, 3], rng)
+    parts = gathered_parts(rng)
+    ref, cache = mlp_forward(m, GatheredConcat(*parts), True, 5)
+    gref, _ = mlp_backward(m, cache, np.ones_like(ref))
+    for rebuilt, error in [(parts[2][0], None),
+                           (parts[2][0][:4], "rebuilt as a float64 array "
+                                             r"of shape \(4, 2\)")]:
+        p2, calls = parts[2][0].copy(), []
+        x = GatheredConcat(*parts[:2], (p2, parts[2][1]))
+        out, cache = mlp_forward(m, x, True, 5)
+        held = weakref.ref(p2)
+        x.release(2, lambda r=rebuilt: calls.append(1) or r.copy())
+        del x, p2
+        assert held() is None and calls == []
+        if error is None:
+            g, _ = mlp_backward(m, cache, np.ones_like(out))
+            assert calls == [1]
+            assert all(np.array_equal(a, b) for a, b in zip(g, gref))
+        else:
+            with pytest.raises(NnError, match=error):
+                mlp_backward(m, cache, np.ones_like(out))
 
 
 def gathered_parts(rng):
