@@ -2,11 +2,14 @@
 
 Each suite returns a JSON-ready report dict with a top-level "passed"
 flag. The acceptance tests and the `check` CLI subcommand both run these.
+A suite registers in SUITES through the _suite decorator, which also
+stamps its name and run time onto its report.
 """
 
 from __future__ import annotations
 
 import time
+from functools import wraps
 
 import numpy as np
 
@@ -30,17 +33,34 @@ from .train import TaskData, TrainConfig, node_split, train_model
 
 AGG_KINDS = ("sum", "mean", "max", "min", "pna")
 
+SUITES = {}         # name -> suite, in the order the suites are defined
+
+
+def _suite(name: str):
+    """Registers the decorated suite in SUITES under name. Its report gets
+    "suite": name first and the "seconds" the suite took last."""
+    def register(fn):
+        @wraps(fn)
+        def suite(*args, **kwargs) -> dict:
+            started = time.perf_counter()
+            report = fn(*args, **kwargs)
+            return {"suite": name, **report,
+                    "seconds": time.perf_counter() - started}
+        SUITES[name] = suite
+        return suite
+    return register
+
 
 def _rel_close(a: np.ndarray, b: np.ndarray, rtol: float) -> bool:
     return bool(np.allclose(a, b, rtol=rtol, atol=rtol * 1e-2))
 
 
+@_suite("equivariance")
 def equivariance_suite(num_graphs: int = 100, seed: int = 0,
                        rtol: float = 1e-5) -> dict:
     """Permuted-input outputs must equal permuted outputs for every
     EdgeAgg x AGG combination, bidirectional on and off, in float64: a
     permutation reorders additions, and 1e-5 is below float32's spread."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     models = {}
     for ek in AGG_KINDS:
@@ -83,18 +103,16 @@ def equivariance_suite(num_graphs: int = 100, seed: int = 0,
                 failures.append({"graph": gi, "combo": list(key[:2]),
                                  "bidirectional": key[2]})
     return {
-        "suite": "equivariance",
         "passed": not failures,
         "graphs": num_graphs,
         "combinations_checked": checked,
         "failures": failures,
-        "seconds": time.perf_counter() - started,
     }
 
 
+@_suite("node-ids")
 def node_id_suite(num_graphs: int = 200, seed: int = 0) -> dict:
     """Unique IDs on random connected multigraphs plus the digit-count law."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     for gi in range(num_graphs):
@@ -114,17 +132,11 @@ def node_id_suite(num_graphs: int = 200, seed: int = 0) -> dict:
         lengths = np.array([len(i) for i in ids])
         if not np.array_equal(lengths, dist + 1):
             failures.append({"graph": gi, "reason": "digit-count law violated"})
-    return {
-        "suite": "node-ids",
-        "passed": not failures,
-        "graphs": num_graphs,
-        "failures": failures,
-        "seconds": time.perf_counter() - started,
-    }
+    return {"passed": not failures, "graphs": num_graphs, "failures": failures}
 
 
+@_suite("port-witness")
 def port_witness_suite(n_values=tuple(range(4, 11)), trials: int = 10) -> dict:
-    started = time.perf_counter()
     witnesses = []
     passed = True
     for n in n_values:
@@ -138,18 +150,13 @@ def port_witness_suite(n_values=tuple(range(4, 11)), trials: int = 10) -> dict:
         except RuntimeError:
             passed = False
             witnesses.append({"n": n, "node": None})
-    return {
-        "suite": "port-witness",
-        "passed": passed,
-        "witnesses": witnesses,
-        "seconds": time.perf_counter() - started,
-    }
+    return {"passed": passed, "witnesses": witnesses}
 
 
+@_suite("expressivity")
 def expressivity_suite() -> dict:
     """Two groupings of the same four payments: single-stage reductions
     agree, max-of-sums does not."""
-    started = time.perf_counter()
     payments = np.array([[5.0], [1.0], [3.0], [4.0]])
     # sender of each payment: {5, 1} and {3, 4}, or {5, 3} and {1, 4}
     g1 = GroupedFeatures(payments, build_groups([0, 0, 1, 1], 2))
@@ -175,10 +182,10 @@ def expressivity_suite() -> dict:
     passed = (single_sum == 13.0 and single_max == 5.0
               and two_stage_1 == 7.0 and two_stage_2 == 8.0
               and two_stage_1 != two_stage_2)
-    return {"suite": "expressivity", "passed": passed, "values": values,
-            "seconds": time.perf_counter() - started}
+    return {"passed": passed, "values": values}
 
 
+@_suite("gradients")
 def gradient_suite(num_graphs: int = 20, seed: int = 3,
                    eps: float = 1e-5, rtol: float = 1e-4,
                    directions: int = 3) -> dict:
@@ -189,7 +196,6 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
     away from ties. The models run in float64, which central differences
     at eps=1e-5 need.
     """
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     combos = [("sum", "sum"), ("mean", "max"), ("max", "mean"),
               ("pna", "sum"), ("sum", "pna"), ("min", "min")]
@@ -210,8 +216,7 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
         model = Model(cfg, 2, 2, seed=int(rng.integers(1 << 30)))
         # smooth activations for a clean finite-difference oracle
         for _, mlp in model.named_mlps():
-            if mlp.activation == "relu":
-                mlp.activation = "gelu"
+            mlp.activation = "gelu"
         num_items = g.num_edges if readout == "edge" else g.num_nodes
         labels = rng.integers(0, 2, size=num_items)
 
@@ -238,15 +243,14 @@ def gradient_suite(num_graphs: int = 20, seed: int = 3,
                                  "rel_error": err})
         model.params[...] = flat
     return {
-        "suite": "gradients",
         "passed": not failures,
         "graphs": num_graphs,
         "max_rel_error": max_err,
         "failures": failures,
-        "seconds": time.perf_counter() - started,
     }
 
 
+@_suite("complexity")
 def complexity_suite(sizes=(1_000, 10_000, 100_000), tolerance: float = 0.05,
                      seed: int = 0) -> dict:
     """Rows reduced per forward pass must scale linearly with the edge count.
@@ -254,7 +258,6 @@ def complexity_suite(sizes=(1_000, 10_000, 100_000), tolerance: float = 0.05,
     The two reductions the model calls are wrapped for the suite's duration
     to count the value rows they receive.
     """
-    started = time.perf_counter()
     cfg = ModelConfig(num_layers=2, bidirectional=True, edge_agg=AggSpec("sum"),
                       node_agg=AggSpec("sum"), readout="node", hidden_node=6,
                       hidden_edge=6, mlp_hidden=8)
@@ -295,13 +298,12 @@ def complexity_suite(sizes=(1_000, 10_000, 100_000), tolerance: float = 0.05,
                        "size_ratio": size_ratio, "rel_dev": rel})
         if rel > tolerance:
             passed = False
-    return {"suite": "complexity", "passed": passed, "counts": counts,
-            "ratios": ratios, "seconds": time.perf_counter() - started}
+    return {"passed": passed, "counts": counts, "ratios": ratios}
 
 
+@_suite("connectivity")
 def connectivity_suite(num_graphs: int = 1000, seed: int = 0) -> dict:
     """Random-graph generator always yields weakly connected output."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     bad = []
     for gi in range(num_graphs):
@@ -310,8 +312,7 @@ def connectivity_suite(num_graphs: int = 1000, seed: int = 0) -> dict:
         g = random_connected_multigraph(n, m, seed=int(rng.integers(1 << 30)))
         if not is_weakly_connected(g):
             bad.append(gi)
-    return {"suite": "connectivity", "passed": not bad, "graphs": num_graphs,
-            "failures": bad, "seconds": time.perf_counter() - started}
+    return {"passed": not bad, "graphs": num_graphs, "failures": bad}
 
 
 def _planted_task_data(task: str, num_nodes: int, seed: int) -> TaskData:
@@ -321,6 +322,7 @@ def _planted_task_data(task: str, num_nodes: int, seed: int) -> TaskData:
                     task_type="node", **node_split(items.size, seed))
 
 
+@_suite("planted-separation")
 def planted_separation_suite(num_nodes: int = 500, seeds=(0, 1, 2, 3, 4),
                              min_gap: float = 0.10,
                              epochs: int = 150) -> dict:
@@ -329,7 +331,6 @@ def planted_separation_suite(num_nodes: int = 500, seeds=(0, 1, 2, 3, 4),
     max_of_sums: two-stage (sum EdgeAgg, sum AGG) vs the single-stage
     baseline. out_neighbor_count: bi-directional vs unidirectional MP.
     """
-    started = time.perf_counter()
     tc = TrainConfig(learning_rate=0.01, batch_size=1 << 20, dropout=0.0,
                      class_weights=(1.0, 3.0), epochs=epochs, patience=40)
 
@@ -357,7 +358,6 @@ def planted_separation_suite(num_nodes: int = 500, seeds=(0, 1, 2, 3, 4),
     passed = (two_stage_f1 >= single_f1 + min_gap
               and bidir_f1 >= unidir_f1 + min_gap)
     return {
-        "suite": "planted-separation",
         "passed": passed,
         "max_of_sums": {"two_stage_f1": two_stage_f1, "single_stage_f1": single_f1,
                         "two_stage_per_seed": two_stage_all,
@@ -367,17 +367,4 @@ def planted_separation_suite(num_nodes: int = 500, seeds=(0, 1, 2, 3, 4),
                                "bidirectional_per_seed": bidir_all,
                                "unidirectional_per_seed": unidir_all},
         "min_gap": min_gap,
-        "seconds": time.perf_counter() - started,
     }
-
-
-SUITES = {
-    "equivariance": equivariance_suite,
-    "node-ids": node_id_suite,
-    "port-witness": port_witness_suite,
-    "expressivity": expressivity_suite,
-    "gradients": gradient_suite,
-    "complexity": complexity_suite,
-    "connectivity": connectivity_suite,
-    "planted-separation": planted_separation_suite,
-}

@@ -67,8 +67,8 @@ consumes its cache as it goes: it takes the
 readout's cache, then each layer's and each direction's, out before their
 backward, and mlp_backward frees an MLP's inputs as it runs, so what
 backward holds shrinks as it sweeps; a consumed cache is refused. An
-eval-mode forward drops each MLP's cache as soon as the MLP returns and
-returns only the final node and edge states.
+eval-mode forward keeps no MLP cache (mlp_forward returns one in train mode
+only) and returns only the final node and edge states.
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ class ModelConfig:
             raise ModelError("hidden widths must be at least 1")
         if self.readout not in ("node", "edge"):
             raise ModelError(f"unknown readout {self.readout!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ModelError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.dtype not in ("float32", "float64"):
             raise ModelError(f"unknown dtype {self.dtype!r}")
 
@@ -209,7 +211,7 @@ def _node_rows(mask: np.ndarray) -> np.ndarray | None:
     rows saves little, and its arrays, a few rows short of the whole
     graph's, fragment the heap that the next step's whole-graph arrays reuse
     (aml-edge-sum reads 96% of its nodes; trimmed, its peak RSS rose about
-    10 MB, and graph-structure's from 114.2 to 124.5 MB)."""
+    10 MB, and graph-structure's from 117.6 to 127.9 MB)."""
     return None if not mask.size or mask.mean() >= 0.9 else _rows(mask)
 
 
@@ -312,13 +314,6 @@ def plan_layers(layers: list[LayerParams], supports, nodes, updated):
 # direction step and edge update (forward + cached backward)
 # ---------------------------------------------------------------------------
 
-def _mlp(net: Mlp, x, train: bool, seed: int):
-    """mlp_forward; in eval mode the cache is dropped at once, so the MLP's
-    hidden activations are freed before the next MLP runs."""
-    out, cache = mlp_forward(net, x, train, seed)
-    return out, cache if train else None
-
-
 def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
                   agg_edge: AggSpec, agg_node: AggSpec, train: bool, seq,
                   held=None):
@@ -349,7 +344,7 @@ def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
         gf = GroupedFeatures(e, supp.by_pair)
         (h_raw, scale), edge_vjp = segment_reduce_with_vjp(agg_edge, gf)
         agg_in = GatheredConcat((h_raw, None, scale))
-        h, agg_cache = _mlp(nets.edge_agg_mlp, agg_in, train, seq())
+        h, agg_cache = mlp_forward(nets.edge_agg_mlp, agg_in, train, seq())
         if train:
             rebuild_h = partial(mlp_output, nets.edge_agg_mlp, agg_cache)
             if scale is None and nets.edge_update_net is not None:
@@ -360,7 +355,7 @@ def direction_fwd(x, e, supp: SupportIndex, nets: DirectionNets,
                     held.append(h_raw)
         edge = (agg_cache, edge_vjp)
     msg_in = GatheredConcat((x, supp.by_src), (h, None))
-    msg, msg_cache = _mlp(nets.msg_net, msg_in, train, seq())
+    msg, msg_cache = mlp_forward(nets.msg_net, msg_in, train, seq())
     if rebuild_h is not None:
         msg_in.release(1, rebuild_h)
         if held is not None:
@@ -394,7 +389,7 @@ def direction_bwd(cache, ga, gx, gh, ge):
     e gradient.
     """
     nets, edge, msg_cache, node_vjp = cache
-    (gx_msg, gh_msg), _ = mlp_backward(nets.msg_net, msg_cache, node_vjp(ga))
+    gx_msg, gh_msg = mlp_backward(nets.msg_net, msg_cache, node_vjp(ga))
     gx += gx_msg
     if gh is None:
         gh = gh_msg
@@ -402,7 +397,7 @@ def direction_bwd(cache, ga, gx, gh, ge):
         gh += gh_msg
     if edge is not None:
         agg_cache, edge_vjp = edge
-        (gh_raw,), _ = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
+        (gh_raw,) = mlp_backward(nets.edge_agg_mlp, agg_cache, gh)
         gh = edge_vjp(gh_raw)
     if ge is None:
         return gh
@@ -423,7 +418,7 @@ def edge_update_fwd(x, e, h, nets: DirectionNets, parts, train: bool,
     h, rebuild_h = h
     inp = GatheredConcat((x, src), (e, own),
                          (x if nets.edge_agg_mlp is None else h, third))
-    out, net_cache = _mlp(nets.edge_update_net, inp, train, seed)
+    out, net_cache = mlp_forward(nets.edge_update_net, inp, train, seed)
     if rebuild_h is not None:
         inp.release(2, rebuild_h)
     return out, (nets, net_cache)
@@ -433,7 +428,7 @@ def edge_update_bwd(cache, gout, gx):
     """Backward of edge_update_fwd; adds the x gradients into gx and returns
     (ge, gh), gh None where the third part is x_dst."""
     nets, net_cache = cache
-    (gx_src, ge, g3), _ = mlp_backward(nets.edge_update_net, net_cache, gout)
+    gx_src, ge, g3 = mlp_backward(nets.edge_update_net, net_cache, gout)
     gx += gx_src
     if nets.edge_agg_mlp is None:
         gx += g3
@@ -463,8 +458,8 @@ def layer_fwd(lp: LayerParams, x, es, index, train: bool, seq, held=None):
         hs.append(h)
         parts.append((a, None, scale))
         dir_caches.append(c)
-    x1, gv_cache = _mlp(lp.node_update_net, GatheredConcat(*parts), train,
-                        seq())
+    x1, gv_cache = mlp_forward(lp.node_update_net, GatheredConcat(*parts),
+                               train, seq())
     es1, eu_caches = list(es), []
     for d, (nets, e, h, parts) in enumerate(zip(lp.directions, es, hs,
                                                 updates)):
@@ -489,7 +484,7 @@ def layer_bwd(cache, gx1, ges1):
     eu_grads = [edge_update_bwd(c, ge1, gx0)
                 for c, ge1 in zip(eu_caches, ges1)]
     eu_grads += [(None, None)] * (len(dir_caches) - len(eu_grads))
-    (gx_nu, *gas), _ = mlp_backward(lp.node_update_net, gv_cache, gx1)
+    gx_nu, *gas = mlp_backward(lp.node_update_net, gv_cache, gx1)
     gx0 += gx_nu
     return gx0, [direction_bwd(dir_caches.pop(0), ga, gx0, gh, ge0)
                  for ga, (ge0, gh) in zip(gas, eu_grads)]
@@ -541,10 +536,7 @@ class Model:
         pos = 0
         for (name, dims), size in zip(specs.items(), sizes):
             arena = (self.params[pos:pos + size], self.grads[pos:pos + size])
-            if name.endswith("_encoder"):
-                nets[name] = init_mlp(dims, rng, "identity", arena=arena)
-            else:
-                nets[name] = init_mlp(dims, rng, "relu", config.dropout, arena)
+            nets[name] = init_mlp(dims, rng, "relu", config.dropout, arena)
             pos += size
         self._mlps: list[tuple[str, Mlp]] = list(nets.items())
 
@@ -623,9 +615,9 @@ class Model:
         picks = [_within(r, union) for r in first]
 
         seq = _SeedSequence(seed)
-        x, c_nenc = _mlp(self.node_encoder, _encoder_input(
+        x, c_nenc = mlp_forward(self.node_encoder, _encoder_input(
             g.node_features, nodes_in, cfg.dtype), train_mode, seq())
-        e, c_eenc = _mlp(self.edge_encoder, _encoder_input(
+        e, c_eenc = mlp_forward(self.edge_encoder, _encoder_input(
             g.edge_features, union, cfg.dtype), train_mode, seq())
         es = [e if i is None else e[i.key] for i in picks]
 
@@ -646,7 +638,8 @@ class Model:
 
         ro_in = GatheredConcat(*zip([x] if cfg.readout == "node"
                                     else [x, es[0], x], ro_index))
-        logits2d, c_ro = _mlp(self.readout_net, ro_in, train_mode, seq())
+        logits2d, c_ro = mlp_forward(self.readout_net, ro_in, train_mode,
+                                     seq())
         logits = logits2d[:, 0]
         if not train_mode:
             return logits, {"final": (x, es)}
@@ -676,7 +669,7 @@ class Model:
         mag = np.abs(gl)
         gl[mag < np.finfo(gl.dtype).eps * mag.max(initial=0.0)] = 0.0
 
-        gro_in, _ = mlp_backward(self.readout_net, cache.pop("readout"), gl)
+        gro_in = mlp_backward(self.readout_net, cache.pop("readout"), gl)
         if self.config.readout == "node":
             (gx,), ges = gro_in, []
         else:

@@ -6,12 +6,14 @@ float64 and rounds, so the two dtypes start from the same weights. Dropout
 keeps a unit when a 32-bit half of a raw generator word falls below
 keep * 2^32, a test that reads no float, so the two dtypes drop the same
 units. Dropout masks are seeded, so a training
-step can be replayed bit-for-bit. The forward cache keeps only the layer inputs
-(and gelu's terms): backward reads a hidden layer's ReLU-and-dropout gate
-off the next layer's input, so train-mode dropout needs ReLU. mlp_output
-computes the output again from the last layer's cached input, bit for bit,
-so a caller need not keep it. Every MLP built by init_mlp owns gradient
-arrays that mlp_backward adds into.
+step can be replayed bit-for-bit. Only a train-mode forward returns a cache,
+and it keeps only the layer inputs (and gelu's terms): backward reads a
+hidden layer's ReLU-and-dropout gate off the next layer's input, so
+train-mode dropout needs ReLU. A one-layer MLP has no hidden activation, so
+it applies no activation and draws no dropout mask. mlp_output computes the
+output again from the last layer's cached input, bit for bit, so a caller
+need not keep it. Every MLP built by init_mlp owns gradient arrays that
+mlp_backward adds into.
 
 An MLP input is a matrix or a GatheredConcat: the column concatenation of
 row-gathered parts, such as [x[src] || e || h[edge_to_pair]], left unbuilt.
@@ -53,7 +55,7 @@ import numpy as np
 from .agg import DegreeScale, as_float_array, scatter_add
 from .graph import Groups
 
-_ACTIVATIONS = ("relu", "gelu", "identity")
+_ACTIVATIONS = ("relu", "gelu")
 
 
 class NnError(ValueError):
@@ -299,8 +301,6 @@ def _first_layer_backward(x: GatheredConcat, w: np.ndarray, gw: np.ndarray,
 
 
 def _act_forward(name: str, z: np.ndarray):
-    if name == "identity":
-        return z, None
     if name == "relu":
         return np.maximum(z, 0.0, out=z), None      # z is a fresh product
     # tanh-approximation gelu; the backward differentiates the same formula
@@ -326,16 +326,16 @@ def mlp_forward(
     train_mode: bool = False,
     dropout_mask_seed: int = 0,
 ):
-    """Returns (output, cache). Dropout hits hidden relu activations only.
+    """Returns (output, cache), the cache None in eval mode. Dropout hits
+    hidden relu activations only.
 
     x is a matrix or a GatheredConcat.
     """
-    built = not isinstance(x, GatheredConcat)
-    if built:
+    if not isinstance(x, GatheredConcat):
         x = GatheredConcat((x, None))
     if x.shape[1] != m.layer_dims[0]:
         raise NnError(f"input width {x.shape} does not match mlp input {m.layer_dims[0]}")
-    use_dropout = train_mode and m.dropout > 0.0
+    use_dropout = train_mode and m.dropout > 0.0 and len(m.weights) > 1
     if use_dropout and m.activation != "relu":
         raise NnError(f"train-mode dropout needs relu, not {m.activation!r}")
     drop_rng = np.random.default_rng(dropout_mask_seed) if use_dropout else None
@@ -357,9 +357,10 @@ def mlp_forward(
                 h *= 1.0 / keep
         else:
             h = z
-    cache = {"mlp": m, "inputs": inputs, "act_auxes": act_auxes,
-             "scale": 1.0 / keep if use_dropout else None, "built": built}
-    return h, cache
+    if not train_mode:
+        return h, None
+    return h, {"mlp": m, "inputs": inputs, "act_auxes": act_auxes,
+               "scale": 1.0 / keep if use_dropout else None}
 
 
 def _affine(i: int, x, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -371,37 +372,41 @@ def _affine(i: int, x, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def mlp_output(m: Mlp, cache) -> np.ndarray:
-    """The output of the mlp_forward that made cache, computed again from
-    the last layer's cached input by the same operations, so equal to it
-    bit for bit. The cache must not be consumed."""
+def _check_cache(m: Mlp, cache) -> None:
+    """NnError unless cache is an unconsumed train-mode cache of m."""
+    if cache is None:
+        raise NnError("no cache: only a train-mode forward keeps one")
     if cache.get("mlp") is not m:
         raise NnError("cache does not belong to this mlp")
     if "inputs" not in cache:
         raise NnError("cache already consumed by backward")
+
+
+def mlp_output(m: Mlp, cache) -> np.ndarray:
+    """The output of the mlp_forward that made cache, computed again from
+    the last layer's cached input by the same operations, so equal to it
+    bit for bit. The cache must not be consumed."""
+    _check_cache(m, cache)
     last = len(m.weights) - 1
     return _affine(last, cache["inputs"][last], m.weights[last], m.biases[last])
 
 
-def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
+def mlp_backward(m: Mlp, cache, upstream: np.ndarray) -> list[np.ndarray]:
     """Exact gradients for the realized forward pass.
 
-    Returns (input gradient, parameter gradients). The input gradient of a
-    GatheredConcat is a list with one gradient per part, shaped like the
-    part: rows its index selects more than once get the sum. The parameter
-    gradients are added into m.grads, which must be set.
+    Returns the input gradient as a list with one gradient per input part
+    (one for a matrix input), shaped like the part: rows its index selects
+    more than once get the sum. The parameter gradients are added into
+    m.grads, which must be set.
 
     Consumes the cache: it takes the layer inputs out of it and frees a
     relu layer's hidden input once its gate is read. A consumed cache
     raises NnError.
     """
-    if cache.get("mlp") is not m:
-        raise NnError("cache does not belong to this mlp")
+    _check_cache(m, cache)
     grads = m.grads
     if grads is None:
         raise NnError("mlp has no gradient arrays; build it with init_mlp")
-    if "inputs" not in cache:
-        raise NnError("cache already consumed by backward")
     inputs = cache.pop("inputs")
     g = np.asarray(upstream, dtype=m.weights[0].dtype)
     last = len(m.weights) - 1
@@ -415,7 +420,7 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
                 inputs[i + 1] = None
                 if cache["scale"] is not None:
                     g *= cache["scale"]
-            elif m.activation == "gelu":
+            else:                       # gelu
                 z, t = cache["act_auxes"][i]
                 dinner = math.sqrt(2.0 / math.pi) * (1.0 + 3 * 0.044715 * z ** 2)
                 g = g * (0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * dinner)
@@ -423,9 +428,7 @@ def mlp_backward(m: Mlp, cache, upstream: np.ndarray):
         if i:
             grads.weights[i] += inputs[i].T @ g
             g = g @ m.weights[i].T
-    gparts = _first_layer_backward(inputs[0], m.weights[0],
-                                   grads.weights[0], g)
-    return (gparts[0] if cache["built"] else gparts), grads
+    return _first_layer_backward(inputs[0], m.weights[0], grads.weights[0], g)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

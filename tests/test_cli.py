@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 from pathlib import Path
 
@@ -525,6 +526,32 @@ def test_check_unknown_suite_exit_2(capsys):
     assert run(["check", "--suite", "nonsense"]) == 2
 
 
+# each suite's report keys in order, and toy arguments that run it fast
+SUITE_REPORTS = {
+    "equivariance": (dict(num_graphs=1), ["graphs", "combinations_checked",
+                                          "failures"]),
+    "node-ids": (dict(num_graphs=2), ["graphs", "failures"]),
+    "port-witness": (dict(n_values=(4,), trials=1), ["witnesses"]),
+    "expressivity": ({}, ["values"]),
+    "gradients": (dict(num_graphs=1, directions=1),
+                  ["graphs", "max_rel_error", "failures"]),
+    "complexity": (dict(sizes=(100, 200)), ["counts", "ratios"]),
+    "connectivity": (dict(num_graphs=2), ["graphs", "failures"]),
+    "planted-separation": (dict(num_nodes=40, seeds=(0,), epochs=1),
+                           ["max_of_sums", "out_neighbor_count", "min_gap"]),
+}
+
+
+def test_suites_register_in_order_and_stamp_their_reports():
+    """SUITES holds the eight suites in order; each report starts with the
+    suite's registered name and "passed" and ends with its run time."""
+    assert list(checks.SUITES) == list(SUITE_REPORTS)
+    for name, (kwargs, keys) in SUITE_REPORTS.items():
+        report = checks.SUITES[name](**kwargs)
+        assert list(report) == ["suite", "passed", *keys, "seconds"]
+        assert report["suite"] == name and report["seconds"] >= 0
+
+
 def _corrupt_nan(p):
     p["mlps"][0]["weights"][0][0] = float("nan")
 
@@ -535,6 +562,21 @@ def _corrupt_truncate(p):
 
 def _corrupt_spec(**entries):
     return lambda p: p["feature_spec"].update(entries)
+
+
+@pytest.fixture(scope="module")
+def clean_checkpoint(tmp_path_factory):
+    """The payload of a default-width checkpoint that, uncorrupted, scores
+    the dataset fixture's data; saved once, since saving takes most of a
+    case's time."""
+    from meganet.data import FeatureSpec
+    from meganet.model import Model, ModelConfig, save_checkpoint
+
+    ckpt = tmp_path_factory.mktemp("clean") / "model.json"
+    save_checkpoint(Model(ModelConfig(), 1, 2), ckpt,
+                    FeatureSpec(ts_mean=0.0, ts_std=1.0, amount_mean=0.0,
+                                amount_std=1.0))
+    return json.loads(ckpt.read_text())
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -555,17 +597,11 @@ def _corrupt_spec(**entries):
         "missing-key", "spec-missing-key", "spec-nan-mean", "spec-inf-mean",
         "spec-zero-std", "spec-inf-std", "spec-categories-a-string",
         "spec-category-not-a-string", "spec-categories-a-list"])
-def test_malformed_checkpoint_exit_2(dataset, tmp_path, capsys, corrupt):
-    from meganet.data import FeatureSpec
-    from meganet.model import Model, ModelConfig, save_checkpoint
-
+def test_malformed_checkpoint_exit_2(dataset, clean_checkpoint, tmp_path,
+                                    capsys, corrupt):
     tx, labels = dataset
     ckpt = tmp_path / "model.json"
-    # uncorrupted, a checkpoint that scores this dataset
-    save_checkpoint(Model(ModelConfig(), 1, 2), ckpt,
-                    FeatureSpec(ts_mean=0.0, ts_std=1.0, amount_mean=0.0,
-                                amount_std=1.0))
-    payload = json.loads(ckpt.read_text())
+    payload = copy.deepcopy(clean_checkpoint)
     text = corrupt(payload)
     ckpt.write_text(text if isinstance(text, str) else json.dumps(payload))
     rc = run(["eval", "--checkpoint", ckpt, "--data", tx,

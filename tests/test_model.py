@@ -42,14 +42,14 @@ def make_graph(edges, edge_feats, n=None):
 def constant_mlp(in_width, out_width, value=1.0):
     """Net that outputs a constant row regardless of input."""
     return Mlp([np.zeros((in_width, out_width))],
-               [np.full(out_width, value)], activation="identity")
+               [np.full(out_width, value)])
 
 
 def slice_mlp(in_width, lo, hi):
     """Net that selects columns [lo, hi) of its input."""
     w = np.zeros((in_width, hi - lo))
     w[lo:hi] = np.eye(hi - lo)
-    return Mlp([w], [np.zeros(hi - lo)], activation="identity")
+    return Mlp([w], [np.zeros(hi - lo)])
 
 
 def plain_params(dn, de, agg_edge="sum", agg_node="sum", directions=1):
@@ -636,21 +636,29 @@ def test_eval_forward_frees_each_layer_cache():
     ModelConfig(two_stage=False, readout="node"),
 ], ids=["two-stage-edge", "single-stage-node"])
 def test_eval_forward_frees_each_mlp_cache(monkeypatch, cfg):
-    """In eval mode an MLP's hidden activations die before the next MLP runs."""
+    """In eval mode an MLP keeps no cache, and its hidden activations die
+    before the next MLP runs."""
     import weakref
 
     import meganet.model as model_module
+    import meganet.nn as nn_module
 
     hidden = []
-    real = model_module.mlp_forward
+    real, real_act = model_module.mlp_forward, nn_module._act_forward
 
     def recording(net, x, train_mode=False, dropout_mask_seed=0):
         assert all(ref() is None for ref in hidden)
         out, cache = real(net, x, train_mode, dropout_mask_seed)
-        hidden.extend(weakref.ref(h) for h in cache["inputs"][1:])
+        assert cache is None
         return out, cache
 
+    def act(name, z):
+        h, aux = real_act(name, z)
+        hidden.append(weakref.ref(h))
+        return h, aux
+
     monkeypatch.setattr(model_module, "mlp_forward", recording)
+    monkeypatch.setattr(nn_module, "_act_forward", act)
     g = random_connected_multigraph(8, 20, seed=2)
     supp = build_support_index(g)
     cfg = replace(cfg, hidden_node=4, hidden_edge=4, mlp_hidden=5)
@@ -954,6 +962,29 @@ def test_config_rejects_unknown_dtype():
     assert ModelConfig().dtype == "float32"
     with pytest.raises(ModelError, match="dtype"):
         ModelConfig(dtype="float16")
+
+
+@pytest.mark.parametrize("dropout", [-0.1, 1.0, 1.5, float("nan")])
+def test_config_refuses_dropout_outside_unit_interval(dropout):
+    """Refused as the config is built, naming the field, not later inside
+    the MLP stack."""
+    with pytest.raises(ModelError, match=r"^dropout must be in \[0, 1\)"):
+        ModelConfig(dropout=dropout)
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(dropout=0.3),
+    ModelConfig(dropout=0.0, two_stage=False, readout="edge"),
+], ids=["two-stage", "single-stage-edge"])
+def test_every_mlp_is_relu_with_the_config_dropout(cfg):
+    """One activation for every MLP the model builds, the encoders
+    included, which are one layer and so apply it nowhere."""
+    mlps = dict(Model(replace(cfg, hidden_node=3, hidden_edge=3,
+                              mlp_hidden=4), 2, 2).named_mlps())
+    assert {(m.activation, m.dropout) for m in mlps.values()} == {
+        ("relu", cfg.dropout)}
+    assert [len(mlps[n].weights) for n in ("node_encoder", "edge_encoder")] \
+        == [1, 1]
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -56,10 +56,20 @@ def test_mlp_validation():
 
 
 def test_identity_single_layer():
-    m = Mlp([np.eye(3)], [np.zeros(3)], activation="identity")
+    """A one-layer MLP applies no activation: negative outputs pass."""
+    m = Mlp([np.eye(3)], [np.zeros(3)])
     x = np.random.default_rng(0).normal(size=(5, 3))
     out, _ = mlp_forward(m, x)
-    assert np.allclose(out, x)
+    assert (x < 0).any() and np.array_equal(out, x)
+
+
+def test_one_layer_mlp_draws_no_dropout_mask():
+    """A one-layer MLP has no hidden activation to drop: with dropout 0.5
+    its train-mode output equals its eval-mode output bit for bit."""
+    m = init_mlp([3, 4], np.random.default_rng(0), "relu", 0.5)
+    x = np.random.default_rng(1).normal(size=(6, 3))
+    train, cache = mlp_forward(m, x, True, 7)
+    assert cache is not None and np.array_equal(train, mlp_forward(m, x)[0])
 
 
 def test_relu_all_negative_preactivations():
@@ -90,10 +100,10 @@ def test_dropout_deterministic_under_seed():
 def test_backward_zero_upstream():
     m = init_mlp([3, 5, 2], np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(4, 3))
-    out, cache = mlp_forward(m, x)
-    gin, grads = mlp_backward(m, cache, np.zeros_like(out))
+    out, cache = mlp_forward(m, x, True)
+    (gin,) = mlp_backward(m, cache, np.zeros_like(out))
     assert not gin.any()
-    assert not any(w.any() for w in grads.weights)
+    assert not any(w.any() for w in m.grads.weights)
 
 
 def test_init_mlp_without_arena_owns_zeroed_grads():
@@ -102,15 +112,14 @@ def test_init_mlp_without_arena_owns_zeroed_grads():
     assert [g.shape for g in m.grads.biases] == [b.shape for b in m.biases]
     assert not any(g.any() for g in m.grads.weights + m.grads.biases)
     x = np.random.default_rng(1).normal(size=(4, 3))
-    out, cache = mlp_forward(m, x)
-    _, grads = mlp_backward(m, cache, np.ones_like(out))
-    assert grads is m.grads
-    assert grads.biases[-1].tolist() == [4.0, 4.0]     # added in place
+    out, cache = mlp_forward(m, x, True)
+    mlp_backward(m, cache, np.ones_like(out))
+    assert m.grads.biases[-1].tolist() == [4.0, 4.0]   # added in place
 
 
 def test_backward_needs_grads():
-    m = Mlp([np.eye(2)], [np.zeros(2)], activation="identity")
-    out, cache = mlp_forward(m, np.ones((3, 2)))
+    m = Mlp([np.eye(2)], [np.zeros(2)])
+    out, cache = mlp_forward(m, np.ones((3, 2)), True)
     with pytest.raises(NnError, match="gradient"):
         mlp_backward(m, cache, out)
 
@@ -118,9 +127,18 @@ def test_backward_needs_grads():
 def test_backward_rejects_foreign_cache():
     m1 = init_mlp([2, 2], np.random.default_rng(0))
     m2 = init_mlp([2, 2], np.random.default_rng(1))
-    out, cache = mlp_forward(m1, np.ones((1, 2)))
+    out, cache = mlp_forward(m1, np.ones((1, 2)), True)
     with pytest.raises(NnError):
         mlp_backward(m2, cache, out)
+
+
+def test_eval_forward_keeps_no_cache():
+    m = init_mlp([2, 3, 2], np.random.default_rng(0))
+    out, cache = mlp_forward(m, np.ones((1, 2)))
+    assert cache is None
+    for fn in (mlp_output, lambda m, c: mlp_backward(m, c, out)):
+        with pytest.raises(NnError, match="train-mode"):
+            fn(m, cache)
 
 
 def test_backward_consumes_its_cache():
@@ -129,7 +147,8 @@ def test_backward_consumes_its_cache():
     import weakref
 
     m = init_mlp([3, 4, 2], np.random.default_rng(0))
-    out, cache = mlp_forward(m, np.random.default_rng(1).normal(size=(5, 3)))
+    out, cache = mlp_forward(m, np.random.default_rng(1).normal(size=(5, 3)),
+                             True)
     hidden = weakref.ref(cache["inputs"][1])
     mlp_backward(m, cache, np.ones_like(out))
     assert hidden() is None
@@ -137,15 +156,16 @@ def test_backward_consumes_its_cache():
         mlp_backward(m, cache, np.ones_like(out))
 
 
-@pytest.mark.parametrize("activation", ["relu", "gelu", "identity"])
+@pytest.mark.parametrize("activation", ["relu", "gelu"])
 def test_backward_matches_finite_differences(activation):
     rng = np.random.default_rng(3)
     m = init_mlp([4, 6, 5, 2], rng, activation=activation)
     x = rng.normal(size=(7, 4))
     gout = rng.normal(size=(7, 2))
 
-    out, cache = mlp_forward(m, x)
-    gin, grads = mlp_backward(m, cache, gout)
+    out, cache = mlp_forward(m, x, True)
+    (gin,) = mlp_backward(m, cache, gout)
+    grads = m.grads
 
     def loss_wrt(arr, setter):
         def fn(v):
@@ -175,7 +195,7 @@ def test_backward_matches_finite_differences(activation):
     assert np.allclose(gin, fd_in, rtol=1e-4, atol=1e-7)
 
 
-@pytest.mark.parametrize("activation", ["gelu", "identity"])
+@pytest.mark.parametrize("activation", ["gelu"])
 def test_train_mode_dropout_needs_relu(activation):
     """Only relu's gate can be read off the next layer's input."""
     m = init_mlp([3, 8, 2], np.random.default_rng(1), activation=activation,
@@ -183,12 +203,12 @@ def test_train_mode_dropout_needs_relu(activation):
     x = np.random.default_rng(2).normal(size=(6, 3))
     with pytest.raises(NnError, match="relu"):
         mlp_forward(m, x, train_mode=True, dropout_mask_seed=7)
-    out, cache = mlp_forward(m, x, train_mode=False, dropout_mask_seed=7)
-    gin, _ = mlp_backward(m, cache, np.ones_like(out))
-    assert gin.shape == x.shape
+    out, _ = mlp_forward(m, x, train_mode=False, dropout_mask_seed=7)
     m.dropout = 0.0
-    a, _ = mlp_forward(m, x, train_mode=True, dropout_mask_seed=7)
+    a, cache = mlp_forward(m, x, train_mode=True, dropout_mask_seed=7)
     assert np.array_equal(a, out)
+    (gin,) = mlp_backward(m, cache, np.ones_like(out))
+    assert gin.shape == x.shape
 
 
 def test_dropout_backward_exact_for_realized_mask():
@@ -198,7 +218,8 @@ def test_dropout_backward_exact_for_realized_mask():
     out, cache = mlp_forward(m, x, train_mode=True, dropout_mask_seed=11)
     assert not np.array_equal(out, mlp_forward(m, x)[0])   # a mask was drawn
     gout = np.ones_like(out)
-    _, grads = mlp_backward(m, cache, gout)
+    mlp_backward(m, cache, gout)
+    grads = m.grads
 
     w = m.weights[0]
     eps = 1e-6
@@ -236,11 +257,10 @@ def test_mlp_output_rebuilds_the_forward_output(dims, dtype):
     m = init_mlp(dims, rng, dropout=0.3,
                  arena=(np.empty(size, dtype), np.zeros(size, dtype)))
     x = rng.normal(size=(9, 3)).astype(dtype)
-    for train in (False, True):
-        out, cache = mlp_forward(m, x, train, 7)
-        again = mlp_output(m, cache)
-        assert again is not out and again.dtype == dtype
-        assert np.array_equal(again, out)
+    out, cache = mlp_forward(m, x, True, 7)
+    again = mlp_output(m, cache)
+    assert again is not out and again.dtype == dtype
+    assert np.array_equal(again, out)
     mlp_backward(m, cache, out)
     with pytest.raises(NnError, match="consumed"):
         mlp_output(m, cache)
@@ -256,7 +276,7 @@ def test_part_released_with_rebuild_is_rebuilt_by_backward():
     m = init_mlp([7, 6, 3], rng)
     parts = gathered_parts(rng)
     ref, cache = mlp_forward(m, GatheredConcat(*parts), True, 5)
-    gref, _ = mlp_backward(m, cache, np.ones_like(ref))
+    gref = mlp_backward(m, cache, np.ones_like(ref))
     for rebuilt, error in [(parts[2][0], None),
                            (parts[2][0][:4], "rebuilt as a float64 array "
                                              r"of shape \(4, 2\)")]:
@@ -268,7 +288,7 @@ def test_part_released_with_rebuild_is_rebuilt_by_backward():
         del x, p2
         assert held() is None and calls == []
         if error is None:
-            g, _ = mlp_backward(m, cache, np.ones_like(out))
+            g = mlp_backward(m, cache, np.ones_like(out))
             assert calls == [1]
             assert all(np.array_equal(a, b) for a, b in zip(g, gref))
         else:
@@ -317,7 +337,7 @@ def test_gathered_concat_backward_matches_finite_differences(activation):
         return float((out * gout).sum())
 
     _, cache = mlp_forward(m, GatheredConcat(*parts), True, 5)
-    gparts, grads = mlp_backward(m, cache, gout)
+    gparts, grads = mlp_backward(m, cache, gout), m.grads
     assert [g.shape for g in gparts] == [p.shape for p, _ in parts]
     assert not gparts[0][2].any() and not gparts[2][3].any()   # unselected
     probes = ([(p, g) for (p, _), g in zip(parts, gparts)]
@@ -390,7 +410,7 @@ def test_scaled_part_equals_built_blocks(activation):
         m = init_mlp([15, 6, 3], np.random.default_rng(11),
                      activation=activation, dropout=dropout)
         out, cache = mlp_forward(m, x, True, 5)
-        gparts, grads = mlp_backward(m, cache, gout)
+        gparts, grads = mlp_backward(m, cache, gout), m.grads
         eval_out, _ = mlp_forward(m, x, False)
         got[name] = (out, eval_out, gparts, grads.weights + grads.biases)
     scaled, built_ = got["scaled"], got["built"]
@@ -443,10 +463,10 @@ def test_folded_degree_scalers_equal_built_block(layout, dtype, rtol):
         m = init_mlp(dims, np.random.default_rng(15), "relu", 0.3,
                      arena=(np.empty(size, dtype), np.zeros(size, dtype)))
         out, cache = mlp_forward(m, x, True, 5)
-        gx, grads = mlp_backward(m, cache, gout)
+        (gx,) = mlp_backward(m, cache, gout)
         eval_out, _ = mlp_forward(m, x, False)
-        gx = gx[0] if name == "folded" else fold(gx, scale)
-        got[name] = [out, eval_out, gx] + grads.weights + grads.biases
+        gx = gx if name == "folded" else fold(gx, scale)
+        got[name] = [out, eval_out, gx] + m.grads.weights + m.grads.biases
     for a, b in zip(got["folded"], got["built"]):
         assert a.dtype == dtype and a.shape == b.shape
         assert np.abs(a - b).max() <= rtol * np.abs(b).max()
@@ -460,18 +480,17 @@ def test_one_column_part_equals_matmul(dtype, grouped):
     rng = np.random.default_rng(16)
     p = rng.normal(size=(5, 1)).astype(dtype)
     i = build_groups([4, 0, 0, 2, 4, 1, 3], 5) if grouped else None
-    m = init_mlp([1, 8], rng, "identity",
-                 arena=(np.empty(16, dtype), np.zeros(16, dtype)))
+    m = init_mlp([1, 8], rng, arena=(np.empty(16, dtype), np.zeros(16, dtype)))
     m.biases[0][...] = rng.normal(size=8)
     w, b = m.weights[0], m.biases[0]
-    out, cache = mlp_forward(m, GatheredConcat((p, i)))
+    out, cache = mlp_forward(m, GatheredConcat((p, i)), True)
     want = p @ w if i is None else (p @ w)[i.key]
     want += b
     assert out.dtype == dtype and np.array_equal(out, want)
     g = rng.normal(size=out.shape).astype(dtype)
-    (gp,), grads = mlp_backward(m, cache, g)
+    (gp,) = mlp_backward(m, cache, g)
     gs = g if i is None else scatter_add(g, i)
-    assert np.array_equal(grads.weights[0], p.T @ gs)
+    assert np.array_equal(m.grads.weights[0], p.T @ gs)
     assert np.array_equal(gp, gs @ w.T)
 
 
@@ -486,7 +505,7 @@ def test_scaled_part_backward_matches_finite_differences():
         return float((out * gout).sum())
 
     _, cache = mlp_forward(m, GatheredConcat(*parts), True, 5)
-    gparts, grads = mlp_backward(m, cache, gout)
+    gparts, grads = mlp_backward(m, cache, gout), m.grads
     assert not gparts[0][2].any()                 # row 2 is never selected
     assert not gparts[0][1].any() and not gparts[2][3].any()   # no bucket
     probes = ([(part[0], g) for part, g in zip(parts, gparts)]
@@ -612,8 +631,7 @@ def test_directional_derivative_helper():
     assert directional_derivative_fd(fn, x, d) == pytest.approx(2.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("activation,dropout", [("relu", 0.3), ("gelu", 0.0),
-                                                ("identity", 0.0)])
+@pytest.mark.parametrize("activation,dropout", [("relu", 0.3), ("gelu", 0.0)])
 def test_float32_mlp_computes_in_float32(activation, dropout):
     """Weights drawn in float64 and rounded; outputs and gradients float32."""
     dims = [7, 6, 3]
@@ -629,9 +647,9 @@ def test_float32_mlp_computes_in_float32(activation, dropout):
     want, _ = mlp_forward(m64, GatheredConcat(*parts), True, 5)
     assert out.dtype == np.float32
     assert np.abs(out - want).max() <= 1e-5 * np.abs(want).max()
-    gparts, grads = mlp_backward(m32, cache, np.ones(out.shape, np.float32))
-    assert {g.dtype for g in gparts} == {np.dtype(np.float32)}
-    assert {g.dtype for g in grads.weights + grads.biases} == {np.dtype(np.float32)}
+    gparts = mlp_backward(m32, cache, np.ones(out.shape, np.float32))
+    grads = m32.grads.weights + m32.grads.biases
+    assert {g.dtype for g in gparts + grads} == {np.dtype(np.float32)}
 
 
 @pytest.mark.parametrize("dropout", [0.1, 0.5])
