@@ -29,7 +29,7 @@ from .graph import (
 from .ids import bfs_assign_ids, label_edges_by_features, nonequivariance_witness
 from .model import Model, ModelConfig
 from .nn import weighted_bce_loss
-from .train import TaskData, TrainConfig, node_split, train_model
+from .train import TrainConfig, node_task, train_model
 
 AGG_KINDS = ("sum", "mean", "max", "min", "pna")
 
@@ -315,13 +315,6 @@ def connectivity_suite(num_graphs: int = 1000, seed: int = 0) -> dict:
     return {"passed": not bad, "graphs": num_graphs, "failures": bad}
 
 
-def _planted_task_data(task: str, num_nodes: int, seed: int) -> TaskData:
-    g, labels = generate_planted_task(num_nodes, 2, 2, task, seed)
-    items = np.flatnonzero(labels >= 0)
-    return TaskData(graph=g, labels=labels[items], items=items,
-                    task_type="node", **node_split(items.size, seed))
-
-
 @_suite("planted-separation")
 def planted_separation_suite(num_nodes: int = 500, seeds=(0, 1, 2, 3, 4),
                              min_gap: float = 0.10,
@@ -337,7 +330,8 @@ def planted_separation_suite(num_nodes: int = 500, seeds=(0, 1, 2, 3, 4),
     def run(task, cfg):
         f1s = []
         for seed in seeds:
-            data = _planted_task_data(task, num_nodes, seed)
+            data = node_task(*generate_planted_task(num_nodes, 2, 2, task,
+                                                    seed), seed)
             _, rec = train_model(data, cfg, tc, seed=seed)
             f1s.append(rec.final_metrics["f1"])
         return float(np.mean(f1s)), f1s

@@ -37,7 +37,7 @@ from .agg import AggError, AggSpec
 from .model import ModelConfig, ModelError, load_checkpoint, save_checkpoint
 from .nn import NnError
 from .train import (TaskData, TrainConfig, TrainingError, evaluate_model,
-                    node_split, train_model)
+                    node_split, node_task, train_model)
 
 _MODELS = ("single-stage-gin", "two-stage")     # indexed by two_stage
 _MODEL, _TRAIN = ModelConfig(), TrainConfig()
@@ -165,11 +165,7 @@ def _load_task(args, seed: int, spec=None):
     if not args.node_labels:
         return TaskData(g, edge_labels, np.arange(g.num_edges), "edge",
                         tr, va, te), spec
-    items = np.flatnonzero(node_labels >= 0)
-    if items.size < 5:
-        raise ConfigError("too few labeled nodes to split")
-    return TaskData(graph=g, labels=node_labels[items], items=items,
-                    task_type="node", **node_split(items.size, seed)), spec
+    return node_task(g, node_labels, seed), spec
 
 
 def cmd_gen(args) -> int:

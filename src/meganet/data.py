@@ -595,6 +595,13 @@ def generate_planted_task(
     return g, labels
 
 
+def _planted_graph(num_nodes, edges, amounts) -> Multigraph:
+    """A planted task's graph: a constant node feature, each edge's amount
+    as its one edge feature."""
+    return Multigraph(num_nodes, np.ones((num_nodes, 1)),
+                      np.array(edges, dtype=np.int64), np.array(amounts)[:, None])
+
+
 def _generate_max_of_sums(num_receivers, k, p, seed):
     if k < 2:
         raise ConfigError("max_of_sums needs at least 2 senders per node")
@@ -627,13 +634,7 @@ def _generate_max_of_sums(num_receivers, k, p, seed):
                 noisy = (v + rng.uniform(-_NOISE, _NOISE)) * scale
                 edges.append((s, r))
                 amounts.append(noisy)
-    g = Multigraph(
-        num_nodes=total_nodes,
-        node_features=np.ones((total_nodes, 1)),
-        edges=np.array(edges, dtype=np.int64),
-        edge_features=np.array(amounts)[:, None],
-    )
-    return g, labels
+    return _planted_graph(total_nodes, edges, amounts), labels
 
 
 def _generate_out_neighbor_count(num_subjects, median_degree, p, seed):
@@ -659,13 +660,7 @@ def _generate_out_neighbor_count(num_subjects, median_degree, p, seed):
             for _ in range(p):
                 edges.append((v, num_subjects + int(sk)))
                 amounts.append(rng.uniform(0.5, 1.5))
-    g = Multigraph(
-        num_nodes=total_nodes,
-        node_features=np.ones((total_nodes, 1)),
-        edges=np.array(edges, dtype=np.int64),
-        edge_features=np.array(amounts)[:, None],
-    )
-    return g, labels
+    return _planted_graph(total_nodes, edges, amounts), labels
 
 
 def _incident_edges(endpoint: np.ndarray, nodes: np.ndarray) -> list[np.ndarray]:
@@ -725,9 +720,10 @@ def write_transactions_csv(path, g: Multigraph, edge_labels=None) -> int:
     """Write edges back out in the generated-dataset schema; returns rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["src", "dst", "timestamp", "amount"]
+        schema = GENERATED_SCHEMA
+        header = [schema.src, schema.dst, schema.timestamp, schema.amount]
         if edge_labels is not None:
-            header.append("label")
+            header.append(schema.label)
         writer.writerow(header)
         for k in range(g.num_edges):
             row = [int(g.src[k]), int(g.dst[k]), k,

@@ -318,25 +318,8 @@ def random_connected_multigraph(
 
 
 def is_weakly_connected(g: Multigraph) -> bool:
-    """Union-find check of weak connectivity."""
-    if g.num_nodes <= 1:
-        return True
-    parent = np.arange(g.num_nodes)
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for s, d in g.edges:
-        ra, rb = find(int(s)), find(int(d))
-        if ra != rb:
-            parent[rb] = ra
-    root0 = find(0)
-    return all(find(i) == root0 for i in range(1, g.num_nodes))
+    """Whether every node is reached from node 0 ignoring edge direction."""
+    return g.num_nodes <= 1 or bool((undirected_bfs_distances(g, 0) >= 0).all())
 
 
 def undirected_bfs_distances(g: Multigraph, root: int) -> np.ndarray:

@@ -73,6 +73,7 @@ only) and returns only the final node and edge states.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import NamedTuple
@@ -705,8 +706,6 @@ CHECKPOINT_VERSION = 2
 
 def save_checkpoint(model: Model, path, feature_spec=None) -> None:
     """JSON checkpoint: config echo, feature spec, per-MLP dims and arrays."""
-    import json
-
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
@@ -725,7 +724,8 @@ def save_checkpoint(model: Model, path, feature_spec=None) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        # json.dumps encodes in C; json.dump runs the pure-Python encoder
+        fh.write(json.dumps(payload))
 
 
 def load_checkpoint(path) -> tuple[Model, FeatureSpec | None]:
@@ -733,8 +733,6 @@ def load_checkpoint(path) -> tuple[Model, FeatureSpec | None]:
     was saved. The inverse of save_checkpoint: ModelError for any other
     format version, a config key missing or unknown, MLP names other than
     the model's in its parameter order, and any other malformed content."""
-    import json
-
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)

@@ -49,7 +49,7 @@ class TrainConfig:
 
     learning_rate: float = 0.003
     batch_size: int = 8192
-    dropout: float = 0.1
+    dropout: float = ModelConfig.dropout
     class_weights: tuple[float, float] = (1.0, 6.27)
     epochs: int = 80
     patience: int = 10
@@ -107,6 +107,16 @@ def node_split(num_items: int, seed: int) -> dict:
     """The train/val/test split of a node task's items under a run seed."""
     tr, va, te = random_item_split(num_items, seed + 101)
     return dict(train_idx=tr, val_idx=va, test_idx=te)
+
+
+def node_task(graph: Multigraph, node_labels: np.ndarray, seed: int) -> TaskData:
+    """The node task of the nodes labeled 0 or 1 (-1 is unlabeled), split by
+    node_split under seed; ConfigError below 5 labeled nodes."""
+    items = np.flatnonzero(node_labels >= 0)
+    if items.size < 5:
+        raise ConfigError("too few labeled nodes to split")
+    return TaskData(graph=graph, labels=node_labels[items], items=items,
+                    task_type="node", **node_split(items.size, seed))
 
 
 def train_model(task: TaskData, model_config: ModelConfig,

@@ -421,6 +421,15 @@ def test_bad_node_label_row_exit_2(dataset, tmp_path, capsys):
     assert "row" in capsys.readouterr().err
 
 
+def test_diverging_training_exit_1(dataset, tmp_path, capsys):
+    tx, labels = dataset
+    with np.errstate(all="ignore"):
+        rc = run(train_args(tx, labels, tmp_path / "o",
+                            "--learning-rate", "1e154"))
+    assert rc == 1
+    assert "training failed:" in capsys.readouterr().err
+
+
 def test_node_listed_twice_in_sidecar_exit_2(dataset, tmp_path, capsys):
     tx, labels = dataset
     twice = tmp_path / "twice.labels.csv"
@@ -593,10 +602,12 @@ def clean_checkpoint(tmp_path_factory):
     _corrupt_spec(categories={"currency": "USD"}),
     _corrupt_spec(categories={"currency": ["USD", 1]}),
     _corrupt_spec(categories=["currency"]),
+    lambda p: p["mlps"][-1]["weights"].pop(),
 ], ids=["nan-weight", "format-version-3", "not-json", "truncated-weights",
         "missing-key", "spec-missing-key", "spec-nan-mean", "spec-inf-mean",
         "spec-zero-std", "spec-inf-std", "spec-categories-a-string",
-        "spec-category-not-a-string", "spec-categories-a-list"])
+        "spec-category-not-a-string", "spec-categories-a-list",
+        "mlp-layer-dropped"])
 def test_malformed_checkpoint_exit_2(dataset, clean_checkpoint, tmp_path,
                                     capsys, corrupt):
     tx, labels = dataset
@@ -767,7 +778,8 @@ def test_malformed_transaction_file_exit_2(tmp_path, capsys, header, rows,
     (b"node,label\n0,-1\n1,-1,junk\n",
      "bad.labels.csv row 2: more fields than the header"),
     (b"node,label\n0,-1\n\xe9,0\n", "bad.labels.csv: not UTF-8 CSV text"),
-], ids=["more-fields", "not-utf8"])
+    (b"node,label\n0,1\n1,0\n2,1\n3,0\n", "too few labeled nodes to split"),
+], ids=["more-fields", "not-utf8", "four-labeled"])
 def test_malformed_sidecar_file_exit_2(dataset, tmp_path, capsys, sidecar,
                                        message):
     tx, _ = dataset

@@ -134,7 +134,8 @@ def test_node_labels_map_through_account_names(tmp_path):
     assert load_node_labels(p, ["c", "a", "b"]).tolist() == [0, -1, 1]
 
 
-@pytest.mark.parametrize("row", ["-1,1", "4,0", "0,7", "1,-2", "2", "0,0"])
+@pytest.mark.parametrize("row", ["-1,1", "4,0", "0,7", "1,-2", "2", "0,0",
+                                 "1,yes"])
 def test_node_labels_reject_out_of_range_rows(tmp_path, row):
     p = write(tmp_path, "l.csv", f"node,label\n0,1\n{row}\n")
     with pytest.raises(IngestionError, match="row 2"):
@@ -494,6 +495,20 @@ def test_roundtrip_through_csv(tmp_path):
     assert np.array_equal(t.amount, g.edge_features[:, 0])
     got = load_node_labels(lp, t.account_names)
     assert np.array_equal(got, labels[np.array(t.account_names, dtype=int)])
+
+
+def test_edge_labels_roundtrip_through_csv(tmp_path):
+    g, _ = generate_planted_task(20, 2, 2, "max_of_sums", seed=1)
+    edge_labels = np.random.default_rng(0).integers(0, 2, g.num_edges)
+    p = tmp_path / "tx.csv"
+    write_transactions_csv(p, g, edge_labels)
+    t = load_transactions(p, GENERATED_SCHEMA)
+    names = np.array(t.account_names, dtype=np.int64)
+    assert np.array_equal(names[t.src], g.src)
+    assert np.array_equal(names[t.dst], g.dst)
+    assert np.array_equal(t.timestamp, np.arange(g.num_edges))
+    assert np.array_equal(t.amount, g.edge_features[:, 0])
+    assert np.array_equal(t.labels, edge_labels)
 
 
 def test_node_labels_stay_with_their_account_through_csv(tmp_path):
